@@ -469,16 +469,7 @@ class _Simulator:
 
     def _question_phase(self, trial: Trial) -> None:
         state = self.scn.state_at(trial.question_start)
-        if self.scn.setting == "dynamic":
-            focus: GazeTarget = IntermediaryGaze(
-                next(
-                    e.id
-                    for e in self.scn.intermediary_entities()
-                    if e.category == trial.category
-                )
-            )
-        else:
-            focus = ScreenGaze()
+        focus = focus_target(state, self.scn, trial.question_start)
         panels = self.tracker.poses_at(state)
         point = self._gaze_point(state, focus, panels)
         self._travel_to(state, point, deadline=trial.question_complete)

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping
 
-import numpy as np
-
 from .designspace import (
     ContentSpec,
     PresentationSpec,
@@ -156,11 +154,14 @@ class Trajectory:
         a, b = wps[hi - 1], wps[hi]
         if self.interpolation == "hold":
             return a.position, a.yaw_deg
-        u = (t - a.time) / (b.time - a.time)
+        t0, t1, p0, p1 = a.time, b.time, a.position, b.position
+        u = (t - t0) / (t1 - t0)
+        # slope * (t - t0) + p0 is np.interp's operation order, so positions
+        # match it bit for bit (tests use np.interp as the reference).
         pos = Vec3(
-            float(np.interp(t, [a.time, b.time], [a.position.x, b.position.x])),
-            float(np.interp(t, [a.time, b.time], [a.position.y, b.position.y])),
-            float(np.interp(t, [a.time, b.time], [a.position.z, b.position.z])),
+            (p1.x - p0.x) / (t1 - t0) * (t - t0) + p0.x,
+            (p1.y - p0.y) / (t1 - t0) * (t - t0) + p0.y,
+            (p1.z - p0.z) / (t1 - t0) * (t - t0) + p0.z,
         )
         return pos, a.yaw_deg + u * (b.yaw_deg - a.yaw_deg)
 
@@ -416,8 +417,12 @@ def _trial_to_dict(t: Trial) -> dict:
     return d
 
 
+def _canonical_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def serialize_scenario(scn: Scenario) -> str:
-    return json.dumps(scn.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(scn.to_dict())
 
 
 # -- parsing ---------------------------------------------------------------
@@ -1035,19 +1040,38 @@ def advance(state: SceneState | None, scenario: Scenario, t: float) -> SceneStat
 
 
 # -- bundled fixtures -------------------------------------------------------
+#
+# Strategy is a run axis, not a copied fixture.  fixtures/ holds one file per
+# context, "<context>_env_ref.scn", and each context is bundled as two named
+# sessions: the file itself and "<context>_body_fixed", the same session
+# renamed and switched to the body-fixed strategy.  The agent's RNG stream is
+# seeded from the session name, so the two sessions stay independent.
+
+_ENV_REF = "_env_ref"
+_BODY_FIXED = "_body_fixed"
 
 
 def bundled_scenario_names() -> list[str]:
-    """Names of the eight bundled session fixtures, sorted."""
+    """Names of the eight bundled sessions, sorted: four contexts x two strategies."""
     root = resources.files(__package__) / "fixtures"
-    return sorted(
-        p.name.removesuffix(".scn") for p in root.iterdir() if p.name.endswith(".scn")
-    )
+    contexts = [
+        p.name.removesuffix(f"{_ENV_REF}.scn")
+        for p in root.iterdir()
+        if p.name.endswith(f"{_ENV_REF}.scn")
+    ]
+    return sorted(c + suffix for c in contexts for suffix in (_ENV_REF, _BODY_FIXED))
 
 
 def bundled_scenario_text(name: str) -> str:
-    path = resources.files(__package__) / "fixtures" / f"{name}.scn"
-    return path.read_text(encoding="utf-8")
+    """Canonical .scn text of a bundled session; body-fixed ones are derived."""
+    root = resources.files(__package__) / "fixtures"
+    context = name.removesuffix(_BODY_FIXED)
+    if context == name:
+        return (root / f"{name}.scn").read_text(encoding="utf-8")
+    doc = json.loads((root / f"{context}{_ENV_REF}.scn").read_text(encoding="utf-8"))
+    doc["name"] = name
+    doc["placement"]["strategy"] = Strategy.BODY_FIXED.value
+    return _canonical_json(doc)
 
 
 def load_bundled(name: str) -> Scenario:

@@ -2,8 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import xrlayout
 
 from xrlayout.errors import (
     ScenarioInvariantError,
@@ -97,6 +105,32 @@ class TestTrajectory:
         assert pos.is_close(Vec3(0.0, 0.0, 0.0), tol=1e-12)
         assert yaw == 0.0
 
+    def test_linear_matches_np_interp_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        trajs = [
+            traj
+            for name in ALL_FIXTURES
+            for traj in load_bundled(name).trajectories.values()
+            if traj.interpolation == "linear"
+        ]
+        trajs += [
+            Trajectory(
+                tuple(
+                    Waypoint(float(t), Vec3(*map(float, rng.normal(0, 5, 3))), 0.0)
+                    for t in np.cumsum(rng.uniform(0.01, 20.0, 4))
+                )
+            )
+            for _ in range(20)
+        ]
+        for traj in trajs:
+            times = [w.time for w in traj.waypoints]
+            ts = [*times, *np.arange(times[0], times[-1], 1 / 90)]
+            got = [traj.sample(float(t))[0] for t in ts]
+            for axis in ("x", "y", "z"):
+                values = [getattr(w.position, axis) for w in traj.waypoints]
+                want = np.interp(ts, times, values).tolist()
+                assert [getattr(p, axis) for p in got] == want, axis
+
 
 class TestParsing:
     def test_all_bundled_fixtures_parse(self):
@@ -166,6 +200,42 @@ class TestParsing:
         for name in ALL_FIXTURES:
             text = bundled_scenario_text(name)
             assert serialize_scenario(parse_scenario(text)) == text
+
+
+class TestBundledSessions:
+    def test_one_canonical_env_ref_file_per_context(self):
+        root = resources.files("xrlayout") / "fixtures"
+        files = sorted(p.name for p in root.iterdir() if p.name.endswith(".scn"))
+        assert files == [f"{n}.scn" for n in ALL_FIXTURES if n.endswith("_env_ref")]
+        for name in files:
+            text = (root / name).read_text(encoding="utf-8")
+            assert serialize_scenario(parse_scenario(text)) == text
+
+    def test_body_fixed_view_differs_from_twin_only_in_name_and_strategy(self):
+        for name in ALL_FIXTURES:
+            if not name.endswith("_body_fixed"):
+                continue
+            view = load_bundled(name).to_dict()
+            twin = load_bundled(name.replace("_body_fixed", "_env_ref")).to_dict()
+            assert view["name"] == name
+            assert view["placement"]["strategy"] == "body_fixed"
+            assert twin["placement"]["strategy"] == "environment_referenced"
+            twin["name"] = name
+            twin["placement"]["strategy"] = "body_fixed"
+            assert view == twin
+
+    def test_import_does_not_load_numpy(self):
+        code = "import sys, xrlayout; print('numpy' in sys.modules)"
+        src = str(Path(xrlayout.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestReplay:
