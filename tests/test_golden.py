@@ -37,11 +37,6 @@ def _manifest() -> dict[str, str]:
     return digests
 
 
-def test_manifest_covers_every_run():
-    runs = {tuple(rel.split("/")[:2]) for rel in _manifest()}
-    assert runs == {(f"seed{seed}", s) for seed in SEEDS for s in STRATEGIES}
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_run_all_matches_golden_digests(tmp_path, seed, strategy):
