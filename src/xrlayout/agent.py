@@ -2,9 +2,20 @@
 
 The agent replays a scenario and produces what an eye tracker would have
 logged: a gaze-target segment timeline (exact boundaries), a fixed-rate
-sample stream derived from it, and document open events.  Everything is a
-pure function of (scenario, strategy, agent params, seed); two runs with
-identical inputs produce bit-identical traces.
+sample stream derived from it, and document open events.  A trace depends
+only on (scenario, strategy, agent params, seed); two runs with identical
+inputs produce bit-identical traces.
+
+Only the agent's RNG depends on the seed, so the sessions run on one
+Scenario object share a scene track (_SceneTrack, kept in the scenario's
+private _track slot): the scene states and panel poses at the scripted
+query times, computed once per scenario and strategy instead of once per
+seed.  The track is invisible in every output.  It stores only values that
+are pure in (scenario, strategy, t), it leaves out environment-referenced
+poses wherever a panel is degenerate (hold-last depends on the session's
+own history there), and it is outside the scenario's equality, repr and
+serialization.  So a session gives the same trace and warnings whether the
+track was cold or warm.
 
 Behavioral model
 ----------------
@@ -64,13 +75,11 @@ from .placement import (
     emit_layouts,
     place_body_fixed,
 )
-from .scenario import GRID_COLS, GRID_ROWS, Scenario, Trial, grid_cell
+from .scenario import GRID_COLS, GRID_ROWS, SCAN_POLICIES, Scenario, Trial, grid_cell
 
 # Vertical offset from an intermediary's floor anchor to where people
 # actually look at it (a host's face, a poster's center).
 GAZE_HEIGHT_M = 1.5
-
-SCAN_POLICIES = ("nearest_panel_first", "bearing_order", "random_seeded")
 
 
 # -- gaze targets ------------------------------------------------------------
@@ -277,27 +286,82 @@ def _stable_seed(*parts: object) -> int:
 # -- simulation --------------------------------------------------------------
 
 
-class _PanelTracker:
-    """Panel world poses per state for whichever strategy is running."""
+# Scripted query times sit this far before each trial's window opens, so
+# the idle approach sees the scene just before the question starts.
+IDLE_LEAD_S = 1e-6
 
-    def __init__(self, scenario: Scenario, strategy: Strategy):
-        self.scenario = scenario
-        self.strategy = strategy
-        self.params = scenario.params
-        self.warnings: list[WarningEvent] = []
-        self._placer: EnvironmentReferencedPlacer | None = None
-        self._frozen: dict[str, Pose] | None = None
-        self._emission = None
-        if strategy is Strategy.ENVIRONMENT_REFERENCED:
-            self._placer = EnvironmentReferencedPlacer(
-                scenario.intermediaries, self.params
-            )
-        elif strategy is Strategy.WORLD_FIXED:
+
+class _SceneTrack:
+    """Seed-independent replay of one scenario, shared by all its sessions.
+
+    Only the agent's RNG depends on the seed.  The scene state and the panel
+    poses at the scripted query times (0.0 and, for each trial, the instant
+    IDLE_LEAD_S before its window, its question start and its question
+    complete) do not, so the track keeps them, filled lazily as sessions
+    first ask for them: a seed sweep computes each once per scenario, and
+    poses once per (scenario, strategy).  Any other time (the settle tail,
+    a cursor that overran its scripted time) is computed on the spot and
+    never stored, so the track stays bounded by the scripted times however
+    many seeds run.
+
+    Nothing a session returns depends on whether the track was cold or
+    warm: replay and the stateless strategies are pure in t, and
+    environment-referenced poses are stored only where they equal the pure
+    placement (see _PanelTracker.poses_at).  The track holds no reference
+    to its scenario; callers pass it.
+    """
+
+    def __init__(self, scenario: Scenario):
+        times = {0.0}
+        for trial in scenario.trials:
+            t0, _ = scenario.trial_window(trial.index)
+            times.update((t0 - IDLE_LEAD_S, trial.question_start, trial.question_complete))
+        self.times = frozenset(times)
+        self.states: dict[float, SceneState] = {}
+        self.strategies: dict[Strategy, _StrategyTrack] = {}
+
+    @staticmethod
+    def of(scenario: Scenario) -> "_SceneTrack":
+        """The scenario's track, created on first use."""
+        track = scenario._track
+        if track is None:
+            track = _SceneTrack(scenario)
+            object.__setattr__(scenario, "_track", track)
+        return track
+
+    def state_at(self, scenario: Scenario, t: float) -> SceneState:
+        if t not in self.times:
+            return scenario.state_at(t)
+        state = self.states.get(t)
+        if state is None:
+            state = self.states[t] = scenario.state_at(t)
+        return state
+
+    def strategy(self, scenario: Scenario, strategy: Strategy) -> "_StrategyTrack":
+        shared = self.strategies.get(strategy)
+        if shared is None:
+            shared = self.strategies[strategy] = _StrategyTrack(scenario, strategy, self)
+        return shared
+
+
+class _StrategyTrack:
+    """One strategy's share of a scene track: session set-up and poses.
+
+    poses maps a scripted time to the panel poses there, or to None when an
+    environment-referenced panel is degenerate at that time.
+    """
+
+    def __init__(self, scenario: Scenario, strategy: Strategy, track: _SceneTrack):
+        params = scenario.params
+        self.poses: dict[float, dict[str, Pose] | None] = {}
+        self.frozen: dict[str, Pose] | None = None
+        self.emission = None
+        if strategy is Strategy.WORLD_FIXED:
             # World-fixed panels freeze at the session-start body-fixed
             # arrangement; there is no other sensible world pose to give
             # them from a scenario authored for adaptive strategies.
-            self._frozen = place_body_fixed(
-                scenario.state_at(0.0), scenario.body_bearings, self.params
+            self.frozen = place_body_fixed(
+                track.state_at(scenario, 0.0), scenario.body_bearings, params
             )
         elif strategy is Strategy.OBJECT_FIXED:
             # Name-tag style: each panel floats a fixed offset above its
@@ -309,32 +373,74 @@ class _PanelTracker:
                 )
                 for pid, eid in scenario.intermediaries.items()
             }
-            self._emission = emit_layouts(
+            self.emission = emit_layouts(
                 strategy,
-                scenario.state_at(0.0),
-                self.params,
+                track.state_at(scenario, 0.0),
+                params,
                 anchors=anchors,
             )
         elif strategy is Strategy.HEAD_FIXED:
-            self._emission = emit_layouts(
+            self.emission = emit_layouts(
                 strategy,
-                scenario.state_at(0.0),
-                self.params,
+                track.state_at(scenario, 0.0),
+                params,
                 bearings=scenario.body_bearings,
             )
 
+
+class _PanelTracker:
+    """Panel world poses per state for one session's strategy."""
+
+    def __init__(self, scenario: Scenario, strategy: Strategy, track: _SceneTrack):
+        self.scenario = scenario
+        self.strategy = strategy
+        self.params = scenario.params
+        self.times = track.times
+        self.shared = track.strategy(scenario, strategy)
+        self.warnings: list[WarningEvent] = []
+        self._placer: EnvironmentReferencedPlacer | None = None
+        if strategy is Strategy.ENVIRONMENT_REFERENCED:
+            self._placer = EnvironmentReferencedPlacer(
+                scenario.intermediaries, self.params
+            )
+            self.warnings = self._placer.warnings
+
     def poses_at(self, state: SceneState) -> dict[str, Pose]:
+        """Poses at state, through the shared track at scripted times.
+
+        The session's own placer holds the last pose on degenerate states,
+        so its result depends on the session's query history.  On a state
+        where no panel is degenerate it does not: it equals the pure
+        placement, and storing it is safe.  A cache hit still hands the
+        poses to the placer, so later degenerate states hold exactly what
+        they would have held without the track; a degenerate state always
+        goes through the placer, so each session records its own warnings.
+        """
+        t = state.time
+        if t not in self.times:
+            return self._place(state)
+        poses = self.shared.poses.get(t)
+        if poses is not None:
+            if self._placer is not None:
+                self._placer.remember(poses)
+            return poses
+        if t in self.shared.poses:  # degenerate here
+            return self._place(state)
+        held = len(self.warnings)
+        poses = self._place(state)
+        self.shared.poses[t] = poses if len(self.warnings) == held else None
+        return poses
+
+    def _place(self, state: SceneState) -> dict[str, Pose]:
         if self.strategy is Strategy.BODY_FIXED:
             return place_body_fixed(state, self.scenario.body_bearings, self.params)
         if self.strategy is Strategy.ENVIRONMENT_REFERENCED:
-            poses = self._placer.place(state)
-            self.warnings = self._placer.warnings
-            return poses
+            return self._placer.place(state)
         if self.strategy is Strategy.WORLD_FIXED:
-            return dict(self._frozen)
+            return dict(self.shared.frozen)
         return {
             pid: resolve_world_pose(layout, state)
-            for pid, layout in self._emission.layouts.items()
+            for pid, layout in self.shared.emission.layouts.items()
         }
 
 
@@ -359,7 +465,8 @@ class _Simulator:
         self.strategy = strategy
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
-        self.tracker = _PanelTracker(scenario, strategy)
+        self.track = _SceneTrack.of(scenario)
+        self.tracker = _PanelTracker(scenario, strategy, self.track)
         self.segments: list[GazeSegment] = []
         self.opens: list[OpenEvent] = []
         self.cursor = 0.0
@@ -367,6 +474,9 @@ class _Simulator:
         self.panel_by_category = {
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
+
+    def _state_at(self, t: float) -> SceneState:
+        return self.track.state_at(self.scn, t)
 
     # -- geometry helpers ---------------------------------------------
 
@@ -439,7 +549,7 @@ class _Simulator:
                 )
             )
         # settle tail so the final fixation has somewhere to live
-        tail_state = scn.state_at(self.cursor)
+        tail_state = self._state_at(self.cursor)
         tail_focus = focus_target(tail_state, scn, self.cursor, answered_at=self.cursor)
         tail_point = self._gaze_point(tail_state, tail_focus, self.tracker.poses_at(tail_state))
         self._travel_to(tail_state, tail_point)
@@ -459,16 +569,16 @@ class _Simulator:
     def _idle_phase(self, until: float) -> None:
         if until <= self.cursor:
             return
-        state = self.scn.state_at(max(self.cursor, until - 1e-6))
-        focus = focus_target(state, self.scn, max(self.cursor, until - 1e-6),
-                             answered_at=self.cursor)
+        t = max(self.cursor, until - IDLE_LEAD_S)
+        state = self._state_at(t)
+        focus = focus_target(state, self.scn, t, answered_at=self.cursor)
         panels = self.tracker.poses_at(state)
         point = self._gaze_point(state, focus, panels)
         self._travel_to(state, point, deadline=until)
         self._emit(until, focus)
 
     def _question_phase(self, trial: Trial) -> None:
-        state = self.scn.state_at(trial.question_start)
+        state = self._state_at(trial.question_start)
         focus = focus_target(state, self.scn, trial.question_start)
         panels = self.tracker.poses_at(state)
         point = self._gaze_point(state, focus, panels)
@@ -478,7 +588,7 @@ class _Simulator:
     def _search_phase(self, trial: Trial) -> float:
         """Find the category panel, then the country document; open it."""
         scn = self.scn
-        state = scn.state_at(self.cursor)
+        state = self._state_at(self.cursor)
         panels = self.tracker.poses_at(state)
         segments, opens, t_open, end_dir = search_and_open(
             state=state,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -139,7 +140,7 @@ def _cmd_run(args) -> int:
             all_rows.extend(rows)
             all_summaries.append(summary)
             if args.gaze:
-                hz = args.tick_hz or trace.params.tick_hz
+                hz = trace.params.tick_hz if args.tick_hz is None else args.tick_hz
                 lines = ["t,target"]
                 for s in trace.tick_samples(hz):
                     lines.append(f"{s.t!r},{s.target!r}")
@@ -248,6 +249,17 @@ def _cmd_compare(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _positive_rate(text: str) -> float:
+    """argparse type for sample rates: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite rate, got {text!r}")
+    return value
+
+
 class _VersionAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         sys.stdout.write(_version_blob())
@@ -279,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=42)
     p_run.add_argument("--out", help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--tick-hz", type=float, default=None, dest="tick_hz")
+    p_run.add_argument("--tick-hz", type=_positive_rate, default=None, dest="tick_hz")
     p_run.add_argument(
         "--gaze", action="store_true", help="also write per-session gaze sample streams"
     )

@@ -18,10 +18,13 @@ supported for comparison runs.
 
 Panels are kept upright (no vertical tilt): they yaw to face the user's
 body position at eye height, with world up as their up axis.  All direct
-placement functions are pure; the only runtime state in this module is the
-EnvironmentReferencedPlacer's hold-last-pose cache for degenerate frames
-(user standing exactly on an intermediary), which is confined to one
-placer instance.
+placement functions are pure, so callers may keep their results; the
+agent's seed-shared scene track does, per scenario and strategy.  The one
+stateful piece is EnvironmentReferencedPlacer: it holds the last valid pose
+for degenerate frames (user standing exactly on an intermediary), so its
+result depends on the history of its calls.  That history is confined to
+one placer instance; remember() lets a caller that kept a non-degenerate
+result leave the placer as place() would have.
 
 emit_layouts mirrors the direct functions through the frames machinery:
 body_fixed emits unified user-body frames, environment_referenced emits
@@ -220,6 +223,14 @@ class EnvironmentReferencedPlacer:
                 )
         self._last.update(out)
         return out
+
+    def remember(self, poses: Mapping[str, Pose]) -> None:
+        """Take poses placed elsewhere as the last valid ones.
+
+        For a caller that already holds place()'s result for a state where
+        no panel is degenerate; leaves the placer as place() would have.
+        """
+        self._last.update(poses)
 
 
 @dataclass(frozen=True)

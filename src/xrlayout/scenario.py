@@ -113,6 +113,10 @@ DEFAULT_REPEAT_INTERVAL_S = 30.0
 SETTINGS = ("static", "dynamic")
 USER_STATES = ("stationary", "mobile")
 
+# The gaze agent's header-search orders (see agent.py), checked here so that
+# a scenario's agent block is rejected at parse time, not mid-simulation.
+SCAN_POLICIES = ("nearest_panel_first", "bearing_order", "random_seeded")
+
 _COUNTRY_INDEX = {c: i for i, c in enumerate(COUNTRIES)}
 
 
@@ -231,6 +235,10 @@ class Scenario:
     trials: tuple[Trial, ...]
     agent: Mapping[str, object] = field(default_factory=dict)
     metadata: Mapping[str, object] = field(default_factory=dict)
+    # The agent's seed-shared scene track (agent._SceneTrack), created on
+    # the first simulated session.  Outside equality, repr and to_dict;
+    # replace() starts the copy without one.
+    _track: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def context(self) -> str:
@@ -656,6 +664,13 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
                     intermediaries[pid] = eid
 
     agent = r.dict_(doc, "agent", "", required=False, default={})
+    r.str_(agent, "scan_policy", "agent", required=False, choices=SCAN_POLICIES)
+    for key in ("fixation_min_s", "per_cell_scan_time_s", "yaw_rate_deg_s", "tick_hz"):
+        r.num(agent, key, "agent", required=False, positive=True)
+    for key in ("confusion_prob", "dwell_jitter_s"):
+        r.num(agent, key, "agent", required=False)
+    r.bool_(agent, "known_grid", "agent", required=False)
+    r.int_(agent, "seed", "agent", required=False)
 
     entities: list[EntitySpec] = []
     ents_raw = r.list_(doc, "entities", "")

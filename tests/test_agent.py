@@ -1,9 +1,11 @@
 """Synthetic gaze agent: determinism, navigation arithmetic, scan policies."""
 
 import json
+import random
 
 import pytest
 
+from xrlayout import agent
 from xrlayout.agent import (
     AgentParams,
     DocumentGaze,
@@ -17,12 +19,15 @@ from xrlayout.agent import (
     simulate_session,
 )
 from xrlayout.geometry import Pose, Vec3, yaw_rotation
+from xrlayout.metrics import aggregate, results_to_json, session_metrics
 from xrlayout.placement import Strategy
 from xrlayout.scenario import (
+    bundled_scenario_names,
     bundled_scenario_text,
     grid_cell,
     load_bundled,
     parse_scenario,
+    serialize_scenario,
 )
 
 TAU = 0.2  # default per-cell scan time
@@ -303,3 +308,116 @@ class TestGazeTargets:
         # first column sits on the local -X side
         assert p.z == pytest.approx(-0.6)
         assert p.x == pytest.approx(-1.2)
+
+
+def session_output(scn, strategy, seed):
+    """A session's results file bytes and its warning events."""
+    trace = simulate_session(scn, strategy=strategy, seed=seed)
+    rows = session_metrics(trace)
+    text = results_to_json([aggregate(rows, seed=seed)], rows, meta={"seed": seed})
+    return text, trace.warnings
+
+
+def degenerate_walk_scenario():
+    """static_mobile variant whose user walks onto intermediaries.
+
+    The user stands horizontally on poster_food exactly at trial 2's
+    question complete (62.25 s, a scripted query time) and walks onto
+    poster_movies at 137.5 s, before any seed's settle tail, staying there.
+    Environment-referenced placement holds the last pose at both.
+    """
+    doc = json.loads(bundled_scenario_text("static_mobile_env_ref"))
+    doc["trajectories"]["user"]["waypoints"] = [
+        [0.0, [0, 0, 0], 0.0],
+        [6.0, [0, 0, 0], 0.0],
+        [9.0, [0, 0, -2], 0.0],
+        [43.0, [0, 0, -2], 0.0],
+        [50.0, [-2, 0, 0], -90.0],
+        [60.0, [-2, 0, 0], -90.0],
+        [62.25, [-3, 0, 0], -90.0],
+        [70.0, [-2, 0, 0], -90.0],
+        [93.0, [-2, 0, 0], -90.0],
+        [100.0, [2, 0, 0], 90.0],
+        [137.25, [2, 0, 0], 90.0],
+        [137.5, [3, 0, 0], 90.0],
+    ]
+    return parse_scenario(json.dumps(doc))
+
+
+def track_entries(scn):
+    """States and pose sets stored in a scenario's scene track."""
+    track = scn._track
+    return len(track.states) + sum(len(s.poses) for s in track.strategies.values())
+
+
+def record_poses(monkeypatch):
+    """(time, poses) for every panel placement the simulator asks for."""
+    seen = []
+    original = agent._PanelTracker.poses_at
+
+    def spy(self, state):
+        poses = original(self, state)
+        seen.append((state.time, dict(poses)))
+        return poses
+
+    monkeypatch.setattr(agent._PanelTracker, "poses_at", spy)
+    return seen
+
+
+class TestSceneTrack:
+    """Sessions on a scenario share its seed-independent scene track."""
+
+    def test_warm_track_matches_fresh_parse(self):
+        warmup = [(strategy, seed) for strategy in Strategy for seed in range(5)]
+        random.Random(0).shuffle(warmup)
+        for name in bundled_scenario_names():
+            warm = load_bundled(name)
+            for strategy, seed in warmup:
+                simulate_session(warm, strategy=strategy, seed=seed)
+            for strategy in Strategy:
+                for seed in (7, 42):
+                    assert session_output(warm, strategy, seed) == session_output(
+                        load_bundled(name), strategy, seed
+                    ), (name, strategy, seed)
+
+    def test_track_stops_growing_once_scripted_times_are_filled(self):
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            for seed in range(50):
+                for strategy in Strategy:
+                    simulate_session(scn, strategy=strategy, seed=seed)
+                if seed == 4:
+                    after_five = track_entries(scn)
+            assert track_entries(scn) == after_five, name
+            # one state per scripted time, one pose set per strategy and time
+            assert after_five <= len(scn._track.times) * (1 + len(Strategy))
+
+    def test_track_stays_out_of_equality_and_serialization(self):
+        scn = load_bundled("static_mobile_env_ref")
+        text = serialize_scenario(scn)
+        simulate_session(scn, seed=1)
+        assert scn._track is not None
+        assert scn == load_bundled("static_mobile_env_ref")
+        assert serialize_scenario(scn) == text
+        assert "_track" not in repr(scn)
+
+    def test_degenerate_hold_last_is_per_session(self, monkeypatch):
+        seen = record_poses(monkeypatch)
+        warm = degenerate_walk_scenario()
+        simulate_session(warm, seed=1)
+        for seed in (3, 0, 9):
+            seen.clear()
+            trace = simulate_session(warm, seed=seed)
+            warm_poses, warm_warnings = list(seen), trace.warnings
+            seen.clear()
+            trace = simulate_session(degenerate_walk_scenario(), seed=seed)
+            assert (warm_poses, warm_warnings) == (list(seen), trace.warnings), seed
+            # exactly this session's two holds: the scripted one is not lost
+            # to a cache hit and the previous seed's are not carried over
+            assert [(w.time, w.subject) for w in warm_warnings] == [
+                (62.25, "panel_food"),
+                (warm_warnings[1].time, "panel_movies"),
+            ]
+            assert warm_warnings[1].time > 137.5
+            held = dict(warm_poses)
+            assert held[62.25]["panel_food"] == held[60.0]["panel_food"]

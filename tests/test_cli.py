@@ -172,6 +172,18 @@ class TestRun:
         t1 = float(lines[2].split(",", 1)[0])
         assert t1 - t0 == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("hz", ["0", "-5"])
+    def test_non_positive_tick_hz_exits_two(self, capsys, tmp_path, hz):
+        # 0 used to fall back to the fixture rate and -5 wrote a 1-sample stream
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--scenario", "static_stationary_env_ref",
+                "--gaze", "--tick-hz", hz, "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "--tick-hz" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCompare:
     def _results(self, capsys, tmp_path, name, seed, sub, strategy=None):

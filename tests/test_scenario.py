@@ -157,6 +157,32 @@ class TestParsing:
             for d in exc_info.value.diagnostics
         )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("scan_policy", "bogus"),
+            ("fixation_min_s", 0),
+            ("per_cell_scan_time_s", -0.2),
+            ("yaw_rate_deg_s", 0.0),
+            ("tick_hz", -50),
+            ("tick_hz", "fast"),
+            ("known_grid", 1),
+        ],
+    )
+    def test_agent_block_checked_at_parse_time(self, key, value):
+        # each used to parse and then raise a bare error in simulate_session
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        doc["agent"][key] = value
+        with pytest.raises(ScenarioSchemaError) as exc_info:
+            parse_scenario(json.dumps(doc))
+        assert [d.path for d in exc_info.value.diagnostics] == [f"agent.{key}"]
+
+    def test_valid_agent_block_is_kept_verbatim(self):
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        doc["agent"].update(scan_policy="bearing_order", tick_hz=90, confusion_prob=0.0)
+        scn = parse_scenario(json.dumps(doc))
+        assert scn.agent == doc["agent"]
+
     def test_wrong_schema_version_rejected(self):
         doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
         doc["schema"] = 99
