@@ -264,8 +264,17 @@ class SessionTrace:
     duration: float
 
     def tick_samples(self, tick_hz: float | None = None) -> list[GazeSample]:
-        """Fixed-rate stream over the whole session (strictly increasing t)."""
-        hz = tick_hz or self.params.tick_hz
+        """Fixed-rate stream over the whole session (strictly increasing t).
+
+        tick_hz=None uses the session's params rate; any other rate must be
+        a finite number above zero, else ValueError.
+        """
+        if tick_hz is None:
+            hz = self.params.tick_hz
+        elif math.isfinite(tick_hz) and tick_hz > 0:
+            hz = tick_hz
+        else:
+            raise ValueError(f"tick rate must be a finite number above zero, got {tick_hz!r}")
         dt = 1.0 / hz
         out: list[GazeSample] = []
         seg_i = 0

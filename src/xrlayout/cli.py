@@ -142,8 +142,12 @@ def _cmd_run(args) -> int:
             if args.gaze:
                 hz = trace.params.tick_hz if args.tick_hz is None else args.tick_hz
                 lines = ["t,target"]
+                # Targets change only at segment boundaries: format each once.
+                prev = label = None
                 for s in trace.tick_samples(hz):
-                    lines.append(f"{s.t!r},{s.target!r}")
+                    if s.target is not prev:
+                        prev, label = s.target, repr(s.target)
+                    lines.append(f"{s.t!r},{label}")
                 gaze_files[f"gaze_{scenario.name}.csv"] = "\n".join(lines) + "\n"
     except FileNotFoundError as exc:
         print(f"run: {exc}", file=sys.stderr)

@@ -16,13 +16,21 @@ multiplicatively and never touches positions; this keeps composition
 associative for non-uniform scales and matches how object size is used
 here (size metadata, not a spatial transform of children).
 
-All types are frozen value objects and safe to share.
+All types are immutable value objects and safe to share.  Vec3 and
+Rotation, built on every geometric step, are slotted classes rather than
+dataclasses: assignment raises FrozenInstanceError, equality, hashing and
+repr are the dataclass ones, and they pickle and copy.  Every Vec3 is
+checked finite when constructed, arithmetic results included, so a NaN or
+infinity never travels further than the operation that made it.  The hot
+operations (rotate, normalized, look_rotation, yaw_rotation) are written out
+in scalars, in the operation order of the composed-operator formulas, so
+they give the same floats bit for bit with fewer intermediate vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .errors import DegenerateTarget
 
@@ -33,16 +41,51 @@ GEOM_EPS = 1e-9
 DEGENERACY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite vector component: {c!r}")
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _reject_non_finite(*components) -> None:
+    for c in components:
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite vector component: {c!r}")
+
+
+class Vec3:
+    """Immutable 3-vector; every construction checks that it is finite."""
+
+    __slots__ = ("x", "y", "z")
+    __match_args__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        # c * 0.0 is a signed zero for every finite c and NaN otherwise, so
+        # the sum differs from 0.0 exactly when a component is NaN or +-inf.
+        if x * 0.0 + y * 0.0 + z * 0.0 != 0.0:
+            _reject_non_finite(x, y, z)
+        _set_vx(self, x)
+        _set_vy(self, y)
+        _set_vz(self, z)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.x, self.y, self.z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -73,13 +116,15 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        x, y, z = self.x, self.y, self.z
+        return math.sqrt(x * x + y * y + z * z)
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
+        x, y, z = self.x, self.y, self.z
+        n = math.sqrt(x * x + y * y + z * z)
         if n < DEGENERACY_EPS:
             raise DegenerateTarget("cannot normalize a near-zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        return Vec3(x / n, y / n, z / n)
 
     def horizontal(self) -> "Vec3":
         """Projection onto the ground plane (y zeroed)."""
@@ -100,6 +145,9 @@ class Vec3:
         return cls(float(x), float(y), float(z))
 
 
+# Slot setters: the only way fields are written, once, in __init__.
+_set_vx, _set_vy, _set_vz = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
+
 ZERO = Vec3(0.0, 0.0, 0.0)
 ONES = Vec3(1.0, 1.0, 1.0)
 UP = Vec3(0.0, 1.0, 0.0)
@@ -118,24 +166,43 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return math.atan2(u.cross(v).norm(), u.dot(v))
 
 
-@dataclass(frozen=True)
 class Rotation:
-    """Unit quaternion, scalar first.  Normalized on construction."""
+    """Immutable unit quaternion, scalar first.  Normalized on construction."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("w", "x", "y", "z")
+    __match_args__ = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+    def __init__(self, w: float, x: float, y: float, z: float):
+        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
         if not math.isfinite(n) or n < DEGENERACY_EPS:
             raise ValueError("degenerate quaternion")
         if abs(n - 1.0) > GEOM_EPS:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+            w, x, y, z = w / n, x / n, y / n, z / n
+        _set_qw(self, w)
+        _set_qx(self, x)
+        _set_qy(self, y)
+        _set_qz(self, z)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.w, self.x, self.y, self.z))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}"
+            f"(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
+        )
+
+    def __reduce__(self):
+        # Stored components are already unit, so __init__ leaves them as is.
+        return (self.__class__, (self.w, self.x, self.y, self.z))
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -163,10 +230,18 @@ class Rotation:
         return Rotation(self.w, -self.x, -self.y, -self.z)
 
     def rotate(self, v: Vec3) -> Vec3:
-        # q v q* expanded via the two-cross-product identity.
-        u = Vec3(self.x, self.y, self.z)
-        t = u.cross(v) * 2.0
-        return v + t * self.w + u.cross(t)
+        # q v q* expanded via the two-cross-product identity, u = (x, y, z):
+        # t = 2 (u x v), result = v + w t + u x t, in that operation order.
+        w, x, y, z = self.w, self.x, self.y, self.z
+        vx, vy, vz = v.x, v.y, v.z
+        tx = (y * vz - z * vy) * 2.0
+        ty = (z * vx - x * vz) * 2.0
+        tz = (x * vy - y * vx) * 2.0
+        return Vec3(
+            vx + tx * w + (y * tz - z * ty),
+            vy + ty * w + (z * tx - x * tz),
+            vz + tz * w + (x * ty - y * tx),
+        )
 
     def forward(self) -> Vec3:
         """World direction of the local -Z axis."""
@@ -242,12 +317,21 @@ class Rotation:
         )
 
 
+_set_qw, _set_qx, _set_qy, _set_qz = (
+    Rotation.w.__set__, Rotation.x.__set__, Rotation.y.__set__, Rotation.z.__set__
+)
+
+
 def yaw_rotation(yaw_deg: float) -> Rotation:
     """Compass yaw: 0 faces -Z, positive turns toward +X (right).
 
     Equivalent to rotating by -yaw about the +Y axis in right-handed terms.
     """
-    return Rotation.from_axis_angle(UP, -math.radians(yaw_deg))
+    # from_axis_angle(UP, angle) written out: UP normalizes to exactly
+    # (0.0, 1.0, 0.0), and 0.0 * s keeps the sign of a zero component.
+    h = 0.5 * -math.radians(yaw_deg)
+    s = math.sin(h)
+    return Rotation(math.cos(h), 0.0 * s, s, 0.0 * s)
 
 
 def facing_yaw_deg(direction: Vec3) -> float:
@@ -265,16 +349,22 @@ def look_rotation(forward: Vec3, up: Vec3 = UP) -> Rotation:
     Falls back to a forward-based hint when forward is near-parallel to up.
     """
     f = forward.normalized()
-    zaxis = -f
-    if abs(f.dot(up)) > 1.0 - 1e-9:
+    # Axes in scalars: zaxis = -f, xaxis = normalized(up x zaxis),
+    # yaxis = zaxis x xaxis.
+    zx, zy, zz = -f.x, -f.y, -f.z
+    if abs(f.x * up.x + f.y * up.y + f.z * up.z) > 1.0 - 1e-9:
         up = FORWARD if abs(f.dot(FORWARD)) < 0.9 else RIGHT
-    xaxis = up.cross(zaxis).normalized()
-    yaxis = zaxis.cross(xaxis)
+    ux, uy, uz = up.x, up.y, up.z
+    cx, cy, cz = uy * zz - uz * zy, uz * zx - ux * zz, ux * zy - uy * zx
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if n < DEGENERACY_EPS:
+        raise DegenerateTarget("cannot normalize a near-zero vector")
+    xx, xy, xz = cx / n, cy / n, cz / n
     return Rotation.from_matrix(
         [
-            [xaxis.x, yaxis.x, zaxis.x],
-            [xaxis.y, yaxis.y, zaxis.y],
-            [xaxis.z, yaxis.z, zaxis.z],
+            [xx, zy * xz - zz * xy, zx],
+            [xy, zz * xx - zx * xz, zy],
+            [xz, zx * xy - zy * xx, zz],
         ]
     )
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -189,6 +190,41 @@ def session_metrics(
     ]
 
 
+# Bits the integer square root keeps: two beyond the float mantissa, so
+# rounding it to odd first and to nearest float after is one correct rounding.
+_SQRT_BITS = sys.float_info.mant_dig + 2
+
+
+def _sqrt_of_fraction(p: int, q: int) -> float:
+    """sqrt(p / q) correctly rounded to float, for integers p >= 0, q > 0."""
+    e = (p.bit_length() - q.bit_length() - 2 * _SQRT_BITS) // 2
+    num, den = (p, q << 2 * e) if e >= 0 else (p << -2 * e, q)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # sticky bit: the root was inexact
+    return float(root << e) if e >= 0 else root / (1 << -e)
+
+
+def sample_sd(xs: Sequence[float]) -> float:
+    """Sample standard deviation, correctly rounded; 0.0 below two values.
+
+    The square root of the exact sample variance, rounded once.  This is
+    what statistics.stdev returns from Python 3.11 on; 3.10's stdev can be
+    1 ulp off, so the result bytes would depend on the interpreter.
+    """
+    n = len(xs)
+    if n < 2:
+        return 0.0
+    # Float denominators are powers of two, so over the largest one every
+    # value is an exact integer and the variance an exact integer ratio.
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    ints = [num * (den // d) for num, d in ratios]
+    total = sum(ints)
+    return _sqrt_of_fraction(
+        n * sum(i * i for i in ints) - total * total, n * (n - 1) * den * den
+    )
+
+
 def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     """Mean/median/sd summary over one session's trials."""
     if not rows:
@@ -200,9 +236,6 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     navs = [r.navigation_time_s for r in rows]
     sws = [float(r.gaze_switches) for r in rows]
 
-    def sd(xs):
-        return statistics.stdev(xs) if len(xs) > 1 else 0.0
-
     return SessionSummary(
         context=rows[0].context,
         strategy=rows[0].strategy,
@@ -210,10 +243,10 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
         trials=len(rows),
         nav_time_mean_s=statistics.fmean(navs),
         nav_time_median_s=statistics.median(navs),
-        nav_time_sd_s=sd(navs),
+        nav_time_sd_s=sample_sd(navs),
         switches_mean=statistics.fmean(sws),
         switches_median=statistics.median(sws),
-        switches_sd=sd(sws),
+        switches_sd=sample_sd(sws),
         errors_total=sum(r.errors for r in rows),
         relevant_fraction=sum(1 for r in rows if r.relevant) / len(rows),
     )

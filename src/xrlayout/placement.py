@@ -50,6 +50,7 @@ from .errors import (
 )
 from .frames import USER_BODY, USER_HEAD, WORLD, FrameOfReference, SceneState
 from .geometry import (
+    FORWARD,
     UP,
     Pose,
     Vec3,
@@ -105,20 +106,23 @@ class PlacementParams:
             )
 
 
-def bearing_direction(body: Pose, bearing_deg: float) -> Vec3:
-    """Unit horizontal direction at a compass bearing from body forward."""
+def body_heading_deg(body: Pose) -> float:
+    """Compass yaw of the body's horizontal forward; bearings add to it.
+
+    The unit horizontal direction at bearing b is
+    yaw_rotation(body_heading_deg(body) + b).forward().
+    """
     fwd = body.orientation.forward().horizontal()
     if fwd.norm() < 1e-12:
         # Body pitched straight up/down never happens for scripted bodies;
         # fall back to world forward so the result stays defined.
-        fwd = Vec3(0.0, 0.0, -1.0)
-    base = facing_yaw_deg(fwd)
-    return yaw_rotation(base + bearing_deg).forward()
+        fwd = FORWARD
+    return facing_yaw_deg(fwd)
 
 
 def _upright_facing(center: Vec3, body_pos: Vec3):
     """Orientation for a panel at center, yawed to face the body, upright."""
-    back = (body_pos - center).horizontal()
+    back = Vec3(body_pos.x - center.x, 0.0, body_pos.z - center.z)
     return look_rotation(back.normalized(), UP)
 
 
@@ -136,11 +140,12 @@ def place_body_fixed(
     user, upright.
     """
     body = state.pose_of(USER_BODY)
+    heading = body_heading_deg(body)
     out: dict[str, Pose] = {}
     for pid in bearings if panel_ids is None else panel_ids:
         if pid not in bearings:
             raise UnknownPanelId(pid)
-        direction = bearing_direction(body, bearings[pid])
+        direction = yaw_rotation(heading + bearings[pid]).forward()
         center = body.position + direction * params.panel_distance + UP * params.panel_height
         out[pid] = Pose(
             position=center,

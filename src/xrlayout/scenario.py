@@ -739,6 +739,10 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
                     r.fail(wpath, "[time, [x,y,z], yaw_deg]", w_raw)
                     ok = False
                     continue
+                if not (math.isfinite(w_raw[0]) and math.isfinite(w_raw[2])):
+                    r.fail(wpath, "finite time and yaw_deg", w_raw)
+                    ok = False
+                    continue
                 pos = r.vec3(w_raw[1], f"{wpath}[1]")
                 if pos is None:
                     ok = False
@@ -827,11 +831,16 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
                     start + k * DEFAULT_WORD_INTERVAL_S for k in range(len(words))
                 )
             else:
-                if any(
-                    isinstance(x, bool) or not isinstance(x, (int, float))
+                if not sched_raw or any(
+                    isinstance(x, bool)
+                    or not isinstance(x, (int, float))
+                    or not math.isfinite(x)
                     for x in sched_raw
                 ):
-                    r.fail(f"{path}.word_schedule_s", "list of numbers", sched_raw)
+                    r.fail(
+                        f"{path}.word_schedule_s", "non-empty list of finite numbers",
+                        sched_raw,
+                    )
                     continue
                 schedule = tuple(float(x) for x in sched_raw)
             trials.append(

@@ -136,6 +136,19 @@ class TestTimelineShape:
                 assert s.target == seg.target
 
 
+    def test_tick_rate_none_uses_params_rate(self):
+        trace = simulate_session(load_bundled("static_stationary_env_ref"))
+        hz = trace.params.tick_hz
+        assert trace.tick_samples() == trace.tick_samples(None) == trace.tick_samples(hz)
+
+    @pytest.mark.parametrize("hz", [0, 0.0, -5, -0.5, float("nan"), float("inf"), float("-inf")])
+    def test_bad_tick_rate_rejected(self, hz):
+        # 0 used to fall back to the params rate and -5 to give one sample
+        trace = simulate_session(load_bundled("static_stationary_env_ref"))
+        with pytest.raises(ValueError, match="tick rate"):
+            trace.tick_samples(hz)
+
+
 class TestNavigationArithmetic:
     def test_direct_route_costs_one_grid_localization(self):
         # collinear gaze: no head travel, so nav time is exactly tau

@@ -1,13 +1,22 @@
-"""Geometry core: quaternions checked against scipy, pose algebra, FOV."""
+"""Geometry core: quaternions checked against scipy, pose algebra, FOV,
+value semantics of the slotted types, and bit identity of the scalar kernels
+with the composed-operator formulas they replaced."""
 
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as SciRot
 
-from xrlayout.errors import DegenerateTarget
+from xrlayout.errors import DegenerateTarget, UnknownPanelId
+from xrlayout.frames import USER_BODY, SceneState
 from xrlayout.geometry import (
+    DEGENERACY_EPS,
     FORWARD,
     RIGHT,
     UP,
@@ -24,6 +33,7 @@ from xrlayout.geometry import (
     look_rotation,
     yaw_rotation,
 )
+from xrlayout.placement import PlacementParams, place_body_fixed
 
 TOL = 1e-9
 
@@ -308,3 +318,256 @@ class TestAnglesAndFov:
     def test_angular_deviation_at_viewpoint_raises(self):
         with pytest.raises(DegenerateTarget):
             angular_deviation(Pose(), Vec3(0.0, 0.0, 0.0))
+
+
+class TestValueSemantics:
+    """Vec3 and Rotation behave as the frozen dataclasses they replaced."""
+
+    def test_assignment_and_deletion_raise(self):
+        v, q = Vec3(1.0, 2.0, 3.0), Rotation(1.0, 0.0, 0.0, 0.0)
+        for obj, name in ((v, "x"), (v, "z"), (q, "w"), (q, "y")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 5.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        with pytest.raises(FrozenInstanceError):
+            v.extra = 1.0
+        assert v.to_tuple() == (1.0, 2.0, 3.0)
+
+    def test_eq_and_hash(self):
+        assert Vec3(1.0, 2.0, 3.0) == Vec3(1.0, 2.0, 3.0)
+        assert Vec3(1.0, 2.0, 3.0) != Vec3(1.0, 2.0, 4.0)
+        assert hash(Vec3(1.0, 2.0, 3.0)) == hash((1.0, 2.0, 3.0))
+        assert Vec3(0.0, 0.0, 0.0) == Vec3(-0.0, 0.0, 0.0)  # float equality
+        assert Vec3(1.0, 2.0, 3.0) != (1.0, 2.0, 3.0)
+        q = yaw_rotation(30.0)
+        assert q == Rotation(q.w, q.x, q.y, q.z)
+        assert hash(q) == hash((q.w, q.x, q.y, q.z))
+        assert q != yaw_rotation(31.0)
+        assert len({Vec3(1.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), UP}) == 2
+
+    def test_repr(self):
+        assert repr(Vec3(1.0, -0.0, 2.5)) == "Vec3(x=1.0, y=-0.0, z=2.5)"
+        assert repr(Vec3(1, 2, 3)) == "Vec3(x=1, y=2, z=3)"  # stored as given
+        assert repr(Rotation.identity()) == "Rotation(w=1.0, x=0.0, y=0.0, z=0.0)"
+        assert repr(Pose()) == (
+            "Pose(position=Vec3(x=0.0, y=0.0, z=0.0), "
+            "orientation=Rotation(w=1.0, x=0.0, y=0.0, z=0.0), "
+            "scale=Vec3(x=1.0, y=1.0, z=1.0))"
+        )
+
+    def test_keyword_construction(self):
+        assert Vec3(z=3.0, x=1.0, y=2.0).to_tuple() == (1.0, 2.0, 3.0)
+        assert Rotation(w=1.0, x=0.0, y=0.0, z=0.0) == Rotation.identity()
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_roundtrip(self, roundtrip):
+        rng = random.Random(14)
+        for obj in (
+            Vec3(1.5, -0.0, 1e308),
+            rand_rotation(rng),
+            Rotation(0.3, 0.1, -0.2, 0.9),  # normalized on construction
+            Pose(position=rand_vec(rng), orientation=rand_rotation(rng)),
+        ):
+            back = roundtrip(obj)
+            assert type(back) is type(obj)
+            assert back == obj
+            assert repr(back) == repr(obj)  # every bit, signed zeros included
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_in_every_slot(self, slot, bad):
+        comps = [1.0, 2.0, 3.0]
+        comps[slot] = bad
+        with pytest.raises(ValueError, match=f"non-finite vector component: {bad!r}"):
+            Vec3(*comps)
+
+    def test_first_non_finite_component_named(self):
+        with pytest.raises(ValueError, match="non-finite vector component: inf"):
+            Vec3(0.0, math.inf, math.nan)
+
+    def test_largest_finite_accepted(self):
+        big = Vec3(1e308, -1e308, 1.7976931348623157e308)
+        assert big.to_tuple() == (1e308, -1e308, 1.7976931348623157e308)
+        assert Vec3(5e-324, -0.0, 0).to_tuple() == (5e-324, -0.0, 0)
+
+    def test_non_finite_arithmetic_result_rejected(self):
+        with pytest.raises(ValueError):
+            Vec3(1e308, 0.0, 0.0) * 10.0
+
+    def test_degenerate_quaternion_messages(self):
+        for comps in ((math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="degenerate quaternion"):
+                Rotation(*comps)
+
+
+# -- bit identity of the scalar kernels --------------------------------------
+#
+# Test-local copies of the composed-operator formulas the kernels replaced.
+# The kernels keep their exact operation order, so every float must match,
+# signed zeros included.
+
+
+def old_normalized(v):
+    n = math.sqrt(v.dot(v))
+    if n < DEGENERACY_EPS:
+        raise DegenerateTarget("cannot normalize a near-zero vector")
+    return Vec3(v.x / n, v.y / n, v.z / n)
+
+
+def old_rotate(q, v):
+    u = Vec3(q.x, q.y, q.z)
+    t = u.cross(v) * 2.0
+    return v + t * q.w + u.cross(t)
+
+
+def old_look_rotation(forward, up=UP):
+    f = old_normalized(forward)
+    zaxis = -f
+    if abs(f.dot(up)) > 1.0 - 1e-9:
+        up = FORWARD if abs(f.dot(FORWARD)) < 0.9 else RIGHT
+    xaxis = old_normalized(up.cross(zaxis))
+    yaxis = zaxis.cross(xaxis)
+    return Rotation.from_matrix(
+        [
+            [xaxis.x, yaxis.x, zaxis.x],
+            [xaxis.y, yaxis.y, zaxis.y],
+            [xaxis.z, yaxis.z, zaxis.z],
+        ]
+    )
+
+
+def old_yaw_rotation(yaw_deg):
+    # Rotation.from_axis_angle(UP, -radians(yaw_deg)) with the old normalize
+    a = old_normalized(UP)
+    h = 0.5 * -math.radians(yaw_deg)
+    s = math.sin(h)
+    return Rotation(math.cos(h), a.x * s, a.y * s, a.z * s)
+
+
+def old_place_body_fixed(state, bearings, params, panel_ids=None):
+    body = state.pose_of(USER_BODY)
+    out = {}
+    for pid in bearings if panel_ids is None else panel_ids:
+        if pid not in bearings:
+            raise UnknownPanelId(pid)
+        fwd = old_rotate(body.orientation, FORWARD).horizontal()
+        if fwd.norm() < 1e-12:
+            fwd = Vec3(0.0, 0.0, -1.0)
+        base = facing_yaw_deg(fwd)
+        direction = old_rotate(old_yaw_rotation(base + bearings[pid]), FORWARD)
+        center = body.position + direction * params.panel_distance + UP * params.panel_height
+        back = (body.position - center).horizontal()
+        out[pid] = Pose(
+            position=center,
+            orientation=old_look_rotation(old_normalized(back), UP),
+            scale=params.panel_scale,
+        )
+    return out
+
+
+def same_bits(a, b) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_vec(u, v) -> bool:
+    return all(same_bits(a, b) for a, b in zip(u.to_tuple(), v.to_tuple()))
+
+
+def same_rot(p, q) -> bool:
+    return all(same_bits(a, b) for a, b in zip((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+
+
+def same_pose(a, b) -> bool:
+    return (
+        same_vec(a.position, b.position)
+        and same_rot(a.orientation, b.orientation)
+        and same_vec(a.scale, b.scale)
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateTarget, ValueError) as exc:
+        return type(exc)
+
+
+def tiny_or(values):
+    # mixes exact zeros of both signs and denormal-scale values into the draw
+    return st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324]), values)
+
+
+coords = tiny_or(st.floats(-1e6, 1e6, allow_nan=False))
+unit_coords = tiny_or(st.floats(-1.0, 1.0, allow_nan=False))
+vectors = st.builds(Vec3, coords, coords, coords)
+# Exactly axis-aligned, nearly vertical and general directions.
+directions = st.one_of(
+    vectors,
+    st.builds(Vec3, unit_coords, unit_coords, unit_coords),
+    st.sampled_from([UP, -UP, FORWARD, RIGHT, Vec3(0.0, -0.0, 1.0), Vec3(1e-12, 1.0, 0.0)]),
+)
+angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 360.0, 540.0]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+)
+
+
+@st.composite
+def rotations(draw):
+    comps = draw(st.tuples(unit_coords, unit_coords, unit_coords, unit_coords))
+    if math.sqrt(sum(c * c for c in comps)) < 1e-6:
+        return yaw_rotation(draw(angles))
+    return Rotation(*comps)
+
+
+class TestKernelsBitIdentical:
+    @settings(max_examples=400, deadline=None)
+    @given(q=rotations(), v=vectors)
+    def test_rotate(self, q, v):
+        assert same_vec(q.rotate(v), old_rotate(q, v))
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=directions)
+    def test_normalized(self, v):
+        got, want = outcome(Vec3.normalized, v), outcome(old_normalized, v)
+        assert got == want if isinstance(want, type) else same_vec(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(f=directions, up=st.one_of(st.just(UP), directions))
+    def test_look_rotation(self, f, up):
+        got, want = outcome(look_rotation, f, up), outcome(old_look_rotation, f, up)
+        assert got == want if isinstance(want, type) else same_rot(got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(deg=angles)
+    def test_yaw_rotation(self, deg):
+        assert same_rot(yaw_rotation(deg), old_yaw_rotation(deg))
+
+    def test_yaw_rotation_keeps_negative_zero(self):
+        # sin(h) < 0 for positive yaw, and 0.0 * s must stay -0.0
+        q = yaw_rotation(30.0)
+        assert math.copysign(1.0, q.x) == -1.0 and math.copysign(1.0, q.z) == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        position=vectors,
+        orientation=st.one_of(rotations(), st.builds(yaw_rotation, angles)),
+        bearings=st.dictionaries(
+            st.sampled_from(["a", "b", "c"]), angles, min_size=1, max_size=3
+        ),
+        distance=st.floats(0.4, 2.0),
+        height=st.floats(0.1, 3.0),
+    )
+    def test_place_body_fixed(self, position, orientation, bearings, distance, height):
+        state = SceneState(0.0, {USER_BODY: Pose(position=position, orientation=orientation)})
+        params = PlacementParams(panel_distance=distance, panel_height=height)
+        got = place_body_fixed(state, bearings, params)
+        want = old_place_body_fixed(state, bearings, params)
+        assert list(got) == list(want)
+        assert all(same_pose(got[pid], want[pid]) for pid in want)

@@ -1,8 +1,12 @@
 """Placement-quality metrics: pinned examples, edge cases, round-trips."""
 
 import json
+import statistics
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrlayout.agent import (
     DocumentGaze,
@@ -26,6 +30,7 @@ from xrlayout.metrics import (
     navigation_time,
     results_from_json,
     results_to_json,
+    sample_sd,
     session_metrics,
     summaries_from_csv,
     summaries_to_csv,
@@ -321,3 +326,29 @@ class TestSerialization:
         a = results_to_json([summary], rows, meta={"seed": 42})
         b = results_to_json([summary], rows, meta={"seed": 42})
         assert a == b
+
+
+class TestSampleSd:
+    def test_pinned(self):
+        assert sample_sd([]) == sample_sd([3.0]) == 0.0
+        assert sample_sd([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == 2.138089935299395
+        assert sample_sd([1.0, 1.0, 1.0]) == 0.0
+        assert sample_sd([0.0, 1e308]) == 7.071067811865476e307
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from 3.11"
+    )
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 500.0),
+                st.integers(0, 40).map(float),
+                st.floats(-1e150, 1e150, allow_nan=False),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_correctly_rounded_stdev(self, xs):
+        assert sample_sd(xs) == statistics.stdev(xs)

@@ -177,6 +177,33 @@ class TestParsing:
             parse_scenario(json.dumps(doc))
         assert [d.path for d in exc_info.value.diagnostics] == [f"agent.{key}"]
 
+    @pytest.mark.parametrize("schedule", [[], "nan", "inf"])
+    def test_word_schedule_checked_at_parse_time(self, schedule):
+        # [] used to raise IndexError and a non-finite entry to slip through
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        trial = doc["trials"][1]
+        if schedule != []:
+            bad = float(schedule)
+            schedule = list(trial["word_schedule_s"])
+            schedule[2] = bad
+        trial["word_schedule_s"] = schedule
+        with pytest.raises(ScenarioSchemaError) as exc_info:
+            parse_scenario(json.dumps(doc))
+        assert [d.path for d in exc_info.value.diagnostics] == ["trials[1].word_schedule_s"]
+
+    @pytest.mark.parametrize(
+        "slot, value", [(0, "NaN"), (0, "Infinity"), (2, "NaN"), (2, "-Infinity")]
+    )
+    def test_waypoint_time_and_yaw_checked_at_parse_time(self, slot, value):
+        # a NaN waypoint time used to raise ValueError from the replay
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        doc["trajectories"]["user"]["waypoints"][1][slot] = "@"
+        text = json.dumps(doc).replace('"@"', value)  # JSON's non-standard literals
+        with pytest.raises(ScenarioSchemaError) as exc_info:
+            parse_scenario(text)
+        paths = [d.path for d in exc_info.value.diagnostics]
+        assert paths == ["trajectories.user.waypoints[1]"]
+
     def test_valid_agent_block_is_kept_verbatim(self):
         doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
         doc["agent"].update(scan_policy="bearing_order", tick_hz=90, confusion_prob=0.0)
