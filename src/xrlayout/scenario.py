@@ -482,6 +482,16 @@ def scan_scenario(text: str) -> tuple[Scenario | None, list[Diagnostic]]:
 _MISSING = object()
 
 
+def _finite_number(v: object) -> bool:
+    """A JSON number, not a boolean, whose float value is finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 class _Reader:
     """Typed field access over parsed JSON, recording schema diagnostics.
 
@@ -522,7 +532,7 @@ class _Reader:
         v = self._raw(obj, key, "number", path, required)
         if v is _MISSING:
             return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _finite_number(v):
             self.fail(_join(path, key), "finite number", v)
             return default
         if positive and v <= 0:
@@ -577,11 +587,10 @@ class _Reader:
         ):
             self.fail(path, "[x, y, z] numbers", raw)
             return None
-        try:
-            return Vec3.from_seq(raw)
-        except ValueError:
+        if not all(_finite_number(c) for c in raw):
             self.fail(path, "finite [x, y, z]", raw)
             return None
+        return Vec3.from_seq(raw)
 
 
 def _join(path: str, key: str) -> str:
@@ -651,8 +660,8 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
         b = r.dict_(placement, "body_bearings_deg", "placement")
         if b is not None:
             for pid, deg in b.items():
-                if isinstance(deg, bool) or not isinstance(deg, (int, float)):
-                    r.fail(f"placement.body_bearings_deg.{pid}", "number", deg)
+                if not _finite_number(deg):
+                    r.fail(f"placement.body_bearings_deg.{pid}", "finite number", deg)
                 else:
                     bearings[pid] = float(deg)
         im = r.dict_(placement, "intermediaries", "placement")
@@ -731,16 +740,10 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
                 if (
                     not isinstance(w_raw, list)
                     or len(w_raw) != 3
-                    or isinstance(w_raw[0], bool)
-                    or not isinstance(w_raw[0], (int, float))
-                    or isinstance(w_raw[2], bool)
-                    or not isinstance(w_raw[2], (int, float))
+                    or not _finite_number(w_raw[0])
+                    or not _finite_number(w_raw[2])
                 ):
-                    r.fail(wpath, "[time, [x,y,z], yaw_deg]", w_raw)
-                    ok = False
-                    continue
-                if not (math.isfinite(w_raw[0]) and math.isfinite(w_raw[2])):
-                    r.fail(wpath, "finite time and yaw_deg", w_raw)
+                    r.fail(wpath, "[time, [x,y,z], yaw_deg] with finite numbers", w_raw)
                     ok = False
                     continue
                 pos = r.vec3(w_raw[1], f"{wpath}[1]")
@@ -831,12 +834,7 @@ def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
                     start + k * DEFAULT_WORD_INTERVAL_S for k in range(len(words))
                 )
             else:
-                if not sched_raw or any(
-                    isinstance(x, bool)
-                    or not isinstance(x, (int, float))
-                    or not math.isfinite(x)
-                    for x in sched_raw
-                ):
+                if not sched_raw or not all(_finite_number(x) for x in sched_raw):
                     r.fail(
                         f"{path}.word_schedule_s", "non-empty list of finite numbers",
                         sched_raw,

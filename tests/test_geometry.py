@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as SciRot
 
-from xrlayout.errors import DegenerateTarget, UnknownPanelId
+from xrlayout.errors import DegenerateTarget
 from xrlayout.frames import USER_BODY, SceneState
 from xrlayout.geometry import (
     DEGENERACY_EPS,
@@ -449,17 +449,15 @@ def old_yaw_rotation(yaw_deg):
     return Rotation(math.cos(h), a.x * s, a.y * s, a.z * s)
 
 
-def old_place_body_fixed(state, bearings, params, panel_ids=None):
+def old_place_body_fixed(state, bearings, params):
     body = state.pose_of(USER_BODY)
     out = {}
-    for pid in bearings if panel_ids is None else panel_ids:
-        if pid not in bearings:
-            raise UnknownPanelId(pid)
+    for pid, bearing in bearings.items():
         fwd = old_rotate(body.orientation, FORWARD).horizontal()
         if fwd.norm() < 1e-12:
             fwd = Vec3(0.0, 0.0, -1.0)
         base = facing_yaw_deg(fwd)
-        direction = old_rotate(old_yaw_rotation(base + bearings[pid]), FORWARD)
+        direction = old_rotate(old_yaw_rotation(base + bearing), FORWARD)
         center = body.position + direction * params.panel_distance + UP * params.panel_height
         back = (body.position - center).horizontal()
         out[pid] = Pose(

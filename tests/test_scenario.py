@@ -204,6 +204,27 @@ class TestParsing:
         paths = [d.path for d in exc_info.value.diagnostics]
         assert paths == ["trajectories.user.waypoints[1]"]
 
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            (("trials", 0, "question_start_s"), "trials[0].question_start_s"),
+            (("entities", 1, "position", 1), "entities[1].position"),
+            (("trajectories", "user", "waypoints", 1, 0), "trajectories.user.waypoints[1]"),
+            (("placement", "body_bearings_deg", "panel_sports"),
+             "placement.body_bearings_deg.panel_sports"),
+        ],
+    )
+    def test_integer_beyond_float_range_is_a_schema_error(self, where, path):
+        # such integers used to raise OverflowError out of the parser
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "@"
+        with pytest.raises(ScenarioSchemaError) as exc_info:
+            parse_scenario(json.dumps(doc).replace('"@"', "1" + "0" * 400))
+        assert [d.path for d in exc_info.value.diagnostics] == [path]
+
     def test_valid_agent_block_is_kept_verbatim(self):
         doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
         doc["agent"].update(scan_policy="bearing_order", tick_hz=90, confusion_prob=0.0)
