@@ -37,7 +37,6 @@ from .designspace import (
     SpatialLayout,
     Violation,
     XRObject,
-    validate_catalog,
     validate_object,
 )
 from .errors import (
@@ -53,7 +52,6 @@ from .errors import (
     ScenarioSchemaError,
     ScenarioSyntaxError,
     UnknownCountry,
-    UnknownPanelId,
     UnresolvedRef,
     WarningEvent,
     XRLayoutError,
@@ -104,6 +102,8 @@ from .placement import (
     emit_layouts,
     place_body_fixed,
     place_environment_referenced,
+    place_head_fixed,
+    place_object_fixed,
     reheighted_intermediary,
 )
 from .scenario import (

@@ -6,16 +6,23 @@ sample stream derived from it, and document open events.  A trace depends
 only on (scenario, strategy, agent params, seed); two runs with identical
 inputs produce bit-identical traces.
 
+Panels are placed by one path: each session calls its strategy's direct
+placement function from placement.py (environment-referenced through the
+session's own EnvironmentReferencedPlacer, which holds the last pose on
+degenerate frames; world-fixed as the body-fixed layout at t = 0).  Gaze
+segments are laid down by one emitter, _Timeline, which both the phase
+driver and search_and_open use.
+
 Only the agent's RNG depends on the seed, so the sessions run on one
 Scenario object share a scene track (_SceneTrack, kept in the scenario's
-private _track slot): the scene states and panel poses at the scripted
-query times, computed once per scenario and strategy instead of once per
-seed.  The track is invisible in every output.  It stores only values that
-are pure in (scenario, strategy, t), it leaves out environment-referenced
-poses wherever a panel is degenerate (hold-last depends on the session's
-own history there), and it is outside the scenario's equality, repr and
-serialization.  So a session gives the same trace and warnings whether the
-track was cold or warm.
+private _track slot): the scene states and, per strategy, the panel poses
+at the scripted query times, computed once per scenario and strategy
+instead of once per seed.  The track is invisible in every output.  It
+stores only values that are pure in (scenario, strategy, t), it leaves out
+environment-referenced poses wherever a panel is degenerate (hold-last
+depends on the session's own history there), and it is outside the
+scenario's equality, repr and serialization.  So a session gives the same
+trace and warnings whether the track was cold or warm.
 
 Behavioral model
 ----------------
@@ -64,16 +71,18 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping
 
 from .errors import WarningEvent, XRLayoutError
-from .frames import USER_BODY, USER_HEAD, SceneState, resolve_world_pose
+from .frames import USER_BODY, USER_HEAD, SceneState
 from .geometry import Pose, Vec3, angle_between
 from .placement import (
     EnvironmentReferencedPlacer,
     Strategy,
-    emit_layouts,
     place_body_fixed,
+    place_head_fixed,
+    place_object_fixed,
 )
 from .scenario import GRID_COLS, GRID_ROWS, SCAN_POLICIES, Scenario, Trial, grid_cell
 
@@ -307,17 +316,17 @@ class _SceneTrack:
     poses at the scripted query times (0.0 and, for each trial, the instant
     IDLE_LEAD_S before its window, its question start and its question
     complete) do not, so the track keeps them, filled lazily as sessions
-    first ask for them: a seed sweep computes each once per scenario, and
-    poses once per (scenario, strategy).  Any other time (the settle tail,
-    a cursor that overran its scripted time) is computed on the spot and
-    never stored, so the track stays bounded by the scripted times however
-    many seeds run.
+    first ask for them: a seed sweep computes each state once per scenario,
+    and poses once per (scenario, strategy).  Any other time (the settle
+    tail, a cursor that overran its scripted time) is computed on the spot
+    and never stored, so the track stays bounded by the scripted times
+    however many seeds run.
 
-    Nothing a session returns depends on whether the track was cold or
-    warm: replay and the stateless strategies are pure in t, and
-    environment-referenced poses are stored only where they equal the pure
-    placement (see _PanelTracker.poses_at).  The track holds no reference
-    to its scenario; callers pass it.
+    poses[strategy] maps a scripted time to the panel poses there, or to
+    None when an environment-referenced panel is degenerate at that time;
+    _Simulator._poses_at fills it.  Nothing a session returns depends on
+    whether the track was cold or warm.  The track holds no reference to
+    its scenario; callers pass it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -327,7 +336,9 @@ class _SceneTrack:
             times.update((t0 - IDLE_LEAD_S, trial.question_start, trial.question_complete))
         self.times = frozenset(times)
         self.states: dict[float, SceneState] = {}
-        self.strategies: dict[Strategy, _StrategyTrack] = {}
+        self.poses: dict[Strategy, dict[float, dict[str, Pose] | None]] = {
+            strategy: {} for strategy in Strategy
+        }
 
     @staticmethod
     def of(scenario: Scenario) -> "_SceneTrack":
@@ -346,111 +357,53 @@ class _SceneTrack:
             state = self.states[t] = scenario.state_at(t)
         return state
 
-    def strategy(self, scenario: Scenario, strategy: Strategy) -> "_StrategyTrack":
-        shared = self.strategies.get(strategy)
-        if shared is None:
-            shared = self.strategies[strategy] = _StrategyTrack(scenario, strategy, self)
-        return shared
 
+class _Timeline:
+    """Gaze segments laid end to end from a cursor, plus the gaze direction."""
 
-class _StrategyTrack:
-    """One strategy's share of a scene track: session set-up and poses.
+    def __init__(self, start: float, gaze_dir: Vec3, yaw_rate_deg_s: float):
+        self.segments: list[GazeSegment] = []
+        self.cursor = start
+        self.gaze_dir = gaze_dir
+        self.yaw_rate_deg_s = yaw_rate_deg_s
 
-    poses maps a scripted time to the panel poses there, or to None when an
-    environment-referenced panel is degenerate at that time.
-    """
+    def until(self, t1: float, target: GazeTarget) -> None:
+        """Hold target from the cursor to t1 (nothing unless t1 is later)."""
+        if t1 > self.cursor + 1e-12:
+            self.segments.append(GazeSegment(self.cursor, t1, target))
+            self.cursor = t1
 
-    def __init__(self, scenario: Scenario, strategy: Strategy, track: _SceneTrack):
-        params = scenario.params
-        self.poses: dict[float, dict[str, Pose] | None] = {}
-        self.frozen: dict[str, Pose] | None = None
-        self.emission = None
-        if strategy is Strategy.WORLD_FIXED:
-            # World-fixed panels freeze at the session-start body-fixed
-            # arrangement; there is no other sensible world pose to give
-            # them from a scenario authored for adaptive strategies.
-            self.frozen = place_body_fixed(
-                track.state_at(scenario, 0.0), scenario.body_bearings, params
-            )
-        elif strategy is Strategy.OBJECT_FIXED:
-            # Name-tag style: each panel floats a fixed offset above its
-            # intermediary, facing whoever the intermediary faces.
-            anchors = {
-                pid: (
-                    eid,
-                    Pose(position=Vec3(0.0, GAZE_HEIGHT_M + 0.6, 0.0)),
-                )
-                for pid, eid in scenario.intermediaries.items()
-            }
-            self.emission = emit_layouts(
-                strategy,
-                track.state_at(scenario, 0.0),
-                params,
-                anchors=anchors,
-            )
-        elif strategy is Strategy.HEAD_FIXED:
-            self.emission = emit_layouts(
-                strategy,
-                track.state_at(scenario, 0.0),
-                params,
-                bearings=scenario.body_bearings,
-            )
+    def dwell(self, duration: float, target: GazeTarget) -> None:
+        """Hold target for duration (nothing when it is empty)."""
+        if duration > 1e-12:
+            self.segments.append(GazeSegment(self.cursor, self.cursor + duration, target))
+            self.cursor += duration
 
+    def travel(self, head: Vec3, point: Vec3, deadline: float | None = None) -> None:
+        """Turn the gaze from head toward point, gazing at nothing meanwhile.
 
-class _PanelTracker:
-    """Panel world poses per state for one session's strategy."""
-
-    def __init__(self, scenario: Scenario, strategy: Strategy, track: _SceneTrack):
-        self.scenario = scenario
-        self.strategy = strategy
-        self.params = scenario.params
-        self.times = track.times
-        self.shared = track.strategy(scenario, strategy)
-        self.warnings: list[WarningEvent] = []
-        self._placer: EnvironmentReferencedPlacer | None = None
-        if strategy is Strategy.ENVIRONMENT_REFERENCED:
-            self._placer = EnvironmentReferencedPlacer(
-                scenario.intermediaries, self.params
-            )
-            self.warnings = self._placer.warnings
-
-    def poses_at(self, state: SceneState) -> dict[str, Pose]:
-        """Poses at state, through the shared track at scripted times.
-
-        The session's own placer holds the last pose on degenerate states,
-        so its result depends on the session's query history.  On a state
-        where no panel is degenerate it does not: it equals the pure
-        placement, and storing it is safe.  A cache hit still hands the
-        poses to the placer, so later degenerate states hold exactly what
-        they would have held without the track; a degenerate state always
-        goes through the placer, so each session records its own warnings.
+        The turn takes the geodesic angle at yaw_rate_deg_s, cut short at
+        deadline; the gaze direction ends on point either way.
         """
-        t = state.time
-        if t not in self.times:
-            return self._place(state)
-        poses = self.shared.poses.get(t)
-        if poses is not None:
-            if self._placer is not None:
-                self._placer.remember(poses)
-            return poses
-        if t in self.shared.poses:  # degenerate here
-            return self._place(state)
-        held = len(self.warnings)
-        poses = self._place(state)
-        self.shared.poses[t] = poses if len(self.warnings) == held else None
-        return poses
+        d = point - head
+        if d.norm() < 1e-9:
+            return
+        dt = math.degrees(angle_between(self.gaze_dir, d)) / self.yaw_rate_deg_s
+        if deadline is not None:
+            dt = min(dt, max(0.0, deadline - self.cursor))
+        if dt > 1e-12:
+            self.segments.append(GazeSegment(self.cursor, self.cursor + dt, NoGaze()))
+            self.cursor += dt
+        self.gaze_dir = d.normalized()
 
-    def _place(self, state: SceneState) -> dict[str, Pose]:
-        if self.strategy is Strategy.BODY_FIXED:
-            return place_body_fixed(state, self.scenario.body_bearings, self.params)
-        if self.strategy is Strategy.ENVIRONMENT_REFERENCED:
-            return self._placer.place(state)
-        if self.strategy is Strategy.WORLD_FIXED:
-            return dict(self.shared.frozen)
-        return {
-            pid: resolve_world_pose(layout, state)
-            for pid, layout in self.shared.emission.layouts.items()
-        }
+
+def _direct_placement(strategy: Strategy, scenario: Scenario):
+    """A stateless strategy's placement as a function of the scene state."""
+    params = scenario.params
+    if strategy is Strategy.OBJECT_FIXED:
+        return partial(place_object_fixed, intermediaries=scenario.intermediaries, params=params)
+    place = place_head_fixed if strategy is Strategy.HEAD_FIXED else place_body_fixed
+    return partial(place, bearings=scenario.body_bearings, params=params)
 
 
 def document_center(panel_pose: Pose, row: int, col: int) -> Vec3:
@@ -475,11 +428,17 @@ class _Simulator:
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.track = _SceneTrack.of(scenario)
-        self.tracker = _PanelTracker(scenario, strategy, self.track)
-        self.segments: list[GazeSegment] = []
+        self.poses = self.track.poses[strategy]
+        self.placer: EnvironmentReferencedPlacer | None = None
+        self.warnings: list[WarningEvent] = []
+        if strategy is Strategy.ENVIRONMENT_REFERENCED:
+            self.placer = EnvironmentReferencedPlacer(scenario.intermediaries, scenario.params)
+            self.warnings = self.placer.warnings
+            self.place = self.placer.place
+        else:
+            self.place = _direct_placement(strategy, scenario)
+        self.line = _Timeline(0.0, Vec3(0.0, 0.0, -1.0), params.yaw_rate_deg_s)
         self.opens: list[OpenEvent] = []
-        self.cursor = 0.0
-        self.gaze_dir = Vec3(0.0, 0.0, -1.0)
         self.panel_by_category = {
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
@@ -487,7 +446,38 @@ class _Simulator:
     def _state_at(self, t: float) -> SceneState:
         return self.track.state_at(self.scn, t)
 
-    # -- geometry helpers ---------------------------------------------
+    def _poses_at(self, state: SceneState) -> dict[str, Pose]:
+        """Panel poses at state, through the shared track at scripted times.
+
+        World-fixed panels freeze at the session-start body-fixed
+        arrangement (there is no other sensible world pose to give them
+        from a scenario authored for adaptive strategies), so every state
+        asks for the poses at 0.0.
+
+        The environment-referenced placer holds the last pose on degenerate
+        states, so its result depends on the session's query history.  On a
+        state where no panel is degenerate it does not: it equals the pure
+        placement, and storing it is safe.  A cache hit still hands the
+        poses to the placer, so later degenerate states hold exactly what
+        they would have held without the track; a degenerate state always
+        goes through the placer, so each session records its own warnings.
+        """
+        if self.strategy is Strategy.WORLD_FIXED:
+            state = self._state_at(0.0)
+        t = state.time
+        if t not in self.track.times:
+            return self.place(state)
+        poses = self.poses.get(t)
+        if poses is not None:
+            if self.placer is not None:
+                self.placer.remember(poses)
+            return poses
+        if t in self.poses:  # degenerate here
+            return self.place(state)
+        held = len(self.warnings)
+        poses = self.place(state)
+        self.poses[t] = poses if len(self.warnings) == held else None
+        return poses
 
     def _gaze_point(self, state: SceneState, target: GazeTarget, panels) -> Vec3 | None:
         if isinstance(target, NoGaze):
@@ -505,44 +495,15 @@ class _Simulator:
             return document_center(pose, target.row, target.col)
         raise XRLayoutError(f"no gaze point for {target!r}")
 
-    def _head_pos(self, state: SceneState) -> Vec3:
-        return state.pose_of(USER_HEAD).position
-
-    def _travel_time(self, state: SceneState, point: Vec3) -> float:
-        new_dir = point - self._head_pos(state)
-        if new_dir.norm() < 1e-9:
-            return 0.0
-        deg = math.degrees(angle_between(self.gaze_dir, new_dir))
-        return deg / self.params.yaw_rate_deg_s
-
-    def _look_at(self, state: SceneState, point: Vec3) -> None:
-        d = point - self._head_pos(state)
-        if d.norm() >= 1e-9:
-            self.gaze_dir = d.normalized()
-
-    # -- segment emission ---------------------------------------------
-
-    def _emit(self, t1: float, target: GazeTarget) -> None:
-        """Append a segment from the cursor to t1 (skipped when empty)."""
-        if t1 > self.cursor + 1e-12:
-            self.segments.append(GazeSegment(self.cursor, t1, target))
-            self.cursor = t1
-
-    def _travel_to(self, state: SceneState, point: Vec3, deadline=None) -> None:
-        dt = self._travel_time(state, point)
-        if deadline is not None:
-            dt = min(dt, max(0.0, deadline - self.cursor))
-        self._emit(self.cursor + dt, NoGaze())
-        self._look_at(state, point)
-
     # -- phases ---------------------------------------------------------
 
     def run(self) -> SessionTrace:
         scn = self.scn
+        line = self.line
         trial_traces: list[TrialTrace] = []
         for trial in scn.trials:
             t0, _ = scn.trial_window(trial.index)
-            seg_start = len(self.segments)
+            seg_start = len(line.segments)
             self._idle_phase(t0)
             self._question_phase(trial)
             t_open = self._search_phase(trial)
@@ -552,17 +513,17 @@ class _Simulator:
                     t_complete=trial.question_complete,
                     t_open=t_open,
                     segments=[
-                        s for s in self.segments[seg_start:] if s.t1 > t0
+                        s for s in line.segments[seg_start:] if s.t1 > t0
                     ],
-                    opens=[o for o in self.opens if t0 <= o.t <= self.cursor],
+                    opens=[o for o in self.opens if t0 <= o.t <= line.cursor],
                 )
             )
         # settle tail so the final fixation has somewhere to live
-        tail_state = self._state_at(self.cursor)
-        tail_focus = focus_target(tail_state, scn, self.cursor, answered_at=self.cursor)
-        tail_point = self._gaze_point(tail_state, tail_focus, self.tracker.poses_at(tail_state))
-        self._travel_to(tail_state, tail_point)
-        self._emit(self.cursor + 2.0, tail_focus)
+        tail_state = self._state_at(line.cursor)
+        tail_focus = focus_target(tail_state, scn, line.cursor, answered_at=line.cursor)
+        tail_point = self._gaze_point(tail_state, tail_focus, self._poses_at(tail_state))
+        line.travel(tail_state.pose_of(USER_HEAD).position, tail_point)
+        line.dwell(2.0, tail_focus)
         return SessionTrace(
             scenario_name=scn.name,
             context=scn.context,
@@ -570,52 +531,54 @@ class _Simulator:
             params=self.params,
             seed=self.seed,
             trials=trial_traces,
-            segments=self.segments,
-            warnings=list(self.tracker.warnings),
-            duration=self.cursor,
+            segments=line.segments,
+            warnings=list(self.warnings),
+            duration=line.cursor,
         )
 
     def _idle_phase(self, until: float) -> None:
-        if until <= self.cursor:
+        line = self.line
+        if until <= line.cursor:
             return
-        t = max(self.cursor, until - IDLE_LEAD_S)
+        t = max(line.cursor, until - IDLE_LEAD_S)
         state = self._state_at(t)
-        focus = focus_target(state, self.scn, t, answered_at=self.cursor)
-        panels = self.tracker.poses_at(state)
-        point = self._gaze_point(state, focus, panels)
-        self._travel_to(state, point, deadline=until)
-        self._emit(until, focus)
+        focus = focus_target(state, self.scn, t, answered_at=line.cursor)
+        point = self._gaze_point(state, focus, self._poses_at(state))
+        line.travel(state.pose_of(USER_HEAD).position, point, deadline=until)
+        line.until(until, focus)
 
     def _question_phase(self, trial: Trial) -> None:
         state = self._state_at(trial.question_start)
         focus = focus_target(state, self.scn, trial.question_start)
-        panels = self.tracker.poses_at(state)
-        point = self._gaze_point(state, focus, panels)
-        self._travel_to(state, point, deadline=trial.question_complete)
-        self._emit(trial.question_complete, focus)
+        point = self._gaze_point(state, focus, self._poses_at(state))
+        self.line.travel(
+            state.pose_of(USER_HEAD).position, point, deadline=trial.question_complete
+        )
+        self.line.until(trial.question_complete, focus)
 
     def _search_phase(self, trial: Trial) -> float:
         """Find the category panel, then the country document; open it."""
         scn = self.scn
-        state = self._state_at(self.cursor)
-        panels = self.tracker.poses_at(state)
+        line = self.line
+        state = self._state_at(line.cursor)
         segments, opens, t_open, end_dir = search_and_open(
             state=state,
             trial=trial,
             params=self.params,
             strategy=self.strategy,
-            panels=panels,
+            panels=self._poses_at(state),
             panel_by_category=self.panel_by_category,
             intermediaries=scn.intermediaries,
             context=scn.context,
-            start_time=self.cursor,
-            gaze_dir=self.gaze_dir,
+            start_time=line.cursor,
+            gaze_dir=line.gaze_dir,
             rng=self.rng,
         )
-        self.segments.extend(segments)
+        line.segments.extend(segments)
+        if segments:
+            line.cursor = segments[-1].t1
+        line.gaze_dir = end_dir
         self.opens.extend(opens)
-        self.cursor = segments[-1].t1 if segments else self.cursor
-        self.gaze_dir = end_dir
         return t_open
 
 
@@ -641,28 +604,8 @@ def search_and_open(
     earlier than that.
     """
     head = state.pose_of(USER_HEAD).position
-    segments: list[GazeSegment] = []
+    line = _Timeline(start_time, gaze_dir, params.yaw_rate_deg_s)
     opens: list[OpenEvent] = []
-    cursor = start_time
-    cur_dir = gaze_dir
-
-    def travel(point: Vec3) -> None:
-        nonlocal cursor, cur_dir
-        d = point - head
-        if d.norm() < 1e-9:
-            return
-        deg = math.degrees(angle_between(cur_dir, d))
-        dt = deg / params.yaw_rate_deg_s
-        if dt > 1e-12:
-            segments.append(GazeSegment(cursor, cursor + dt, NoGaze()))
-            cursor += dt
-        cur_dir = d.normalized()
-
-    def dwell(duration: float, target: GazeTarget) -> None:
-        nonlocal cursor
-        if duration > 1e-12:
-            segments.append(GazeSegment(cursor, cursor + duration, target))
-            cursor += duration
 
     target_cat = trial.category
     target_pid = panel_by_category[target_cat]
@@ -675,38 +618,37 @@ def search_and_open(
     if direct:
         route = [target_pid]
     else:
-        route = _scan_route(panels, target_pid, head, cur_dir, params, rng)
+        route = _scan_route(panels, target_pid, head, line.gaze_dir, params, rng)
 
     for pid in route:
-        pose = panels[pid]
-        travel(pose.position)
+        line.travel(head, panels[pid].position)
         if pid != target_pid:
             # read the header, reject, move on
-            dwell(params.fixation_min, PanelGaze(cat_of[pid]))
+            line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))
             if (
                 params.scan_policy == "random_seeded"
                 and rng.random() < params.confusion_prob
             ):
                 # confusion: opens the same-lettered cell on the wrong panel
                 wrow, wcol = grid_cell(cat_of[pid], trial.country)
-                dwell(params.fixation_min, DocumentGaze(cat_of[pid], wrow, wcol))
+                line.dwell(params.fixation_min, DocumentGaze(cat_of[pid], wrow, wcol))
                 opens.append(
-                    OpenEvent(cursor, cat_of[pid], trial.country, wrow, wcol, False)
+                    OpenEvent(line.cursor, cat_of[pid], trial.country, wrow, wcol, False)
                 )
             continue
         # on the target panel: grid acquisition, then the cell
-        dwell(params.per_cell_scan_time, PanelGaze(target_cat))
+        line.dwell(params.per_cell_scan_time, PanelGaze(target_cat))
         if not params.known_grid:
             for idx in range(row * GRID_COLS + col):
                 r, c = divmod(idx, GRID_COLS)
-                dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
-        t_fix = cursor
+                line.dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
+        t_fix = line.cursor
         confirm = params.fixation_min
         jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
-        dwell(confirm + jitter, DocumentGaze(target_cat, row, col))
+        line.dwell(confirm + jitter, DocumentGaze(target_cat, row, col))
         t_open = t_fix + confirm
         opens.append(OpenEvent(t_open, target_cat, trial.country, row, col, True))
-        return segments, opens, t_open, cur_dir
+        return line.segments, opens, t_open, line.gaze_dir
 
     raise XRLayoutError("scan route never reached the target panel")
 

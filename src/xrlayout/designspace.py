@@ -129,7 +129,6 @@ BAD_ENUM_VALUE = "bad-enum-value"
 BAD_LEVEL_OF_DETAIL = "bad-level-of-detail"
 BAD_SIZE = "bad-size"
 UNKNOWN_METADATA_KEY = "unknown-metadata-key"
-DUPLICATE_ID = "duplicate-id"
 
 
 @dataclass(frozen=True)
@@ -207,16 +206,6 @@ def validate_object(obj: XRObject, catalog: SceneCatalog) -> list[Violation]:
         if key not in MODALITY_PARAM_KEYS and not key.startswith(CUSTOM_KEY_PREFIX):
             out.append(Violation(UNKNOWN_METADATA_KEY, obj.id, key))
 
-    return out
-
-
-def validate_catalog(catalog: SceneCatalog) -> list[Violation]:
-    """Catalog-wide checks plus every object's own violations."""
-    out: list[Violation] = []
-    for oid in sorted(set(catalog.objects) & set(catalog.entity_ids)):
-        out.append(Violation(DUPLICATE_ID, oid, "object id shadows an entity id"))
-    for obj in catalog.objects.values():
-        out.extend(validate_object(obj, catalog))
     return out
 
 

@@ -28,14 +28,6 @@ class UnresolvedRef(XRLayoutError):
         self.ref = ref
 
 
-class UnknownPanelId(XRLayoutError):
-    """Placement requested for a panel id missing from the strategy config."""
-
-    def __init__(self, panel_id: str):
-        super().__init__(f"no placement config for panel: {panel_id!r}")
-        self.panel_id = panel_id
-
-
 class DegenerateIntermediary(XRLayoutError):
     """User and intermediary coincide horizontally; bearing is undefined."""
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UnresolvedRef
-from .geometry import GEOM_EPS, Pose, UP, Vec3, compose
+from .geometry import GEOM_EPS, Pose, Vec3, compose
 
 if TYPE_CHECKING:  # import cycle guard: designspace builds on these types
     from .designspace import SpatialLayout
@@ -40,11 +40,6 @@ WORLD = "world"
 USER_BODY = "user_body"
 USER_HEAD = "user_head"
 RESERVED_REFS = frozenset({WORLD, USER_BODY, USER_HEAD})
-
-# Sanity bound: the head rides on the body; a larger gap means the scene
-# was assembled inconsistently.
-HEAD_BOUND_M = 0.5
-
 
 @dataclass(frozen=True)
 class FrameOfReference:
@@ -55,10 +50,6 @@ class FrameOfReference:
     @classmethod
     def unified(cls, ref: str) -> "FrameOfReference":
         return cls(ref, ref, ref)
-
-    @property
-    def is_unified(self) -> bool:
-        return self.position_ref == self.orientation_ref == self.scale_ref
 
     def refs(self) -> tuple[str, str, str]:
         return (self.position_ref, self.orientation_ref, self.scale_ref)
@@ -89,18 +80,6 @@ class SceneState:
         merged = dict(self.poses)
         merged.update(extra)
         return SceneState(self.time, merged)
-
-    def head_bound_violation(self, eye_height: float) -> float | None:
-        """Distance by which the head strays from body + eye_height * up.
-
-        Returns None while within HEAD_BOUND_M, else the offending distance.
-        """
-        if not (self.has(USER_BODY) and self.has(USER_HEAD)):
-            return None
-        expected = self.poses[USER_BODY].position + UP * eye_height
-        gap = self.poses[USER_HEAD].position.distance_to(expected)
-        return gap if gap > HEAD_BOUND_M else None
-
 
 def resolve_world_pose(layout: "SpatialLayout", state: SceneState) -> Pose:
     """World pose of an object laid out in a (possibly hybrid) frame.

@@ -250,15 +250,6 @@ class Rotation:
     def up(self) -> Vec3:
         return self.rotate(UP)
 
-    def to_matrix(self) -> list[list[float]]:
-        """3x3 row-major rotation matrix (columns are local axes in world)."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
         """Shepperd's method; picks the numerically largest pivot."""
@@ -292,30 +283,6 @@ class Rotation:
     def approx_eq(self, other: "Rotation", tol: float = GEOM_EPS) -> bool:
         """Equality as rotations, i.e. up to quaternion sign."""
         return self.angle_to(other) <= tol
-
-    def slerp(self, other: "Rotation", t: float) -> "Rotation":
-        d = self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-        ow, ox, oy, oz = other.w, other.x, other.y, other.z
-        if d < 0.0:  # take the short arc
-            d, ow, ox, oy, oz = -d, -ow, -ox, -oy, -oz
-        if d > 1.0 - 1e-12:
-            return Rotation(
-                self.w + t * (ow - self.w),
-                self.x + t * (ox - self.x),
-                self.y + t * (oy - self.y),
-                self.z + t * (oz - self.z),
-            )
-        theta = math.acos(d)
-        sa = math.sin(theta)
-        ka = math.sin((1 - t) * theta) / sa
-        kb = math.sin(t * theta) / sa
-        return Rotation(
-            ka * self.w + kb * ow,
-            ka * self.x + kb * ox,
-            ka * self.y + kb * oy,
-            ka * self.z + kb * oz,
-        )
-
 
 _set_qw, _set_qx, _set_qy, _set_qz = (
     Rotation.w.__set__, Rotation.x.__set__, Rotation.y.__set__, Rotation.z.__set__
@@ -385,9 +352,6 @@ class Pose:
         """Rigid map of a point from this frame into the parent frame."""
         return self.position + self.orientation.rotate(p)
 
-    def apply_to_direction(self, d: Vec3) -> Vec3:
-        return self.orientation.rotate(d)
-
     def relative_to(self, frame: "Pose") -> "Pose":
         """Express this pose in the given frame's coordinates."""
         inv = frame.orientation.inverse()
@@ -421,18 +385,6 @@ def compose(parent: Pose, local: Pose) -> Pose:
         orientation=parent.orientation * local.orientation,
         scale=parent.scale.hadamard(local.scale),
     )
-
-
-def cartesian_from_spherical(r: float, theta: float, phi: float) -> Vec3:
-    """Spherical to Cartesian, physics convention mapped onto our axes.
-
-    theta is the polar angle from +up (+Y); phi is azimuth from -Z
-    (forward), positive per the right-hand rule about +Y.  r >= 0.
-    """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    s = math.sin(theta)
-    return Vec3(-r * s * math.sin(phi), r * math.cos(theta), -r * s * math.cos(phi))
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,31 @@ Two strategies carry the interesting behavior:
     user or the intermediaries move.
 
 world_fixed, object_fixed and head_fixed are the classic baselines and are
-supported for comparison runs.
+supported for comparison runs: head_fixed rings the panels around the
+user's eyes at the body-fixed bearings, object_fixed floats each panel
+name-tag style above its intermediary, and world_fixed is the body-fixed
+layout frozen at session start (the caller places it at t = 0).
 
-Panels are kept upright (no vertical tilt): they yaw to face the user's
-body position at eye height, with world up as their up axis.  All direct
-placement functions are pure, so callers may keep their results; the
-agent's seed-shared scene track does, per scenario and strategy.  The one
-stateful piece is EnvironmentReferencedPlacer: it holds the last valid pose
-for degenerate frames (user standing exactly on an intermediary), so its
-result depends on the history of its calls.  That history is confined to
-one placer instance; remember() lets a caller that kept a non-degenerate
-result leave the placer as place() would have.
+Every strategy has one direct placement function (place_body_fixed,
+place_environment_referenced, place_head_fixed, place_object_fixed), and
+that is the only route the simulator takes.  Body-fixed and
+environment-referenced panels are kept upright (no vertical tilt): they
+yaw to face the user's body position at eye height, with world up as
+their up axis.  The direct functions are pure, so callers may keep their
+results; the agent's seed-shared scene track does, per scenario and
+strategy.  The one stateful piece is EnvironmentReferencedPlacer: it holds
+the last valid pose for degenerate frames (user standing exactly on an
+intermediary), so its result depends on the history of its calls.  That
+history is confined to one placer instance; remember() lets a caller that
+kept a non-degenerate result leave the placer as place() would have.
 
-emit_layouts mirrors the direct functions through the frames machinery:
-body_fixed emits unified user-body frames, environment_referenced emits
-hybrid frames (position and scale follow the body, orientation follows a
-derived bearing entity).  Resolving an emission must match the direct
-computation to within GEOM_EPS; tests compare both routes.
+emit_layouts is the test oracle: it expresses each strategy as
+frame-of-reference layouts (unified frames for body-, head-, world- and
+object-fixed, hybrid frames for environment_referenced) that
+frames.resolve_world_pose turns into world poses.  Resolving an emission
+matches the direct functions: bit for bit for head- and object-fixed,
+which are that resolution written out, and to within GEOM_EPS for the
+others; tests compare both routes.
 """
 
 from __future__ import annotations
@@ -42,17 +50,20 @@ from enum import Enum
 from typing import Mapping
 
 from .designspace import SizeSpec, SpatialLayout
-from .errors import (
-    DegenerateIntermediary,
-    MissingConfig,
-    UnknownPanelId,
-    WarningEvent,
+from .errors import DegenerateIntermediary, MissingConfig, WarningEvent
+from .frames import (
+    USER_BODY,
+    USER_HEAD,
+    WORLD,
+    FrameOfReference,
+    SceneState,
+    _corrected_aspect,
 )
-from .frames import USER_BODY, USER_HEAD, WORLD, FrameOfReference, SceneState
 from .geometry import (
     FORWARD,
     UP,
     Pose,
+    Rotation,
     Vec3,
     facing_yaw_deg,
     look_rotation,
@@ -66,6 +77,10 @@ DEGENERATE_HORIZONTAL_M = 1e-6
 # Comfortable reading band for the panel distance; values outside it are
 # legal but almost certainly a configuration mistake, so they warn.
 PANEL_DISTANCE_SOFT_RANGE_M = (0.4, 2.0)
+
+# Object-fixed panels float name-tag style this far above their
+# intermediary's floor anchor: 0.6 m over the 1.5 m gaze height.
+NAME_TAG_HEIGHT_M = 2.1
 
 
 class PlacementWarning(UserWarning):
@@ -130,9 +145,8 @@ def place_body_fixed(
     state: SceneState,
     bearings: Mapping[str, float],
     params: PlacementParams,
-    panel_ids=None,
 ) -> dict[str, Pose]:
-    """Direct body-fixed placement for the given panels.
+    """Direct body-fixed placement, one pose per panel of bearings.
 
     Each panel goes panel_distance out from the user's body position along
     its configured bearing (relative to the body's horizontal forward),
@@ -142,10 +156,8 @@ def place_body_fixed(
     body = state.pose_of(USER_BODY)
     heading = body_heading_deg(body)
     out: dict[str, Pose] = {}
-    for pid in bearings if panel_ids is None else panel_ids:
-        if pid not in bearings:
-            raise UnknownPanelId(pid)
-        direction = yaw_rotation(heading + bearings[pid]).forward()
+    for pid, bearing in bearings.items():
+        direction = yaw_rotation(heading + bearing).forward()
         center = body.position + direction * params.panel_distance + UP * params.panel_height
         out[pid] = Pose(
             position=center,
@@ -159,9 +171,8 @@ def place_environment_referenced(
     state: SceneState,
     intermediaries: Mapping[str, str],
     params: PlacementParams,
-    panel_ids=None,
 ) -> dict[str, Pose]:
-    """Direct environment-referenced placement for the given panels.
+    """Direct environment-referenced placement, one pose per panel.
 
     The panel center lies on the horizontal ray from the user's body
     toward the panel's intermediary, at the configured horizontal distance
@@ -172,21 +183,82 @@ def place_environment_referenced(
     want hold-last-pose behavior use EnvironmentReferencedPlacer.
     """
     body = state.pose_of(USER_BODY)
+    return {
+        pid: _toward_intermediary(pid, body, state.pose_of(eid), params)
+        for pid, eid in intermediaries.items()
+    }
+
+
+def _toward_intermediary(pid: str, body: Pose, target: Pose, params: PlacementParams) -> Pose:
+    """One environment-referenced panel pose, or DegenerateIntermediary."""
+    offset = (target.position - body.position).horizontal()
+    dist = offset.norm()
+    if dist < DEGENERATE_HORIZONTAL_M:
+        raise DegenerateIntermediary(pid, dist)
+    direction = offset * (1.0 / dist)
+    center = body.position + direction * params.panel_distance + UP * params.panel_height
+    return Pose(
+        position=center,
+        orientation=_upright_facing(center, body.position),
+        scale=params.panel_scale,
+    )
+
+
+def place_head_fixed(
+    state: SceneState,
+    bearings: Mapping[str, float],
+    params: PlacementParams,
+) -> dict[str, Pose]:
+    """Direct head-fixed placement, one pose per panel of bearings.
+
+    Each panel rides the head panel_distance out along its bearing from
+    the head's forward, at eye level, facing the eyes, and turns with the
+    head in every axis.  This is resolve_world_pose of the unified head
+    frame written out in its operation order, so the floats, zero signs
+    included, are those of the frames route.
+    """
+    head = state.pose_of(USER_HEAD)
+    # Two steps of the frames route change no bit and are left out: its
+    # product with the local scale, ONES, and its zero height term (a
+    # rotated FORWARD has no -0.0 component for + 0.0 to clear).
+    scale = _corrected_aspect(head.scale.hadamard(params.panel_scale), params.aspect_ratio)
     out: dict[str, Pose] = {}
-    for pid in intermediaries if panel_ids is None else panel_ids:
-        if pid not in intermediaries:
-            raise UnknownPanelId(pid)
-        target = state.pose_of(intermediaries[pid])
-        offset = (target.position - body.position).horizontal()
-        dist = offset.norm()
-        if dist < DEGENERATE_HORIZONTAL_M:
-            raise DegenerateIntermediary(pid, dist)
-        direction = offset * (1.0 / dist)
-        center = body.position + direction * params.panel_distance + UP * params.panel_height
+    for pid, bearing in bearings.items():
+        local = yaw_rotation(bearing).forward() * params.panel_distance
         out[pid] = Pose(
-            position=center,
-            orientation=_upright_facing(center, body.position),
-            scale=params.panel_scale,
+            position=head.position + head.orientation.rotate(local),
+            orientation=head.orientation * yaw_rotation(bearing + 180.0),
+            scale=scale,
+        )
+    return out
+
+
+def place_object_fixed(
+    state: SceneState,
+    intermediaries: Mapping[str, str],
+    params: PlacementParams,
+) -> dict[str, Pose]:
+    """Direct object-fixed placement, one pose per panel.
+
+    Each panel floats NAME_TAG_HEIGHT_M above its intermediary's anchor,
+    in the anchor's frame, oriented as the anchor.  This is
+    resolve_world_pose of the unified anchor frame written out in its
+    operation order, so the floats, zero signs included, are those of the
+    frames route.
+    """
+    offset = Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0)
+    out: dict[str, Pose] = {}
+    for pid, eid in intermediaries.items():
+        anchor = state.pose_of(eid)
+        out[pid] = Pose(
+            position=anchor.position + anchor.orientation.rotate(offset),
+            # The identity product is kept: it can flip the sign of a zero
+            # quaternion component.  The frames route's product with the
+            # local scale, ONES, changes no bit and is left out.
+            orientation=anchor.orientation * Rotation.identity(),
+            scale=_corrected_aspect(
+                anchor.scale.hadamard(params.panel_scale), params.aspect_ratio
+            ),
         )
     return out
 
@@ -208,12 +280,11 @@ class EnvironmentReferencedPlacer:
         self._last: dict[str, Pose] = {}
 
     def place(self, state: SceneState) -> dict[str, Pose]:
+        body = state.pose_of(USER_BODY)
         out: dict[str, Pose] = {}
-        for pid in self.intermediaries:
+        for pid, eid in self.intermediaries.items():
             try:
-                out[pid] = place_environment_referenced(
-                    state, self.intermediaries, self.params, panel_ids=[pid]
-                )[pid]
+                out[pid] = _toward_intermediary(pid, body, state.pose_of(eid), self.params)
             except DegenerateIntermediary as exc:
                 if pid not in self._last:
                     raise
@@ -273,7 +344,6 @@ def emit_layouts(
     Raises MissingConfig when the needed one is absent.
     """
     size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
-    ident = lambda s: SpatialLayout(FrameOfReference.unified(s), Pose(), size)  # noqa: E731
 
     if strategy in (Strategy.BODY_FIXED, Strategy.HEAD_FIXED):
         if bearings is None:

@@ -1046,21 +1046,6 @@ def _fmt_dists(dists: Mapping[str, float]) -> str:
     return ", ".join(f"{k}={v:.3f}" for k, v in sorted(dists.items()))
 
 
-def advance(state: SceneState | None, scenario: Scenario, t: float) -> SceneState:
-    """Scene state at time t; prior state only contributes extra entities.
-
-    Scenario-governed poses (user body/head, entities) are recomputed from
-    scratch so the result depends only on (scenario, t); any poses in the
-    incoming state that the scenario does not govern (derived bearing
-    entities, test instrumentation) are carried through unchanged.
-    """
-    fresh = scenario.state_at(t)
-    if state is None:
-        return fresh
-    carried = {k: v for k, v in state.poses.items() if k not in fresh.poses}
-    return fresh.with_poses(carried) if carried else fresh
-
-
 # -- bundled fixtures -------------------------------------------------------
 #
 # Strategy is a run axis, not a copied fixture.  fixtures/ holds one file per

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -360,20 +361,20 @@ def degenerate_walk_scenario():
 def track_entries(scn):
     """States and pose sets stored in a scenario's scene track."""
     track = scn._track
-    return len(track.states) + sum(len(s.poses) for s in track.strategies.values())
+    return len(track.states) + sum(len(poses) for poses in track.poses.values())
 
 
 def record_poses(monkeypatch):
     """(time, poses) for every panel placement the simulator asks for."""
     seen = []
-    original = agent._PanelTracker.poses_at
+    original = agent._Simulator._poses_at
 
     def spy(self, state):
         poses = original(self, state)
         seen.append((state.time, dict(poses)))
         return poses
 
-    monkeypatch.setattr(agent._PanelTracker, "poses_at", spy)
+    monkeypatch.setattr(agent._Simulator, "_poses_at", spy)
     return seen
 
 
@@ -434,3 +435,25 @@ class TestSceneTrack:
             assert warm_warnings[1].time > 137.5
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
+
+
+class TestOnePlacementPath:
+    def test_sessions_never_reach_the_frames_route(self, monkeypatch):
+        """emit_layouts + resolve_world_pose are the test oracle only."""
+        from xrlayout import frames, placement
+
+        for original in (placement.emit_layouts, frames.resolve_world_pose):
+
+            def unreachable(*args, _name=original.__name__, **kwargs):
+                raise AssertionError(f"{_name} reached from a session")
+
+            for name, module in list(sys.modules.items()):
+                if name == "xrlayout" or name.startswith("xrlayout."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, unreachable)
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            for strategy in Strategy:
+                trace = simulate_session(scn, strategy=strategy, seed=7)
+                assert trace.trials and all(t.t_open is not None for t in trace.trials)

@@ -9,7 +9,6 @@ from xrlayout.designspace import (
     BAD_LEVEL_OF_DETAIL,
     BAD_SIZE,
     CYCLIC_SUB_OBJECTS,
-    DUPLICATE_ID,
     HYBRID_NEEDS_TWO_MODALITIES,
     IMMERSION,
     INTERACTIVITY,
@@ -24,7 +23,6 @@ from xrlayout.designspace import (
     SpatialLayout,
     Violation,
     XRObject,
-    validate_catalog,
     validate_object,
 )
 from xrlayout.frames import USER_BODY, FrameOfReference
@@ -217,17 +215,6 @@ class TestSizeAndMetadata:
 
 
 class TestCatalog:
-    def test_duplicate_object_entity_id(self):
-        obj = make_object("shadow")
-        cat = catalog_of(obj, entities=["shadow"])
-        assert DUPLICATE_ID in codes(validate_catalog(cat))
-
-    def test_catalog_aggregates_object_violations(self):
-        good = make_object("good")
-        bad = make_object("bad", interactivity="nope")
-        vs = validate_catalog(catalog_of(good, bad))
-        assert codes(vs) == [BAD_ENUM_VALUE]
-
     def test_violation_str_mentions_code_and_subject(self):
         v = Violation(BAD_SIZE, "panel_x", "because")
         assert "bad-size" in str(v) and "panel_x" in str(v)

@@ -9,7 +9,6 @@ from xrlayout.designspace import SizeSpec, SpatialLayout
 from xrlayout.errors import UnresolvedRef
 from xrlayout.frames import (
     USER_BODY,
-    USER_HEAD,
     WORLD,
     FrameOfReference,
     SceneState,
@@ -54,15 +53,6 @@ class TestSceneState:
         extended = state.with_poses({"extra": Pose(position=Vec3(1, 0, 0))})
         assert not state.has("extra")
         assert extended.has("extra")
-
-    def test_head_bound(self):
-        body = Pose()
-        ok_head = Pose(position=Vec3(0.0, 1.6, 0.0))
-        state = SceneState(time=0.0, poses={USER_BODY: body, USER_HEAD: ok_head})
-        assert state.head_bound_violation(1.6) is None
-        bad_head = Pose(position=Vec3(2.0, 1.6, 0.0))
-        state2 = SceneState(time=0.0, poses={USER_BODY: body, USER_HEAD: bad_head})
-        assert state2.head_bound_violation(1.6) == pytest.approx(2.0)
 
 
 class TestHybridResolution:
@@ -147,5 +137,4 @@ class TestHybridResolution:
     def test_frame_refs_listing(self):
         f = FrameOfReference(position_ref="a", orientation_ref="b", scale_ref="c")
         assert f.refs() == ("a", "b", "c")
-        assert not f.is_unified
-        assert FrameOfReference.unified("a").is_unified
+        assert FrameOfReference.unified("a").refs() == ("a", "a", "a")

@@ -26,7 +26,6 @@ from xrlayout.geometry import (
     Vec3,
     angle_between,
     angular_deviation,
-    cartesian_from_spherical,
     compose,
     facing_yaw_deg,
     in_fov,
@@ -56,6 +55,16 @@ def rand_rotation(rng):
 def as_scipy(q: Rotation) -> SciRot:
     # scipy stores scalar-last
     return SciRot.from_quat([q.x, q.y, q.z, q.w])
+
+
+def rotation_matrix(q: Rotation) -> list[list[float]]:
+    """3x3 row-major matrix of q (columns are local axes in world)."""
+    w, x, y, z = q.w, q.x, q.y, q.z
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
 
 
 class TestVec3:
@@ -112,18 +121,15 @@ class TestRotationAgainstScipy:
         rng = random.Random(3)
         for _ in range(200):
             q = rand_rotation(rng)
-            back = Rotation.from_matrix(q.to_matrix())
+            back = Rotation.from_matrix(rotation_matrix(q))
             assert q.angle_to(back) < 1e-7
 
     def test_matrix_matches_scipy(self):
         rng = random.Random(4)
         for _ in range(200):
             q = rand_rotation(rng)
-            m = q.to_matrix()
-            want = as_scipy(q).as_matrix()
-            for i in range(3):
-                for j in range(3):
-                    assert abs(m[i][j] - want[i][j]) < TOL
+            back = Rotation.from_matrix(as_scipy(q).as_matrix().tolist())
+            assert q.angle_to(back) < 1e-7
 
     def test_inverse(self):
         rng = random.Random(5)
@@ -146,16 +152,6 @@ class TestRotationAgainstScipy:
     def test_degenerate_quaternion_rejected(self):
         with pytest.raises(ValueError):
             Rotation(0.0, 0.0, 0.0, 0.0)
-
-    def test_slerp_endpoints_and_midpoint(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a, b = rand_rotation(rng), rand_rotation(rng)
-            assert a.slerp(b, 0.0).angle_to(a) < 1e-7
-            assert a.slerp(b, 1.0).angle_to(b) < 1e-7
-            mid = a.slerp(b, 0.5)
-            assert mid.angle_to(a) == pytest.approx(mid.angle_to(b), abs=1e-7)
-
 
 class TestCompassYaw:
     def test_quadrants(self):
@@ -257,30 +253,6 @@ class TestPoseAlgebra:
             Pose(scale=Vec3(1.0, 0.0, 1.0))
 
 
-class TestSpherical:
-    def test_pinned_directions(self):
-        r = 2.0
-        assert cartesian_from_spherical(r, math.pi / 2, 0.0).is_close(
-            Vec3(0.0, 0.0, -2.0), tol=TOL
-        )
-        assert cartesian_from_spherical(r, 0.0, 0.0).is_close(Vec3(0.0, 2.0, 0.0), tol=TOL)
-        # positive azimuth follows the right-hand rule about +Y: toward -X
-        assert cartesian_from_spherical(r, math.pi / 2, math.pi / 2).is_close(
-            Vec3(-2.0, 0.0, 0.0), tol=TOL
-        )
-
-    def test_radius_preserved(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            r = rng.uniform(0.0, 9.0)
-            v = cartesian_from_spherical(r, rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
-            assert v.norm() == pytest.approx(r, abs=TOL)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            cartesian_from_spherical(-1.0, 0.0, 0.0)
-
-
 class TestAnglesAndFov:
     def test_angle_between_pinned(self):
         assert angle_between(RIGHT, UP) == pytest.approx(math.pi / 2, abs=TOL)
@@ -309,8 +281,10 @@ class TestAnglesAndFov:
     def test_in_fov_boundary(self):
         fov = FovSpec(diagonal_deg=52.0)
         head = Pose()  # at origin facing -Z
-        just_in = cartesian_from_spherical(3.0, math.radians(90 - 25.9), 0.0)
-        just_out = cartesian_from_spherical(3.0, math.radians(90 - 26.1), 0.0)
+        # 3 m out along -Z, raised 25.9 and 26.1 deg above the forward axis
+        in_rad, out_rad = math.radians(25.9), math.radians(26.1)
+        just_in = Vec3(0.0, 3.0 * math.sin(in_rad), -3.0 * math.cos(in_rad))
+        just_out = Vec3(0.0, 3.0 * math.sin(out_rad), -3.0 * math.cos(out_rad))
         assert in_fov(head, just_in, fov)
         assert not in_fov(head, just_out, fov)
         assert angular_deviation(head, Vec3(0.0, 0.0, -5.0)) == pytest.approx(0.0, abs=1e-6)

@@ -4,15 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xrlayout.errors import (
-    DegenerateIntermediary,
-    MissingConfig,
-    UnknownPanelId,
-)
+from xrlayout.errors import DegenerateIntermediary, MissingConfig
 from xrlayout.frames import USER_BODY, USER_HEAD, SceneState, resolve_world_pose
 from xrlayout.geometry import FORWARD, UP, Pose, Rotation, Vec3, angle_between, yaw_rotation
 from xrlayout.placement import (
+    NAME_TAG_HEIGHT_M,
     EnvironmentReferencedPlacer,
     PlacementParams,
     PlacementWarning,
@@ -22,6 +21,8 @@ from xrlayout.placement import (
     emit_layouts,
     place_body_fixed,
     place_environment_referenced,
+    place_head_fixed,
+    place_object_fixed,
     reheighted_intermediary,
 )
 
@@ -76,10 +77,6 @@ class TestBodyFixed:
             fwd = pose.orientation.forward()
             assert angle_between(fwd, to_body) < 1e-8
             assert pose.orientation.up().is_close(UP, tol=1e-8)
-
-    def test_unknown_panel_id(self):
-        with pytest.raises(UnknownPanelId):
-            place_body_fixed(state_with_body(), {"a": 0.0}, PARAMS, panel_ids=["nope"])
 
 
 class TestEnvironmentReferenced:
@@ -181,6 +178,40 @@ class TestEmission:
             assert resolved.position.is_close(direct.position, tol=1e-8)
             assert resolved.orientation.approx_eq(direct.orientation, tol=1e-7)
 
+    def test_head_fixed_emission_matches_direct(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            head = Pose(
+                position=Vec3(rng.uniform(-5, 5), rng.uniform(1, 2), rng.uniform(-5, 5)),
+                orientation=Rotation.from_axis_angle(
+                    Vec3(rng.uniform(-1, 1), 1.0, rng.uniform(-1, 1)), rng.uniform(-3, 3)
+                ),
+            )
+            state = SceneState(time=0.0, poses={USER_HEAD: head, USER_BODY: Pose()})
+            bearings = {"p": rng.uniform(-180, 180), "q": rng.uniform(-180, 180)}
+            emission = emit_layouts(Strategy.HEAD_FIXED, state, PARAMS, bearings=bearings)
+            direct = place_head_fixed(state, bearings, PARAMS)
+            for pid in bearings:
+                resolved = resolve_world_pose(emission.layouts[pid], state)
+                assert resolved.is_close(direct[pid], tol=1e-8)
+
+    def test_object_fixed_emission_matches_direct(self):
+        rng = random.Random(36)
+        local = Pose(position=Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0))
+        for _ in range(200):
+            host = Pose(
+                position=Vec3(rng.uniform(-8, 8), 0.0, rng.uniform(-8, 8)),
+                orientation=yaw_rotation(rng.uniform(-180, 180)),
+            )
+            state = state_with_body(extra={"host": host})
+            emission = emit_layouts(
+                Strategy.OBJECT_FIXED, state, PARAMS, anchors={"p": ("host", local)}
+            )
+            resolved = resolve_world_pose(emission.layouts["p"], state)
+            direct = place_object_fixed(state, {"p": "host"}, PARAMS)["p"]
+            assert resolved.is_close(direct, tol=1e-8)
+            assert direct.position.is_close(host.position + UP * NAME_TAG_HEIGHT_M, tol=1e-8)
+
     def test_head_fixed_rides_the_head(self):
         head = Pose(position=Vec3(1.0, 1.6, -2.0), orientation=yaw_rotation(25.0))
         state = SceneState(time=0.0, poses={USER_HEAD: head, USER_BODY: Pose()})
@@ -217,6 +248,93 @@ class TestEmission:
             emit_layouts(Strategy.WORLD_FIXED, state, PARAMS)
         with pytest.raises(MissingConfig):
             emit_layouts(Strategy.OBJECT_FIXED, state, PARAMS)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_pose(a: Pose, b: Pose) -> bool:
+    got = (*a.position.to_tuple(), *a.scale.to_tuple())
+    want = (*b.position.to_tuple(), *b.scale.to_tuple())
+    qa, qb = a.orientation, b.orientation
+    got += (qa.w, qa.x, qa.y, qa.z)
+    want += (qb.w, qb.x, qb.y, qb.z)
+    return all(same_bits(x, y) for x, y in zip(got, want))
+
+
+# Exact zeros of both signs are mixed in: they are where a dropped term of
+# the frames route would show.
+coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0]),
+    st.floats(-720.0, 720.0, allow_nan=False),
+)
+unit_coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1.0, 1.0, allow_nan=False))
+rotations = st.one_of(
+    st.builds(yaw_rotation, angles),
+    st.tuples(unit_coords, unit_coords, unit_coords, unit_coords)
+    .filter(lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3)
+    .map(lambda q: Rotation(*q)),
+)
+scales = st.one_of(
+    st.just(Vec3(1.0, 1.0, 1.0)),
+    st.builds(Vec3, *[st.floats(0.01, 10.0)] * 3),
+)
+poses = st.builds(Pose, st.builds(Vec3, coords, coords, coords), rotations, scales)
+panel_ids = st.sampled_from(["a", "b", "c"])
+params = st.builds(
+    PlacementParams,
+    panel_distance=st.floats(0.4, 2.0),
+    panel_height=st.floats(0.1, 3.0),
+    panel_scale=st.builds(Vec3, *[st.floats(0.01, 3.0)] * 3),
+    aspect_ratio=st.floats(0.5, 3.0),
+)
+
+
+class TestDirectEqualsOracleBitForBit:
+    """place_head_fixed / place_object_fixed are the frames route written out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=poses, bearings=st.dictionaries(panel_ids, angles, min_size=1), params=params)
+    def test_head_fixed(self, head, bearings, params):
+        state = SceneState(time=0.0, poses={USER_HEAD: head})
+        emission = emit_layouts(Strategy.HEAD_FIXED, state, params, bearings=bearings)
+        direct = place_head_fixed(state, bearings, params)
+        assert list(direct) == list(bearings)
+        for pid, layout in emission.layouts.items():
+            assert same_pose(direct[pid], resolve_world_pose(layout, state)), pid
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        anchors=st.dictionaries(st.sampled_from(["h1", "h2", "h3"]), poses, min_size=1),
+        data=st.data(),
+        params=params,
+    )
+    def test_object_fixed(self, anchors, data, params):
+        intermediaries = data.draw(
+            st.dictionaries(panel_ids, st.sampled_from(sorted(anchors)), min_size=1)
+        )
+        state = SceneState(time=0.0, poses=anchors)
+        local = Pose(position=Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0))
+        emission = emit_layouts(
+            Strategy.OBJECT_FIXED,
+            state,
+            params,
+            anchors={pid: (eid, local) for pid, eid in intermediaries.items()},
+        )
+        direct = place_object_fixed(state, intermediaries, params)
+        assert list(direct) == list(intermediaries)
+        for pid, layout in emission.layouts.items():
+            assert same_pose(direct[pid], resolve_world_pose(layout, state)), pid
+
+    def test_identity_product_is_not_dropped(self):
+        # yaw_rotation(30) has x = z = -0.0; times the identity they are 0.0
+        host = Pose(orientation=yaw_rotation(30.0))
+        state = SceneState(time=0.0, poses={"host": host})
+        pose = place_object_fixed(state, {"p": "host"}, PARAMS)["p"]
+        assert math.copysign(1.0, host.orientation.x) == -1.0
+        assert math.copysign(1.0, pose.orientation.x) == 1.0
 
 
 class TestParams:

@@ -19,7 +19,7 @@ from xrlayout.errors import (
     UnknownCountry,
 )
 from xrlayout.frames import USER_BODY, USER_HEAD
-from xrlayout.geometry import Pose, Vec3
+from xrlayout.geometry import Vec3
 from xrlayout.scenario import (
     CATEGORIES,
     COUNTRIES,
@@ -28,7 +28,6 @@ from xrlayout.scenario import (
     SCHEMA_VERSION,
     Trajectory,
     Waypoint,
-    advance,
     bundled_scenario_names,
     bundled_scenario_text,
     grid_cell,
@@ -318,7 +317,6 @@ class TestReplay:
             head = state.pose_of(USER_HEAD)
             want = body.position + Vec3(0.0, scn.params.eye_height, 0.0)
             assert head.position.is_close(want, tol=1e-9), t
-            assert state.head_bound_violation(scn.params.eye_height) is None
 
     def test_screen_stays_ahead_of_the_user(self):
         scn = load_bundled("static_mobile_env_ref")
@@ -343,13 +341,6 @@ class TestReplay:
         assert scn.state_at(110.0).pose_of(USER_BODY).position.is_close(
             Vec3(2.0, 0.0, 0.0), tol=1e-9
         )
-
-    def test_advance_carries_ungoverned_poses(self):
-        scn = load_bundled("static_stationary_env_ref")
-        state = scn.state_at(0.0).with_poses({"probe": Pose(position=Vec3(9.0, 9.0, 9.0))})
-        later = advance(state, scn, 12.0)
-        assert later.pose_of("probe").position.is_close(Vec3(9.0, 9.0, 9.0), tol=1e-12)
-        assert later.time == 12.0
 
     def test_trial_window_partition(self):
         scn = load_bundled("dynamic_mobile_env_ref")
