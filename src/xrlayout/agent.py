@@ -10,8 +10,8 @@ Panels are placed by one path: each session calls its strategy's direct
 placement function from placement.py (environment-referenced through the
 session's own EnvironmentReferencedPlacer, which holds the last pose on
 degenerate frames; world-fixed as the body-fixed layout at t = 0).  Gaze
-segments are laid down by one emitter, _Timeline, which both the phase
-driver and search_and_open use.
+segments are laid down by one emitter, _Timeline, which both the session
+phases of _Simulator and search_and_open use.
 
 Only the agent's RNG depends on the seed, so the sessions run on one
 Scenario object share a scene track (_SceneTrack, kept in the scenario's
