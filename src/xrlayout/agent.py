@@ -84,7 +84,7 @@ from .placement import (
     place_head_fixed,
     place_object_fixed,
 )
-from .scenario import GRID_COLS, GRID_ROWS, SCAN_POLICIES, Scenario, Trial, grid_cell
+from .scenario import AGENT_ROWS, GRID_COLS, GRID_ROWS, SCAN_POLICIES, Scenario, Trial, grid_cell
 
 # Vertical offset from an intermediary's floor anchor to where people
 # actually look at it (a host's face, a poster's center).
@@ -183,23 +183,8 @@ class AgentParams:
 
     @classmethod
     def from_mapping(cls, m: Mapping[str, object]) -> "AgentParams":
-        """Build from a scenario's agent block (file key names)."""
-        keymap = {
-            "fixation_min_s": "fixation_min",
-            "per_cell_scan_time_s": "per_cell_scan_time",
-            "scan_policy": "scan_policy",
-            "known_grid": "known_grid",
-            "seed": "seed",
-            "yaw_rate_deg_s": "yaw_rate_deg_s",
-            "tick_hz": "tick_hz",
-            "confusion_prob": "confusion_prob",
-            "dwell_jitter_s": "dwell_jitter_s",
-        }
-        kwargs = {}
-        for file_key, attr in keymap.items():
-            if file_key in m:
-                kwargs[attr] = m[file_key]
-        return cls(**kwargs)
+        """Build from a scenario's agent block (file key names, see AGENT_ROWS)."""
+        return cls(**{row.attr or row.key: m[row.key] for row in AGENT_ROWS if row.key in m})
 
 
 # -- scripted focus ----------------------------------------------------------

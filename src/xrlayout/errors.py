@@ -20,6 +20,10 @@ class DegenerateTarget(XRLayoutError):
     """Angular measurement requested against a target at the viewpoint."""
 
 
+class NonFiniteVector(XRLayoutError, ValueError):
+    """A vector component overflowed or is NaN, e.g. from extreme panel sizes."""
+
+
 class UnresolvedRef(XRLayoutError):
     """A frame or object reference names an entity absent from the scene."""
 

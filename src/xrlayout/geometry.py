@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 
-from .errors import DegenerateTarget
+from .errors import DegenerateTarget, NonFiniteVector
 
 # Tolerance for geometric equality assertions (positions in meters,
 # angles in radians, quaternion components).
@@ -52,7 +52,7 @@ def _frozen_delattr(self, name):
 def _reject_non_finite(*components) -> None:
     for c in components:
         if not math.isfinite(c):
-            raise ValueError(f"non-finite vector component: {c!r}")
+            raise NonFiniteVector(f"non-finite vector component: {c!r}")
 
 
 class Vec3:

@@ -12,12 +12,19 @@ names the country to open.  Four context combinations exist:
     dynamic       stationary   3 trials
     dynamic       mobile       6 trials (near/far pair per category)
 
-Files are JSON text with a versioned header (key "schema").  Parsing is
-total: any input yields either a Scenario or a list of Diagnostic records
-(syntax problems carry line/column, schema problems a dotted path,
-invariant problems a message), raised bundled in the matching
-ScenarioError subclass.  serialize_scenario() round-trips: parsing its
-output reproduces an equal Scenario.
+Files are JSON text with a versioned header (key "schema").  The schema
+table below (_SCENARIO and the blocks it nests) is the field reference:
+one row per file key, with its kind and constraints, its default or that
+it is required, and the attribute it fills.  The reader, the writer
+(Scenario.to_dict) and AgentParams.from_mapping all walk that table.
+Blocks are closed, so a key the table does not list is an error; metadata
+and a panel's modality_params are open maps.
+
+Parsing is total: any input yields either a Scenario or a list of
+Diagnostic records (syntax problems carry line/column, schema problems a
+dotted path, invariant problems a message), raised bundled in the
+matching ScenarioError subclass.  serialize_scenario() round-trips:
+parsing its output reproduces an equal Scenario.
 
 Replay is pure: state_at(scenario, t) depends only on the scenario and t.
 Waypoint trajectories interpolate linearly (or hold) between strictly
@@ -31,9 +38,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Mapping
+from operator import attrgetter
+from typing import Mapping, NamedTuple
 
 from .designspace import (
     ContentSpec,
@@ -50,6 +58,7 @@ from .errors import (
     ScenarioSchemaError,
     ScenarioSyntaxError,
     UnknownCountry,
+    XRLayoutError,
 )
 from .frames import USER_BODY, USER_HEAD, FrameOfReference, SceneState
 from .geometry import (
@@ -239,6 +248,8 @@ class Scenario:
     # the first simulated session.  Outside equality, repr and to_dict;
     # replace() starts the copy without one.
     _track: object = field(default=None, init=False, repr=False, compare=False)
+    # Not a field: the schema version every scenario is written under.
+    schema = SCHEMA_VERSION
 
     @property
     def context(self) -> str:
@@ -344,93 +355,11 @@ class Scenario:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "setting": self.setting,
-            "user_state": self.user_state,
-            "metadata": dict(self.metadata),
-            "fov": {
-                "diagonal_deg": self.fov.diagonal_deg,
-                "aspect_ratio": self.fov.aspect_ratio,
-            },
-            "placement": {
-                "strategy": self.strategy.value,
-                "panel_distance_m": self.params.panel_distance,
-                "panel_height_m": self.params.panel_height,
-                "eye_height_m": self.params.eye_height,
-                "panel_scale": list(self.params.panel_scale.to_tuple()),
-                "panel_aspect_ratio": self.params.aspect_ratio,
-                "body_bearings_deg": dict(self.body_bearings),
-                "intermediaries": dict(self.intermediaries),
-            },
-            "agent": dict(self.agent),
-            "entities": [_entity_to_dict(e) for e in self.entities],
-            "trajectories": {
-                eid: {
-                    "interpolation": traj.interpolation,
-                    "waypoints": [
-                        [w.time, list(w.position.to_tuple()), w.yaw_deg]
-                        for w in traj.waypoints
-                    ],
-                }
-                for eid, traj in self.trajectories.items()
-            },
-            "panels": [_panel_to_dict(p) for p in self.panels.values()],
-            "trials": [_trial_to_dict(t) for t in self.trials],
-        }
-
-
-def _entity_to_dict(e: EntitySpec) -> dict:
-    d = {
-        "id": e.id,
-        "kind": e.kind,
-        "position": list(e.position.to_tuple()),
-        "yaw_deg": e.yaw_deg,
-    }
-    if e.category is not None:
-        d["category"] = e.category
-    if e.anchor is not None:
-        d["anchor"] = e.anchor
-        d["anchor_distance_m"] = e.anchor_distance_m
-    return d
-
-
-def _panel_to_dict(p: XRObject) -> dict:
-    return {
-        "id": p.id,
-        "topic": p.content.topic,
-        "info_focus": p.content.info_focus,
-        "level_of_detail": p.content.level_of_detail,
-        "availability": p.content.availability,
-        "availability_mutability": p.content.availability_mutability,
-        "immersion": p.presentation.immersion,
-        "modality": p.presentation.modality,
-        "modality_params": dict(p.presentation.modality_params),
-        "interactivity": p.interactivity,
-    }
-
-
-def _trial_to_dict(t: Trial) -> dict:
-    d = {
-        "category": t.category,
-        "country": t.country,
-        "question_words": list(t.question_words),
-        "question_start_s": t.question_start,
-        "word_schedule_s": list(t.word_schedule),
-        "repeat_interval_s": t.repeat_interval,
-    }
-    if t.near is not None:
-        d["near"] = t.near
-    return d
-
-
-def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _SCENARIO.write(self)
 
 
 def serialize_scenario(scn: Scenario) -> str:
-    return _canonical_json(scn.to_dict())
+    return json.dumps(scn.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 # -- parsing ---------------------------------------------------------------
@@ -470,8 +399,8 @@ def scan_scenario(text: str) -> tuple[Scenario | None, list[Diagnostic]]:
             Diagnostic("syntax", exc.msg, line=exc.lineno, col=exc.colno)
         ]
     diags: list[Diagnostic] = []
-    scn = _build(doc, diags)
-    if diags or scn is None:
+    scn = _SCENARIO.read(doc, "", diags)
+    if scn is None:
         return None, diags
     _check_invariants(scn, diags)
     if diags:
@@ -479,7 +408,46 @@ def scan_scenario(text: str) -> tuple[Scenario | None, list[Diagnostic]]:
     return scn, diags
 
 
-_MISSING = object()
+# -- the schema table ------------------------------------------------------
+#
+# The reader checks a block's rows in table order, so diagnostics come out in
+# that order, and builds the block's object only when it found nothing wrong.
+
+_REQUIRED = object()  # the key must be present
+_OPTIONAL = object()  # an absent key leaves the built object's own default
+
+
+class _Row(NamedTuple):
+    """One file key; default is _REQUIRED, _OPTIONAL or a file value.
+
+    attr is the dotted attribute the key fills: the key itself when None,
+    the enclosing object when "".  The writer leaves the key out when its
+    value is None, or when the row named by `when` was left out.
+    """
+
+    key: str
+    kind: _Kind
+    default: object = _OPTIONAL
+    attr: str | None = None
+    when: _Row | None = None
+
+
+class _Invalid(Exception):
+    """Raised by a builder with (attr, expected, got) for values that do not fit together."""
+
+
+def _fail(diags: list[Diagnostic], path: str, expected: str, got: object) -> None:
+    diags.append(Diagnostic("schema", f"expected {expected}, got {_describe(got)}", path=path))
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path and key else path or key
+
+
+def _describe(v: object) -> str:
+    if v is None:
+        return "nothing"
+    return f"{type(v).__name__} {v!r}" if not isinstance(v, (dict, list)) else type(v).__name__
 
 
 def _finite_number(v: object) -> bool:
@@ -492,385 +460,337 @@ def _finite_number(v: object) -> bool:
         return False
 
 
-class _Reader:
-    """Typed field access over parsed JSON, recording schema diagnostics.
+class _Kind:
+    """A value checked by (test, expected) pairs; the first that fails is reported.
 
-    Missing required keys and wrong types both produce a diagnostic and
-    fall back to the caller's default, so one pass reports everything.
+    name is what a missing key was expected to be (by default the first
+    expectation).  Subclasses read and write nested values.
     """
 
-    def __init__(self, diags: list[Diagnostic]):
-        self.diags = diags
+    def __init__(self, *checks, name: str | None = None, convert=None, dump=None):
+        self.checks = checks
+        self.name = name or checks[0][1]
+        self.convert = convert
+        self.dump = dump
 
-    def fail(self, path: str, expected: str, got: object) -> None:
-        self.diags.append(
-            Diagnostic(
-                "schema", f"expected {expected}, got {_describe(got)}", path=path
-            )
-        )
+    def read(self, raw: object, path: str, diags: list[Diagnostic]) -> object:
+        """The converted value, or None after recording a diagnostic."""
+        for test, expected in self.checks:
+            if not test(raw):
+                _fail(diags, path, expected, raw)
+                return None
+        return raw if self.convert is None else self.convert(raw)
 
-    def _raw(self, obj, key, expected, path, required):
-        if not isinstance(obj, dict) or key not in obj:
-            if required:
-                self.fail(_join(path, key), expected, None)
-            return _MISSING
-        return obj[key]
+    def write(self, value) -> object:
+        return value if self.dump is None else self.dump(value)
 
-    def str_(self, obj, key, path, *, required=True, default=None, choices=None):
-        v = self._raw(obj, key, "string", path, required)
-        if v is _MISSING:
-            return default
-        if not isinstance(v, str):
-            self.fail(_join(path, key), "string", v)
-            return default
-        if choices is not None and v not in choices:
-            self.fail(_join(path, key), f"one of {choices}", v)
-            return default
-        return v
 
-    def num(self, obj, key, path, *, required=True, default=None, positive=False):
-        v = self._raw(obj, key, "number", path, required)
-        if v is _MISSING:
-            return default
-        if not _finite_number(v):
-            self.fail(_join(path, key), "finite number", v)
-            return default
-        if positive and v <= 0:
-            self.fail(_join(path, key), "positive number", v)
-            return default
-        return float(v)
+class _Block(_Kind):
+    """A closed JSON object read into build(**values).
 
-    def int_(self, obj, key, path, *, required=True, default=None, minimum=None):
-        v = self._raw(obj, key, "integer", path, required)
-        if v is _MISSING:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(_join(path, key), "integer", v)
-            return default
-        if minimum is not None and v < minimum:
-            self.fail(_join(path, key), f"integer >= {minimum}", v)
-            return default
-        return v
+    Values of dotted attrs reach build grouped by their first part.  A block
+    without build is only checked, and kept as written.
+    """
 
-    def bool_(self, obj, key, path, *, required=True, default=None):
-        v = self._raw(obj, key, "boolean", path, required)
-        if v is _MISSING:
-            return default
-        if not isinstance(v, bool):
-            self.fail(_join(path, key), "boolean", v)
-            return default
-        return v
+    def __init__(self, *rows: _Row, build=None, name: str = "object"):
+        super().__init__((_is_dict, name))
+        self.rows = rows
+        self.build = build
+        self.keys = frozenset(row.key for row in rows)
+        self.slots = []  # (row, group, attr): where build receives the row's value
+        for row in rows:
+            group, _, attr = (row.key if row.attr is None else row.attr).rpartition(".")
+            self.slots.append((row, group, attr))
 
-    def list_(self, obj, key, path, *, required=True, default=None):
-        v = self._raw(obj, key, "list", path, required)
-        if v is _MISSING:
-            return default
-        if not isinstance(v, list):
-            self.fail(_join(path, key), "list", v)
-            return default
-        return v
-
-    def dict_(self, obj, key, path, *, required=True, default=None):
-        v = self._raw(obj, key, "object", path, required)
-        if v is _MISSING:
-            return default
-        if not isinstance(v, dict):
-            self.fail(_join(path, key), "object", v)
-            return default
-        return v
-
-    def vec3(self, raw, path):
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 3
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in raw)
-        ):
-            self.fail(path, "[x, y, z] numbers", raw)
+    def read(self, raw: object, path: str, diags: list[Diagnostic]) -> object:
+        if super().read(raw, path, diags) is None:
             return None
-        if not all(_finite_number(c) for c in raw):
-            self.fail(path, "finite [x, y, z]", raw)
-            return None
-        return Vec3.from_seq(raw)
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _describe(v: object) -> str:
-    if v is None:
-        return "nothing"
-    return f"{type(v).__name__} {v!r}" if not isinstance(v, (dict, list)) else type(v).__name__
-
-
-def _build(doc: object, diags: list[Diagnostic]) -> Scenario | None:
-    r = _Reader(diags)
-    if not isinstance(doc, dict):
-        r.fail("", "top-level object", doc)
-        return None
-
-    schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
-        r.fail("schema", f"supported schema version {SCHEMA_VERSION}", schema)
-
-    name = r.str_(doc, "name", "")
-    setting = r.str_(doc, "setting", "", choices=SETTINGS)
-    user_state = r.str_(doc, "user_state", "", choices=USER_STATES)
-    metadata = r.dict_(doc, "metadata", "", required=False, default={})
-
-    fov_d = r.dict_(doc, "fov", "", required=False, default=None)
-    fov = FovSpec()
-    if fov_d is not None:
-        diag = r.num(fov_d, "diagonal_deg", "fov", positive=True)
-        aspect = r.num(fov_d, "aspect_ratio", "fov", positive=True)
-        if diag is not None and aspect is not None:
-            try:
-                fov = FovSpec(diagonal_deg=diag, aspect_ratio=aspect)
-            except ValueError as exc:
-                r.fail("fov", "valid fov", str(exc))
-
-    placement = r.dict_(doc, "placement", "")
-    strategy = Strategy.ENVIRONMENT_REFERENCED
-    params = PlacementParams()
-    bearings: dict[str, float] = {}
-    intermediaries: dict[str, str] = {}
-    if placement is not None:
-        sname = r.str_(
-            placement, "strategy", "placement", choices=tuple(s.value for s in Strategy)
-        )
-        if sname:
-            strategy = Strategy(sname)
-        dist = r.num(placement, "panel_distance_m", "placement", positive=True, required=False, default=1.2)
-        height = r.num(placement, "panel_height_m", "placement", positive=True, required=False, default=1.5)
-        eye = r.num(placement, "eye_height_m", "placement", positive=True, required=False, default=1.6)
-        aspect = r.num(placement, "panel_aspect_ratio", "placement", positive=True, required=False, default=1.75)
-        scale_raw = placement.get("panel_scale", [1.4, 0.8, 0.02])
-        scale = r.vec3(scale_raw, "placement.panel_scale")
-        if None not in (dist, height, eye, aspect) and scale is not None:
-            try:
-                params = PlacementParams(
-                    panel_distance=dist,
-                    panel_height=height,
-                    eye_height=eye,
-                    panel_scale=scale,
-                    aspect_ratio=aspect,
-                )
-            except ValueError as exc:
-                r.fail("placement", "valid placement params", str(exc))
-        b = r.dict_(placement, "body_bearings_deg", "placement")
-        if b is not None:
-            for pid, deg in b.items():
-                if not _finite_number(deg):
-                    r.fail(f"placement.body_bearings_deg.{pid}", "finite number", deg)
-                else:
-                    bearings[pid] = float(deg)
-        im = r.dict_(placement, "intermediaries", "placement")
-        if im is not None:
-            for pid, eid in im.items():
-                if not isinstance(eid, str):
-                    r.fail(f"placement.intermediaries.{pid}", "entity id string", eid)
-                else:
-                    intermediaries[pid] = eid
-
-    agent = r.dict_(doc, "agent", "", required=False, default={})
-    r.str_(agent, "scan_policy", "agent", required=False, choices=SCAN_POLICIES)
-    for key in ("fixation_min_s", "per_cell_scan_time_s", "yaw_rate_deg_s", "tick_hz"):
-        r.num(agent, key, "agent", required=False, positive=True)
-    for key in ("confusion_prob", "dwell_jitter_s"):
-        r.num(agent, key, "agent", required=False)
-    r.bool_(agent, "known_grid", "agent", required=False)
-    r.int_(agent, "seed", "agent", required=False)
-
-    entities: list[EntitySpec] = []
-    ents_raw = r.list_(doc, "entities", "")
-    if ents_raw is not None:
-        for i, e_raw in enumerate(ents_raw):
-            path = f"entities[{i}]"
-            if not isinstance(e_raw, dict):
-                r.fail(path, "object", e_raw)
+        start = len(diags)
+        values: dict[str, object] = {}
+        for row, group, attr in self.slots:
+            value = raw.get(row.key, row.default)
+            if value is _OPTIONAL:
                 continue
-            eid = r.str_(e_raw, "id", path)
-            kind = r.str_(
-                e_raw, "kind", path, choices=("user", "poster", "host", "screen")
-            )
-            category = r.str_(
-                e_raw, "category", path, required=False, default=None, choices=CATEGORIES
-            )
-            pos = r.vec3(e_raw.get("position", [0, 0, 0]), f"{path}.position")
-            yaw = r.num(e_raw, "yaw_deg", path, required=False, default=0.0)
-            anchor = r.str_(
-                e_raw, "anchor", path, required=False, default=None, choices=("user_forward",)
-            )
-            adist = r.num(
-                e_raw, "anchor_distance_m", path, required=False, default=1.5, positive=True
-            )
-            if None in (eid, kind, pos, yaw):
+            where = f"{path}.{row.key}" if path else row.key
+            if value is _REQUIRED:
+                _fail(diags, where, row.kind.name, None)
                 continue
-            entities.append(
-                EntitySpec(
-                    id=eid,
-                    kind=kind,
-                    category=category,
-                    position=pos,
-                    yaw_deg=yaw,
-                    anchor=anchor,
-                    anchor_distance_m=adist if adist is not None else 1.5,
-                )
-            )
-
-    trajectories: dict[str, Trajectory] = {}
-    trajs_raw = r.dict_(doc, "trajectories", "", required=False, default={})
-    if trajs_raw:
-        for eid, t_raw in trajs_raw.items():
-            path = f"trajectories.{eid}"
-            if not isinstance(t_raw, dict):
-                r.fail(path, "object", t_raw)
-                continue
-            interp = r.str_(
-                t_raw, "interpolation", path, required=False, default="linear",
-                choices=("linear", "hold"),
-            )
-            wps_raw = r.list_(t_raw, "waypoints", path)
-            if wps_raw is None:
-                continue
-            wps: list[Waypoint] = []
-            ok = True
-            for j, w_raw in enumerate(wps_raw):
-                wpath = f"{path}.waypoints[{j}]"
-                if (
-                    not isinstance(w_raw, list)
-                    or len(w_raw) != 3
-                    or not _finite_number(w_raw[0])
-                    or not _finite_number(w_raw[2])
-                ):
-                    r.fail(wpath, "[time, [x,y,z], yaw_deg] with finite numbers", w_raw)
-                    ok = False
-                    continue
-                pos = r.vec3(w_raw[1], f"{wpath}[1]")
-                if pos is None:
-                    ok = False
-                    continue
-                wps.append(Waypoint(float(w_raw[0]), pos, float(w_raw[2])))
-            if not ok or not wps:
-                if not wps and ok:
-                    r.fail(f"{path}.waypoints", "non-empty waypoint list", wps_raw)
-                continue
-            trajectories[eid] = Trajectory(tuple(wps), interp if interp else "linear")
-
-    panels: dict[str, XRObject] = {}
-    panels_raw = r.list_(doc, "panels", "")
-    if panels_raw is not None:
-        for i, p_raw in enumerate(panels_raw):
-            path = f"panels[{i}]"
-            if not isinstance(p_raw, dict):
-                r.fail(path, "object", p_raw)
-                continue
-            pid = r.str_(p_raw, "id", path)
-            topic = r.str_(p_raw, "topic", path, choices=CATEGORIES)
-            params_d = r.dict_(p_raw, "modality_params", path, required=False, default={})
-            obj_kwargs = dict(
-                info_focus=r.str_(p_raw, "info_focus", path, required=False, default=""),
-                level_of_detail=r.int_(
-                    p_raw, "level_of_detail", path, required=False, default=1, minimum=0
-                ),
-                availability=r.str_(p_raw, "availability", path, required=False, default="open"),
-                availability_mutability=r.str_(
-                    p_raw, "availability_mutability", path, required=False, default="context_aware"
-                ),
-            )
-            if pid is None or topic is None or None in obj_kwargs.values():
-                continue
-            panels[pid] = XRObject(
-                id=pid,
-                content=ContentSpec(topic=topic, **obj_kwargs),
-                presentation=PresentationSpec(
-                    immersion=r.str_(
-                        p_raw, "immersion", path, required=False, default="non_immersive"
-                    )
-                    or "non_immersive",
-                    modality=r.str_(p_raw, "modality", path, required=False, default="visual")
-                    or "visual",
-                    modality_params=dict(params_d) if params_d else {},
-                ),
-                layout=SpatialLayout(
-                    FrameOfReference.unified(USER_BODY),
-                    Pose(),
-                    SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio),
-                ),
-                interactivity=r.str_(
-                    p_raw, "interactivity", path, required=False, default="full"
-                )
-                or "full",
-            )
-
-    trials: list[Trial] = []
-    trials_raw = r.list_(doc, "trials", "")
-    if trials_raw is not None:
-        for i, t_raw in enumerate(trials_raw):
-            path = f"trials[{i}]"
-            if not isinstance(t_raw, dict):
-                r.fail(path, "object", t_raw)
-                continue
-            category = r.str_(t_raw, "category", path, choices=CATEGORIES)
-            country = r.str_(t_raw, "country", path)
-            words_raw = r.list_(t_raw, "question_words", path)
-            words: tuple[str, ...] | None = None
-            if words_raw is not None:
-                if not words_raw or any(not isinstance(w, str) for w in words_raw):
-                    r.fail(f"{path}.question_words", "non-empty list of strings", words_raw)
-                else:
-                    words = tuple(words_raw)
-            start = r.num(t_raw, "question_start_s", path)
-            sched_raw = r.list_(t_raw, "word_schedule_s", path, required=False, default=None)
-            repeat = r.num(
-                t_raw, "repeat_interval_s", path, required=False,
-                default=DEFAULT_REPEAT_INTERVAL_S, positive=True,
-            )
-            near = r.bool_(t_raw, "near", path, required=False, default=None)
-            if None in (category, country, words, start) or repeat is None:
-                continue
-            if sched_raw is None:
-                schedule = tuple(
-                    start + k * DEFAULT_WORD_INTERVAL_S for k in range(len(words))
-                )
+            value = row.kind.read(value, where, diags)
+            if attr:
+                (values.setdefault(group, {}) if group else values)[attr] = value
             else:
-                if not sched_raw or not all(_finite_number(x) for x in sched_raw):
-                    r.fail(
-                        f"{path}.word_schedule_s", "non-empty list of finite numbers",
-                        sched_raw,
-                    )
-                    continue
-                schedule = tuple(float(x) for x in sched_raw)
-            trials.append(
-                Trial(
-                    index=len(trials),
-                    category=category,
-                    country=country,
-                    question_words=words,
-                    word_schedule=schedule,
-                    repeat_interval=repeat,
-                    near=near,
-                )
-            )
+                values.update(value or {})
+        for key in raw:
+            if key not in self.keys:
+                diags.append(Diagnostic("schema", "unknown key", path=_join(path, key)))
+        if len(diags) > start:
+            return None
+        if self.build is None:
+            return dict(raw)
+        try:
+            return self.build(**values)
+        except _Invalid as exc:
+            attr, expected, got = exc.args
+            key = next((row.key for row in self.rows if (row.attr or row.key) == attr), "")
+            _fail(diags, _join(path, key), expected, got)
+            return None
 
-    if diags:
-        return None
-    return Scenario(
-        name=name,
-        setting=setting,
-        user_state=user_state,
-        fov=fov,
-        strategy=strategy,
-        params=params,
-        body_bearings=bearings,
-        intermediaries=intermediaries,
-        entities=tuple(entities),
-        trajectories=trajectories,
-        panels=panels,
-        trials=tuple(trials),
-        agent=dict(agent) if agent else {},
-        metadata=dict(metadata) if metadata else {},
+    def write(self, obj) -> dict:
+        if self.build is None:
+            return dict(obj)
+        out = {}
+        for row in self.rows:
+            value = obj if row.attr == "" else attrgetter(row.attr or row.key)(obj)
+            if value is not None and (row.when is None or row.when.key in out):
+                out[row.key] = row.kind.write(value)
+        return out
+
+
+class _ListOf(_Kind):
+    """A JSON list of one kind, read into a tuple."""
+
+    def __init__(self, item: _Kind, *checks):
+        super().__init__(_LIST, *checks)
+        self.item = item
+
+    def read(self, raw: object, path: str, diags: list[Diagnostic]) -> tuple | None:
+        if super().read(raw, path, diags) is None:
+            return None
+        items = tuple(self.item.read(x, f"{path}[{i}]", diags) for i, x in enumerate(raw))
+        return None if any(x is None for x in items) else items
+
+    def write(self, items) -> list:
+        if isinstance(items, Mapping):  # panels are kept keyed by id
+            items = items.values()
+        return [self.item.write(x) for x in items]
+
+
+class _MapOf(_Kind):
+    """A JSON object with free keys and values of one kind."""
+
+    def __init__(self, item: _Kind):
+        super().__init__((_is_dict, "object"))
+        self.item = item
+
+    def read(self, raw: object, path: str, diags: list[Diagnostic]) -> dict | None:
+        if super().read(raw, path, diags) is None:
+            return None
+        items = {k: self.item.read(v, f"{path}.{k}", diags) for k, v in raw.items()}
+        return None if any(v is None for v in items.values()) else items
+
+    def write(self, items: Mapping) -> dict:
+        return {k: self.item.write(v) for k, v in items.items()}
+
+
+class _Waypoint(_Kind):
+    """[time, [x, y, z], yaw_deg]; a bad position is reported at [1]."""
+
+    def read(self, raw: object, path: str, diags: list[Diagnostic]) -> Waypoint | None:
+        if super().read(raw, path, diags) is None:
+            return None
+        position = _VEC3.read(raw[1], f"{path}[1]", diags)
+        return None if position is None else Waypoint(float(raw[0]), position, float(raw[2]))
+
+    def write(self, w: Waypoint) -> list:
+        return [w.time, _VEC3.write(w.position), w.yaw_deg]
+
+
+def _is_str(v: object) -> bool:
+    return isinstance(v, str)
+
+
+def _is_dict(v: object) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_xyz(v: object) -> bool:
+    return isinstance(v, list) and len(v) == 3 and not any(
+        isinstance(c, bool) or not isinstance(c, (int, float)) for c in v
     )
+
+
+def _is_waypoint(v: object) -> bool:
+    return isinstance(v, list) and len(v) == 3 and _finite_number(v[0]) and _finite_number(v[2])
+
+
+def _one_of(options: tuple, **kw) -> _Kind:
+    return _Kind((_is_str, "string"), (options.__contains__, f"one of {options}"), **kw)
+
+
+_FINITE = (_finite_number, "finite number")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer")
+_LIST = (lambda v: isinstance(v, list), "list")
+_STR = _Kind((_is_str, "string"))
+_NUM = _Kind(_FINITE, name="number", convert=float)
+_POSITIVE = _Kind(_FINITE, (lambda v: v > 0, "positive number"), name="number", convert=float)
+_BOOL = _Kind((lambda v: isinstance(v, bool), "boolean"))
+_OBJECT = _Kind((_is_dict, "object"), convert=dict, dump=dict)
+_VEC3 = _Kind(
+    (_is_xyz, "[x, y, z] numbers"),
+    (lambda v: all(map(_finite_number, v)), "finite [x, y, z]"),
+    convert=Vec3.from_seq,
+    dump=lambda v: list(v.to_tuple()),
+)
+
+
+def _fov(**values) -> FovSpec:
+    try:
+        return FovSpec(**values)
+    except ValueError as exc:  # FovSpec also bounds the diagonal below 180 degrees
+        raise _Invalid("", "valid fov", str(exc)) from None
+
+
+def _panel(content: dict, presentation: dict | None = None, **values) -> XRObject:
+    # _scenario gives each panel its layout, which the placement block sizes.
+    return XRObject(
+        content=ContentSpec(**content),
+        presentation=PresentationSpec(**(presentation or {})),
+        **values,
+    )
+
+
+def _trial(question_start: float, question_words: tuple, word_schedule=None, **values) -> dict:
+    """Trial fields but the index; without a schedule the words come at a steady pace."""
+    if word_schedule is None:
+        word_schedule = tuple(
+            question_start + k * DEFAULT_WORD_INTERVAL_S for k in range(len(question_words))
+        )
+    elif word_schedule[0] != question_start:
+        expected = f"first entry equal to question_start_s {question_start!r}"
+        raise _Invalid("word_schedule", expected, word_schedule[0])
+    return dict(values, question_words=question_words, word_schedule=word_schedule)
+
+
+def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> Scenario:
+    """The Scenario; its row already checked schema, which every scenario writes as its own."""
+    params = PlacementParams(**(params or {}))
+    size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
+    layout = SpatialLayout(FrameOfReference.unified(USER_BODY), Pose(), size)
+    return Scenario(
+        fov=fov,
+        params=params,
+        panels={p.id: replace(p, layout=layout) for p in panels},
+        trials=tuple(Trial(index=i, **t) for i, t in enumerate(trials)),
+        **values,
+    )
+
+
+# Scenario.agent keeps the agent block as written; each row's attr names the
+# AgentParams field it fills.
+AGENT_ROWS = (
+    _Row("scan_policy", _one_of(SCAN_POLICIES)),
+    _Row("fixation_min_s", _POSITIVE, attr="fixation_min"),
+    _Row("per_cell_scan_time_s", _POSITIVE, attr="per_cell_scan_time"),
+    _Row("yaw_rate_deg_s", _POSITIVE),
+    _Row("tick_hz", _POSITIVE),
+    _Row("confusion_prob", _NUM),
+    _Row("dwell_jitter_s", _NUM),
+    _Row("known_grid", _BOOL),
+    _Row("seed", _Kind(_INTEGER)),
+)
+
+_FOV = _Block(
+    _Row("diagonal_deg", _POSITIVE, _REQUIRED),
+    _Row("aspect_ratio", _POSITIVE, _REQUIRED),
+    build=_fov,
+)
+
+_STRATEGY = _one_of(tuple(s.value for s in Strategy), convert=Strategy, dump=attrgetter("value"))
+
+_PLACEMENT = _Block(
+    _Row("strategy", _STRATEGY, _REQUIRED),
+    _Row("panel_distance_m", _POSITIVE, attr="params.panel_distance"),
+    _Row("panel_height_m", _POSITIVE, attr="params.panel_height"),
+    _Row("eye_height_m", _POSITIVE, attr="params.eye_height"),
+    _Row("panel_aspect_ratio", _POSITIVE, attr="params.aspect_ratio"),
+    _Row("panel_scale", _VEC3, attr="params.panel_scale"),
+    _Row("body_bearings_deg", _MapOf(_NUM), _REQUIRED, attr="body_bearings"),
+    _Row("intermediaries", _MapOf(_Kind((_is_str, "entity id string"))), _REQUIRED),
+    build=dict,
+)
+
+_ANCHOR = _Row("anchor", _one_of(("user_forward",)))
+
+_ENTITY = _Block(
+    _Row("id", _STR, _REQUIRED),
+    _Row("kind", _one_of(("user", "poster", "host", "screen")), _REQUIRED),
+    _Row("category", _one_of(CATEGORIES)),
+    _Row("position", _VEC3),
+    _Row("yaw_deg", _NUM),
+    _ANCHOR,
+    _Row("anchor_distance_m", _POSITIVE, when=_ANCHOR),
+    build=EntitySpec,
+)
+
+_WAYPOINTS = _ListOf(
+    _Waypoint((_is_waypoint, "[time, [x,y,z], yaw_deg] with finite numbers")),
+    (bool, "non-empty waypoint list"),
+)
+
+_TRAJECTORY = _Block(
+    _Row("interpolation", _one_of(("linear", "hold"))),
+    _Row("waypoints", _WAYPOINTS, _REQUIRED),
+    build=Trajectory,
+)
+
+_LEVEL = _Kind(_INTEGER, (lambda v: v >= 0, "integer >= 0"))
+
+_PANEL = _Block(
+    _Row("id", _STR, _REQUIRED),
+    _Row("topic", _one_of(CATEGORIES), _REQUIRED, attr="content.topic"),
+    _Row("modality_params", _OBJECT, attr="presentation.modality_params"),
+    _Row("info_focus", _STR, attr="content.info_focus"),
+    _Row("level_of_detail", _LEVEL, 1, attr="content.level_of_detail"),
+    _Row("availability", _STR, attr="content.availability"),
+    _Row("availability_mutability", _STR, "context_aware", attr="content.availability_mutability"),
+    _Row("immersion", _STR, attr="presentation.immersion"),
+    _Row("modality", _STR, attr="presentation.modality"),
+    _Row("interactivity", _STR, "full"),
+    build=_panel,
+)
+
+_WORDS = _Kind(
+    _LIST,
+    (lambda v: v and all(map(_is_str, v)), "non-empty list of strings"),
+    convert=tuple,
+    dump=list,
+)
+_SCHEDULE = _Kind(
+    _LIST,
+    (lambda v: v and all(map(_finite_number, v)), "non-empty list of finite numbers"),
+    convert=lambda v: tuple(map(float, v)),
+    dump=list,
+)
+
+_TRIAL = _Block(
+    _Row("category", _one_of(CATEGORIES), _REQUIRED),
+    _Row("country", _STR, _REQUIRED),
+    _Row("question_words", _WORDS, _REQUIRED),
+    _Row("question_start_s", _NUM, _REQUIRED, attr="question_start"),
+    _Row("word_schedule_s", _SCHEDULE, attr="word_schedule"),
+    _Row("repeat_interval_s", _POSITIVE, attr="repeat_interval"),
+    _Row("near", _BOOL),
+    build=_trial,
+)
+
+_VERSION = f"supported schema version {SCHEMA_VERSION}"
+
+_SCENARIO = _Block(
+    _Row("schema", _Kind((lambda v: v == SCHEMA_VERSION, _VERSION)), _REQUIRED),
+    _Row("name", _STR, _REQUIRED),
+    _Row("setting", _one_of(SETTINGS), _REQUIRED),
+    _Row("user_state", _one_of(USER_STATES), _REQUIRED),
+    _Row("metadata", _OBJECT),
+    _Row("fov", _FOV),
+    _Row("placement", _PLACEMENT, _REQUIRED, attr=""),
+    _Row("agent", _Block(*AGENT_ROWS)),
+    _Row("entities", _ListOf(_ENTITY), _REQUIRED),
+    _Row("trajectories", _MapOf(_TRAJECTORY), {}),
+    _Row("panels", _ListOf(_PANEL), _REQUIRED),
+    _Row("trials", _ListOf(_TRIAL), _REQUIRED),
+    build=_scenario,
+    name="top-level object",
+)
 
 
 def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
@@ -1001,8 +921,14 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
 
     if diags:
         return
+    try:
+        _check_replay(scn, inters, bad)
+    except XRLayoutError as exc:  # e.g. an entity placed on the user
+        bad(f"scene cannot be replayed: {exc}", "entities")
 
-    # Start configuration and near/far classification need replay.
+
+def _check_replay(scn: Scenario, inters: list[EntitySpec], bad) -> None:
+    """Start configuration and near/far classification, which need replay."""
     state0 = scn.state_at(0.0)
     user_pos = state0.pose_of(USER_BODY).position
     dists = {
@@ -1071,18 +997,18 @@ def bundled_scenario_names() -> list[str]:
 
 def bundled_scenario_text(name: str) -> str:
     """Canonical .scn text of a bundled session; body-fixed ones are derived."""
+    if name.endswith(_BODY_FIXED):
+        return serialize_scenario(load_bundled(name))
     root = resources.files(__package__) / "fixtures"
-    context = name.removesuffix(_BODY_FIXED)
-    if context == name:
-        return (root / f"{name}.scn").read_text(encoding="utf-8")
-    doc = json.loads((root / f"{context}{_ENV_REF}.scn").read_text(encoding="utf-8"))
-    doc["name"] = name
-    doc["placement"]["strategy"] = Strategy.BODY_FIXED.value
-    return _canonical_json(doc)
+    return (root / f"{name}.scn").read_text(encoding="utf-8")
 
 
 def load_bundled(name: str) -> Scenario:
-    return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
+    context = name.removesuffix(_BODY_FIXED)
+    if context == name:
+        return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
+    twin = load_bundled(f"{context}{_ENV_REF}")
+    return replace(twin, name=name, strategy=Strategy.BODY_FIXED)
 
 
 def load_scenario(path) -> Scenario:

@@ -54,6 +54,17 @@ class TestValidate:
         assert int(line_no) >= 1 and int(col_no) >= 1
         assert " at trials" in rest
 
+    def test_unreplayable_scene_prints_diagnostics_and_exits_one(self, capsys, tmp_path):
+        # an intermediary on the user used to escape as a DegenerateTarget traceback
+        doc = json.loads((FIXTURES / "static_stationary_env_ref.scn").read_text())
+        next(e for e in doc["entities"] if e["id"] == "poster_sports")["position"] = [0, 0, 0]
+        path = tmp_path / "on_user.scn"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert f"{path}:1:1: invariant at entities: scene cannot be replayed" in out
+        assert err == ""
+
     def test_unreadable_file_exits_two(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "validate", str(tmp_path / "missing.scn"))
         assert code == 2

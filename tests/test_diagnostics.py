@@ -636,3 +636,65 @@ def test_invalid_fixture(case):
     root = resources.files("xrlayout") / "fixtures" / "invalid"
     text = (root / filename).read_text(encoding="utf-8")
     assert rendered(text, source=filename) == expected
+
+
+# Inputs the parser used to accept silently, or to crash on, and now reports:
+# an unknown key in each closed block, a word schedule that does not start at
+# question_start_s, an empty enum string (once read as the default), and a
+# scene that cannot be replayed (an intermediary placed on the user).
+ACCEPTANCE_CHANGES = [
+    (SS, ("surprise",), 1, [
+        'mutant.scn:1:1: schema at surprise: unknown key',
+    ]),
+    (SS, ("fov", "vertical_deg"), 40.0, [
+        'mutant.scn:1:1: schema at fov.vertical_deg: unknown key',
+    ]),
+    (SS, ("placement", "panel_distnace_m"), 3, [
+        'mutant.scn:1:1: schema at placement.panel_distnace_m: unknown key',
+    ]),
+    (DM, ("agent", "speed"), 2.0, [
+        'mutant.scn:1:1: schema at agent.speed: unknown key',
+    ]),
+    (SS, ("entities", 1, "colour"), "red", [
+        'mutant.scn:1:1: schema at entities[1].colour: unknown key',
+    ]),
+    (DM, ("trajectories", "user", "loop"), True, [
+        'mutant.scn:1:1: schema at trajectories.user.loop: unknown key',
+    ]),
+    (SS, ("panels", 0, "title"), "Food", [
+        'mutant.scn:1:1: schema at panels[0].title: unknown key',
+    ]),
+    (DM, ("trials", 1, "answer"), "Chile", [
+        'mutant.scn:1:1: schema at trials[1].answer: unknown key',
+    ]),
+    (DM, ("trials", 1, "question_start_s"), 40.0, [
+        'mutant.scn:1:1: schema at trials[1].word_schedule_s: expected first entry equal to '
+        'question_start_s 40.0, got float 35.0',
+    ]),
+    (SS, ("panels", 0, "immersion"), "", [
+        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
+        "immersion='', expected one of ('non_immersive', 'partially_immersive', "
+        "'fully_immersive')",
+    ]),
+    (SS, ("panels", 0, "modality"), "", [
+        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
+        "modality='', expected one of ('visual', 'audio', 'haptic', 'olfactory', 'hybrid')",
+    ]),
+    (SS, ("panels", 0, "interactivity"), "", [
+        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
+        "interactivity='', expected one of ('none', 'open_close_only', 'full')",
+    ]),
+    (SS, ("entities", 3, "position"), [0.0, 0.0, 0.0], [
+        'mutant.scn:1:1: invariant at entities: user must start equidistant (within 1 cm) from '
+        'all intermediaries, distances poster_food=3.000, poster_movies=3.000, '
+        'poster_sports=0.000',
+        'mutant.scn:1:1: invariant at entities: scene cannot be replayed: angle against a '
+        'near-zero direction',
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", ACCEPTANCE_CHANGES, ids=_case_id)
+def test_acceptance_change(case):
+    name, where, value, expected = case
+    assert rendered(mutate(name, where, value)) == expected

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as SciRot
 
-from xrlayout.errors import DegenerateTarget
+from xrlayout.errors import DegenerateTarget, NonFiniteVector, XRLayoutError
 from xrlayout.frames import USER_BODY, SceneState
 from xrlayout.geometry import (
     DEGENERACY_EPS,
@@ -372,6 +372,12 @@ class TestValueSemantics:
     def test_non_finite_arithmetic_result_rejected(self):
         with pytest.raises(ValueError):
             Vec3(1e308, 0.0, 0.0) * 10.0
+
+    def test_non_finite_is_a_domain_error_and_a_value_error(self):
+        # an overflowed panel size must fail a simulation inside XRLayoutError
+        with pytest.raises(NonFiniteVector) as exc:
+            Vec3(1e308, 0.0, 0.0) * 10.0
+        assert isinstance(exc.value, XRLayoutError) and isinstance(exc.value, ValueError)
 
     def test_degenerate_quaternion_messages(self):
         for comps in ((math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 0.0)):
