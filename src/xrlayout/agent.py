@@ -6,23 +6,31 @@ sample stream derived from it, and document open events.  A trace depends
 only on (scenario, strategy, agent params, seed); two runs with identical
 inputs produce bit-identical traces.
 
-Panels are placed by one path: each session calls its strategy's direct
-placement function from placement.py (environment-referenced through the
-session's own EnvironmentReferencedPlacer, which holds the last pose on
-degenerate frames; world-fixed as the body-fixed layout at t = 0).  Gaze
-segments are laid down by one emitter, _Timeline, which both the session
-phases of _Simulator and search_and_open use.
+A session runs in phases on one simulator, _Simulator: per trial an idle
+approach to the scripted focus, the question, and the search
+(search_and_open), then a settle tail.  Panels are placed by one path:
+each session calls its strategy's direct placement function from
+placement.py (environment-referenced through the session's own
+EnvironmentReferencedPlacer, which holds the last pose on degenerate
+frames; world-fixed as the body-fixed layout at t = 0).  Gaze segments are
+laid down by one emitter, _Timeline.
 
-Only the agent's RNG depends on the seed, so the sessions run on one
-Scenario object share a scene track (_SceneTrack, kept in the scenario's
-private _track slot): the scene states and, per strategy, the panel poses
-at the scripted query times, computed once per scenario and strategy
-instead of once per seed.  The track is invisible in every output.  It
-stores only values that are pure in (scenario, strategy, t), it leaves out
-environment-referenced poses wherever a panel is degenerate (hold-last
-depends on the session's own history there), and it is outside the
-scenario's equality, repr and serialization.  So a session gives the same
-trace and warnings whether the track was cold or warm.
+Only the agent's RNG depends on the seed, and a seed sweep runs many
+sessions on one Scenario object.  So the sessions share a session plan
+(_SessionPlan, kept in the scenario's private _plan slot) that holds every
+value pure in (scenario, strategy, scripted time): the scene states and
+panel poses at the scripted query times, the scripted focus with its head
+position and gaze point, the angle and end direction of each head turn
+between two named gaze points, and the seed-free sort keys of a scan
+route.  The scene stops moving at its last waypoint, so the settle tail
+reuses those values too.  A warm session does only its per-seed work: RNG
+draws, cursor arithmetic, building segments, and handing stored poses to
+the environment-referenced placer.  Anything else (a cursor that overran
+its scripted time, a degenerate placement) is computed on the spot by the
+same code and not stored, so the plan is invisible in every output: a
+session gives the same trace and warnings whether the plan was cold or
+warm.  The plan is outside the scenario's equality, repr and
+serialization.
 
 Behavioral model
 ----------------
@@ -61,8 +69,9 @@ random_seeded policy, which confuses itself with probability
 confusion_prob per rejected panel.
 
 scan_policy is a free parameter of this model (participant scan order was
-not recorded); it is carried in run outputs so results can be read
-against it.
+not recorded).  It is a field of the trace's AgentParams, but run outputs
+(results files, gaze exports) do not carry it yet, so results cannot be
+read against it from the files alone.
 """
 
 from __future__ import annotations
@@ -239,6 +248,7 @@ class TrialTrace:
     t_open: float | None  # correct document opened
     segments: list[GazeSegment]  # slice covering [question_start, dwell end]
     opens: list[OpenEvent]
+    params: AgentParams  # the agent that produced the trace; scoring reads it
 
     def boundary_samples(self) -> list[GazeSample]:
         """Exact-boundary sample stream for metric computation."""
@@ -293,25 +303,55 @@ def _stable_seed(*parts: object) -> int:
 # the idle approach sees the scene just before the question starts.
 IDLE_LEAD_S = 1e-6
 
+# Plan keys of the gaze direction every session starts with and of the
+# settle tail's aim; every other key is built from plan times.
+_START = "start"
+_TAIL = "tail"
+# Default of a plan lookup: None is a stored value (a turn toward a point
+# at the head).
+_MISS = object()
 
-class _SceneTrack:
-    """Seed-independent replay of one scenario, shared by all its sessions.
 
-    Only the agent's RNG depends on the seed.  The scene state and the panel
-    poses at the scripted query times (0.0 and, for each trial, the instant
-    IDLE_LEAD_S before its window, its question start and its question
-    complete) do not, so the track keeps them, filled lazily as sessions
-    first ask for them: a seed sweep computes each state once per scenario,
-    and poses once per (scenario, strategy).  Any other time (the settle
-    tail, a cursor that overran its scripted time) is computed on the spot
-    and never stored, so the track stays bounded by the scripted times
-    however many seeds run.
+class _SessionPlan:
+    """Seed-free work of one scenario's sessions, shared by all of them.
 
-    poses[strategy] maps a scripted time to the panel poses there, or to
-    None when an environment-referenced panel is degenerate at that time;
-    _Simulator._poses_at fills it.  Nothing a session returns depends on
-    whether the track was cold or warm.  The track holds no reference to
-    its scenario; callers pass it.
+    Only the agent's RNG depends on the seed.  Every other value a session
+    computes is pure in (scenario, strategy, scripted time), so the plan
+    keeps it, filled lazily as sessions first ask for it.  Its keys are
+    plan times and symbolic steps, never object identities or
+    seed-dependent floats:
+
+      * a plan time is a scripted query time (0.0 and, for each trial, the
+        instant IDLE_LEAD_S before its window, its question start and its
+        question complete) or rest, the last waypoint time of any
+        trajectory.  Past rest the scene has stopped: state_at(t) has the
+        poses of state_at(rest) bit for bit, so a later time gets rest's
+        poses under its own time (WarningEvent.time reads it);
+      * states: plan time -> scene state;
+      * poses[strategy]: plan time -> panel poses, or None where an
+        environment-referenced panel is degenerate (hold-last depends on
+        the session's own history there);
+      * aims: (time, presenting) -> (focus, head position, gaze point) at a
+        scripted time, for the idle phase (answered, presenting False) and
+        the question phase (presenting True); _TAIL -> the same for the
+        settle tail, whose focus stops depending on its time once the
+        scene has stopped and the last question has started (settled);
+      * turns[strategy]: (from, to) -> (degrees, end direction) of a head
+        turn between two named gaze points, or None when the point is at
+        the head; an aim is named by its key, a panel seen from a plan time
+        by (time, panel id), the start direction by _START;
+      * scan_keys[strategy]: (policy, from, plan time) -> the seed-free
+        sort keys of a scan route (_scan_keys).
+
+    What stays per seed: the RNG draws, the cursor arithmetic, building
+    the segments, and handing stored poses to the environment-referenced
+    placer.  A miss (a time that is not a plan time, which is where a
+    cursor that overran its scripted time lands, or a degenerate
+    placement) computes on the spot by the same code and stores nothing.
+    So the plan stays bounded by the scripted times however many seeds
+    run, and a session gives the same trace and warnings whether the plan
+    was cold or warm.  The plan holds no reference to its scenario;
+    callers pass it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -320,37 +360,86 @@ class _SceneTrack:
             t0, _ = scenario.trial_window(trial.index)
             times.update((t0 - IDLE_LEAD_S, trial.question_start, trial.question_complete))
         self.times = frozenset(times)
+        self.rest = max(
+            [traj.waypoints[-1].time for traj in scenario.trajectories.values()], default=0.0
+        )
+        self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
         self.states: dict[float, SceneState] = {}
+        self.aims: dict[object, tuple[GazeTarget, Vec3, Vec3]] = {}
         self.poses: dict[Strategy, dict[float, dict[str, Pose] | None]] = {
             strategy: {} for strategy in Strategy
         }
+        self.turns: dict[Strategy, dict[tuple, tuple[float, Vec3] | None]] = {
+            strategy: {} for strategy in Strategy
+        }
+        self.scan_keys: dict[Strategy, dict[tuple, tuple]] = {
+            strategy: {} for strategy in Strategy
+        }
+        self.panel_by_category = {
+            scenario.panels[pid].content.topic: pid for pid in scenario.panels
+        }
+        self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
 
     @staticmethod
-    def of(scenario: Scenario) -> "_SceneTrack":
-        """The scenario's track, created on first use."""
-        track = scenario._track
-        if track is None:
-            track = _SceneTrack(scenario)
-            object.__setattr__(scenario, "_track", track)
-        return track
+    def of(scenario: Scenario) -> "_SessionPlan":
+        """The scenario's plan, created on first use."""
+        plan = scenario._plan
+        if plan is None:
+            plan = _SessionPlan(scenario)
+            object.__setattr__(scenario, "_plan", plan)
+        return plan
+
+    def time_of(self, t: float) -> float | None:
+        """The plan time whose scene state t has, or None."""
+        if t in self.times:
+            return t
+        return self.rest if t >= self.rest else None
 
     def state_at(self, scenario: Scenario, t: float) -> SceneState:
-        if t not in self.times:
+        key = self.time_of(t)
+        if key is None:
             return scenario.state_at(t)
-        state = self.states.get(t)
+        state = self.states.get(key)
         if state is None:
-            state = self.states[t] = scenario.state_at(t)
-        return state
+            state = self.states[key] = scenario.state_at(key)
+        return state if key == t else SceneState(t, state.poses)
+
+
+def _planned(table: dict, key, compute):
+    """table[key], computed by compute() on a miss; a key of None is never stored."""
+    if key is None:
+        return compute()
+    value = table.get(key, _MISS)
+    if value is _MISS:
+        value = table[key] = compute()
+    return value
+
+
+def _turn(gaze_dir: Vec3, head: Vec3, point: Vec3) -> tuple[float, Vec3] | None:
+    """(degrees, end direction) of turning gaze_dir toward point from head.
+
+    None when point is at the head: there is no direction to turn to.
+    """
+    d = point - head
+    if d.norm() < 1e-9:
+        return None
+    return math.degrees(angle_between(gaze_dir, d)), d.normalized()
 
 
 class _Timeline:
-    """Gaze segments laid end to end from a cursor, plus the gaze direction."""
+    """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
-    def __init__(self, start: float, gaze_dir: Vec3, yaw_rate_deg_s: float):
+    facing is the plan key of the gaze direction (None when it has none);
+    turns is the plan's head-turn table for the session's strategy.
+    """
+
+    def __init__(self, start: float, gaze_dir: Vec3, facing, yaw_rate_deg_s: float, turns: dict):
         self.segments: list[GazeSegment] = []
         self.cursor = start
         self.gaze_dir = gaze_dir
+        self.facing = facing
         self.yaw_rate_deg_s = yaw_rate_deg_s
+        self.turns = turns
 
     def until(self, t1: float, target: GazeTarget) -> None:
         """Hold target from the cursor to t1 (nothing unless t1 is later)."""
@@ -364,22 +453,26 @@ class _Timeline:
             self.segments.append(GazeSegment(self.cursor, self.cursor + duration, target))
             self.cursor += duration
 
-    def travel(self, head: Vec3, point: Vec3, deadline: float | None = None) -> None:
+    def travel(self, head: Vec3, point: Vec3, deadline: float | None = None, key=None) -> None:
         """Turn the gaze from head toward point, gazing at nothing meanwhile.
 
         The turn takes the geodesic angle at yaw_rate_deg_s, cut short at
-        deadline; the gaze direction ends on point either way.
+        deadline; the gaze direction ends on point either way.  key is the
+        plan key of (head, point), None when they have none; when both it
+        and the current direction have one, the turn comes from the plan.
         """
-        d = point - head
-        if d.norm() < 1e-9:
+        step = None if key is None or self.facing is None else (self.facing, key)
+        turn = _planned(self.turns, step, lambda: _turn(self.gaze_dir, head, point))
+        if turn is None:
             return
-        dt = math.degrees(angle_between(self.gaze_dir, d)) / self.yaw_rate_deg_s
+        degrees, self.gaze_dir = turn
+        self.facing = key
+        dt = degrees / self.yaw_rate_deg_s
         if deadline is not None:
             dt = min(dt, max(0.0, deadline - self.cursor))
         if dt > 1e-12:
             self.segments.append(GazeSegment(self.cursor, self.cursor + dt, NoGaze()))
             self.cursor += dt
-        self.gaze_dir = d.normalized()
 
 
 def _direct_placement(strategy: Strategy, scenario: Scenario):
@@ -412,8 +505,9 @@ class _Simulator:
         self.strategy = strategy
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
-        self.track = _SceneTrack.of(scenario)
-        self.poses = self.track.poses[strategy]
+        self.plan = plan = _SessionPlan.of(scenario)
+        self.poses = plan.poses[strategy]
+        self.scan_keys = plan.scan_keys[strategy]
         self.placer: EnvironmentReferencedPlacer | None = None
         self.warnings: list[WarningEvent] = []
         if strategy is Strategy.ENVIRONMENT_REFERENCED:
@@ -422,17 +516,22 @@ class _Simulator:
             self.place = self.placer.place
         else:
             self.place = _direct_placement(strategy, scenario)
-        self.line = _Timeline(0.0, Vec3(0.0, 0.0, -1.0), params.yaw_rate_deg_s)
+        self.line = _Timeline(
+            0.0, Vec3(0.0, 0.0, -1.0), _START, params.yaw_rate_deg_s, plan.turns[strategy]
+        )
         self.opens: list[OpenEvent] = []
-        self.panel_by_category = {
-            scenario.panels[pid].content.topic: pid for pid in scenario.panels
-        }
+        self.panel_by_category = plan.panel_by_category
+        # Where the panel sits is known without a header search: given by
+        # its intermediary, or recalled in the static stationary room.
+        self.direct = strategy in (Strategy.ENVIRONMENT_REFERENCED, Strategy.OBJECT_FIXED) or (
+            scenario.context == "static_stationary"
+        )
 
     def _state_at(self, t: float) -> SceneState:
-        return self.track.state_at(self.scn, t)
+        return self.plan.state_at(self.scn, t)
 
     def _poses_at(self, state: SceneState) -> dict[str, Pose]:
-        """Panel poses at state, through the shared track at scripted times.
+        """Panel poses at state, through the plan at plan times.
 
         World-fixed panels freeze at the session-start body-fixed
         arrangement (there is no other sensible world pose to give them
@@ -442,27 +541,39 @@ class _Simulator:
         The environment-referenced placer holds the last pose on degenerate
         states, so its result depends on the session's query history.  On a
         state where no panel is degenerate it does not: it equals the pure
-        placement, and storing it is safe.  A cache hit still hands the
+        placement, and storing it is safe.  A plan hit still hands the
         poses to the placer, so later degenerate states hold exactly what
-        they would have held without the track; a degenerate state always
+        they would have held without the plan; a degenerate state always
         goes through the placer, so each session records its own warnings.
         """
         if self.strategy is Strategy.WORLD_FIXED:
             state = self._state_at(0.0)
-        t = state.time
-        if t not in self.track.times:
+        key = self.plan.time_of(state.time)
+        if key is None:
             return self.place(state)
-        poses = self.poses.get(t)
+        poses = self.poses.get(key)
         if poses is not None:
             if self.placer is not None:
                 self.placer.remember(poses)
             return poses
-        if t in self.poses:  # degenerate here
+        if key in self.poses:  # degenerate here
             return self.place(state)
         held = len(self.warnings)
         poses = self.place(state)
-        self.poses[t] = poses if len(self.warnings) == held else None
+        self.poses[key] = poses if len(self.warnings) == held else None
         return poses
+
+    def _view_time(self, t: float) -> float | None:
+        """Plan time that names the panels as seen from t, or None.
+
+        Asked after _poses_at: None also where the poses there are not
+        stored, since a degenerate state's held poses are the session's own.
+        """
+        key = self.plan.time_of(t)
+        if key is None:
+            return None
+        at = 0.0 if self.strategy is Strategy.WORLD_FIXED else key
+        return key if self.poses.get(at) is not None else None
 
     def _gaze_point(self, state: SceneState, target: GazeTarget, panels) -> Vec3 | None:
         if isinstance(target, NoGaze):
@@ -491,7 +602,7 @@ class _Simulator:
             seg_start = len(line.segments)
             self._idle_phase(t0)
             self._question_phase(trial)
-            t_open = self._search_phase(trial)
+            t_open = search_and_open(self, trial)
             trial_traces.append(
                 TrialTrace(
                     trial=trial,
@@ -501,14 +612,12 @@ class _Simulator:
                         s for s in line.segments[seg_start:] if s.t1 > t0
                     ],
                     opens=[o for o in self.opens if t0 <= o.t <= line.cursor],
+                    params=self.params,
                 )
             )
         # settle tail so the final fixation has somewhere to live
-        tail_state = self._state_at(line.cursor)
-        tail_focus = focus_target(tail_state, scn, line.cursor, answered_at=line.cursor)
-        tail_point = self._gaze_point(tail_state, tail_focus, self._poses_at(tail_state))
-        line.travel(tail_state.pose_of(USER_HEAD).position, tail_point)
-        line.dwell(2.0, tail_focus)
+        t = line.cursor
+        line.dwell(2.0, self._look(t, t, _TAIL if t >= self.plan.settled else None))
         return SessionTrace(
             scenario_name=scn.name,
             context=scn.context,
@@ -521,92 +630,69 @@ class _Simulator:
             duration=line.cursor,
         )
 
+    def _look(self, t: float, answered_at: float | None, key, deadline: float | None = None):
+        """Turn toward the scripted focus at t; returns the focus.
+
+        key is the plan key of the aim at t, None where it has none.
+        """
+        state = self._state_at(t)
+        panels = self._poses_at(state)  # on a plan hit too: the placer takes them
+
+        def aim():
+            focus = focus_target(state, self.scn, t, answered_at=answered_at)
+            return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus, panels)
+
+        focus, head, point = _planned(self.plan.aims, key, aim)
+        self.line.travel(head, point, deadline, key)
+        return focus
+
     def _idle_phase(self, until: float) -> None:
         line = self.line
         if until <= line.cursor:
             return
         t = max(line.cursor, until - IDLE_LEAD_S)
-        state = self._state_at(t)
-        focus = focus_target(state, self.scn, t, answered_at=line.cursor)
-        point = self._gaze_point(state, focus, self._poses_at(state))
-        line.travel(state.pose_of(USER_HEAD).position, point, deadline=until)
-        line.until(until, focus)
+        # at or after the cursor, so answered whatever the cursor was
+        key = (t, False) if t in self.plan.times else None
+        line.until(until, self._look(t, line.cursor, key, deadline=until))
 
     def _question_phase(self, trial: Trial) -> None:
-        state = self._state_at(trial.question_start)
-        focus = focus_target(state, self.scn, trial.question_start)
-        point = self._gaze_point(state, focus, self._poses_at(state))
-        self.line.travel(
-            state.pose_of(USER_HEAD).position, point, deadline=trial.question_complete
-        )
+        t = trial.question_start
+        focus = self._look(t, None, (t, True), deadline=trial.question_complete)
         self.line.until(trial.question_complete, focus)
 
-    def _search_phase(self, trial: Trial) -> float:
-        """Find the category panel, then the country document; open it."""
-        scn = self.scn
-        line = self.line
-        state = self._state_at(line.cursor)
-        segments, opens, t_open, end_dir = search_and_open(
-            state=state,
-            trial=trial,
-            params=self.params,
-            strategy=self.strategy,
-            panels=self._poses_at(state),
-            panel_by_category=self.panel_by_category,
-            intermediaries=scn.intermediaries,
-            context=scn.context,
-            start_time=line.cursor,
-            gaze_dir=line.gaze_dir,
-            rng=self.rng,
-        )
-        line.segments.extend(segments)
-        if segments:
-            line.cursor = segments[-1].t1
-        line.gaze_dir = end_dir
-        self.opens.extend(opens)
-        return t_open
 
+def search_and_open(sim: _Simulator, trial: Trial) -> float:
+    """Post-question navigation for one trial of a session.
 
-def search_and_open(
-    *,
-    state: SceneState,
-    trial: Trial,
-    params: AgentParams,
-    strategy: Strategy,
-    panels: Mapping[str, Pose],
-    panel_by_category: Mapping[str, str],
-    intermediaries: Mapping[str, str],
-    context: str,
-    start_time: float,
-    gaze_dir: Vec3,
-    rng: random.Random,
-) -> tuple[list[GazeSegment], list[OpenEvent], float, Vec3]:
-    """Post-question navigation for one trial.
-
-    Returns (segments, open events, time of the correct open, final gaze
-    direction).  Starts at start_time, which must be at or after the
-    question's full presentation; the agent never touches a document
-    earlier than that.
+    Finds the category panel, then the country document, and opens it:
+    lays the segments onto the session's timeline from its cursor, records
+    the open events, and returns the time of the correct open.  The cursor
+    must be at or after the question's full presentation; the agent never
+    touches a document earlier than that.
     """
+    line, params, rng = sim.line, sim.params, sim.rng
+    state = sim._state_at(line.cursor)
+    panels = sim._poses_at(state)
+    at = sim._view_time(state.time)
     head = state.pose_of(USER_HEAD).position
-    line = _Timeline(start_time, gaze_dir, params.yaw_rate_deg_s)
-    opens: list[OpenEvent] = []
 
     target_cat = trial.category
-    target_pid = panel_by_category[target_cat]
+    target_pid = sim.panel_by_category[target_cat]
     row, col = grid_cell(target_cat, trial.country)
-    cat_of = {pid: c for c, pid in panel_by_category.items()}
+    cat_of = sim.plan.category_of
 
-    direct = strategy in (Strategy.ENVIRONMENT_REFERENCED, Strategy.OBJECT_FIXED) or (
-        context == "static_stationary"
-    )
-    if direct:
+    if sim.direct:
         route = [target_pid]
     else:
-        route = _scan_route(panels, target_pid, head, line.gaze_dir, params, rng)
+        policy, facing = params.scan_policy, line.facing
+        step = None if at is None or facing is None else (policy, facing, at)
+        keys = _planned(
+            sim.scan_keys, step, lambda: _scan_keys(panels, head, line.gaze_dir, policy)
+        )
+        route = _scan_route(keys, target_pid, params, rng)
 
     for pid in route:
-        line.travel(head, panels[pid].position)
+        line.travel(head, panels[pid].position, key=None if at is None else (at, pid))
         if pid != target_pid:
             # read the header, reject, move on
             line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))
@@ -617,7 +703,7 @@ def search_and_open(
                 # confusion: opens the same-lettered cell on the wrong panel
                 wrow, wcol = grid_cell(cat_of[pid], trial.country)
                 line.dwell(params.fixation_min, DocumentGaze(cat_of[pid], wrow, wcol))
-                opens.append(
+                sim.opens.append(
                     OpenEvent(line.cursor, cat_of[pid], trial.country, wrow, wcol, False)
                 )
             continue
@@ -632,37 +718,29 @@ def search_and_open(
         jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
         line.dwell(confirm + jitter, DocumentGaze(target_cat, row, col))
         t_open = t_fix + confirm
-        opens.append(OpenEvent(t_open, target_cat, trial.country, row, col, True))
-        return line.segments, opens, t_open, line.gaze_dir
+        sim.opens.append(OpenEvent(t_open, target_cat, trial.country, row, col, True))
+        return t_open
 
     raise XRLayoutError("scan route never reached the target panel")
 
 
-def _scan_route(
-    panels: Mapping[str, Pose],
-    target_pid: str,
-    head: Vec3,
-    cur_dir: Vec3,
-    params: AgentParams,
-    rng: random.Random,
-) -> list[str]:
-    """Candidate visiting order; always ends no later than the target."""
+def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: str) -> tuple:
+    """Seed-free part of a scan route: the panel ids with their sort keys.
+
+    random_seeded: the ids, in sorted order, for the seeded shuffle.
+    nearest_panel_first: (rounded deviation from cur_dir, id) in sorted id
+    order; seeded draws break the ties.  bearing_order: the whole route,
+    by horizontal angle from the current heading, nearest absolute bearing
+    first, leftward on ties.
+    """
     pids = sorted(panels)
-    if params.scan_policy == "random_seeded":
-        order = list(pids)
-        rng.shuffle(order)
-        return _truncate(order, target_pid)
+    if policy == "random_seeded":
+        return tuple(pids)
+    if policy == "nearest_panel_first":
+        return tuple(
+            (round(angle_between(cur_dir, panels[pid].position - head), 9), pid) for pid in pids
+        )
 
-    def deviation(pid: str) -> float:
-        return angle_between(cur_dir, panels[pid].position - head)
-
-    if params.scan_policy == "nearest_panel_first":
-        # ties (symmetric left/right layouts) break by seeded draw
-        keyed = sorted(pids, key=lambda p: (round(deviation(p), 9), rng.random()))
-        return _truncate(keyed, target_pid)
-
-    # bearing_order: sweep by horizontal angle from the current heading,
-    # nearest absolute bearing first, leftward on ties.
     def signed_bearing(pid: str) -> float:
         v = (panels[pid].position - head).horizontal()
         f = cur_dir.horizontal()
@@ -670,11 +748,27 @@ def _scan_route(
         side = f.cross(v).y  # +y cross means target is to the left here
         return -ang if side > 0 else ang
 
-    keyed = sorted(pids, key=lambda p: (round(abs(signed_bearing(p)), 9), signed_bearing(p)))
-    return _truncate(keyed, target_pid)
+    return tuple(
+        sorted(pids, key=lambda p: (round(abs(signed_bearing(p)), 9), signed_bearing(p)))
+    )
 
 
-def _truncate(order: list[str], target_pid: str) -> list[str]:
+def _scan_route(keys: tuple, target_pid: str, params: AgentParams, rng: random.Random) -> list[str]:
+    """Candidate visiting order; always ends no later than the target."""
+    if params.scan_policy == "random_seeded":
+        order = list(keys)
+        rng.shuffle(order)
+    elif params.scan_policy == "nearest_panel_first":
+        # ties (symmetric left/right layouts) break by seeded draw, one per
+        # panel in sorted id order; ids are distinct, so sorting the triples
+        # orders exactly as a stable sort on (deviation, draw) would
+        order = [pid for _, _, pid in sorted((dev, rng.random(), pid) for dev, pid in keys)]
+    else:
+        order = keys
+    return _truncate(order, target_pid)
+
+
+def _truncate(order, target_pid: str) -> list[str]:
     out = []
     for pid in order:
         out.append(pid)

@@ -152,8 +152,15 @@ def trial_metrics(
     *,
     context: str,
     strategy: str,
-    min_fixation: float = DEFAULT_MIN_FIXATION_S,
+    min_fixation: float | None = None,
 ) -> TrialMetrics:
+    """One trial's metrics.
+
+    min_fixation defaults to the fixation threshold of the agent that
+    produced the trace, so a trial scores under the dwell that opened it.
+    """
+    if min_fixation is None:
+        min_fixation = trace.params.fixation_min
     samples = trace.boundary_samples()
     end = trace.segments[-1].t1 if trace.segments else trace.t_complete
     nav = navigation_time(samples, trace.trial, end_time=end, min_fixation=min_fixation)
@@ -177,8 +184,11 @@ def trial_metrics(
 def session_metrics(
     trace: SessionTrace,
     *,
-    min_fixation: float = DEFAULT_MIN_FIXATION_S,
+    min_fixation: float | None = None,
 ) -> list[TrialMetrics]:
+    """Per-trial metrics; min_fixation defaults to the agent's threshold."""
+    if min_fixation is None:
+        min_fixation = trace.params.fixation_min
     return [
         trial_metrics(
             t,

@@ -25,7 +25,7 @@ that is the only route the simulator takes.  Body-fixed and
 environment-referenced panels are kept upright (no vertical tilt): they
 yaw to face the user's body position at eye height, with world up as
 their up axis.  The direct functions are pure, so callers may keep their
-results; the agent's seed-shared scene track does, per scenario and
+results; the agent's seed-shared session plan does, per scenario and
 strategy.  The one stateful piece is EnvironmentReferencedPlacer: it holds
 the last valid pose for degenerate frames (user standing exactly on an
 intermediary), so its result depends on the history of its calls.  That

@@ -244,10 +244,10 @@ class Scenario:
     trials: tuple[Trial, ...]
     agent: Mapping[str, object] = field(default_factory=dict)
     metadata: Mapping[str, object] = field(default_factory=dict)
-    # The agent's seed-shared scene track (agent._SceneTrack), created on
+    # The agent's seed-shared session plan (agent._SessionPlan), created on
     # the first simulated session.  Outside equality, repr and to_dict;
     # replace() starts the copy without one.
-    _track: object = field(default=None, init=False, repr=False, compare=False)
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
     # Not a field: the schema version every scenario is written under.
     schema = SCHEMA_VERSION
 

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,8 @@ from xrlayout.geometry import Pose, Vec3, yaw_rotation
 from xrlayout.metrics import aggregate, results_to_json, session_metrics
 from xrlayout.placement import Strategy
 from xrlayout.scenario import (
+    SCAN_POLICIES,
+    Scenario,
     bundled_scenario_names,
     bundled_scenario_text,
     grid_cell,
@@ -358,10 +361,66 @@ def degenerate_walk_scenario():
     return parse_scenario(json.dumps(doc))
 
 
-def track_entries(scn):
-    """States and pose sets stored in a scenario's scene track."""
-    track = scn._track
-    return len(track.states) + sum(len(poses) for poses in track.poses.values())
+def plan_entries(scn):
+    """Entries in every table of a scenario's session plan."""
+    plan = scn._plan
+    per_strategy = (plan.poses, plan.turns, plan.scan_keys)
+    return len(plan.states) + len(plan.aims) + sum(
+        len(table) for tables in per_strategy for table in tables.values()
+    )
+
+
+def edited_session(name, agent_block=(), user_waypoint=None):
+    """A bundled session's text with agent keys set and a user waypoint added."""
+    doc = json.loads(bundled_scenario_text(name))
+    doc["agent"].update(agent_block)
+    if user_waypoint is not None:
+        doc["trajectories"]["user"]["waypoints"].append(user_waypoint)
+    return json.dumps(doc)
+
+
+# Sessions that ask for values no plan key covers.
+OFF_PLAN = {
+    # a slow, cell-by-cell grid scan: each search lasts longer than the gap
+    # to the next question while the user walks (or turns), so the next
+    # search starts at an overrun cursor that differs by seed
+    "search past the next window": edited_session(
+        "dynamic_mobile_env_ref",
+        {"per_cell_scan_time_s": 4.0, "known_grid": False},
+        user_waypoint=[400.0, [2.0, 0.0, 1.0], 90.0],
+    ),
+    "search past the next window, user turning": edited_session(
+        "dynamic_stationary_env_ref", {"per_cell_scan_time_s": 2.5, "known_grid": False}
+    ),
+    # trial 0's search ends 0.5 us before trial 1's question starts, so the
+    # idle phase queries the scene at the cursor, inside its lead (the
+    # per-cell time is solved from the search's fixed part; no jitter)
+    "idle inside its lead": edited_session(
+        "dynamic_stationary_env_ref",
+        {"per_cell_scan_time_s": 1.3284788956674087, "known_grid": False, "dwell_jitter_s": 0.0},
+    ),
+    # the user is still walking when the settle tail starts
+    "tail while the scene moves": edited_session(
+        "dynamic_mobile_env_ref", user_waypoint=[400.0, [2.0, 0.0, 1.0], 90.0]
+    ),
+}
+
+
+def key_times(key):
+    """Every float inside a plan key."""
+    if isinstance(key, float):
+        yield key
+    elif isinstance(key, tuple):
+        for part in key:
+            yield from key_times(part)
+
+
+def assert_keys_are_plan_times(plan):
+    """Plan keys hold only plan times (scripted times and rest), no cursor."""
+    tables = [plan.states, plan.aims]
+    tables += [t for by in (plan.poses, plan.turns, plan.scan_keys) for t in by.values()]
+    used = {t for table in tables for key in table for t in key_times(key)}
+    assert used <= plan.times | {plan.rest}, sorted(used - plan.times - {plan.rest})
 
 
 def record_poses(monkeypatch):
@@ -401,19 +460,80 @@ class TestSceneTrack:
                 for strategy in Strategy:
                     simulate_session(scn, strategy=strategy, seed=seed)
                 if seed == 4:
-                    after_five = track_entries(scn)
-            assert track_entries(scn) == after_five, name
-            # one state per scripted time, one pose set per strategy and time
-            assert after_five <= len(scn._track.times) * (1 + len(Strategy))
+                    after_five = plan_entries(scn)
+            assert plan_entries(scn) == after_five, name
+            # one state per plan time (the scripted times and rest), one pose
+            # set per strategy and plan time, two aims per scripted time and
+            # the tail's
+            plan = scn._plan
+            assert len(plan.states) <= len(plan.times) + 1
+            assert all(len(p) <= len(plan.times) + 1 for p in plan.poses.values())
+            assert len(plan.aims) <= 2 * len(plan.times) + 1
+            assert_keys_are_plan_times(plan)
+
+    def test_scene_at_rest_keeps_the_poses_of_rest(self):
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            rest = agent._SessionPlan(scn).rest
+            # every settle tail starts past rest, so it reuses rest's poses
+            assert rest < max(t.question_complete for t in scn.trials), name
+            want = scn.state_at(rest).poses
+            for t in (rest + 1e-9, rest + 0.5, rest + 7.25, scn.duration, 1e6):
+                state = scn.state_at(t)
+                assert state.time == t
+                assert state.poses == want, (name, t)
+
+    @pytest.mark.parametrize("case", sorted(OFF_PLAN))
+    def test_off_plan_sessions_give_the_same_output_cold_and_warm(self, case, monkeypatch):
+        asked = []
+        original = Scenario.state_at
+        monkeypatch.setattr(
+            Scenario, "state_at", lambda self, t: asked.append(t) or original(self, t)
+        )
+        scn = parse_scenario(OFF_PLAN[case])
+        trace = simulate_session(scn, seed=1)
+        monkeypatch.undo()
+        plan = scn._plan
+        off_plan = [t for t in asked if plan.time_of(t) is None]
+        starts = [t.question_start for t in scn.trials]
+        if case.startswith("search past the next window"):
+            assert any(tt.t_open > end for tt, end in zip(trace.trials, starts[1:]))
+            assert off_plan
+        elif case == "idle inside its lead":
+            assert [t for t in off_plan if any(s - agent.IDLE_LEAD_S < t < s for s in starts)]
+        else:
+            assert trace.trials[-1].segments[-1].t1 < plan.rest
+        warm = parse_scenario(OFF_PLAN[case])
+        for seed in (0, 2, 5):
+            for strategy in Strategy:
+                simulate_session(warm, strategy=strategy, seed=seed)
+        for strategy in Strategy:
+            for seed in (1, 7):
+                cold = parse_scenario(OFF_PLAN[case])
+                assert simulate_session(warm, strategy=strategy, seed=seed) == simulate_session(
+                    cold, strategy=strategy, seed=seed
+                ), (strategy, seed)
+        assert_keys_are_plan_times(warm._plan)
+
+    def test_sessions_with_other_agent_params_share_the_plan(self):
+        scn = load_bundled("dynamic_mobile_body_fixed")
+        base = AgentParams.from_mapping(scn.agent)
+        policies = sorted(SCAN_POLICIES)
+        for policy in policies:
+            params = replace(base, scan_policy=policy, yaw_rate_deg_s=90.0)
+            cold = simulate_session(load_bundled("dynamic_mobile_body_fixed"), params, seed=3)
+            for other in policies:
+                simulate_session(scn, replace(base, scan_policy=other), seed=4)
+            assert simulate_session(scn, params, seed=3) == cold, policy
 
     def test_track_stays_out_of_equality_and_serialization(self):
         scn = load_bundled("static_mobile_env_ref")
         text = serialize_scenario(scn)
         simulate_session(scn, seed=1)
-        assert scn._track is not None
+        assert scn._plan is not None
         assert scn == load_bundled("static_mobile_env_ref")
         assert serialize_scenario(scn) == text
-        assert "_track" not in repr(scn)
+        assert "_plan" not in repr(scn)
 
     def test_degenerate_hold_last_is_per_session(self, monkeypatch):
         seen = record_poses(monkeypatch)
@@ -435,6 +555,13 @@ class TestSceneTrack:
             assert warm_warnings[1].time > 137.5
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
+        # held poses are the session's own: no turn or scan key names them
+        plan = warm._plan
+        env_ref = Strategy.ENVIRONMENT_REFERENCED
+        degenerate = {t for t, poses in plan.poses[env_ref].items() if poses is None}
+        assert 62.25 in degenerate
+        keys = [*plan.turns[env_ref], *plan.scan_keys[env_ref]]
+        assert not {t for key in keys for t in key_times(key)} & degenerate
 
 
 class TestOnePlacementPath:

@@ -38,7 +38,7 @@ from xrlayout.metrics import (
     trials_from_csv,
     trials_to_csv,
 )
-from xrlayout.scenario import Trial, grid_cell, load_bundled
+from xrlayout.scenario import Trial, bundled_scenario_text, grid_cell, load_bundled, parse_scenario
 
 
 def make_trial(category="sports", country="Japan", start=10.0, near=None):
@@ -206,6 +206,21 @@ class TestSessionMetrics:
             for tt in trace.trials
         ]
         assert all(r.navigation_time_s >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("fixation_min_s", [0.1, 1e-6])
+    def test_scoring_follows_the_agent_fixation_threshold(self, fixation_min_s):
+        doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
+        doc["agent"]["fixation_min_s"] = fixation_min_s
+        trace = simulate_session(parse_scenario(json.dumps(doc)))
+        rows = session_metrics(trace)
+        for row, tt in zip(rows, trace.trials):
+            # the document opens one threshold into the scoring fixation
+            t_fix = tt.t_open - fixation_min_s
+            assert row.navigation_time_s == pytest.approx(t_fix - tt.t_complete, abs=1e-9)
+            assert trial_metrics(tt, context=row.context, strategy=row.strategy) == row
+        # an explicit threshold still wins: the opening dwell is shorter
+        with pytest.raises(IncompleteTrial):
+            session_metrics(trace, min_fixation=0.15)
 
     def test_aggregate_pinned_statistics(self):
         def row(i, nav, sw):

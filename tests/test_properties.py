@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from xrlayout import designspace
 from xrlayout.agent import simulate_session
 from xrlayout.errors import ScenarioError, XRLayoutError
-from xrlayout.metrics import session_metrics
+from xrlayout.metrics import aggregate, results_to_json, session_metrics
 from xrlayout.placement import Strategy
 from xrlayout.scenario import (
     _SCENARIO,
@@ -246,16 +246,29 @@ def test_parsing_a_redrawn_document_raises_only_scenario_errors_and_round_trips(
         assert serialize_scenario(parse_scenario(canon)) == canon
 
 
+def session_output(scn, strategy, seed):
+    """A session's results file bytes and warnings, or the XRLayoutError it raised."""
+    try:
+        trace = simulate_session(scn, strategy=strategy, seed=seed)
+        rows = session_metrics(trace)
+        text = results_to_json([aggregate(rows, seed=seed)], rows, meta={"seed": seed})
+    except XRLayoutError as exc:
+        return type(exc), str(exc)
+    return text, trace.warnings
+
+
 @settings(max_examples=200, **RUN)
 @given(documents(RUN_LEAF))
 def test_parsed_scenario_simulates_and_scores_under_every_strategy(text):
+    """Also: a plan warmed by other seeds gives the output of a fresh parse."""
     scn = parsed(text)
     assume(scn is not None)
     for strategy in Strategy:
-        try:
-            session_metrics(simulate_session(scn, strategy=strategy))
-        except XRLayoutError:
-            pass
+        for seed in (1, 2):
+            session_output(scn, strategy, seed)
+        assert session_output(scn, strategy, 7) == session_output(
+            parse_scenario(text), strategy, 7
+        ), strategy
 
 
 def test_extreme_panel_aspect_ratio_fails_inside_xrlayout_error():
