@@ -84,6 +84,7 @@ from .metrics import (
     classify_relevance,
     error_events,
     gaze_switches,
+    gaze_to_csv,
     navigation_time,
     results_from_json,
     results_to_json,

@@ -79,6 +79,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping
@@ -93,7 +94,16 @@ from .placement import (
     place_head_fixed,
     place_object_fixed,
 )
-from .scenario import AGENT_ROWS, GRID_COLS, GRID_ROWS, SCAN_POLICIES, Scenario, Trial, grid_cell
+from .scenario import (
+    AGENT_ROWS,
+    GRID_COLS,
+    SCAN_POLICIES,
+    TICK_RATE_RULE,
+    Scenario,
+    Trial,
+    grid_cell,
+    valid_tick_rate,
+)
 
 # Vertical offset from an intermediary's floor anchor to where people
 # actually look at it (a host's face, a poster's center).
@@ -270,25 +280,83 @@ class SessionTrace:
     def tick_samples(self, tick_hz: float | None = None) -> list[GazeSample]:
         """Fixed-rate stream over the whole session (strictly increasing t).
 
-        tick_hz=None uses the session's params rate; any other rate must be
-        a finite number above zero, else ValueError.
+        Tick k, at k * (1 / hz), samples the segment in force then; there
+        are ceil(duration * hz) ticks, at least one.  tick_hz=None uses the
+        session's params rate; every rate must satisfy valid_tick_rate, else
+        ValueError.  The CLI's gaze export, metrics.gaze_to_csv, writes this
+        stream run by run from the same runs, without building the samples.
         """
-        if tick_hz is None:
-            hz = self.params.tick_hz
-        elif math.isfinite(tick_hz) and tick_hz > 0:
-            hz = tick_hz
-        else:
-            raise ValueError(f"tick rate must be a finite number above zero, got {tick_hz!r}")
-        dt = 1.0 / hz
-        out: list[GazeSample] = []
-        seg_i = 0
+        grid, _, runs = self._tick_runs(tick_hz)
+        times = grid.times
+        return [GazeSample(times[k], target) for a, b, target in runs for k in range(a, b)]
+
+    def _tick_runs(self, tick_hz: float | None) -> tuple[_TickGrid, int, list[tuple]]:
+        """(grid, n, runs): the n ticks as runs (a, b, target), ticks a..b-1 on target.
+
+        A segment holds the ticks from where the previous one stopped up to
+        its end t1 (bisect_left: a tick at t1 belongs to the next segment),
+        and the last segment takes the rest.  Empty runs are left out.
+        """
+        hz = self.params.tick_hz if tick_hz is None else tick_hz
+        if not valid_tick_rate(hz):
+            raise ValueError(f"expected {TICK_RATE_RULE}, got {hz!r}")
         n = max(1, int(math.ceil(self.duration * hz)))
-        for k in range(n):
-            t = k * dt
-            while seg_i + 1 < len(self.segments) and t >= self.segments[seg_i].t1:
-                seg_i += 1
-            out.append(GazeSample(t, self.segments[seg_i].target))
-        return out
+        grid = _tick_grid(hz, n)
+        times = grid.times_to(n)
+        runs = []
+        a = 0
+        last = len(self.segments) - 1
+        for i, seg in enumerate(self.segments):
+            b = n if i == last else bisect_left(times, seg.t1, a, n)
+            if b > a:
+                runs.append((a, b, seg.target))
+                a = b
+        return grid, n, runs
+
+
+class _TickGrid:
+    """Tick times k * (1 / hz) of one rate, and their repr, grown on demand."""
+
+    def __init__(self, hz: float):
+        self.dt = 1.0 / hz
+        self.times: list[float] = []
+        self.text: list[str] = []
+
+    def times_to(self, n: int) -> list[float]:
+        """The grid's times, at least n of them."""
+        times, dt = self.times, self.dt
+        if len(times) < n:
+            times.extend([k * dt for k in range(len(times), n)])
+        return times
+
+    def text_to(self, n: int) -> list[str]:
+        """repr of the grid's times, at least n of them (times_to(n) ran first)."""
+        text = self.text
+        if len(text) < n:
+            text.extend(map(repr, self.times[len(text) : n]))
+        return text
+
+
+# Every session sampled at one rate shares that rate's grid, so a process
+# computes and formats each tick time once.  A process uses a rate or two
+# (the params rate, --tick-hz); beyond _TICK_GRID_RATES rates the oldest
+# grid is dropped, and a stream longer than _TICK_GRID_TICKS (about 12 MB
+# of times and text) gets a grid of its own, so neither many rates nor a
+# high one keeps memory after the export.
+_TICK_GRIDS: dict[float, _TickGrid] = {}
+_TICK_GRID_RATES = 4
+_TICK_GRID_TICKS = 1 << 17
+
+
+def _tick_grid(hz: float, n: int) -> _TickGrid:
+    if n > _TICK_GRID_TICKS:
+        return _TickGrid(hz)
+    grid = _TICK_GRIDS.get(hz)
+    if grid is None:
+        if len(_TICK_GRIDS) >= _TICK_GRID_RATES:
+            del _TICK_GRIDS[next(iter(_TICK_GRIDS))]
+        grid = _TICK_GRIDS[hz] = _TickGrid(hz)
+    return grid
 
 
 def _stable_seed(*parts: object) -> int:
@@ -484,14 +552,6 @@ def _direct_placement(strategy: Strategy, scenario: Scenario):
     return partial(place, bearings=scenario.body_bearings, params=params)
 
 
-def document_center(panel_pose: Pose, row: int, col: int) -> Vec3:
-    """World center of a grid cell on a panel (4 rows x 7 columns)."""
-    width, height = panel_pose.scale.x, panel_pose.scale.y
-    dx = (col - (GRID_COLS - 1) / 2.0) * (width / GRID_COLS)
-    dy = ((GRID_ROWS - 1) / 2.0 - row) * (height / GRID_ROWS)
-    return panel_pose.apply_to_point(Vec3(dx, dy, 0.0))
-
-
 class _Simulator:
     def __init__(
         self,
@@ -575,21 +635,12 @@ class _Simulator:
         at = 0.0 if self.strategy is Strategy.WORLD_FIXED else key
         return key if self.poses.get(at) is not None else None
 
-    def _gaze_point(self, state: SceneState, target: GazeTarget, panels) -> Vec3 | None:
-        if isinstance(target, NoGaze):
-            return None
+    def _gaze_point(self, state: SceneState, target: ScreenGaze | IntermediaryGaze) -> Vec3:
+        """Where the eyes rest on a scripted focus (what focus_target returns)."""
         if isinstance(target, ScreenGaze):
             screen = next(e for e in self.scn.entities if e.kind == "screen")
             return state.pose_of(screen.id).position
-        if isinstance(target, IntermediaryGaze):
-            base = state.pose_of(target.entity_id).position
-            return base + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
-        if isinstance(target, PanelGaze):
-            return panels[self.panel_by_category[target.category]].position
-        if isinstance(target, DocumentGaze):
-            pose = panels[self.panel_by_category[target.category]]
-            return document_center(pose, target.row, target.col)
-        raise XRLayoutError(f"no gaze point for {target!r}")
+        return state.pose_of(target.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
 
     # -- phases ---------------------------------------------------------
 
@@ -636,11 +687,11 @@ class _Simulator:
         key is the plan key of the aim at t, None where it has none.
         """
         state = self._state_at(t)
-        panels = self._poses_at(state)  # on a plan hit too: the placer takes them
+        self._poses_at(state)  # on a plan hit too: the placer takes them
 
         def aim():
             focus = focus_target(state, self.scn, t, answered_at=answered_at)
-            return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus, panels)
+            return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus)
 
         focus, head, point = _planned(self.plan.aims, key, aim)
         self.line.travel(head, point, deadline, key)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from .agent import AgentParams, simulate_session
 from .errors import MismatchedScenarios, ScenarioError, XRLayoutError
 from .metrics import (
     aggregate,
+    gaze_to_csv,
     results_from_json,
     results_to_json,
     session_metrics,
@@ -35,10 +35,12 @@ from .metrics import (
 from .placement import Strategy
 from .scenario import (
     SCHEMA_VERSION,
+    TICK_RATE_RULE,
     bundled_scenario_names,
     load_bundled,
     load_scenario,
     parse_scenario,
+    valid_tick_rate,
 )
 
 OUT_DIR_ENV = "XRLAYOUT_OUT_DIR"
@@ -140,15 +142,7 @@ def _cmd_run(args) -> int:
             all_rows.extend(rows)
             all_summaries.append(summary)
             if args.gaze:
-                hz = trace.params.tick_hz if args.tick_hz is None else args.tick_hz
-                lines = ["t,target"]
-                # Targets change only at segment boundaries: format each once.
-                prev = label = None
-                for s in trace.tick_samples(hz):
-                    if s.target is not prev:
-                        prev, label = s.target, repr(s.target)
-                    lines.append(f"{s.t!r},{label}")
-                gaze_files[f"gaze_{scenario.name}.csv"] = "\n".join(lines) + "\n"
+                gaze_files[f"gaze_{scenario.name}.csv"] = gaze_to_csv(trace, args.tick_hz)
     except FileNotFoundError as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
@@ -254,13 +248,13 @@ def _cmd_compare(args) -> int:
 
 
 def _positive_rate(text: str) -> float:
-    """argparse type for sample rates: a finite number above zero."""
+    """argparse type for tick rates: a number that passes valid_tick_rate."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite rate, got {text!r}")
+    if not valid_tick_rate(value):
+        raise argparse.ArgumentTypeError(f"expected {TICK_RATE_RULE}, got {text!r}")
     return value
 
 

@@ -315,6 +315,22 @@ def trials_to_csv(rows: Sequence[TrialMetrics]) -> str:
     return buf.getvalue()
 
 
+def gaze_to_csv(trace: SessionTrace, tick_hz: float | None = None) -> str:
+    """The session's tick stream (SessionTrace.tick_samples) as t,target rows.
+
+    One row per tick, f"{t!r},{target!r}", written a run at a time: the
+    ticks a segment holds share its target, so a run is one join over the
+    rate's formatted tick times (kept per process), with no sample built.
+    """
+    grid, n, runs = trace._tick_runs(tick_hz)
+    text = grid.text_to(n)
+    parts = ["t,target\n"]
+    for a, b, target in runs:
+        tail = f",{target!r}\n"
+        parts.append(tail.join(text[a:b]) + tail)
+    return "".join(parts)
+
+
 def summaries_to_csv(rows: Sequence[SessionSummary]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

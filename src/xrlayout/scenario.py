@@ -126,6 +126,21 @@ USER_STATES = ("stationary", "mobile")
 # a scenario's agent block is rejected at parse time, not mid-simulation.
 SCAN_POLICIES = ("nearest_panel_first", "bearing_order", "random_seeded")
 
+# Gaze streams hold one sample per tick, so the tick rate bounds their size:
+# at MAX_TICK_HZ a two-minute session is 1.2 million samples.
+MAX_TICK_HZ = 10_000
+TICK_RATE_RULE = f"tick rate above 0 and at most {MAX_TICK_HZ} Hz with a finite period"
+
+
+def valid_tick_rate(hz: float) -> bool:
+    """The one rule for a tick rate, wherever one is given (TICK_RATE_RULE).
+
+    NaN and infinities fail the bounds; a subnormal rate passes them but
+    its period 1 / hz is infinite, and tick k * period would be NaN at 0.
+    """
+    return 0 < hz <= MAX_TICK_HZ and math.isfinite(1.0 / hz)
+
+
 _COUNTRY_INDEX = {c: i for i, c in enumerate(COUNTRIES)}
 
 
@@ -623,6 +638,9 @@ _LIST = (lambda v: isinstance(v, list), "list")
 _STR = _Kind((_is_str, "string"))
 _NUM = _Kind(_FINITE, name="number", convert=float)
 _POSITIVE = _Kind(_FINITE, (lambda v: v > 0, "positive number"), name="number", convert=float)
+_TICK_RATE = _Kind(
+    *_POSITIVE.checks, (valid_tick_rate, TICK_RATE_RULE), name="number", convert=float
+)
 _BOOL = _Kind((lambda v: isinstance(v, bool), "boolean"))
 _OBJECT = _Kind((_is_dict, "object"), convert=dict, dump=dict)
 _VEC3 = _Kind(
@@ -682,7 +700,7 @@ AGENT_ROWS = (
     _Row("fixation_min_s", _POSITIVE, attr="fixation_min"),
     _Row("per_cell_scan_time_s", _POSITIVE, attr="per_cell_scan_time"),
     _Row("yaw_rate_deg_s", _POSITIVE),
-    _Row("tick_hz", _POSITIVE),
+    _Row("tick_hz", _TICK_RATE),
     _Row("confusion_prob", _NUM),
     _Row("dwell_jitter_s", _NUM),
     _Row("known_grid", _BOOL),

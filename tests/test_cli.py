@@ -6,10 +6,15 @@ from importlib import resources
 import pytest
 
 from xrlayout import __version__
-from xrlayout.cli import compare_results, main
+from xrlayout.cli import build_parser, compare_results, main
 from xrlayout.errors import MismatchedScenarios
 from xrlayout.metrics import summaries_from_csv, trials_from_csv
-from xrlayout.scenario import SCHEMA_VERSION, bundled_scenario_names
+from xrlayout.scenario import (
+    MAX_TICK_HZ,
+    SCHEMA_VERSION,
+    TICK_RATE_RULE,
+    bundled_scenario_names,
+)
 
 FIXTURES = resources.files("xrlayout") / "fixtures"
 
@@ -194,6 +199,25 @@ class TestRun:
         assert exc.value.code == 2
         assert "--tick-hz" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("hz", ["1e308", "1e-320", "10000.5"])
+    def test_out_of_range_tick_hz_exits_two(self, capsys, tmp_path, hz):
+        # 1e308 died with an OverflowError traceback and 1e-320 wrote one
+        # "nan,NoGaze()" row; rejected before anything is simulated
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--scenario", "static_stationary_env_ref",
+                "--gaze", "--tick-hz", hz, "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tick-hz: expected {TICK_RATE_RULE}, got {hz!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_max_tick_hz_is_accepted(self):
+        # checked on the parser alone: a full session at 10 kHz is 10^6 rows
+        args = build_parser().parse_args(["run", "--all", "--tick-hz", str(MAX_TICK_HZ)])
+        assert args.tick_hz == MAX_TICK_HZ
 
 
 class TestCompare:

@@ -640,8 +640,9 @@ def test_invalid_fixture(case):
 
 # Inputs the parser used to accept silently, or to crash on, and now reports:
 # an unknown key in each closed block, a word schedule that does not start at
-# question_start_s, an empty enum string (once read as the default), and a
-# scene that cannot be replayed (an intermediary placed on the user).
+# question_start_s, an empty enum string (once read as the default), a scene
+# that cannot be replayed (an intermediary placed on the user), and a tick
+# rate outside the one tick-rate rule (too fast, or a period that overflows).
 ACCEPTANCE_CHANGES = [
     (SS, ("surprise",), 1, [
         'mutant.scn:1:1: schema at surprise: unknown key',
@@ -691,6 +692,20 @@ ACCEPTANCE_CHANGES = [
         'mutant.scn:1:1: invariant at entities: scene cannot be replayed: angle against a '
         'near-zero direction',
     ]),
+    (DM, ("agent", "tick_hz"), 1e308, [
+        'mutant.scn:1:1: schema at agent.tick_hz: expected tick rate above 0 and at most 10000 '
+        'Hz with a finite period, got float 1e+308',
+    ]),
+    (DM, ("agent", "tick_hz"), 10001, [
+        'mutant.scn:1:1: schema at agent.tick_hz: expected tick rate above 0 and at most 10000 '
+        'Hz with a finite period, got int 10001',
+    ]),
+    (DM, ("agent", "tick_hz"), 1e-320, [
+        'mutant.scn:1:1: schema at agent.tick_hz: expected tick rate above 0 and at most 10000 '
+        'Hz with a finite period, got float 1e-320',
+    ]),
+    (DM, ("agent", "tick_hz"), 10000, []),
+    (DM, ("agent", "tick_hz"), 1e-300, []),
 ]
 
 
