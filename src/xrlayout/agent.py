@@ -86,7 +86,7 @@ from typing import Mapping
 
 from .errors import WarningEvent, XRLayoutError
 from .frames import USER_BODY, USER_HEAD, SceneState
-from .geometry import Pose, Vec3, angle_between
+from .geometry import Pose, Vec3, _frozen_delattr, _frozen_setattr, angle_between
 from .placement import (
     EnvironmentReferencedPlacer,
     Strategy,
@@ -142,14 +142,12 @@ class DocumentGaze:
 
 GazeTarget = NoGaze | ScreenGaze | IntermediaryGaze | PanelGaze | DocumentGaze
 
+_NO_GAZE = NoGaze()
+
 
 def panel_category_of(target: GazeTarget) -> str | None:
     """Panel a gaze target lies on, for switch counting; None off-panel."""
-    if isinstance(target, PanelGaze):
-        return target.category
-    if isinstance(target, DocumentGaze):
-        return target.category
-    return None
+    return target.category if isinstance(target, (PanelGaze, DocumentGaze)) else None
 
 
 @dataclass(frozen=True)
@@ -158,17 +156,53 @@ class GazeSample:
     target: GazeTarget
 
 
-@dataclass(frozen=True)
 class GazeSegment:
-    """Half-open span [t0, t1) of constant gaze target."""
+    """Half-open span [t0, t1) of constant gaze target.
 
-    t0: float
-    t1: float
-    target: GazeTarget
+    Built for every step of every session, so a slotted class rather than a
+    dataclass, like geometry.Vec3: assignment raises FrozenInstanceError,
+    equality, hashing and repr are the dataclass ones, and it pickles and
+    copies.
+    """
+
+    __slots__ = ("t0", "t1", "target")
+    __match_args__ = ("t0", "t1", "target")
+
+    def __init__(self, t0: float, t1: float, target: GazeTarget):
+        _set_t0(self, t0)
+        _set_t1(self, t1)
+        _set_target(self, target)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.t0, self.t1, self.target) == (other.t0, other.t1, other.target)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.t0, self.t1, self.target))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}"
+            f"(t0={self.t0!r}, t1={self.t1!r}, target={self.target!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, (self.t0, self.t1, self.target))
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
+
+
+_set_t0, _set_t1, _set_target = (
+    GazeSegment.t0.__set__,
+    GazeSegment.t1.__set__,
+    GazeSegment.target.__set__,
+)
 
 
 @dataclass(frozen=True)
@@ -196,9 +230,11 @@ class AgentParams:
     def __post_init__(self):
         if self.scan_policy not in SCAN_POLICIES:
             raise ValueError(f"unknown scan policy: {self.scan_policy!r}")
-        for name in ("fixation_min", "per_cell_scan_time", "yaw_rate_deg_s", "tick_hz"):
+        for name in ("fixation_min", "per_cell_scan_time", "yaw_rate_deg_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not valid_tick_rate(self.tick_hz):
+            raise ValueError(f"tick_hz: expected {TICK_RATE_RULE}, got {self.tick_hz!r}")
 
     @classmethod
     def from_mapping(cls, m: Mapping[str, object]) -> "AgentParams":
@@ -259,10 +295,6 @@ class TrialTrace:
     segments: list[GazeSegment]  # slice covering [question_start, dwell end]
     opens: list[OpenEvent]
     params: AgentParams  # the agent that produced the trace; scoring reads it
-
-    def boundary_samples(self) -> list[GazeSample]:
-        """Exact-boundary sample stream for metric computation."""
-        return [GazeSample(s.t0, s.target) for s in self.segments]
 
 
 @dataclass
@@ -447,6 +479,7 @@ class _SessionPlan:
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
         self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
+        self._params: AgentParams | None = None
 
     @staticmethod
     def of(scenario: Scenario) -> "_SessionPlan":
@@ -456,6 +489,12 @@ class _SessionPlan:
             plan = _SessionPlan(scenario)
             object.__setattr__(scenario, "_plan", plan)
         return plan
+
+    def agent_params(self, scenario: Scenario) -> AgentParams:
+        """The scenario's agent block as AgentParams, built on first use."""
+        if self._params is None:
+            self._params = AgentParams.from_mapping(scenario.agent)
+        return self._params
 
     def time_of(self, t: float) -> float | None:
         """The plan time whose scene state t has, or None."""
@@ -539,7 +578,7 @@ class _Timeline:
         if deadline is not None:
             dt = min(dt, max(0.0, deadline - self.cursor))
         if dt > 1e-12:
-            self.segments.append(GazeSegment(self.cursor, self.cursor + dt, NoGaze()))
+            self.segments.append(GazeSegment(self.cursor, self.cursor + dt, _NO_GAZE))
             self.cursor += dt
 
 
@@ -841,7 +880,7 @@ def simulate_session(
     overrides the params seed so batch sweeps can share scenario files.
     """
     if params is None:
-        params = AgentParams.from_mapping(scenario.agent)
+        params = _SessionPlan.of(scenario).agent_params(scenario)
     if seed is not None:
         params = replace(params, seed=seed)
     strategy = strategy or scenario.strategy

@@ -348,10 +348,6 @@ class Pose:
         if min(self.scale.x, self.scale.y, self.scale.z) <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def apply_to_point(self, p: Vec3) -> Vec3:
-        """Rigid map of a point from this frame into the parent frame."""
-        return self.position + self.orientation.rotate(p)
-
     def relative_to(self, frame: "Pose") -> "Pose":
         """Express this pose in the given frame's coordinates."""
         inv = frame.orientation.inverse()

@@ -2,7 +2,12 @@
 
 Metrics are computed from gaze sample streams (time-stamped target
 observations) rather than from the simulator's internals, so recorded
-hardware streams and synthetic traces go through the same code path.
+hardware streams and synthetic traces go through the same code path:
+one scan over (t, target) pairs (_scan) holds the dwell rule and the
+switch rule.  Trial scoring reads a trace's segments as the
+exact-boundary stream, each segment's (t0, target), through that same
+scan, so navigation time and switches come from one pass and no sample
+object is built.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Iterable, Sequence
 from .agent import (
     DocumentGaze,
     GazeSample,
+    GazeTarget,
     OpenEvent,
     SessionTrace,
     TrialTrace,
@@ -29,18 +35,59 @@ from .scenario import Trial, grid_cell
 
 # A glance shorter than this is a saccade passing through, not a fixation.
 DEFAULT_MIN_FIXATION_S = 0.15
+# The run before the first pair: equal to no target.
+_NO_RUN = object()
 
 
-def _dwells(samples: Sequence[GazeSample], end_time: float):
-    """Collapse a sample stream into (t0, t1, target) dwell runs."""
-    runs = []
-    for s in samples:
-        if runs and runs[-1][2] == s.target:
-            continue
-        if runs:
-            runs[-1] = (runs[-1][0], s.t, runs[-1][2])
-        runs.append([s.t, end_time, s.target])
-    return [(a, b, t) for a, b, t in runs]
+def _scan(
+    pairs: Iterable[tuple[float, GazeTarget]],
+    *,
+    want: DocumentGaze | None = None,
+    t_done: float = 0.0,
+    end_time: float = 0.0,
+    min_fixation: float = DEFAULT_MIN_FIXATION_S,
+    window: tuple[float, float] | None = None,
+) -> tuple[float | None, int]:
+    """(navigation time or None, panel switches) of one (t, target) stream.
+
+    The one dwell rule: consecutive equal targets form a run that lasts
+    until the next different target, the last one until end_time.  The
+    navigation time is that of the first run on want whose part after
+    t_done lasts at least min_fixation (1e-12 of slack), measured from
+    t_done; None when no run qualifies (or want is None).
+
+    A switch is a move between distinct panels, counted over the pairs
+    whose t lies in the half-open window (all pairs when it is None).
+    Document fixations count as being on their panel.  Off-panel targets
+    (hosts, the screen, saccades) neither count nor reset the previous
+    panel, so glancing away and back to the same panel is not a switch.
+    """
+    nav = None
+    want_cls = want.__class__
+    need = min_fixation - 1e-12
+    run_t0, run = 0.0, _NO_RUN
+    last = None  # panel of the latest on-panel pair in the window
+    switches = 0
+    w0, w1 = window or (None, None)
+    for t, target in pairs:
+        # targets of different classes are never equal (dataclass equality)
+        if target is not run and (target.__class__ is not run.__class__ or target != run):
+            if nav is None and run.__class__ is want_cls and run == want:
+                start = max(run_t0, t_done)
+                if t - start >= need:
+                    nav = start - t_done
+            run_t0, run = t, target
+        if window is None or w0 <= t < w1:
+            cat = panel_category_of(target)
+            if cat is not None:
+                if last is not None and cat != last:
+                    switches += 1
+                last = cat
+    if nav is None and run.__class__ is want_cls and run == want:
+        start = max(run_t0, t_done)
+        if end_time - start >= need:
+            nav = start - t_done
+    return nav, switches
 
 
 def navigation_time(
@@ -55,18 +102,14 @@ def navigation_time(
 
     Raises IncompleteTrial when no such fixation exists in the stream.
     """
-    row, col = grid_cell(trial.category, trial.country)
-    want = DocumentGaze(trial.category, row, col)
-    t_done = trial.question_complete
-    for t0, t1, target in _dwells(samples, end_time):
-        if target != want:
-            continue
-        start = max(t0, t_done)
-        if t1 - start >= min_fixation - 1e-12:
-            return start - t_done
-    raise IncompleteTrial(
-        f"no fixation >= {min_fixation}s on {trial.category}/{trial.country}"
+    nav, _ = _scan(
+        ((s.t, s.target) for s in samples),
+        want=_wanted(trial),
+        t_done=trial.question_complete,
+        end_time=end_time,
+        min_fixation=min_fixation,
     )
+    return _complete(nav, trial, min_fixation)
 
 
 def gaze_switches(
@@ -74,24 +117,24 @@ def gaze_switches(
     *,
     window: tuple[float, float] | None = None,
 ) -> int:
-    """Transitions between distinct panels within the window.
-
-    Document fixations count as being on their panel.  Off-panel targets
-    (hosts, the screen, saccades) neither count nor reset the previous
-    panel, so glancing away and back to the same panel is not a switch.
-    """
-    last: str | None = None
-    switches = 0
-    for s in samples:
-        if window is not None and not (window[0] <= s.t < window[1]):
-            continue
-        cat = panel_category_of(s.target)
-        if cat is None:
-            continue
-        if last is not None and cat != last:
-            switches += 1
-        last = cat
+    """Transitions between distinct panels within the window (see _scan)."""
+    _, switches = _scan(((s.t, s.target) for s in samples), window=window)
     return switches
+
+
+def _wanted(trial: Trial) -> DocumentGaze:
+    """The document a trial asks for."""
+    row, col = grid_cell(trial.category, trial.country)
+    return DocumentGaze(trial.category, row, col)
+
+
+def _complete(nav: float | None, trial: Trial, min_fixation: float) -> float:
+    """nav, or IncompleteTrial when the stream had no qualifying fixation."""
+    if nav is None:
+        raise IncompleteTrial(
+            f"no fixation >= {min_fixation}s on {trial.category}/{trial.country}"
+        )
+    return nav
 
 
 def error_events(opens: Iterable[OpenEvent]) -> list[OpenEvent]:
@@ -161,23 +204,30 @@ def trial_metrics(
     """
     if min_fixation is None:
         min_fixation = trace.params.fixation_min
-    samples = trace.boundary_samples()
-    end = trace.segments[-1].t1 if trace.segments else trace.t_complete
-    nav = navigation_time(samples, trace.trial, end_time=end, min_fixation=min_fixation)
-    t0 = trace.trial.question_start
-    switches = gaze_switches(samples, window=(t0, end))
-    errs = len(error_events(trace.opens))
+    trial = trace.trial
+    segments = trace.segments
+    end = segments[-1].t1 if segments else trace.t_complete
+    nav, switches = _scan(
+        [(s.t0, s.target) for s in segments],
+        want=_wanted(trial),
+        t_done=trial.question_complete,
+        end_time=end,
+        min_fixation=min_fixation,
+        window=(trial.question_start, end),
+    )
+    nav = _complete(nav, trial, min_fixation)
+    errs = sum(1 for o in trace.opens if not o.correct)
     return TrialMetrics(
         context=context,
         strategy=strategy,
-        trial_index=trace.trial.index,
-        category=trace.trial.category,
-        country=trace.trial.country,
+        trial_index=trial.index,
+        category=trial.category,
+        country=trial.country,
         navigation_time_s=nav,
         gaze_switches=switches,
         errors=errs,
-        relevant=classify_relevance(trace.trial, context=context),
-        near=trace.trial.near,
+        relevant=classify_relevance(trial, context=context),
+        near=trial.near,
     )
 
 
@@ -243,22 +293,30 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     strategies = {r.strategy for r in rows}
     if len(contexts) != 1 or len(strategies) != 1:
         raise ValueError("aggregate expects rows from a single session")
+    n = len(rows)
     navs = [r.navigation_time_s for r in rows]
-    sws = [float(r.gaze_switches) for r in rows]
-
+    # Switch counts are integers: their statistics are exact integer
+    # arithmetic, rounded once, equal to those of the counts as floats.
+    sws = sorted(r.gaze_switches for r in rows)
+    total = sum(sws)
+    mid = n // 2
     return SessionSummary(
         context=rows[0].context,
         strategy=rows[0].strategy,
         seed=seed,
-        trials=len(rows),
+        trials=n,
         nav_time_mean_s=statistics.fmean(navs),
         nav_time_median_s=statistics.median(navs),
         nav_time_sd_s=sample_sd(navs),
-        switches_mean=statistics.fmean(sws),
-        switches_median=statistics.median(sws),
-        switches_sd=sample_sd(sws),
+        switches_mean=math.fsum(sws) / n,
+        switches_median=float(sws[mid]) if n % 2 else (sws[mid - 1] + sws[mid]) / 2,
+        switches_sd=(
+            _sqrt_of_fraction(n * sum(i * i for i in sws) - total * total, n * (n - 1))
+            if n > 1
+            else 0.0
+        ),
         errors_total=sum(r.errors for r in rows),
-        relevant_fraction=sum(1 for r in rows if r.relevant) / len(rows),
+        relevant_fraction=sum(1 for r in rows if r.relevant) / n,
     )
 
 
