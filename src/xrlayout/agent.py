@@ -156,17 +156,18 @@ class GazeSample:
     target: GazeTarget
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class GazeSegment:
     """Half-open span [t0, t1) of constant gaze target.
 
-    Built for every step of every session, so a slotted class rather than a
-    dataclass, like geometry.Vec3: assignment raises FrozenInstanceError,
-    equality, hashing and repr are the dataclass ones, and it pickles and
-    copies.
+    Built for every step of every session, so it follows the geometry.Vec3
+    recipe: a slotted dataclass with a hand-written __init__, frozen by
+    _frozen_setattr and _frozen_delattr.
     """
 
-    __slots__ = ("t0", "t1", "target")
-    __match_args__ = ("t0", "t1", "target")
+    t0: float
+    t1: float
+    target: GazeTarget
 
     def __init__(self, t0: float, t1: float, target: GazeTarget):
         _set_t0(self, t0)
@@ -175,20 +176,6 @@ class GazeSegment:
 
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.t0, self.t1, self.target) == (other.t0, other.t1, other.target)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.t0, self.t1, self.target))
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}"
-            f"(t0={self.t0!r}, t1={self.t1!r}, target={self.target!r})"
-        )
 
     def __reduce__(self):
         return (self.__class__, (self.t0, self.t1, self.target))
@@ -231,8 +218,9 @@ class AgentParams:
         if self.scan_policy not in SCAN_POLICIES:
             raise ValueError(f"unknown scan policy: {self.scan_policy!r}")
         for name in ("fixation_min", "per_cell_scan_time", "yaw_rate_deg_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
         if not valid_tick_rate(self.tick_hz):
             raise ValueError(f"tick_hz: expected {TICK_RATE_RULE}, got {self.tick_hz!r}")
 

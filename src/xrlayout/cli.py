@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .agent import AgentParams, simulate_session
+from .agent import simulate_session
 from .errors import MismatchedScenarios, ScenarioError, XRLayoutError
 from .metrics import (
     aggregate,
@@ -117,8 +117,7 @@ def _cmd_validate(args) -> int:
 
 
 def _run_one(scenario, strategy, seed):
-    params = AgentParams.from_mapping(scenario.agent)
-    trace = simulate_session(scenario, params, strategy=strategy, seed=seed)
+    trace = simulate_session(scenario, strategy=strategy, seed=seed)
     rows = session_metrics(trace)
     summary = aggregate(rows, seed=seed)
     return trace, rows, summary

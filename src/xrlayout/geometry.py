@@ -16,21 +16,25 @@ multiplicatively and never touches positions; this keeps composition
 associative for non-uniform scales and matches how object size is used
 here (size metadata, not a spatial transform of children).
 
-All types are immutable value objects and safe to share.  Vec3 and
-Rotation, built on every geometric step, are slotted classes rather than
-dataclasses: assignment raises FrozenInstanceError, equality, hashing and
-repr are the dataclass ones, and they pickle and copy.  Every Vec3 is
-checked finite when constructed, arithmetic results included, so a NaN or
-infinity never travels further than the operation that made it.  The hot
-operations (rotate, normalized, look_rotation, yaw_rotation) are written out
-in scalars, in the operation order of the composed-operator formulas, so
-they give the same floats bit for bit with fewer intermediate vectors.
+All types are immutable value objects and safe to share.  Vec3, Rotation
+and Pose, built on every geometric step, are slotted dataclasses with a
+hand-written __init__ that sets the slots directly (faster than the
+generated one).  They are not frozen=True: on Python 3.11 a frozen slotted
+dataclass raises TypeError when a name that is not a field is assigned,
+so _frozen_setattr raises FrozenInstanceError for every name instead.
+__reduce__ rebuilds through __init__, so unpickling re-runs its checks.
+Every Vec3 is checked finite when constructed, arithmetic results
+included, so a NaN or infinity never travels further than the operation
+that made it.  The hot operations (rotate, normalized, look_rotation,
+yaw_rotation) are written out in scalars, in the operation order of the
+composed-operator formulas, so they give the same floats bit for bit with
+fewer intermediate vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DegenerateTarget, NonFiniteVector
 
@@ -55,11 +59,13 @@ def _reject_non_finite(*components) -> None:
             raise NonFiniteVector(f"non-finite vector component: {c!r}")
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Vec3:
     """Immutable 3-vector; every construction checks that it is finite."""
 
-    __slots__ = ("x", "y", "z")
-    __match_args__ = ("x", "y", "z")
+    x: float
+    y: float
+    z: float
 
     def __init__(self, x: float, y: float, z: float):
         # c * 0.0 is a signed zero for every finite c and NaN otherwise, so
@@ -72,17 +78,6 @@ class Vec3:
 
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     def __reduce__(self):
         return (self.__class__, (self.x, self.y, self.z))
@@ -166,11 +161,14 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return math.atan2(u.cross(v).norm(), u.dot(v))
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Rotation:
     """Immutable unit quaternion, scalar first.  Normalized on construction."""
 
-    __slots__ = ("w", "x", "y", "z")
-    __match_args__ = ("w", "x", "y", "z")
+    w: float
+    x: float
+    y: float
+    z: float
 
     def __init__(self, w: float, x: float, y: float, z: float):
         n = math.sqrt(w**2 + x**2 + y**2 + z**2)
@@ -185,20 +183,6 @@ class Rotation:
 
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}"
-            f"(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
-        )
 
     def __reduce__(self):
         # Stored components are already unit, so __init__ leaves them as is.
@@ -284,9 +268,11 @@ class Rotation:
         """Equality as rotations, i.e. up to quaternion sign."""
         return self.angle_to(other) <= tol
 
+
 _set_qw, _set_qx, _set_qy, _set_qz = (
     Rotation.w.__set__, Rotation.x.__set__, Rotation.y.__set__, Rotation.z.__set__
 )
+_IDENTITY = Rotation.identity()
 
 
 def yaw_rotation(yaw_deg: float) -> Rotation:
@@ -336,17 +322,28 @@ def look_rotation(forward: Vec3, up: Vec3 = UP) -> Rotation:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Pose:
     """Position, orientation and per-axis positive scale."""
 
-    position: Vec3 = ZERO
-    orientation: Rotation = field(default_factory=Rotation.identity)
-    scale: Vec3 = ONES
+    position: Vec3
+    orientation: Rotation
+    scale: Vec3
 
-    def __post_init__(self):
-        if min(self.scale.x, self.scale.y, self.scale.z) <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+    def __init__(
+        self, position: Vec3 = ZERO, orientation: Rotation = _IDENTITY, scale: Vec3 = ONES
+    ):
+        if min(scale.x, scale.y, scale.z) <= 0.0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        _set_position(self, position)
+        _set_orientation(self, orientation)
+        _set_scale(self, scale)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __reduce__(self):
+        return (self.__class__, (self.position, self.orientation, self.scale))
 
     def relative_to(self, frame: "Pose") -> "Pose":
         """Express this pose in the given frame's coordinates."""
@@ -367,6 +364,11 @@ class Pose:
             and self.orientation.approx_eq(other.orientation, tol)
             and self.scale.is_close(other.scale, tol)
         )
+
+
+_set_position, _set_orientation, _set_scale = (
+    Pose.position.__set__, Pose.orientation.__set__, Pose.scale.__set__
+)
 
 
 def compose(parent: Pose, local: Pose) -> Pose:

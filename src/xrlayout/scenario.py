@@ -270,12 +270,6 @@ class Scenario:
     def context(self) -> str:
         return f"{self.setting}_{self.user_state}"
 
-    def entity(self, entity_id: str) -> EntitySpec:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
-
     @property
     def user(self) -> EntitySpec:
         return next(e for e in self.entities if e.kind == "user")
@@ -968,12 +962,7 @@ def _check_replay(scn: Scenario, inters: list[EntitySpec], bad) -> None:
 
     if scn.user_state == "mobile":
         for trial in scn.trials:
-            pid = next(
-                (p for p, obj in scn.panels.items() if obj.content.topic == trial.category),
-                None,
-            )
-            if pid is None:
-                continue
+            pid = scn.panel_for_category(trial.category)
             state = scn.state_at(trial.question_start)
             inter_pos = state.pose_of(scn.intermediaries[pid]).position
             d = (inter_pos - state.pose_of(USER_BODY).position).horizontal().norm()

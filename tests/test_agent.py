@@ -294,6 +294,14 @@ class TestAgentParams:
         with pytest.raises(ValueError):
             AgentParams(yaw_rate_deg_s=-10.0)
 
+    @pytest.mark.parametrize("name", ["fixation_min", "per_cell_scan_time", "yaw_rate_deg_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rates(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name}: expected a finite positive number"):
+            AgentParams(**{name: bad})
+        with pytest.raises(ValueError, match=name):
+            replace(AgentParams(), **{name: bad})
+
 
 class TestGazeTargets:
     def test_panel_category_mapping(self):

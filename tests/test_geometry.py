@@ -6,20 +6,24 @@ import copy
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+import re
+from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as SciRot
 
+from xrlayout.agent import GazeSegment, PanelGaze
 from xrlayout.errors import DegenerateTarget, NonFiniteVector, XRLayoutError
 from xrlayout.frames import USER_BODY, SceneState
 from xrlayout.geometry import (
     DEGENERACY_EPS,
     FORWARD,
+    ONES,
     RIGHT,
     UP,
+    ZERO,
     FovSpec,
     Pose,
     Rotation,
@@ -299,19 +303,71 @@ class TestAnglesAndFov:
             angular_deviation(Pose(), Vec3(0.0, 0.0, 0.0))
 
 
+# Frozen dataclasses with the same fields: the eq, hash and repr oracle.
+FROZEN_ORACLES = {
+    cls: make_dataclass(cls.__name__, [(f, object) for f in cls.__match_args__], frozen=True)
+    for cls in (Vec3, Rotation, Pose)
+}
+ORACLE_CASES = [
+    (Vec3, (1.0, -0.0, 2.5)),
+    (Vec3, (0.0, 5e-324, -1e308)),
+    (Rotation, (1.0, 0.0, 0.0, 0.0)),
+    (Rotation, (0.6, -0.0, 0.8, 0.0)),
+    (Pose, ()),
+    (Pose, (Vec3(1.0, 2.0, 3.0), yaw_rotation(30.0), Vec3(0.5, 2.0, 1e-300))),
+    (Pose, (UP, Rotation(0.6, 0.0, 0.8, 0.0))),
+]
+
+
 class TestValueSemantics:
-    """Vec3 and Rotation behave as the frozen dataclasses they replaced."""
+    """Vec3, Rotation and Pose behave as frozen dataclasses."""
 
     def test_assignment_and_deletion_raise(self):
-        v, q = Vec3(1.0, 2.0, 3.0), Rotation(1.0, 0.0, 0.0, 0.0)
-        for obj, name in ((v, "x"), (v, "z"), (q, "w"), (q, "y")):
+        v, q, p = Vec3(1.0, 2.0, 3.0), Rotation(1.0, 0.0, 0.0, 0.0), Pose(position=UP)
+        for obj, name in ((v, "x"), (v, "z"), (q, "w"), (q, "y"), (p, "position"), (p, "scale")):
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, name, 5.0)
             with pytest.raises(FrozenInstanceError):
                 delattr(obj, name)
-        with pytest.raises(FrozenInstanceError):
-            v.extra = 1.0
+        for obj in (v, q, p):
+            with pytest.raises(FrozenInstanceError):
+                obj.extra = 1.0
         assert v.to_tuple() == (1.0, 2.0, 3.0)
+        assert p == Pose(UP, Rotation.identity(), ONES)
+
+    @pytest.mark.parametrize("cls, args", ORACLE_CASES)
+    def test_eq_hash_and_repr_are_the_frozen_dataclass_ones(self, cls, args):
+        obj = cls(*args)
+        old = FROZEN_ORACLES[cls](*(getattr(obj, f) for f in cls.__match_args__))
+        assert repr(obj) == repr(old)
+        assert hash(obj) == hash(old)
+        assert obj == cls(*args)
+        assert obj != old  # another class, as between two dataclasses
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Vec3(1.0, 2.0, 3.0),
+            Rotation.identity(),
+            Pose(),
+            GazeSegment(0.0, 1.0, PanelGaze("food")),
+        ],
+        ids=lambda obj: type(obj).__name__,
+    )
+    def test_no_instance_dict(self, obj):
+        assert not hasattr(obj, "__dict__")
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+    def test_non_positive_scale_message(self, slot, bad):
+        comps = [1.0, 2.0, 3.0]
+        comps[slot] = bad
+        scale = Vec3(*comps)
+        message = f"scale must be positive, got {scale}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Pose(scale=scale)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Pose(UP, yaw_rotation(10.0), scale)
 
     def test_eq_and_hash(self):
         assert Vec3(1.0, 2.0, 3.0) == Vec3(1.0, 2.0, 3.0)
@@ -338,6 +394,9 @@ class TestValueSemantics:
     def test_keyword_construction(self):
         assert Vec3(z=3.0, x=1.0, y=2.0).to_tuple() == (1.0, 2.0, 3.0)
         assert Rotation(w=1.0, x=0.0, y=0.0, z=0.0) == Rotation.identity()
+        q = yaw_rotation(10.0)
+        assert Pose(scale=ONES, orientation=q, position=UP) == Pose(UP, q, ONES)
+        assert Pose() == Pose(ZERO, Rotation.identity(), ONES)
 
     @pytest.mark.parametrize(
         "roundtrip",
@@ -351,6 +410,7 @@ class TestValueSemantics:
             rand_rotation(rng),
             Rotation(0.3, 0.1, -0.2, 0.9),  # normalized on construction
             Pose(position=rand_vec(rng), orientation=rand_rotation(rng)),
+            Pose(rand_vec(rng), rand_rotation(rng), Vec3(0.5, 2.0, 1e-300)),
         ):
             back = roundtrip(obj)
             assert type(back) is type(obj)
