@@ -859,18 +859,19 @@ def simulate_session(
     scenario: Scenario,
     params: AgentParams | None = None,
     *,
-    strategy: Strategy | None = None,
+    strategy: Strategy | str | None = None,
     seed: int | None = None,
 ) -> SessionTrace:
     """Run one full session; the core entry point for batch runs.
 
     params defaults to the scenario's agent block; seed (when given)
     overrides the params seed so batch sweeps can share scenario files.
+    strategy may be a value string ("head_fixed"); an unknown one raises ValueError.
     """
     if params is None:
         params = _SessionPlan.of(scenario).agent_params(scenario)
     if seed is not None:
         params = replace(params, seed=seed)
-    strategy = strategy or scenario.strategy
+    strategy = scenario.strategy if strategy is None else Strategy(strategy)
     sim = _Simulator(scenario, params, strategy, params.seed)
     return sim.run()

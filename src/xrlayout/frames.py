@@ -40,6 +40,7 @@ WORLD = "world"
 USER_BODY = "user_body"
 USER_HEAD = "user_head"
 RESERVED_REFS = frozenset({WORLD, USER_BODY, USER_HEAD})
+_WORLD_POSE = Pose()  # shared by every snapshot that does not set its own
 
 @dataclass(frozen=True)
 class FrameOfReference:
@@ -64,7 +65,7 @@ class SceneState:
 
     def __post_init__(self):
         p = dict(self.poses)
-        p.setdefault(WORLD, Pose())
+        p.setdefault(WORLD, _WORLD_POSE)
         object.__setattr__(self, "poses", p)
 
     def pose_of(self, ref: str) -> Pose:

@@ -25,10 +25,12 @@ so _frozen_setattr raises FrozenInstanceError for every name instead.
 __reduce__ rebuilds through __init__, so unpickling re-runs its checks.
 Every Vec3 is checked finite when constructed, arithmetic results
 included, so a NaN or infinity never travels further than the operation
-that made it.  The hot operations (rotate, normalized, look_rotation,
-yaw_rotation) are written out in scalars, in the operation order of the
-composed-operator formulas, so they give the same floats bit for bit with
-fewer intermediate vectors.
+that made it.  The hot operations are scalar kernels on plain floats:
+rotate, yaw_rotation and the private _unit, _shepperd (shared with
+Rotation.from_matrix) and _look_quat, which placement calls directly.
+Bit-identity rule: a kernel keeps every operation of the formula it
+replaces, in order, zero terms that can flip a zero's sign included, and
+raises the same exception classes, so it gives the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) / its norm; DegenerateTarget when the norm is near zero."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n < DEGENERACY_EPS:
+        raise DegenerateTarget("cannot normalize a near-zero vector")
+    return x / n, y / n, z / n
 
 
 def _reject_non_finite(*components) -> None:
@@ -115,11 +125,7 @@ class Vec3:
         return math.sqrt(x * x + y * y + z * z)
 
     def normalized(self) -> "Vec3":
-        x, y, z = self.x, self.y, self.z
-        n = math.sqrt(x * x + y * y + z * z)
-        if n < DEGENERACY_EPS:
-            raise DegenerateTarget("cannot normalize a near-zero vector")
-        return Vec3(x / n, y / n, z / n)
+        return Vec3(*_unit(self.x, self.y, self.z))
 
     def horizontal(self) -> "Vec3":
         """Projection onto the ground plane (y zeroed)."""
@@ -237,21 +243,8 @@ class Rotation:
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
         """Shepperd's method; picks the numerically largest pivot."""
-        m00, m01, m02 = m[0]
-        m10, m11, m12 = m[1]
-        m20, m21, m22 = m[2]
-        tr = m00 + m11 + m22
-        if tr > 0:
-            s = math.sqrt(tr + 1.0) * 2
-            return cls(0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
-        if m00 > m11 and m00 > m22:
-            s = math.sqrt(1.0 + m00 - m11 - m22) * 2
-            return cls((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
-        if m11 > m22:
-            s = math.sqrt(1.0 + m11 - m00 - m22) * 2
-            return cls((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
-        s = math.sqrt(1.0 + m22 - m00 - m11) * 2
-        return cls((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        return cls(*_shepperd(m00, m01, m02, m10, m11, m12, m20, m21, m22))
 
     def angle_to(self, other: "Rotation") -> float:
         """Geodesic angle between two rotations, radians in [0, pi].
@@ -296,30 +289,45 @@ def facing_yaw_deg(direction: Vec3) -> float:
     return 180.0 if d == -180.0 else d  # keep yaw in (-180, 180]
 
 
+def _shepperd(m00, m01, m02, m10, m11, m12, m20, m21, m22):
+    """Quaternion (w, x, y, z) of a rotation matrix, before normalisation."""
+    tr = m00 + m11 + m22
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2
+        return 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+    if m00 > m11 and m00 > m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2
+        return (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+    if m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2
+        return (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
+    s = math.sqrt(1.0 + m22 - m00 - m11) * 2
+    return (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+
+
+def _look_quat(fx, fy, fz, ux, uy, uz):
+    """look_rotation on floats: the quaternion (w, x, y, z) for Rotation()."""
+    fx, fy, fz = _unit(fx, fy, fz)
+    # Axes: zaxis = -f, xaxis = normalized(up x zaxis), yaxis = zaxis x xaxis.
+    zx, zy, zz = -fx, -fy, -fz
+    if abs(fx * ux + fy * uy + fz * uz) > 1.0 - 1e-9:
+        # abs(f . FORWARD) is abs(fz) exactly: the 0.0 * f terms are zeros.
+        ux, uy, uz = (0.0, 0.0, -1.0) if abs(fz) < 0.9 else (1.0, 0.0, 0.0)
+    cx, cy, cz = uy * zz - uz * zy, uz * zx - ux * zz, ux * zy - uy * zx
+    xx, xy, xz = _unit(cx, cy, cz)
+    return _shepperd(
+        xx, zy * xz - zz * xy, zx,
+        xy, zz * xx - zx * xz, zy,
+        xz, zx * xy - zy * xx, zz,
+    )
+
+
 def look_rotation(forward: Vec3, up: Vec3 = UP) -> Rotation:
     """Rotation whose local -Z points along forward with up as the up hint.
 
     Falls back to a forward-based hint when forward is near-parallel to up.
     """
-    f = forward.normalized()
-    # Axes in scalars: zaxis = -f, xaxis = normalized(up x zaxis),
-    # yaxis = zaxis x xaxis.
-    zx, zy, zz = -f.x, -f.y, -f.z
-    if abs(f.x * up.x + f.y * up.y + f.z * up.z) > 1.0 - 1e-9:
-        up = FORWARD if abs(f.dot(FORWARD)) < 0.9 else RIGHT
-    ux, uy, uz = up.x, up.y, up.z
-    cx, cy, cz = uy * zz - uz * zy, uz * zx - ux * zz, ux * zy - uy * zx
-    n = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if n < DEGENERACY_EPS:
-        raise DegenerateTarget("cannot normalize a near-zero vector")
-    xx, xy, xz = cx / n, cy / n, cz / n
-    return Rotation.from_matrix(
-        [
-            [xx, zy * xz - zz * xy, zx],
-            [xy, zz * xx - zx * xz, zy],
-            [xz, zx * xy - zy * xx, zz],
-        ]
-    )
+    return Rotation(*_look_quat(forward.x, forward.y, forward.z, up.x, up.y, up.z))
 
 
 @dataclass(slots=True, init=False, unsafe_hash=True)
@@ -400,8 +408,11 @@ class FovSpec:
     def __post_init__(self):
         if not 0.0 < self.diagonal_deg < 180.0:
             raise ValueError(f"diagonal FOV out of range: {self.diagonal_deg}")
-        if self.aspect_ratio <= 0.0:
-            raise ValueError(f"aspect ratio must be positive: {self.aspect_ratio}")
+        a = self.aspect_ratio
+        if a <= 0.0:
+            raise ValueError(f"aspect ratio must be positive: {a}")
+        if not math.isfinite(a):
+            raise ValueError(f"aspect_ratio: expected a finite positive number, got {a!r}")
 
     @property
     def half_angle_deg(self) -> float:

@@ -32,6 +32,10 @@ intermediary), so its result depends on the history of its calls.  That
 history is confined to one placer instance; remember() lets a caller that
 kept a non-degenerate result leave the placer as place() would have.
 
+Body-fixed and environment-referenced placement, a headset app's per-frame
+work, run on floats (geometry's scalar kernels, under its bit-identity
+rule) and build one Vec3, one Rotation and one Pose per panel, at the end.
+
 emit_layouts is the test oracle: it expresses each strategy as
 frame-of-reference layouts (unified frames for body-, head-, world- and
 object-fixed, hybrid frames for environment_referenced) that
@@ -61,10 +65,14 @@ from .frames import (
 )
 from .geometry import (
     FORWARD,
+    GEOM_EPS,
     UP,
     Pose,
     Rotation,
     Vec3,
+    _look_quat,
+    _reject_non_finite,
+    _unit,
     facing_yaw_deg,
     look_rotation,
     yaw_rotation,
@@ -106,11 +114,12 @@ class PlacementParams:
     aspect_ratio: float = 1.75
 
     def __post_init__(self):
-        for name in ("panel_distance", "panel_height", "eye_height"):
-            if getattr(self, name) <= 0:
+        for name in ("panel_distance", "panel_height", "eye_height", "aspect_ratio"):
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.aspect_ratio <= 0:
-            raise ValueError("aspect_ratio must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
         lo, hi = PANEL_DISTANCE_SOFT_RANGE_M
         if not lo <= self.panel_distance <= hi:
             warnings.warn(
@@ -135,12 +144,6 @@ def body_heading_deg(body: Pose) -> float:
     return facing_yaw_deg(fwd)
 
 
-def _upright_facing(center: Vec3, body_pos: Vec3):
-    """Orientation for a panel at center, yawed to face the body, upright."""
-    back = Vec3(body_pos.x - center.x, 0.0, body_pos.z - center.z)
-    return look_rotation(back.normalized(), UP)
-
-
 def place_body_fixed(
     state: SceneState,
     bearings: Mapping[str, float],
@@ -157,14 +160,34 @@ def place_body_fixed(
     heading = body_heading_deg(body)
     out: dict[str, Pose] = {}
     for pid, bearing in bearings.items():
-        direction = yaw_rotation(heading + bearing).forward()
-        center = body.position + direction * params.panel_distance + UP * params.panel_height
-        out[pid] = Pose(
-            position=center,
-            orientation=_upright_facing(center, body.position),
-            scale=params.panel_scale,
-        )
+        # yaw_rotation(heading + bearing), with Rotation's renormalisation
+        # step, then its rotate(FORWARD), on floats.
+        h = 0.5 * -math.radians(heading + bearing)
+        s = math.sin(h)
+        w, x, y, z = math.cos(h), 0.0 * s, s, 0.0 * s
+        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+        if not abs(n - 1.0) <= GEOM_EPS:  # off unit, or NaN from a NaN bearing
+            if not math.isfinite(n):
+                raise ValueError("degenerate quaternion")
+            w, x, y, z = w / n, x / n, y / n, z / n
+        tx = (y * -1.0 - z * 0.0) * 2.0
+        ty = (z * 0.0 - x * -1.0) * 2.0
+        tz = (x * 0.0 - y * 0.0) * 2.0
+        dx = 0.0 + tx * w + (y * tz - z * ty)
+        dy = 0.0 + ty * w + (z * tx - x * tz)
+        dz = -1.0 + tz * w + (x * ty - y * tx)
+        out[pid] = _upright_panel(body.position, dx, dy, dz, params)
     return out
+
+
+def _upright_panel(body_pos: Vec3, dx, dy, dz, params: PlacementParams) -> Pose:
+    """center = body_pos + d * panel_distance + UP * panel_height, facing the
+    body upright: look_rotation(normalized(horizontal(body_pos - center)), UP)."""
+    dist, h = params.panel_distance, params.panel_height
+    bx, bz = body_pos.x, body_pos.z
+    center = Vec3(bx + dx * dist + 0.0 * h, body_pos.y + dy * dist + h, bz + dz * dist + 0.0 * h)
+    fx, fy, fz = _unit(bx - center.x, 0.0, bz - center.z)
+    return Pose(center, Rotation(*_look_quat(fx, fy, fz, 0.0, 1.0, 0.0)), params.panel_scale)
 
 
 def place_environment_referenced(
@@ -191,17 +214,15 @@ def place_environment_referenced(
 
 def _toward_intermediary(pid: str, body: Pose, target: Pose, params: PlacementParams) -> Pose:
     """One environment-referenced panel pose, or DegenerateIntermediary."""
-    offset = (target.position - body.position).horizontal()
-    dist = offset.norm()
+    bp, tp = body.position, target.position
+    ox, oy, oz = tp.x - bp.x, tp.y - bp.y, tp.z - bp.z
+    if ox * 0.0 + oy * 0.0 + oz * 0.0 != 0.0:  # the difference overflowed
+        _reject_non_finite(ox, oy, oz)
+    dist = math.sqrt(ox * ox + oz * oz)
     if dist < DEGENERATE_HORIZONTAL_M:
         raise DegenerateIntermediary(pid, dist)
-    direction = offset * (1.0 / dist)
-    center = body.position + direction * params.panel_distance + UP * params.panel_height
-    return Pose(
-        position=center,
-        orientation=_upright_facing(center, body.position),
-        scale=params.panel_scale,
-    )
+    r = 1.0 / dist
+    return _upright_panel(bp, ox * r, 0.0 * r, oz * r, params)
 
 
 def place_head_fixed(

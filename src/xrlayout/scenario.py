@@ -62,7 +62,6 @@ from .errors import (
 )
 from .frames import USER_BODY, USER_HEAD, FrameOfReference, SceneState
 from .geometry import (
-    UP,
     FovSpec,
     Pose,
     Vec3,
@@ -168,10 +167,14 @@ class Trajectory:
 
     waypoints: tuple[Waypoint, ...]
     interpolation: str = "linear"  # or "hold"
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)  # for sample()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_times", tuple(w.time for w in self.waypoints))
 
     def sample(self, t: float) -> tuple[Vec3, float]:
         wps = self.waypoints
-        times = [w.time for w in wps]
+        times = self._times
         if t <= times[0]:
             w = wps[0]
             return w.position, w.yaw_deg
@@ -296,25 +299,26 @@ class Scenario:
     def state_at(self, t: float) -> SceneState:
         """Scene poses at time t.  Pure in (self, t)."""
         poses: dict[str, Pose] = {}
-        user = self.user
-        body_pos, body_yaw = self._entity_motion(user, t)
-        body = Pose(position=body_pos, orientation=yaw_rotation(body_yaw))
-        poses[USER_BODY] = body
-        poses[USER_HEAD] = Pose(
-            position=body_pos + UP * self.params.eye_height, orientation=body.orientation
-        )
-        for e in self.entities:
-            if e.kind == "user":
+        body_pos, body_yaw = self._entity_motion(self.user, t)
+        body_rot = yaw_rotation(body_yaw)
+        poses[USER_BODY] = Pose(body_pos, body_rot)
+        # body_pos + UP * eye_height on floats; 0.0 * e keeps a zero's sign.
+        e = self.params.eye_height
+        head = Vec3(body_pos.x + 0.0 * e, body_pos.y + e, body_pos.z + 0.0 * e)
+        poses[USER_HEAD] = Pose(head, body_rot)
+        for ent in self.entities:
+            if ent.kind == "user":
                 continue
-            if e.anchor == "user_forward":
-                fwd = body.orientation.forward().horizontal().normalized()
-                center = body_pos + UP * self.params.eye_height + fwd * e.anchor_distance_m
-                poses[e.id] = Pose(
-                    position=center, orientation=yaw_rotation(body_yaw + 180.0)
-                )
+            if ent.anchor == "user_forward":
+                # head + normalized(horizontal(forward)) * a on floats; a yaw's
+                # forward is horizontal, so its norm is never near 0.
+                f, a = body_rot.forward(), ent.anchor_distance_m
+                n = math.sqrt(f.x * f.x + f.z * f.z)
+                center = Vec3(head.x + f.x / n * a, head.y + 0.0 * a, head.z + f.z / n * a)
+                poses[ent.id] = Pose(center, yaw_rotation(body_yaw + 180.0))
                 continue
-            pos, yaw = self._entity_motion(e, t)
-            poses[e.id] = Pose(position=pos, orientation=yaw_rotation(yaw))
+            pos, yaw = self._entity_motion(ent, t)
+            poses[ent.id] = Pose(pos, yaw_rotation(yaw))
         return SceneState(time=t, poses=poses)
 
     def _entity_motion(self, e: EntitySpec, t: float) -> tuple[Vec3, float]:

@@ -77,6 +77,15 @@ class TestDeterminism:
         b = simulate_session(scn, seed=3, strategy=Strategy.BODY_FIXED)
         assert a.strategy != b.strategy
 
+    def test_strategy_given_as_its_value_string(self):
+        scn = load_bundled("static_stationary_env_ref")
+        a = simulate_session(scn, seed=3, strategy="head_fixed")
+        b = simulate_session(scn, seed=3, strategy=Strategy.HEAD_FIXED)
+        assert a.strategy is Strategy.HEAD_FIXED
+        assert a.segments == b.segments
+        with pytest.raises(ValueError):
+            simulate_session(scn, seed=3, strategy="sideways")
+
 
 class TestTimelineShape:
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import math
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError, make_dataclass
+from dataclasses import FrozenInstanceError, make_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +286,15 @@ class TestAnglesAndFov:
             FovSpec(diagonal_deg=220.0)
         with pytest.raises(ValueError):
             FovSpec(aspect_ratio=-1.0)
+        with pytest.raises(ValueError, match="aspect ratio must be positive"):
+            FovSpec(aspect_ratio=float("-inf"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fov_rejects_non_finite_aspect_ratio(self, bad):
+        with pytest.raises(ValueError, match="aspect_ratio: expected a finite positive number"):
+            FovSpec(aspect_ratio=bad)
+        with pytest.raises(ValueError, match="aspect_ratio: expected a finite positive number"):
+            replace(FovSpec(), aspect_ratio=bad)
 
     def test_in_fov_boundary(self):
         fov = FovSpec(diagonal_deg=52.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,23 @@ class TestParams:
             PlacementParams(panel_distance=0.0)
         with pytest.raises(ValueError):
             PlacementParams(panel_height=-1.0)
+
+    @pytest.mark.parametrize(
+        "name", ["panel_distance", "panel_height", "eye_height", "aspect_ratio"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name}: expected a finite positive number"):
+            PlacementParams(**{name: bad})
+        with pytest.raises(ValueError, match=f"{name}: expected a finite positive number"):
+            replace(PlacementParams(), **{name: bad})
+
+    @pytest.mark.parametrize(
+        "name", ["panel_distance", "panel_height", "eye_height", "aspect_ratio"]
+    )
+    def test_negative_infinity_is_non_positive(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            PlacementParams(**{name: float("-inf")})
 
     def test_warns_outside_soft_band(self):
         with pytest.warns(PlacementWarning):
