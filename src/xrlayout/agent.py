@@ -17,19 +17,16 @@ laid down by one emitter, _Timeline.
 
 Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
-(_SessionPlan, kept in the scenario's private _plan slot) that holds every
-value pure in (scenario, strategy, scripted time): the scene states and
-panel poses at the scripted query times, the scripted focus with its head
-position and gaze point, the angle and end direction of each head turn
-between two named gaze points, and the seed-free sort keys of a scan
-route.  The scene stops moving at its last waypoint, so the settle tail
-reuses those values too.  A warm session does only its per-seed work: RNG
-draws, cursor arithmetic, building segments, and handing stored poses to
-the environment-referenced placer.  Anything else (a cursor that overran
-its scripted time, a degenerate placement) is computed on the spot by the
-same code and not stored, so the plan is invisible in every output: a
-session gives the same trace and warnings whether the plan was cold or
-warm.  The plan is outside the scenario's equality, repr and
+(_SessionPlan, kept in the scenario's private _plan slot) of every value
+pure in (scenario, strategy, scripted time): scene states, panel poses,
+the scripted focus with its head position and gaze point, head turns and
+scan-route sort keys.  One rule decides its use: a session reads and fills
+the plan until its first step off the script (a scene query at a time
+that is not scripted, a settle tail before the scene has settled, a
+degenerate placement), then computes every value by the same code and
+stores nothing.  So a warm scripted session does only its per-seed work,
+and a session gives the same trace and warnings whether the plan was cold
+or warm.  The plan is outside the scenario's equality, repr and
 serialization.
 
 Behavioral model
@@ -221,6 +218,9 @@ class AgentParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+        for name in ("confusion_prob", "dwell_jitter_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: expected a finite number, got {getattr(self, name)!r}")
         if not valid_tick_rate(self.tick_hz):
             raise ValueError(f"tick_hz: expected {TICK_RATE_RULE}, got {self.tick_hz!r}")
 
@@ -392,7 +392,8 @@ def _stable_seed(*parts: object) -> int:
 IDLE_LEAD_S = 1e-6
 
 # Plan keys of the gaze direction every session starts with and of the
-# settle tail's aim; every other key is built from plan times.
+# settle tail's state, poses and aim; every other key is built from plan
+# times.
 _START = "start"
 _TAIL = "tail"
 # Default of a plan lookup: None is a stored value (a turn toward a point
@@ -403,27 +404,22 @@ _MISS = object()
 class _SessionPlan:
     """Seed-free work of one scenario's sessions, shared by all of them.
 
-    Only the agent's RNG depends on the seed.  Every other value a session
-    computes is pure in (scenario, strategy, scripted time), so the plan
-    keeps it, filled lazily as sessions first ask for it.  Its keys are
-    plan times and symbolic steps, never object identities or
+    Only the agent's RNG depends on the seed; every other value a session
+    computes on its script is pure in (scenario, strategy, scripted time),
+    so the plan keeps it, filled lazily as sessions first ask for it.  Its
+    keys are plan times and symbolic steps, never object identities or
     seed-dependent floats:
 
-      * a plan time is a scripted query time (0.0 and, for each trial, the
+      * a plan time is a scripted query time: 0.0 and, for each trial, the
         instant IDLE_LEAD_S before its window, its question start and its
-        question complete) or rest, the last waypoint time of any
-        trajectory.  Past rest the scene has stopped: state_at(t) has the
-        poses of state_at(rest) bit for bit, so a later time gets rest's
-        poses under its own time (WarningEvent.time reads it);
-      * states: plan time -> scene state;
-      * poses[strategy]: plan time -> panel poses, or None where an
-        environment-referenced panel is degenerate (hold-last depends on
-        the session's own history there);
-      * aims: (time, presenting) -> (focus, head position, gaze point) at a
-        scripted time, for the idle phase (answered, presenting False) and
-        the question phase (presenting True); _TAIL -> the same for the
-        settle tail, whose focus stops depending on its time once the
-        scene has stopped and the last question has started (settled);
+        question complete.  _TAIL names the settle tail, which starts once
+        the scene has stopped (past rest, the last waypoint time of any
+        trajectory, state_at(t) has the poses of state_at(rest) bit for
+        bit) and the last question has started (settled);
+      * states: plan time or _TAIL -> scene state;
+      * poses[strategy]: plan time or _TAIL -> panel poses;
+      * aims: (plan time or _TAIL, presenting) -> (focus, head position,
+        gaze point);
       * turns[strategy]: (from, to) -> (degrees, end direction) of a head
         turn between two named gaze points, or None when the point is at
         the head; an aim is named by its key, a panel seen from a plan time
@@ -431,15 +427,16 @@ class _SessionPlan:
       * scan_keys[strategy]: (policy, from, plan time) -> the seed-free
         sort keys of a scan route (_scan_keys).
 
-    What stays per seed: the RNG draws, the cursor arithmetic, building
-    the segments, and handing stored poses to the environment-referenced
-    placer.  A miss (a time that is not a plan time, which is where a
-    cursor that overran its scripted time lands, or a degenerate
-    placement) computes on the spot by the same code and stores nothing.
-    So the plan stays bounded by the scripted times however many seeds
-    run, and a session gives the same trace and warnings whether the plan
-    was cold or warm.  The plan holds no reference to its scenario;
-    callers pass it.
+    One rule decides plan use: a session reads and fills the tables until
+    its first step off the script, which is a scene query at a time that
+    is not a plan time (where a cursor that overran its scripted time
+    lands), a settle tail before settled, or a degenerate environment-
+    referenced placement (hold-last depends on the session's own history
+    there).  From then on it computes every value by the same code and
+    stores nothing (_Simulator._leave_plan).  So the plan stays bounded by
+    the scripted times however many seeds run, and a session gives the
+    same trace and warnings whether the plan was cold or warm.  The plan
+    holds no reference to its scenario; callers pass it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -452,9 +449,9 @@ class _SessionPlan:
             [traj.waypoints[-1].time for traj in scenario.trajectories.values()], default=0.0
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
-        self.states: dict[float, SceneState] = {}
-        self.aims: dict[object, tuple[GazeTarget, Vec3, Vec3]] = {}
-        self.poses: dict[Strategy, dict[float, dict[str, Pose] | None]] = {
+        self.states: dict[object, SceneState] = {}
+        self.aims: dict[tuple, tuple[GazeTarget, Vec3, Vec3]] = {}
+        self.poses: dict[Strategy, dict[object, dict[str, Pose]]] = {
             strategy: {} for strategy in Strategy
         }
         self.turns: dict[Strategy, dict[tuple, tuple[float, Vec3] | None]] = {
@@ -484,25 +481,10 @@ class _SessionPlan:
             self._params = AgentParams.from_mapping(scenario.agent)
         return self._params
 
-    def time_of(self, t: float) -> float | None:
-        """The plan time whose scene state t has, or None."""
-        if t in self.times:
-            return t
-        return self.rest if t >= self.rest else None
 
-    def state_at(self, scenario: Scenario, t: float) -> SceneState:
-        key = self.time_of(t)
-        if key is None:
-            return scenario.state_at(t)
-        state = self.states.get(key)
-        if state is None:
-            state = self.states[key] = scenario.state_at(key)
-        return state if key == t else SceneState(t, state.poses)
-
-
-def _planned(table: dict, key, compute):
-    """table[key], computed by compute() on a miss; a key of None is never stored."""
-    if key is None:
+def _planned(table: dict | None, key, compute):
+    """table[key], computed by compute() and stored on a miss; no table: compute()."""
+    if table is None:
         return compute()
     value = table.get(key, _MISS)
     if value is _MISS:
@@ -524,15 +506,15 @@ def _turn(gaze_dir: Vec3, head: Vec3, point: Vec3) -> tuple[float, Vec3] | None:
 class _Timeline:
     """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
-    facing is the plan key of the gaze direction (None when it has none);
-    turns is the plan's head-turn table for the session's strategy.
+    The gaze starts at 0.0 facing forward (-z); facing is the plan key of
+    the gaze direction, turns the plan's head-turn table (None off plan).
     """
 
-    def __init__(self, start: float, gaze_dir: Vec3, facing, yaw_rate_deg_s: float, turns: dict):
+    def __init__(self, yaw_rate_deg_s: float, turns: dict):
         self.segments: list[GazeSegment] = []
-        self.cursor = start
-        self.gaze_dir = gaze_dir
-        self.facing = facing
+        self.cursor = 0.0
+        self.gaze_dir = Vec3(0.0, 0.0, -1.0)
+        self.facing = _START
         self.yaw_rate_deg_s = yaw_rate_deg_s
         self.turns = turns
 
@@ -548,16 +530,14 @@ class _Timeline:
             self.segments.append(GazeSegment(self.cursor, self.cursor + duration, target))
             self.cursor += duration
 
-    def travel(self, head: Vec3, point: Vec3, deadline: float | None = None, key=None) -> None:
+    def travel(self, head: Vec3, point: Vec3, key, deadline: float | None = None) -> None:
         """Turn the gaze from head toward point, gazing at nothing meanwhile.
 
         The turn takes the geodesic angle at yaw_rate_deg_s, cut short at
         deadline; the gaze direction ends on point either way.  key is the
-        plan key of (head, point), None when they have none; when both it
-        and the current direction have one, the turn comes from the plan.
+        plan key of (head, point).
         """
-        step = None if key is None or self.facing is None else (self.facing, key)
-        turn = _planned(self.turns, step, lambda: _turn(self.gaze_dir, head, point))
+        turn = _planned(self.turns, (self.facing, key), lambda: _turn(self.gaze_dir, head, point))
         if turn is None:
             return
         degrees, self.gaze_dir = turn
@@ -593,6 +573,9 @@ class _Simulator:
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = _SessionPlan.of(scenario)
+        # The session's plan tables; _leave_plan drops them all at once.
+        self.states = plan.states
+        self.aims = plan.aims
         self.poses = plan.poses[strategy]
         self.scan_keys = plan.scan_keys[strategy]
         self.placer: EnvironmentReferencedPlacer | None = None
@@ -603,9 +586,7 @@ class _Simulator:
             self.place = self.placer.place
         else:
             self.place = _direct_placement(strategy, scenario)
-        self.line = _Timeline(
-            0.0, Vec3(0.0, 0.0, -1.0), _START, params.yaw_rate_deg_s, plan.turns[strategy]
-        )
+        self.line = _Timeline(params.yaw_rate_deg_s, plan.turns[strategy])
         self.opens: list[OpenEvent] = []
         self.panel_by_category = plan.panel_by_category
         # Where the panel sits is known without a header search: given by
@@ -614,53 +595,46 @@ class _Simulator:
             scenario.context == "static_stationary"
         )
 
-    def _state_at(self, t: float) -> SceneState:
-        return self.plan.state_at(self.scn, t)
+    def _leave_plan(self) -> None:
+        """The session's first step off the script: compute all, store nothing."""
+        self.states = self.aims = self.poses = self.scan_keys = self.line.turns = None
 
-    def _poses_at(self, state: SceneState) -> dict[str, Pose]:
-        """Panel poses at state, through the plan at plan times.
+    def _state(self, t: float, at) -> SceneState:
+        """Scene state at t (plan key at); the tail's comes back under t (warnings read it)."""
+        state = _planned(self.states, at, partial(self.scn.state_at, t))
+        return state if state.time == t else SceneState(t, state.poses)
 
-        World-fixed panels freeze at the session-start body-fixed
-        arrangement (there is no other sensible world pose to give them
-        from a scenario authored for adaptive strategies), so every state
-        asks for the poses at 0.0.
+    def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
+        """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
+
+        A time that is not a plan time leaves the plan.  World-fixed panels
+        freeze at the session-start body-fixed arrangement (there is no
+        other sensible world pose to give them from a scenario authored for
+        adaptive strategies), so they are the poses at 0.0.
 
         The environment-referenced placer holds the last pose on degenerate
-        states, so its result depends on the session's query history.  On a
-        state where no panel is degenerate it does not: it equals the pure
-        placement, and storing it is safe.  A plan hit still hands the
-        poses to the placer, so later degenerate states hold exactly what
-        they would have held without the plan; a degenerate state always
-        goes through the placer, so each session records its own warnings.
+        states, so its result there depends on the session's history:
+        a degenerate placement leaves the plan, and it records the
+        session's own warnings.  Elsewhere the placement is pure, so a plan
+        hit hands the stored poses to the placer, and later degenerate
+        states hold exactly what they would have held without the plan.
         """
-        if self.strategy is Strategy.WORLD_FIXED:
-            state = self._state_at(0.0)
-        key = self.plan.time_of(state.time)
-        if key is None:
-            return self.place(state)
-        poses = self.poses.get(key)
-        if poses is not None:
-            if self.placer is not None:
-                self.placer.remember(poses)
-            return poses
-        if key in self.poses:  # degenerate here
-            return self.place(state)
-        held = len(self.warnings)
-        poses = self.place(state)
-        self.poses[key] = poses if len(self.warnings) == held else None
-        return poses
-
-    def _view_time(self, t: float) -> float | None:
-        """Plan time that names the panels as seen from t, or None.
-
-        Asked after _poses_at: None also where the poses there are not
-        stored, since a degenerate state's held poses are the session's own.
-        """
-        key = self.plan.time_of(t)
-        if key is None:
-            return None
-        at = 0.0 if self.strategy is Strategy.WORLD_FIXED else key
-        return key if self.poses.get(at) is not None else None
+        if at is not _TAIL and at not in self.plan.times:
+            self._leave_plan()
+        state = self._state(t, at)
+        frozen = self.strategy is Strategy.WORLD_FIXED
+        placed = 0.0 if frozen else at
+        poses = None if self.poses is None else self.poses.get(placed)
+        if poses is None:
+            held = len(self.warnings)
+            poses = self.place(self._state(0.0, 0.0) if frozen else state)
+            if len(self.warnings) > held:
+                self._leave_plan()
+            elif self.poses is not None:
+                self.poses[placed] = poses
+        elif self.placer is not None:
+            self.placer.remember(poses)
+        return state, poses
 
     def _gaze_point(self, state: SceneState, target: ScreenGaze | IntermediaryGaze) -> Vec3:
         """Where the eyes rest on a scripted focus (what focus_target returns)."""
@@ -695,7 +669,9 @@ class _Simulator:
             )
         # settle tail so the final fixation has somewhere to live
         t = line.cursor
-        line.dwell(2.0, self._look(t, t, _TAIL if t >= self.plan.settled else None))
+        if t < self.plan.settled:
+            self._leave_plan()
+        line.dwell(2.0, self._look(t, _TAIL, t))
         return SessionTrace(
             scenario_name=scn.name,
             context=scn.context,
@@ -708,20 +684,20 @@ class _Simulator:
             duration=line.cursor,
         )
 
-    def _look(self, t: float, answered_at: float | None, key, deadline: float | None = None):
-        """Turn toward the scripted focus at t; returns the focus.
+    def _look(self, t: float, at, answered_at: float | None, deadline: float | None = None):
+        """Turn toward the scripted focus at t (plan key at); returns the focus.
 
-        key is the plan key of the aim at t, None where it has none.
+        The question phase passes answered_at None: it presents the question.
         """
-        state = self._state_at(t)
-        self._poses_at(state)  # on a plan hit too: the placer takes them
+        state, _ = self._scene_at(t, at)  # on a plan hit too: the placer takes the poses
 
         def aim():
             focus = focus_target(state, self.scn, t, answered_at=answered_at)
             return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus)
 
-        focus, head, point = _planned(self.plan.aims, key, aim)
-        self.line.travel(head, point, deadline, key)
+        key = (at, answered_at is None)
+        focus, head, point = _planned(self.aims, key, aim)
+        self.line.travel(head, point, key, deadline)
         return focus
 
     def _idle_phase(self, until: float) -> None:
@@ -730,12 +706,11 @@ class _Simulator:
             return
         t = max(line.cursor, until - IDLE_LEAD_S)
         # at or after the cursor, so answered whatever the cursor was
-        key = (t, False) if t in self.plan.times else None
-        line.until(until, self._look(t, line.cursor, key, deadline=until))
+        line.until(until, self._look(t, t, line.cursor, deadline=until))
 
     def _question_phase(self, trial: Trial) -> None:
         t = trial.question_start
-        focus = self._look(t, None, (t, True), deadline=trial.question_complete)
+        focus = self._look(t, t, None, deadline=trial.question_complete)
         self.line.until(trial.question_complete, focus)
 
 
@@ -749,9 +724,8 @@ def search_and_open(sim: _Simulator, trial: Trial) -> float:
     touches a document earlier than that.
     """
     line, params, rng = sim.line, sim.params, sim.rng
-    state = sim._state_at(line.cursor)
-    panels = sim._poses_at(state)
-    at = sim._view_time(state.time)
+    at = line.cursor
+    state, panels = sim._scene_at(at, at)
     head = state.pose_of(USER_HEAD).position
 
     target_cat = trial.category
@@ -762,15 +736,16 @@ def search_and_open(sim: _Simulator, trial: Trial) -> float:
     if sim.direct:
         route = [target_pid]
     else:
-        policy, facing = params.scan_policy, line.facing
-        step = None if at is None or facing is None else (policy, facing, at)
+        policy = params.scan_policy
         keys = _planned(
-            sim.scan_keys, step, lambda: _scan_keys(panels, head, line.gaze_dir, policy)
+            sim.scan_keys,
+            (policy, line.facing, at),
+            lambda: _scan_keys(panels, head, line.gaze_dir, policy),
         )
         route = _scan_route(keys, target_pid, params, rng)
 
     for pid in route:
-        line.travel(head, panels[pid].position, key=None if at is None else (at, pid))
+        line.travel(head, panels[pid].position, (at, pid))
         if pid != target_pid:
             # read the header, reject, move on
             line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))

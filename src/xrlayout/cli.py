@@ -84,8 +84,7 @@ def _load_by_ref(ref: str):
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(
-            f"{ref!r} is neither a bundled scenario nor a file; "
-            f"bundled: {', '.join(bundled_scenario_names())}"
+            f"neither a bundled scenario nor a file; bundled: {', '.join(bundled_scenario_names())}"
         )
     return load_scenario(path)
 
@@ -99,8 +98,8 @@ def _cmd_validate(args) -> int:
         path = Path(name)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"{name}: cannot read: {exc}", file=sys.stderr)
+        except (OSError, UnicodeError) as exc:
+            print(f"validate: cannot read {name}: {exc}", file=sys.stderr)
             return 2
         try:
             parse_scenario(text, source=str(path))
@@ -142,8 +141,8 @@ def _cmd_run(args) -> int:
             all_summaries.append(summary)
             if args.gaze:
                 gaze_files[f"gaze_{scenario.name}.csv"] = gaze_to_csv(trace, args.tick_hz)
-    except FileNotFoundError as exc:
-        print(f"run: {exc}", file=sys.stderr)
+    except (OSError, UnicodeError) as exc:
+        print(f"run: cannot read {ref}: {exc}", file=sys.stderr)
         return 2
     except ScenarioError as exc:
         for d in exc.diagnostics:
@@ -162,25 +161,24 @@ def _cmd_run(args) -> int:
         "sessions": len(all_summaries),
     }
 
-    written = []
     if args.format == "json":
-        path = out_dir / "results.json"
-        _atomic_write(path, results_to_json(all_summaries, all_rows, meta=meta))
-        written.append(path)
+        files = {"results.json": results_to_json(all_summaries, all_rows, meta=meta)}
     else:
-        spath = out_dir / "summaries.csv"
-        tpath = out_dir / "trials.csv"
-        _atomic_write(spath, summaries_to_csv(all_summaries))
-        _atomic_write(tpath, trials_to_csv(all_rows))
-        written.extend([spath, tpath])
-    for name, content in sorted(gaze_files.items()):
-        path = out_dir / name
-        _atomic_write(path, content)
-        written.append(path)
+        files = {
+            "summaries.csv": summaries_to_csv(all_summaries),
+            "trials.csv": trials_to_csv(all_rows),
+        }
+    files.update(sorted(gaze_files.items()))
+    try:
+        for name, content in files.items():
+            _atomic_write(out_dir / name, content)
+    except OSError as exc:
+        print(f"run: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{len(all_summaries)} sessions, {len(all_rows)} trials")
-    for path in written:
-        print(f"wrote {path}")
+    for name in files:
+        print(f"wrote {out_dir / name}")
     return 0
 
 

@@ -120,6 +120,8 @@ class PlacementParams:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+        if min(self.panel_scale.to_tuple()) <= 0:
+            raise ValueError(f"panel_scale: expected positive components, got {self.panel_scale!r}")
         lo, hi = PANEL_DISTANCE_SOFT_RANGE_M
         if not lo <= self.panel_distance <= hi:
             warnings.warn(

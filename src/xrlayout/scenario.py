@@ -647,6 +647,12 @@ _VEC3 = _Kind(
     convert=Vec3.from_seq,
     dump=lambda v: list(v.to_tuple()),
 )
+_POSITIVE_VEC3 = _Kind(
+    *_VEC3.checks,
+    (lambda v: min(v) > 0, "positive [x, y, z]"),
+    convert=_VEC3.convert,
+    dump=_VEC3.dump,
+)
 
 
 def _fov(**values) -> FovSpec:
@@ -719,7 +725,7 @@ _PLACEMENT = _Block(
     _Row("panel_height_m", _POSITIVE, attr="params.panel_height"),
     _Row("eye_height_m", _POSITIVE, attr="params.eye_height"),
     _Row("panel_aspect_ratio", _POSITIVE, attr="params.aspect_ratio"),
-    _Row("panel_scale", _VEC3, attr="params.panel_scale"),
+    _Row("panel_scale", _POSITIVE_VEC3, attr="params.panel_scale"),
     _Row("body_bearings_deg", _MapOf(_NUM), _REQUIRED, attr="body_bearings"),
     _Row("intermediaries", _MapOf(_Kind((_is_str, "entity id string"))), _REQUIRED),
     build=dict,

@@ -311,6 +311,15 @@ class TestAgentParams:
         with pytest.raises(ValueError, match=name):
             replace(AgentParams(), **{name: bad})
 
+    @pytest.mark.parametrize("name", ["confusion_prob", "dwell_jitter_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_probability_and_jitter(self, name, bad):
+        # inf made every trial raise IncompleteTrial; NaN was silently ignored
+        with pytest.raises(ValueError, match=f"{name}: expected a finite number"):
+            AgentParams(**{name: bad})
+        with pytest.raises(ValueError, match=name):
+            replace(AgentParams(), **{name: bad})
+
 
 class TestGazeTargets:
     def test_panel_category_mapping(self):
@@ -329,13 +338,14 @@ def session_output(scn, strategy, seed):
     return text, trace.warnings
 
 
-def degenerate_walk_scenario():
+def degenerate_walk_scenario(tail_only=False):
     """static_mobile variant whose user walks onto intermediaries.
 
     The user stands horizontally on poster_food exactly at trial 2's
     question complete (62.25 s, a scripted query time) and walks onto
     poster_movies at 137.5 s, before any seed's settle tail, staying there.
-    Environment-referenced placement holds the last pose at both.
+    Environment-referenced placement holds the last pose at both;
+    tail_only leaves out the first, so only the settle tail is degenerate.
     """
     doc = json.loads(bundled_scenario_text("static_mobile_env_ref"))
     doc["trajectories"]["user"]["waypoints"] = [
@@ -345,7 +355,7 @@ def degenerate_walk_scenario():
         [43.0, [0, 0, -2], 0.0],
         [50.0, [-2, 0, 0], -90.0],
         [60.0, [-2, 0, 0], -90.0],
-        [62.25, [-3, 0, 0], -90.0],
+        [62.25, [-2 if tail_only else -3, 0, 0], -90.0],
         [70.0, [-2, 0, 0], -90.0],
         [93.0, [-2, 0, 0], -90.0],
         [100.0, [2, 0, 0], 90.0],
@@ -420,14 +430,14 @@ def assert_keys_are_plan_times(plan):
 def record_poses(monkeypatch):
     """(time, poses) for every panel placement the simulator asks for."""
     seen = []
-    original = agent._Simulator._poses_at
+    original = agent._Simulator._scene_at
 
-    def spy(self, state):
-        poses = original(self, state)
+    def spy(self, t, at):
+        state, poses = original(self, t, at)
         seen.append((state.time, dict(poses)))
-        return poses
+        return state, poses
 
-    monkeypatch.setattr(agent._Simulator, "_poses_at", spy)
+    monkeypatch.setattr(agent._Simulator, "_scene_at", spy)
     return seen
 
 
@@ -488,7 +498,7 @@ class TestSceneTrack:
         trace = simulate_session(scn, seed=1)
         monkeypatch.undo()
         plan = scn._plan
-        off_plan = [t for t in asked if plan.time_of(t) is None]
+        off_plan = [t for t in asked if t not in plan.times and t < plan.rest]
         starts = [t.question_start for t in scn.trials]
         if case.startswith("search past the next window"):
             assert any(tt.t_open > end for tt, end in zip(trace.trials, starts[1:]))
@@ -508,6 +518,26 @@ class TestSceneTrack:
                     cold, strategy=strategy, seed=seed
                 ), (strategy, seed)
         assert_keys_are_plan_times(warm._plan)
+
+    def test_bundled_sessions_never_leave_the_plan(self, monkeypatch):
+        """A scripted session that left the plan would only show as a slower sweep."""
+        left = []
+        original = agent._Simulator._leave_plan
+
+        def spy(self):
+            left.append((self.scn.name, self.strategy.value, self.seed, self.line.cursor))
+            original(self)
+
+        monkeypatch.setattr(agent._Simulator, "_leave_plan", spy)
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            for seed in range(10):
+                for strategy in Strategy:
+                    simulate_session(scn, strategy=strategy, seed=seed)
+        assert left == []
+        # the spy does see a session that leaves
+        simulate_session(parse_scenario(OFF_PLAN["tail while the scene moves"]), seed=1)
+        assert left
 
     def test_sessions_with_other_agent_params_share_the_plan(self):
         scn = load_bundled("dynamic_mobile_body_fixed")
@@ -549,13 +579,25 @@ class TestSceneTrack:
             assert warm_warnings[1].time > 137.5
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
-        # held poses are the session's own: no turn or scan key names them
+        # held poses are the session's own: the degenerate plan time left
+        # the plan, so no pose, turn or scan key names it or a later time
         plan = warm._plan
         env_ref = Strategy.ENVIRONMENT_REFERENCED
-        degenerate = {t for t, poses in plan.poses[env_ref].items() if poses is None}
-        assert 62.25 in degenerate
-        keys = [*plan.turns[env_ref], *plan.scan_keys[env_ref]]
-        assert not {t for key in keys for t in key_times(key)} & degenerate
+        assert 62.25 in plan.times
+        keys = [*plan.poses[env_ref], *plan.turns[env_ref], *plan.scan_keys[env_ref]]
+        named = {t for key in keys for t in key_times(key)}
+        assert named and max(named) < 62.25
+
+    def test_degenerate_tail_warns_at_the_sessions_own_time(self):
+        warm = degenerate_walk_scenario(tail_only=True)
+        # a body-fixed session stores the tail's scene state under its own tail time
+        simulate_session(warm, strategy=Strategy.BODY_FIXED, seed=0)
+        for seed in (1, 3):
+            trace = simulate_session(warm, seed=seed)
+            cold = simulate_session(degenerate_walk_scenario(tail_only=True), seed=seed)
+            assert trace.warnings == cold.warnings, seed
+            assert [w.subject for w in trace.warnings] == ["panel_movies"]
+            assert trace.warnings[0].time == trace.trials[-1].segments[-1].t1
 
 
 class TestOnePlacementPath:

@@ -220,6 +220,35 @@ class TestRun:
         assert args.tick_hz == MAX_TICK_HZ
 
 
+class TestIOErrors:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "run --out at a file",
+            "run --scenario at a directory",
+            "run on a non-UTF-8 file",
+            "validate on a non-UTF-8 file",
+        ],
+    )
+    def test_io_errors_print_one_line_and_exit_two(self, capsys, tmp_path, case):
+        # each used to escape as a traceback with exit code 1
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        latin1 = tmp_path / "latin1.scn"
+        latin1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        out = str(tmp_path / "out")
+        argv = {
+            "run --out at a file": ["run", "--scenario", "static_mobile_env_ref", "--out", a_file],
+            "run --scenario at a directory": ["run", "--scenario", str(tmp_path), "--out", out],
+            "run on a non-UTF-8 file": ["run", "--scenario", str(latin1), "--out", out],
+            "validate on a non-UTF-8 file": ["validate", str(latin1)],
+        }[case]
+        code, stdout, err = run_cli(capsys, *map(str, argv))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err
+
+
 class TestCompare:
     def _results(self, capsys, tmp_path, name, seed, sub, strategy=None):
         argv = [

@@ -344,6 +344,9 @@ class TestParams:
             PlacementParams(panel_distance=0.0)
         with pytest.raises(ValueError):
             PlacementParams(panel_height=-1.0)
+        # a session used to die later with a bare ValueError from Pose
+        with pytest.raises(ValueError, match="panel_scale: expected positive components"):
+            PlacementParams(panel_scale=Vec3(1.4, -0.8, 0.02))
 
     @pytest.mark.parametrize(
         "name", ["panel_distance", "panel_height", "eye_height", "aspect_ratio"]
