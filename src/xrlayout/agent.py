@@ -83,7 +83,7 @@ from typing import Mapping
 
 from .errors import WarningEvent, XRLayoutError
 from .frames import USER_BODY, USER_HEAD, SceneState
-from .geometry import Pose, Vec3, _frozen_delattr, _frozen_setattr, angle_between
+from .geometry import Pose, Vec3, _value_type, angle_between
 from .placement import (
     EnvironmentReferencedPlacer,
     Strategy,
@@ -92,14 +92,12 @@ from .placement import (
     place_object_fixed,
 )
 from .scenario import (
+    _TICK_RATE,
     AGENT_ROWS,
     GRID_COLS,
-    SCAN_POLICIES,
-    TICK_RATE_RULE,
     Scenario,
     Trial,
     grid_cell,
-    valid_tick_rate,
 )
 
 # Vertical offset from an intermediary's floor anchor to where people
@@ -153,13 +151,12 @@ class GazeSample:
     target: GazeTarget
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@_value_type
 class GazeSegment:
     """Half-open span [t0, t1) of constant gaze target.
 
     Built for every step of every session, so it follows the geometry.Vec3
-    recipe: a slotted dataclass with a hand-written __init__, frozen by
-    _frozen_setattr and _frozen_delattr.
+    recipe, _value_type.
     """
 
     t0: float
@@ -170,12 +167,6 @@ class GazeSegment:
         _set_t0(self, t0)
         _set_t1(self, t1)
         _set_target(self, target)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return (self.__class__, (self.t0, self.t1, self.target))
 
     @property
     def duration(self) -> float:
@@ -212,17 +203,10 @@ class AgentParams:
     dwell_jitter_s: float = 0.02  # seeded jitter on post-open dwell
 
     def __post_init__(self):
-        if self.scan_policy not in SCAN_POLICIES:
-            raise ValueError(f"unknown scan policy: {self.scan_policy!r}")
-        for name in ("fixation_min", "per_cell_scan_time", "yaw_rate_deg_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
-        for name in ("confusion_prob", "dwell_jitter_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: expected a finite number, got {getattr(self, name)!r}")
-        if not valid_tick_rate(self.tick_hz):
-            raise ValueError(f"tick_hz: expected {TICK_RATE_RULE}, got {self.tick_hz!r}")
+        """Each field is checked by the kind of its AGENT_ROWS row, as in files."""
+        for row in AGENT_ROWS:
+            attr = row.attr or row.key
+            row.kind.require(attr, getattr(self, attr))
 
     @classmethod
     def from_mapping(cls, m: Mapping[str, object]) -> "AgentParams":
@@ -302,8 +286,8 @@ class SessionTrace:
 
         Tick k, at k * (1 / hz), samples the segment in force then; there
         are ceil(duration * hz) ticks, at least one.  tick_hz=None uses the
-        session's params rate; every rate must satisfy valid_tick_rate, else
-        ValueError.  The CLI's gaze export, metrics.gaze_to_csv, writes this
+        session's params rate; every rate must pass the tick_hz row's kind,
+        as AgentParams.tick_hz does, else ValueError.  The CLI's gaze export, metrics.gaze_to_csv, writes this
         stream run by run from the same runs, without building the samples.
         """
         grid, _, runs = self._tick_runs(tick_hz)
@@ -318,8 +302,7 @@ class SessionTrace:
         and the last segment takes the rest.  Empty runs are left out.
         """
         hz = self.params.tick_hz if tick_hz is None else tick_hz
-        if not valid_tick_rate(hz):
-            raise ValueError(f"expected {TICK_RATE_RULE}, got {hz!r}")
+        _TICK_RATE.require("tick_hz", hz)
         n = max(1, int(math.ceil(self.duration * hz)))
         grid = _tick_grid(hz, n)
         times = grid.times_to(n)

@@ -226,7 +226,7 @@ def _cmd_compare(args) -> int:
     try:
         a_text = Path(args.a).read_text(encoding="utf-8")
         b_text = Path(args.b).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"compare: cannot read: {exc}", file=sys.stderr)
         return 2
     try:
@@ -234,7 +234,7 @@ def _cmd_compare(args) -> int:
     except MismatchedScenarios as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         print(f"compare: malformed results file: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -17,12 +17,13 @@ associative for non-uniform scales and matches how object size is used
 here (size metadata, not a spatial transform of children).
 
 All types are immutable value objects and safe to share.  Vec3, Rotation
-and Pose, built on every geometric step, are slotted dataclasses with a
-hand-written __init__ that sets the slots directly (faster than the
-generated one).  They are not frozen=True: on Python 3.11 a frozen slotted
-dataclass raises TypeError when a name that is not a field is assigned,
-so _frozen_setattr raises FrozenInstanceError for every name instead.
-__reduce__ rebuilds through __init__, so unpickling re-runs its checks.
+and Pose, built on every geometric step, follow one recipe, _value_type:
+a slotted dataclass with a hand-written __init__ that sets the slots
+directly (faster than the generated one).  They are not frozen=True: on
+Python 3.11 a frozen slotted dataclass raises TypeError when a name that
+is not a field is assigned, so _frozen_setattr raises FrozenInstanceError
+for every name instead.  __reduce__ rebuilds through __init__, so
+unpickling re-runs its checks.
 Every Vec3 is checked finite when constructed, arithmetic results
 included, so a NaN or infinity never travels further than the operation
 that made it.  The hot operations are scalar kernels on plain floats:
@@ -36,7 +37,8 @@ raises the same exception classes, so it gives the same floats bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 
 from .errors import DegenerateTarget, NonFiniteVector
 
@@ -55,6 +57,42 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _value_type(cls):
+    """The hot value types' recipe: a slotted dataclass frozen by hand.
+
+    cls keeps its own __init__; dataclasses writes eq, hash and repr.
+    __reduce__ rebuilds through __init__ from the fields in order (a
+    Rotation's stored components are already unit, so it keeps them as is).
+    """
+    cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    args = attrgetter(*(f.name for f in fields(cls)))
+    cls.__reduce__ = lambda self: (self.__class__, args(self))
+    return cls
+
+
+def _finite_number(v: object) -> bool:
+    """A JSON number, not a boolean, whose float value is finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_POSITIVE_RULE = "a finite positive number"
+
+
+def _require_positive(obj, *names: str) -> None:
+    """ValueError unless each named field of obj is a finite positive number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (_finite_number(value) and value > 0):
+            raise ValueError(f"{name}: expected {_POSITIVE_RULE}, got {value!r}")
+
+
 def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z) / its norm; DegenerateTarget when the norm is near zero."""
     n = math.sqrt(x * x + y * y + z * z)
@@ -69,7 +107,7 @@ def _reject_non_finite(*components) -> None:
             raise NonFiniteVector(f"non-finite vector component: {c!r}")
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@_value_type
 class Vec3:
     """Immutable 3-vector; every construction checks that it is finite."""
 
@@ -85,12 +123,6 @@ class Vec3:
         _set_vx(self, x)
         _set_vy(self, y)
         _set_vz(self, z)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return (self.__class__, (self.x, self.y, self.z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -167,7 +199,7 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return math.atan2(u.cross(v).norm(), u.dot(v))
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@_value_type
 class Rotation:
     """Immutable unit quaternion, scalar first.  Normalized on construction."""
 
@@ -186,13 +218,6 @@ class Rotation:
         _set_qx(self, x)
         _set_qy(self, y)
         _set_qz(self, z)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        # Stored components are already unit, so __init__ leaves them as is.
-        return (self.__class__, (self.w, self.x, self.y, self.z))
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -330,7 +355,7 @@ def look_rotation(forward: Vec3, up: Vec3 = UP) -> Rotation:
     return Rotation(*_look_quat(forward.x, forward.y, forward.z, up.x, up.y, up.z))
 
 
-@dataclass(slots=True, init=False, unsafe_hash=True)
+@_value_type
 class Pose:
     """Position, orientation and per-axis positive scale."""
 
@@ -346,12 +371,6 @@ class Pose:
         _set_position(self, position)
         _set_orientation(self, orientation)
         _set_scale(self, scale)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __reduce__(self):
-        return (self.__class__, (self.position, self.orientation, self.scale))
 
     def relative_to(self, frame: "Pose") -> "Pose":
         """Express this pose in the given frame's coordinates."""
@@ -406,13 +425,9 @@ class FovSpec:
     aspect_ratio: float = 16.0 / 9.0
 
     def __post_init__(self):
-        if not 0.0 < self.diagonal_deg < 180.0:
+        _require_positive(self, "diagonal_deg", "aspect_ratio")
+        if self.diagonal_deg >= 180.0:
             raise ValueError(f"diagonal FOV out of range: {self.diagonal_deg}")
-        a = self.aspect_ratio
-        if a <= 0.0:
-            raise ValueError(f"aspect ratio must be positive: {a}")
-        if not math.isfinite(a):
-            raise ValueError(f"aspect_ratio: expected a finite positive number, got {a!r}")
 
     @property
     def half_angle_deg(self) -> float:

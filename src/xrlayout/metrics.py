@@ -8,6 +8,10 @@ switch rule.  Trial scoring reads a trace's segments as the
 exact-boundary stream, each segment's (t0, target), through that same
 scan, so navigation time and switches come from one pass and no sample
 object is built.
+
+The result rows are TrialMetrics and SessionSummary: the CSV and JSON
+columns are their fields, in order (TRIAL_FIELDS, SUMMARY_FIELDS), and a
+CSV cell is read back by its field's annotation.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .agent import (
+    AgentParams,
     DocumentGaze,
     GazeSample,
     GazeTarget,
@@ -34,7 +39,7 @@ from .errors import EmptyTrialSet, IncompleteTrial
 from .scenario import Trial, grid_cell
 
 # A glance shorter than this is a saccade passing through, not a fixation.
-DEFAULT_MIN_FIXATION_S = 0.15
+DEFAULT_MIN_FIXATION_S = AgentParams.fixation_min
 # The run before the first pair: equal to no target.
 _NO_RUN = object()
 
@@ -216,7 +221,6 @@ def trial_metrics(
         window=(trial.question_start, end),
     )
     nav = _complete(nav, trial, min_fixation)
-    errs = sum(1 for o in trace.opens if not o.correct)
     return TrialMetrics(
         context=context,
         strategy=strategy,
@@ -225,7 +229,7 @@ def trial_metrics(
         country=trial.country,
         navigation_time_s=nav,
         gaze_switches=switches,
-        errors=errs,
+        errors=len(error_events(trace.opens)),
         relevant=classify_relevance(trial, context=context),
         near=trial.near,
     )
@@ -237,8 +241,6 @@ def session_metrics(
     min_fixation: float | None = None,
 ) -> list[TrialMetrics]:
     """Per-trial metrics; min_fixation defaults to the agent's threshold."""
-    if min_fixation is None:
-        min_fixation = trace.params.fixation_min
     return [
         trial_metrics(
             t,
@@ -325,33 +327,8 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
 # Floats are written with repr so CSV -> read -> CSV is byte-stable and
 # values round-trip exactly.
 
-TRIAL_FIELDS = (
-    "context",
-    "strategy",
-    "trial_index",
-    "category",
-    "country",
-    "navigation_time_s",
-    "gaze_switches",
-    "errors",
-    "relevant",
-    "near",
-)
-
-SUMMARY_FIELDS = (
-    "context",
-    "strategy",
-    "seed",
-    "trials",
-    "nav_time_mean_s",
-    "nav_time_median_s",
-    "nav_time_sd_s",
-    "switches_mean",
-    "switches_median",
-    "switches_sd",
-    "errors_total",
-    "relevant_fraction",
-)
+TRIAL_FIELDS = tuple(f.name for f in fields(TrialMetrics))
+SUMMARY_FIELDS = tuple(f.name for f in fields(SessionSummary))
 
 
 def _cell(value) -> str:
@@ -364,13 +341,37 @@ def _cell(value) -> str:
     return str(value)
 
 
-def trials_to_csv(rows: Sequence[TrialMetrics]) -> str:
+def _parse_flag(text: str) -> bool | None:
+    return None if text == "" else text == "true"
+
+
+# A cell's parser, by its field's annotation.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_flag, "bool | None": _parse_flag}
+
+
+def _to_csv(cls, rows) -> str:
+    """A header of cls's field names, then one row of cells per row."""
+    names = [f.name for f in fields(cls)]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRIAL_FIELDS)
+    w.writerow(names)
     for r in rows:
-        w.writerow([_cell(getattr(r, f)) for f in TRIAL_FIELDS])
+        w.writerow([_cell(getattr(r, name)) for name in names])
     return buf.getvalue()
+
+
+def _from_csv(cls, text: str) -> list:
+    """The rows _to_csv(cls, ...) wrote; ValueError on another header."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != [f.name for f in fields(cls)]:
+        raise ValueError(f"unexpected {cls.__name__} csv header: {header}")
+    parsers = [_PARSERS[f.type] for f in fields(cls)]
+    return [cls(*(parse(v) for parse, v in zip(parsers, row))) for row in reader]
+
+
+def trials_to_csv(rows: Sequence[TrialMetrics]) -> str:
+    return _to_csv(TrialMetrics, rows)
 
 
 def gaze_to_csv(trace: SessionTrace, tick_hz: float | None = None) -> str:
@@ -390,61 +391,15 @@ def gaze_to_csv(trace: SessionTrace, tick_hz: float | None = None) -> str:
 
 
 def summaries_to_csv(rows: Sequence[SessionSummary]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SUMMARY_FIELDS)
-    for r in rows:
-        w.writerow([_cell(getattr(r, f)) for f in SUMMARY_FIELDS])
-    return buf.getvalue()
-
-
-def _parse_cell(field: str, text: str):
-    if field in ("trial_index", "gaze_switches", "errors", "errors_total", "seed", "trials"):
-        return int(text)
-    if field.endswith("_s") or field in (
-        "switches_mean",
-        "switches_median",
-        "switches_sd",
-        "relevant_fraction",
-    ):
-        return float(text)
-    if field in ("relevant", "near"):
-        if text == "":
-            return None
-        return text == "true"
-    return text
+    return _to_csv(SessionSummary, rows)
 
 
 def trials_from_csv(text: str) -> list[TrialMetrics]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != TRIAL_FIELDS:
-        raise ValueError(f"unexpected trial csv header: {header}")
-    out = []
-    for row in reader:
-        kwargs = {f: _parse_cell(f, v) for f, v in zip(TRIAL_FIELDS, row)}
-        out.append(TrialMetrics(**kwargs))
-    return out
+    return _from_csv(TrialMetrics, text)
 
 
 def summaries_from_csv(text: str) -> list[SessionSummary]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != SUMMARY_FIELDS:
-        raise ValueError(f"unexpected summary csv header: {header}")
-    out = []
-    for row in reader:
-        kwargs = {f: _parse_cell(f, v) for f, v in zip(SUMMARY_FIELDS, row)}
-        out.append(SessionSummary(**kwargs))
-    return out
-
-
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError("non-finite metric value in export")
-        return value
-    return value
+    return _from_csv(SessionSummary, text)
 
 
 def results_to_json(
@@ -453,16 +408,13 @@ def results_to_json(
     *,
     meta: dict | None = None,
 ) -> str:
+    """The results file; ValueError on a NaN or infinite value (allow_nan=False)."""
     doc = {
         "meta": dict(meta or {}),
-        "summaries": [
-            {f: _jsonable(getattr(r, f)) for f in SUMMARY_FIELDS} for r in summaries
-        ],
-        "trials": [
-            {f: _jsonable(getattr(r, f)) for f in TRIAL_FIELDS} for r in trials
-        ],
+        "summaries": [{f: getattr(r, f) for f in SUMMARY_FIELDS} for r in summaries],
+        "trials": [{f: getattr(r, f) for f in TRIAL_FIELDS} for r in trials],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def results_from_json(text: str) -> tuple[list[SessionSummary], list[TrialMetrics], dict]:

@@ -72,6 +72,7 @@ from .geometry import (
     Vec3,
     _look_quat,
     _reject_non_finite,
+    _require_positive,
     _unit,
     facing_yaw_deg,
     look_rotation,
@@ -114,12 +115,7 @@ class PlacementParams:
     aspect_ratio: float = 1.75
 
     def __post_init__(self):
-        for name in ("panel_distance", "panel_height", "eye_height", "aspect_ratio"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name}: expected a finite positive number, got {value!r}")
+        _require_positive(self, "panel_distance", "panel_height", "eye_height", "aspect_ratio")
         if min(self.panel_scale.to_tuple()) <= 0:
             raise ValueError(f"panel_scale: expected positive components, got {self.panel_scale!r}")
         lo, hi = PANEL_DISTANCE_SOFT_RANGE_M

@@ -62,9 +62,11 @@ from .errors import (
 )
 from .frames import USER_BODY, USER_HEAD, FrameOfReference, SceneState
 from .geometry import (
+    _POSITIVE_RULE,
     FovSpec,
     Pose,
     Vec3,
+    _finite_number,
     angle_between,
     yaw_rotation,
 )
@@ -411,6 +413,8 @@ def scan_scenario(text: str) -> tuple[Scenario | None, list[Diagnostic]]:
         return None, [
             Diagnostic("syntax", exc.msg, line=exc.lineno, col=exc.colno)
         ]
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        return None, [Diagnostic("syntax", str(exc), line=1, col=1)]
     diags: list[Diagnostic] = []
     scn = _SCENARIO.read(doc, "", diags)
     if scn is None:
@@ -463,28 +467,28 @@ def _describe(v: object) -> str:
     return f"{type(v).__name__} {v!r}" if not isinstance(v, (dict, list)) else type(v).__name__
 
 
-def _finite_number(v: object) -> bool:
-    """A JSON number, not a boolean, whose float value is finite."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 class _Kind:
     """A value checked by (test, expected) pairs; the first that fails is reported.
 
     name is what a missing key was expected to be (by default the first
-    expectation).  Subclasses read and write nested values.
+    expectation), rule what a constructor's field was expected to be (by
+    default the last).  Subclasses read and write nested values.
     """
 
-    def __init__(self, *checks, name: str | None = None, convert=None, dump=None):
+    def __init__(
+        self, *checks, name: str | None = None, rule: str | None = None, convert=None, dump=None
+    ):
         self.checks = checks
         self.name = name or checks[0][1]
+        self.rule = rule or checks[-1][1]
         self.convert = convert
         self.dump = dump
+
+    def require(self, attr: str, value: object) -> None:
+        """A constructor's check of its field attr: ValueError unless the kind accepts value."""
+        for test, _ in self.checks:
+            if not test(value):
+                raise ValueError(f"{attr}: expected {self.rule}, got {value!r}")
 
     def read(self, raw: object, path: str, diags: list[Diagnostic]) -> object:
         """The converted value, or None after recording a diagnostic."""
@@ -634,8 +638,10 @@ _FINITE = (_finite_number, "finite number")
 _INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer")
 _LIST = (lambda v: isinstance(v, list), "list")
 _STR = _Kind((_is_str, "string"))
-_NUM = _Kind(_FINITE, name="number", convert=float)
-_POSITIVE = _Kind(_FINITE, (lambda v: v > 0, "positive number"), name="number", convert=float)
+_NUM = _Kind(_FINITE, name="number", rule="a finite number", convert=float)
+_POSITIVE = _Kind(
+    _FINITE, (lambda v: v > 0, "positive number"), name="number", rule=_POSITIVE_RULE, convert=float
+)
 _TICK_RATE = _Kind(
     *_POSITIVE.checks, (valid_tick_rate, TICK_RATE_RULE), name="number", convert=float
 )

@@ -228,6 +228,7 @@ class TestIOErrors:
             "run --scenario at a directory",
             "run on a non-UTF-8 file",
             "validate on a non-UTF-8 file",
+            "compare on a non-UTF-8 file",
         ],
     )
     def test_io_errors_print_one_line_and_exit_two(self, capsys, tmp_path, case):
@@ -242,6 +243,7 @@ class TestIOErrors:
             "run --scenario at a directory": ["run", "--scenario", str(tmp_path), "--out", out],
             "run on a non-UTF-8 file": ["run", "--scenario", str(latin1), "--out", out],
             "validate on a non-UTF-8 file": ["validate", str(latin1)],
+            "compare on a non-UTF-8 file": ["compare", str(latin1), str(latin1)],
         }[case]
         code, stdout, err = run_cli(capsys, *map(str, argv))
         assert code == 2
@@ -284,10 +286,15 @@ class TestCompare:
         assert code == 1
         assert "different sessions" in err
 
-    def test_malformed_json_exits_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[" * 100_000, "1" * 5_000],
+        ids=["not json", "nested too deep", "5000-digit integer"],
+    )
+    def test_malformed_json_exits_two(self, capsys, tmp_path, text):
         good = self._results(capsys, tmp_path, "static_mobile_env_ref", 1, "a")
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code, _, err = run_cli(capsys, "compare", str(good), str(bad))
         assert code == 2
         assert "malformed" in err

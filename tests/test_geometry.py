@@ -286,7 +286,9 @@ class TestAnglesAndFov:
             FovSpec(diagonal_deg=220.0)
         with pytest.raises(ValueError):
             FovSpec(aspect_ratio=-1.0)
-        with pytest.raises(ValueError, match="aspect ratio must be positive"):
+        with pytest.raises(
+            ValueError, match="^aspect_ratio: expected a finite positive number, got -inf$"
+        ):
             FovSpec(aspect_ratio=float("-inf"))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

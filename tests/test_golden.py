@@ -1,10 +1,12 @@
-"""Golden outputs: `run --all --format json --gaze --tick-hz 20` is pinned by digest.
+"""Golden outputs: `run --all --format json --gaze --tick-hz 20` and
+`run --all --format csv` are pinned by digest.
 
-Twelve runs, seeds 7 and 42 under the fixture's own strategy and under each
-of the five --strategy overrides, are compared file by file against the
-sha256 manifest in tests/golden/run_all.sha256.  A change that moves any
-output byte fails here and names the file.  The manifest was produced by
-this command, run from the repository root:
+Fourteen runs are compared file by file against the sha256 manifest in
+tests/golden/run_all.sha256: the JSON run at seeds 7 and 42 under the
+fixture's own strategy and under each of the five --strategy overrides,
+and the CSV run at both seeds under the fixture's strategy.  A change that
+moves any output byte fails here and names the file.  The manifest was
+produced by this command, run from the repository root:
 
     d=$(mktemp -d)
     for seed in 7 42; do
@@ -13,6 +15,8 @@ this command, run from the repository root:
         PYTHONPATH=src python -m xrlayout.cli run --all --format json --gaze \\
           --tick-hz 20 --seed $seed $flag --out $d/seed$seed/$s
       done
+      PYTHONPATH=src python -m xrlayout.cli run --all --format csv \\
+        --seed $seed --out $d/seed$seed/csv
     done
     (cd $d && sha256sum seed*/*/*) > tests/golden/run_all.sha256
 """
@@ -37,16 +41,9 @@ def _manifest() -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_run_all_matches_golden_digests(tmp_path, seed, strategy):
-    run_dir = f"seed{seed}/{strategy}"
-    argv = ["run", "--all", "--format", "json", "--gaze", "--tick-hz", "20"]
-    argv += ["--seed", str(seed), "--out", str(tmp_path)]
-    if strategy != "fixture":
-        argv += ["--strategy", strategy]
-    assert main(argv) == 0
-
+def _assert_golden(tmp_path, run_dir, argv):
+    """Run the CLI with argv into tmp_path; its files must match run_dir's digests."""
+    assert main([*argv, "--out", str(tmp_path)]) == 0
     want = {
         rel.removeprefix(run_dir + "/"): digest
         for rel, digest in _manifest().items()
@@ -59,3 +56,19 @@ def test_run_all_matches_golden_digests(tmp_path, seed, strategy):
     assert sorted(got) == sorted(want), "output file set changed"
     differing = sorted(name for name in want if got[name] != want[name])
     assert not differing, f"{run_dir}: outputs differ from golden: {differing}"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_run_all_matches_golden_digests(tmp_path, seed, strategy):
+    argv = ["run", "--all", "--format", "json", "--gaze", "--tick-hz", "20"]
+    argv += ["--seed", str(seed)]
+    if strategy != "fixture":
+        argv += ["--strategy", strategy]
+    _assert_golden(tmp_path, f"seed{seed}/{strategy}", argv)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_run_all_csv_matches_golden_digests(tmp_path, seed):
+    argv = ["run", "--all", "--format", "csv", "--seed", str(seed)]
+    _assert_golden(tmp_path, f"seed{seed}/csv", argv)

@@ -362,7 +362,8 @@ class TestParams:
         "name", ["panel_distance", "panel_height", "eye_height", "aspect_ratio"]
     )
     def test_negative_infinity_is_non_positive(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        message = f"^{name}: expected a finite positive number, got -inf$"
+        with pytest.raises(ValueError, match=message):
             PlacementParams(**{name: float("-inf")})
 
     def test_warns_outside_soft_band(self):

@@ -9,7 +9,8 @@ replaced by any JSON value, deleted, or given an extra key).  The
 properties are the parser's promises: parsing raises nothing but
 ScenarioError, serialize(parse(x)) is a fixed point, and a parsed scenario
 simulates and scores under every strategy raising nothing outside
-XRLayoutError.
+XRLayoutError.  The parameter constructors (AgentParams, PlacementParams,
+FovSpec) accept exactly the values their table rows accept.
 
 Each edit is kept as the session's text split around the edited path, so
 an example costs a draw and a parse, not a copy and a dump of the session.
@@ -20,16 +21,20 @@ import json
 import sys
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from xrlayout import designspace
-from xrlayout.agent import simulate_session
+from xrlayout.agent import AgentParams, simulate_session
 from xrlayout.errors import ScenarioError, XRLayoutError
+from xrlayout.geometry import FovSpec
 from xrlayout.metrics import aggregate, results_to_json, session_metrics
-from xrlayout.placement import Strategy
+from xrlayout.placement import PlacementParams, Strategy
 from xrlayout.scenario import (
+    _FOV,
+    _PLACEMENT,
     _SCENARIO,
+    AGENT_ROWS,
     CATEGORIES,
     SCAN_POLICIES,
     SETTINGS,
@@ -233,6 +238,8 @@ def parsed(text):
 
 @settings(max_examples=900, **RUN)
 @given(mutants())
+@example("[" * 100_000)  # nested past the recursion limit
+@example("1" * 5_000)  # an integer literal over the int-from-string digit limit
 def test_parsing_a_mutant_raises_only_scenario_errors(text):
     parsed(text)
 
@@ -279,3 +286,40 @@ def test_extreme_panel_aspect_ratio_fails_inside_xrlayout_error():
     scn = parse_scenario(json.dumps(doc))
     with pytest.raises(XRLayoutError, match="non-finite vector component"):
         simulate_session(scn, strategy=Strategy.HEAD_FIXED)
+
+
+# (constructor, field, row): every agent row, the placement block's number
+# rows and the fov rows; each row's kind is the rule for its field.
+PARAMETER_ROWS = [
+    *((AgentParams, row.attr or row.key, row) for row in AGENT_ROWS),
+    *(
+        (PlacementParams, row.attr.removeprefix("params."), row)
+        for row in _PLACEMENT.rows
+        if (row.attr or "").startswith("params.") and row.kind.convert is float
+    ),
+    *((FovSpec, row.key, row) for row in _FOV.rows),
+]
+parameter_values = (
+    st.integers()
+    | st.floats()  # +-0, subnormals, NaN and +-inf included
+    | st.sampled_from([0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"), 10**400])
+    | st.booleans()
+    | st.text(max_size=8)
+    | st.sampled_from(VOCABULARY)
+)
+
+
+@pytest.mark.parametrize(
+    "build, attr, row", PARAMETER_ROWS, ids=[f"{b.__name__}.{a}" for b, a, _ in PARAMETER_ROWS]
+)
+@settings(max_examples=150, **RUN)
+@given(value=parameter_values)
+def test_a_parameter_constructor_accepts_exactly_what_its_row_accepts(build, attr, row, value):
+    # A PlacementWarning (a distance outside the comfortable band) is not a
+    # rejection; FovSpec also bounds the diagonal below 180 degrees.
+    accepted = accepts(row.kind, value)
+    if accepted and not (build is FovSpec and attr == "diagonal_deg" and value >= 180.0):
+        build(**{attr: value})
+    else:
+        with pytest.raises(ValueError, match=f"^{attr}: expected |^diagonal FOV out of range"):
+            build(**{attr: value})
