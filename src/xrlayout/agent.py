@@ -81,7 +81,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping
 
-from .errors import WarningEvent, XRLayoutError
+from .errors import WarningEvent
 from .frames import USER_BODY, USER_HEAD, SceneState
 from .geometry import Pose, Vec3, _value_type, angle_between
 from .placement import (
@@ -757,8 +757,6 @@ def search_and_open(sim: _Simulator, trial: Trial) -> float:
         sim.opens.append(OpenEvent(t_open, target_cat, trial.country, row, col, True))
         return t_open
 
-    raise XRLayoutError("scan route never reached the target panel")
-
 
 def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: str) -> tuple:
     """Seed-free part of a scan route: the panel ids with their sort keys.
@@ -790,7 +788,7 @@ def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: st
 
 
 def _scan_route(keys: tuple, target_pid: str, params: AgentParams, rng: random.Random) -> list[str]:
-    """Candidate visiting order; always ends no later than the target."""
+    """Candidate visiting order, cut after the target (every panel is a candidate)."""
     if params.scan_policy == "random_seeded":
         order = list(keys)
         rng.shuffle(order)
@@ -800,17 +798,8 @@ def _scan_route(keys: tuple, target_pid: str, params: AgentParams, rng: random.R
         # orders exactly as a stable sort on (deviation, draw) would
         order = [pid for _, _, pid in sorted((dev, rng.random(), pid) for dev, pid in keys)]
     else:
-        order = keys
-    return _truncate(order, target_pid)
-
-
-def _truncate(order, target_pid: str) -> list[str]:
-    out = []
-    for pid in order:
-        out.append(pid)
-        if pid == target_pid:
-            break
-    return out
+        order = list(keys)
+    return order[: order.index(target_pid) + 1]
 
 
 def simulate_session(

@@ -41,8 +41,8 @@ frame-of-reference layouts (unified frames for body-, head-, world- and
 object-fixed, hybrid frames for environment_referenced) that
 frames.resolve_world_pose turns into world poses.  Resolving an emission
 matches the direct functions: bit for bit for head- and object-fixed,
-which are that resolution written out, and to within GEOM_EPS for the
-others; tests compare both routes.
+which share one unified-frame transcription of it (_in_unified_frame),
+and to within GEOM_EPS for the others; tests compare both routes.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from enum import Enum
 from typing import Mapping
 
 from .designspace import SizeSpec, SpatialLayout
-from .errors import DegenerateIntermediary, MissingConfig, WarningEvent
+from .errors import DegenerateIntermediary, DegenerateTarget, MissingConfig, WarningEvent
 from .frames import (
     USER_BODY,
     USER_HEAD,
@@ -134,12 +134,12 @@ def body_heading_deg(body: Pose) -> float:
     The unit horizontal direction at bearing b is
     yaw_rotation(body_heading_deg(body) + b).forward().
     """
-    fwd = body.orientation.forward().horizontal()
-    if fwd.norm() < 1e-12:
+    try:
+        return facing_yaw_deg(body.orientation.forward())
+    except DegenerateTarget:
         # Body pitched straight up/down never happens for scripted bodies;
         # fall back to world forward so the result stays defined.
-        fwd = FORWARD
-    return facing_yaw_deg(fwd)
+        return facing_yaw_deg(FORWARD)
 
 
 def place_body_fixed(
@@ -203,11 +203,7 @@ def place_environment_referenced(
     Raises DegenerateIntermediary when that ray is undefined; callers that
     want hold-last-pose behavior use EnvironmentReferencedPlacer.
     """
-    body = state.pose_of(USER_BODY)
-    return {
-        pid: _toward_intermediary(pid, body, state.pose_of(eid), params)
-        for pid, eid in intermediaries.items()
-    }
+    return EnvironmentReferencedPlacer(intermediaries, params).place(state)
 
 
 def _toward_intermediary(pid: str, body: Pose, target: Pose, params: PlacementParams) -> Pose:
@@ -223,6 +219,22 @@ def _toward_intermediary(pid: str, body: Pose, target: Pose, params: PlacementPa
     return _upright_panel(bp, ox * r, 0.0 * r, oz * r, params)
 
 
+def _in_unified_frame(ref: Pose, position: Vec3, orientation: Rotation, params) -> Pose:
+    """resolve_world_pose of a panel at (position, orientation) in ref's unified frame.
+
+    Written out in the frames route's operation order, so the floats, zero
+    signs included, are that route's.  Two of its steps change no bit and
+    are left out: the product with the local scale, ONES, and head-fixed's
+    zero height term + UP * 0.0 (a rotated FORWARD has no -0.0 component for
+    + 0.0 to clear).
+    """
+    return Pose(
+        position=ref.position + ref.orientation.rotate(position),
+        orientation=ref.orientation * orientation,
+        scale=_corrected_aspect(ref.scale.hadamard(params.panel_scale), params.aspect_ratio),
+    )
+
+
 def place_head_fixed(
     state: SceneState,
     bearings: Mapping[str, float],
@@ -232,24 +244,13 @@ def place_head_fixed(
 
     Each panel rides the head panel_distance out along its bearing from
     the head's forward, at eye level, facing the eyes, and turns with the
-    head in every axis.  This is resolve_world_pose of the unified head
-    frame written out in its operation order, so the floats, zero signs
-    included, are those of the frames route.
+    head in every axis: the unified head frame, resolved.
     """
-    head = state.pose_of(USER_HEAD)
-    # Two steps of the frames route change no bit and are left out: its
-    # product with the local scale, ONES, and its zero height term (a
-    # rotated FORWARD has no -0.0 component for + 0.0 to clear).
-    scale = _corrected_aspect(head.scale.hadamard(params.panel_scale), params.aspect_ratio)
-    out: dict[str, Pose] = {}
-    for pid, bearing in bearings.items():
-        local = yaw_rotation(bearing).forward() * params.panel_distance
-        out[pid] = Pose(
-            position=head.position + head.orientation.rotate(local),
-            orientation=head.orientation * yaw_rotation(bearing + 180.0),
-            scale=scale,
-        )
-    return out
+    head, d = state.pose_of(USER_HEAD), params.panel_distance
+    return {
+        pid: _in_unified_frame(head, yaw_rotation(b).forward() * d, yaw_rotation(b + 180.0), params)
+        for pid, b in bearings.items()
+    }
 
 
 def place_object_fixed(
@@ -260,26 +261,16 @@ def place_object_fixed(
     """Direct object-fixed placement, one pose per panel.
 
     Each panel floats NAME_TAG_HEIGHT_M above its intermediary's anchor,
-    in the anchor's frame, oriented as the anchor.  This is
-    resolve_world_pose of the unified anchor frame written out in its
-    operation order, so the floats, zero signs included, are those of the
-    frames route.
+    in the anchor's frame, oriented as the anchor: the unified anchor
+    frame, resolved.
     """
     offset = Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0)
-    out: dict[str, Pose] = {}
-    for pid, eid in intermediaries.items():
-        anchor = state.pose_of(eid)
-        out[pid] = Pose(
-            position=anchor.position + anchor.orientation.rotate(offset),
-            # The identity product is kept: it can flip the sign of a zero
-            # quaternion component.  The frames route's product with the
-            # local scale, ONES, changes no bit and is left out.
-            orientation=anchor.orientation * Rotation.identity(),
-            scale=_corrected_aspect(
-                anchor.scale.hadamard(params.panel_scale), params.aspect_ratio
-            ),
-        )
-    return out
+    # The identity product is kept: it can flip the sign of a zero
+    # quaternion component.
+    return {
+        pid: _in_unified_frame(state.pose_of(eid), offset, Rotation.identity(), params)
+        for pid, eid in intermediaries.items()
+    }
 
 
 class EnvironmentReferencedPlacer:

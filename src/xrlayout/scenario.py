@@ -60,7 +60,7 @@ from .errors import (
     UnknownCountry,
     XRLayoutError,
 )
-from .frames import USER_BODY, USER_HEAD, FrameOfReference, SceneState
+from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, FrameOfReference, SceneState
 from .geometry import (
     _POSITIVE_RULE,
     FovSpec,
@@ -691,6 +691,11 @@ def _trial(question_start: float, question_words: tuple, word_schedule=None, **v
 
 def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> Scenario:
     """The Scenario; its row already checked schema, which every scenario writes as its own."""
+    ids: set[str] = set()
+    for p in panels:
+        if p.id in ids:
+            raise _Invalid("panels", "unique panel ids", p.id)
+        ids.add(p.id)
     params = PlacementParams(**(params or {}))
     size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
     layout = SpatialLayout(FrameOfReference.unified(USER_BODY), Pose(), size)
@@ -825,6 +830,13 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
     def bad(message: str, path: str = "") -> None:
         diags.append(Diagnostic("invariant", message, path=path))
 
+    ids: set[str] = set()
+    for e in scn.entities:
+        if e.id in RESERVED_REFS:
+            bad(f"entity id {e.id!r} is reserved for a frame of reference", "entities")
+        elif e.id in ids:
+            bad(f"entity id {e.id!r} is not unique", "entities")
+        ids.add(e.id)
     users = [e for e in scn.entities if e.kind == "user"]
     if len(users) != 1:
         bad(f"expected exactly one user entity, found {len(users)}", "entities")
@@ -868,6 +880,9 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
             )
         if pid not in scn.intermediaries:
             bad(f"panel {pid!r} missing an intermediary", "placement.intermediaries")
+    for pid in scn.body_bearings:
+        if pid not in scn.panels:
+            bad(f"body bearing names unknown panel {pid!r}", "placement.body_bearings_deg")
     entity_by_id = {e.id: e for e in scn.entities}
     for pid, eid in scn.intermediaries.items():
         if pid not in scn.panels:

@@ -26,6 +26,7 @@ NAN = float("nan")
 INF = float("inf")
 BIG = 10**400  # an integer beyond the float range
 SOURCE = "mutant.scn"
+SS_PANELS = json.loads(bundled_scenario_text(SS))["panels"]
 
 
 def mutate(name: str, where: tuple | None, value: object) -> str:
@@ -613,7 +614,14 @@ INVALID_FIXTURES = [
     ('invalid_stationary_near_flag.scn', [
         'invalid_stationary_near_flag.scn:1:1: invariant at trials[0]: stationary trials take no near flag',
     ]),
+    ('invalid_bearing_unknown_panel.scn', [
+        "invalid_bearing_unknown_panel.scn:1:1: invariant at placement.body_bearings_deg: body bearing names unknown panel 'panel_extra'",
+    ]),
+    ('invalid_reserved_entity_id.scn', [
+        "invalid_reserved_entity_id.scn:1:1: invariant at entities: entity id 'user_head' is reserved for a frame of reference",
+    ]),
 ]
+INVALID_DIR = resources.files("xrlayout") / "fixtures" / "invalid"
 
 
 @pytest.mark.parametrize("case", MUTATIONS, ids=_case_id)
@@ -631,16 +639,25 @@ def test_raw_text(case):
 @pytest.mark.parametrize("case", INVALID_FIXTURES, ids=lambda case: case[0])
 def test_invalid_fixture(case):
     filename, expected = case
-    root = resources.files("xrlayout") / "fixtures" / "invalid"
-    text = (root / filename).read_text(encoding="utf-8")
+    text = (INVALID_DIR / filename).read_text(encoding="utf-8")
     assert rendered(text, source=filename) == expected
+
+
+@pytest.mark.parametrize(
+    "filename", sorted(p.name for p in INVALID_DIR.iterdir() if p.name.endswith(".scn"))
+)
+def test_every_invalid_fixture_is_rejected(filename):
+    with pytest.raises(ScenarioError):
+        parse_scenario((INVALID_DIR / filename).read_text(encoding="utf-8"), source=filename)
 
 
 # Inputs the parser used to accept silently, or to crash on, and now reports:
 # an unknown key in each closed block, a word schedule that does not start at
 # question_start_s, an empty enum string (once read as the default), a scene
-# that cannot be replayed (an intermediary placed on the user), and a tick
-# rate outside the one tick-rate rule (too fast, or a period that overflows).
+# that cannot be replayed (an intermediary placed on the user), a tick rate
+# outside the one tick-rate rule (too fast, or a period that overflows), a
+# body bearing for a panel that does not exist, an entity id that names a
+# frame of reference, and an entity or panel id given twice.
 ACCEPTANCE_CHANGES = [
     (SS, ("surprise",), 1, [
         'mutant.scn:1:1: schema at surprise: unknown key',
@@ -704,6 +721,20 @@ ACCEPTANCE_CHANGES = [
     ]),
     (DM, ("agent", "tick_hz"), 10000, []),
     (DM, ("agent", "tick_hz"), 1e-300, []),
+    (DM, ("placement", "body_bearings_deg", "panel_extra"), 20.0, [
+        "mutant.scn:1:1: invariant at placement.body_bearings_deg: body bearing names unknown "
+        "panel 'panel_extra'",
+    ]),
+    (SS, ("entities", 4, "id"), "user_head", [
+        "mutant.scn:1:1: invariant at entities: entity id 'user_head' is reserved for a frame of "
+        "reference",
+    ]),
+    (SS, ("entities", 4, "id"), "user", [
+        "mutant.scn:1:1: invariant at entities: entity id 'user' is not unique",
+    ]),
+    (SS, ("panels",), SS_PANELS + SS_PANELS[:1], [
+        "mutant.scn:1:1: schema at panels: expected unique panel ids, got str 'panel_food'",
+    ]),
 ]
 
 

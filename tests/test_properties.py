@@ -278,6 +278,23 @@ def test_parsed_scenario_simulates_and_scores_under_every_strategy(text):
         ), strategy
 
 
+def _extra_bearing():
+    doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+    doc["placement"]["body_bearings_deg"]["panel_extra"] = 20.0
+    return json.dumps(doc)
+
+
+@settings(max_examples=900, **RUN)
+@given(mutants())
+@example(_extra_bearing())  # a bearing for an undeclared panel once parsed, then crashed
+def test_parsed_mutant_simulates_and_scores_under_every_strategy(text):
+    """Mutants can add map keys, which redrawn leaves cannot."""
+    scn = parsed(text)
+    if scn is not None:
+        for strategy in Strategy:
+            session_output(scn, strategy, 1)
+
+
 def test_extreme_panel_aspect_ratio_fails_inside_xrlayout_error():
     # found by the simulate property: the head-fixed panel height, width /
     # aspect ratio, overflowed and escaped as a bare ValueError
