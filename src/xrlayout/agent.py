@@ -77,7 +77,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
@@ -190,6 +190,9 @@ class OpenEvent:
     correct: bool
 
 
+_SEED_KIND = next(row.kind for row in AGENT_ROWS if row.key == "seed")
+
+
 @dataclass(frozen=True)
 class AgentParams:
     fixation_min: float = 0.15  # s of dwell for a fixation to count
@@ -212,6 +215,13 @@ class AgentParams:
     def from_mapping(cls, m: Mapping[str, object]) -> "AgentParams":
         """Build from a scenario's agent block (file key names, see AGENT_ROWS)."""
         return cls(**{row.attr or row.key: m[row.key] for row in AGENT_ROWS if row.key in m})
+
+    def _with_seed(self, seed: int) -> "AgentParams":
+        """replace(self, seed=seed) that checks only the seed: the rest passed already."""
+        _SEED_KIND.require("seed", seed)
+        params = object.__new__(type(self))
+        vars(params).update(vars(self), seed=seed)
+        return params
 
 
 # -- scripted focus ----------------------------------------------------------
@@ -818,7 +828,7 @@ def simulate_session(
     if params is None:
         params = _SessionPlan.of(scenario).agent_params(scenario)
     if seed is not None:
-        params = replace(params, seed=seed)
+        params = params._with_seed(seed)
     strategy = scenario.strategy if strategy is None else Strategy(strategy)
     sim = _Simulator(scenario, params, strategy, params.seed)
     return sim.run()

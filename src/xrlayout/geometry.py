@@ -93,6 +93,14 @@ def _require_positive(obj, *names: str) -> None:
             raise ValueError(f"{name}: expected {_POSITIVE_RULE}, got {value!r}")
 
 
+POSITIVE_SCALE_RULE = "positive x, y and z"
+
+
+def _positive_scale(x: float, y: float, z: float) -> bool:
+    """The positive-scale rule; NaN fails it.  Pose.__init__ writes it out (hot path)."""
+    return x > 0.0 and y > 0.0 and z > 0.0
+
+
 def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z) / its norm; DegenerateTarget when the norm is near zero."""
     n = math.sqrt(x * x + y * y + z * z)
@@ -366,8 +374,8 @@ class Pose:
     def __init__(
         self, position: Vec3 = ZERO, orientation: Rotation = _IDENTITY, scale: Vec3 = ONES
     ):
-        if min(scale.x, scale.y, scale.z) <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not (scale.x > 0.0 and scale.y > 0.0 and scale.z > 0.0):  # _positive_scale
+            raise ValueError(f"scale: expected {POSITIVE_SCALE_RULE}, got {scale!r}")
         _set_position(self, position)
         _set_orientation(self, orientation)
         _set_scale(self, scale)

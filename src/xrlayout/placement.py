@@ -66,11 +66,13 @@ from .frames import (
 from .geometry import (
     FORWARD,
     GEOM_EPS,
+    POSITIVE_SCALE_RULE,
     UP,
     Pose,
     Rotation,
     Vec3,
     _look_quat,
+    _positive_scale,
     _reject_non_finite,
     _require_positive,
     _unit,
@@ -116,8 +118,9 @@ class PlacementParams:
 
     def __post_init__(self):
         _require_positive(self, "panel_distance", "panel_height", "eye_height", "aspect_ratio")
-        if min(self.panel_scale.to_tuple()) <= 0:
-            raise ValueError(f"panel_scale: expected positive components, got {self.panel_scale!r}")
+        scale = self.panel_scale
+        if not _positive_scale(*scale.to_tuple()):
+            raise ValueError(f"panel_scale: expected {POSITIVE_SCALE_RULE}, got {scale!r}")
         lo, hi = PANEL_DISTANCE_SOFT_RANGE_M
         if not lo <= self.panel_distance <= hi:
             warnings.warn(

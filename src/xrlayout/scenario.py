@@ -28,9 +28,13 @@ parsing its output reproduces an equal Scenario.
 
 Replay is pure: state_at(scenario, t) depends only on the scenario and t.
 Waypoint trajectories interpolate linearly (or hold) between strictly
-increasing timestamps and clamp outside them.  Question presentation is a
-word-at-a-time reveal on a fixed schedule, repeated every repeat_interval
-until answered; panel headers are transparent while words are revealing.
+increasing timestamps and clamp outside them.  Each pose that cannot change
+with t (no trajectory, a clamp, a hold, equal waypoints) is built once per
+scenario, on the first state_at, so a Scenario's mappings must not be
+mutated after use; dataclasses.replace() gives a copy that builds its own.
+Question presentation is a word-at-a-time reveal on a fixed schedule,
+repeated every repeat_interval until answered; panel headers are
+transparent while words are revealing.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Mapping, NamedTuple
 
 from .designspace import (
@@ -63,10 +67,12 @@ from .errors import (
 from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, FrameOfReference, SceneState
 from .geometry import (
     _POSITIVE_RULE,
+    POSITIVE_SCALE_RULE,
     FovSpec,
     Pose,
     Vec3,
     _finite_number,
+    _positive_scale,
     angle_between,
     yaw_rotation,
 )
@@ -183,8 +189,11 @@ class Trajectory:
         if t >= times[-1]:
             w = wps[-1]
             return w.position, w.yaw_deg
-        hi = bisect_right(times, t)
-        a, b = wps[hi - 1], wps[hi]
+        return self._between(bisect_right(times, t), t)
+
+    def _between(self, hi: int, t: float) -> tuple[Vec3, float]:
+        """The motion at t on the segment from waypoint hi - 1 to waypoint hi."""
+        a, b = self.waypoints[hi - 1], self.waypoints[hi]
         if self.interpolation == "hold":
             return a.position, a.yaw_deg
         t0, t1, p0, p1 = a.time, b.time, a.position, b.position
@@ -197,6 +206,53 @@ class Trajectory:
             (p1.z - p0.z) / (t1 - t0) * (t - t0) + p0.z,
         )
         return pos, a.yaw_deg + u * (b.yaw_deg - a.yaw_deg)
+
+    def _still_motions(self) -> list[tuple[Vec3, float] | None]:
+        """sample()'s value on each piece of the time line (see _piece), None where t moves it.
+
+        Pieces 0 and len(times) are the clamps.  A segment that holds, or
+        joins equal waypoints (as floats, so +-0.0 may mix) over a finite
+        span, gives the same bits for every t - t0 >= +0.0, so its formula
+        runs once, at t0.  Not after an inner waypoint at time +0.0: t = -0.0
+        there makes t - t0 = -0.0, which flips zeros.  Times that are not
+        finite and increasing (only possible outside the parser) leave
+        every piece to sample().
+        """
+        wps, times = self.waypoints, self._times
+        if not (all(map(math.isfinite, times)) and all(map(lt, times, times[1:]))):
+            return [None] * (len(wps) + 1)
+        still: list[tuple[Vec3, float] | None] = [(wps[0].position, wps[0].yaw_deg)]
+        for hi in range(1, len(wps)):
+            a, b = wps[hi - 1], wps[hi]
+            if self.interpolation == "hold" or (
+                a.position == b.position
+                and a.yaw_deg == b.yaw_deg
+                and math.isfinite(b.time - a.time)
+                and (hi == 1 or a.time != 0.0)
+            ):
+                still.append(self._between(hi, a.time))
+            else:
+                still.append(None)
+        still.append((wps[-1].position, wps[-1].yaw_deg))
+        return still
+
+
+def _entity_pose(position: Vec3, yaw_deg: float) -> Pose:
+    return Pose(position, yaw_rotation(yaw_deg))
+
+
+def _built(build, *args):
+    """build(*args), or None when that raises ValueError (NonFiniteVector included)."""
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+def _piece(times: tuple[float, ...], t: float) -> int:
+    """The piece of the time line t falls on: bisect_right, but t == times[0] clamps."""
+    k = bisect_right(times, t)
+    return 0 if k == 1 and t == times[0] else k
 
 
 @dataclass(frozen=True)
@@ -268,6 +324,9 @@ class Scenario:
     # the first simulated session.  Outside equality, repr and to_dict;
     # replace() starts the copy without one.
     _plan: object = field(default=None, init=False, repr=False, compare=False)
+    # The poses state_at never rebuilds (see _prebuild), made on its first
+    # call; outside equality, repr and to_dict, and not carried by replace().
+    _replay: object = field(default=None, init=False, repr=False, compare=False)
     # Not a field: the schema version every scenario is written under.
     schema = SCHEMA_VERSION
 
@@ -299,35 +358,84 @@ class Scenario:
     # -- replay ---------------------------------------------------------
 
     def state_at(self, t: float) -> SceneState:
-        """Scene poses at time t.  Pure in (self, t)."""
-        poses: dict[str, Pose] = {}
-        body_pos, body_yaw = self._entity_motion(self.user, t)
+        """Scene poses at time t.  Pure in (self, t).
+
+        Prebuilt on the first call (_prebuild) are the poses of an entity
+        without a trajectory and, on a trajectory, those before its first
+        and after its last waypoint, on hold segments and between equal
+        waypoints; a still user's body, head and user_forward screens with
+        them.  Only a segment that moves runs the formulas at t.  They are
+        read from entities, trajectories and params once, so a scenario's
+        mappings must not be mutated after use (as the session plan
+        assumes); replace() starts a copy without them.
+        """
+        (user, times, still), others = self._replay or self._prebuild()
+        user_poses = still[_piece(times, t)]
+        if user_poses is None:
+            user_poses = self._user_poses(*self._entity_motion(user, t))
+        body, head, screens = user_poses
+        poses = {USER_BODY: body, USER_HEAD: head}
+        for ent, times, still in others:
+            if times is None:  # a user_forward screen
+                poses[ent.id] = screens[ent.id]
+                continue
+            pose = still[_piece(times, t)]
+            if pose is None:
+                pose = _entity_pose(*self._entity_motion(ent, t))
+            poses[ent.id] = pose
+        return SceneState(time=t, poses=poses)
+
+    def _user_poses(self, body_pos: Vec3, body_yaw: float) -> tuple[Pose, Pose, dict]:
+        """(body, head, {screen id: pose}) of the user at one motion."""
         body_rot = yaw_rotation(body_yaw)
-        poses[USER_BODY] = Pose(body_pos, body_rot)
+        body = Pose(body_pos, body_rot)
         # body_pos + UP * eye_height on floats; 0.0 * e keeps a zero's sign.
         e = self.params.eye_height
         head = Vec3(body_pos.x + 0.0 * e, body_pos.y + e, body_pos.z + 0.0 * e)
-        poses[USER_HEAD] = Pose(head, body_rot)
+        screens = {}
         for ent in self.entities:
-            if ent.kind == "user":
-                continue
-            if ent.anchor == "user_forward":
+            if ent.kind != "user" and ent.anchor == "user_forward":
                 # head + normalized(horizontal(forward)) * a on floats; a yaw's
                 # forward is horizontal, so its norm is never near 0.
                 f, a = body_rot.forward(), ent.anchor_distance_m
                 n = math.sqrt(f.x * f.x + f.z * f.z)
                 center = Vec3(head.x + f.x / n * a, head.y + 0.0 * a, head.z + f.z / n * a)
-                poses[ent.id] = Pose(center, yaw_rotation(body_yaw + 180.0))
-                continue
-            pos, yaw = self._entity_motion(ent, t)
-            poses[ent.id] = Pose(pos, yaw_rotation(yaw))
-        return SceneState(time=t, poses=poses)
+                screens[ent.id] = Pose(center, yaw_rotation(body_yaw + 180.0))
+        return body, Pose(head, body_rot), screens
 
     def _entity_motion(self, e: EntitySpec, t: float) -> tuple[Vec3, float]:
         traj = self.trajectories.get(e.id)
         if traj is None:
             return e.position, e.yaw_deg
         return traj.sample(t)
+
+    def _prebuild(self) -> tuple:
+        """state_at's table: ((user, times, still), ((entity, times, still), ...)).
+
+        still[k] is what piece k of times (see _piece) gives every t: the
+        user's (body, head, screens) or an entity's pose, or None where it
+        moves.  An entity without a trajectory has no times and one piece; a
+        user_forward screen has times None and rides on the user's entry.
+        A still piece whose poses raise is left to run at t, and raises there.
+        """
+
+        def pieces(e: EntitySpec, build) -> tuple[tuple[float, ...], tuple]:
+            traj = self.trajectories.get(e.id)
+            if traj is None:
+                times, motions = (), [(e.position, e.yaw_deg)]
+            else:
+                times, motions = traj._times, traj._still_motions()
+            return times, tuple(None if m is None else _built(build, *m) for m in motions)
+
+        user = self.user
+        others = tuple(
+            (e, None, None) if e.anchor == "user_forward" else (e, *pieces(e, _entity_pose))
+            for e in self.entities
+            if e.kind != "user"
+        )
+        replay = (user, *pieces(user, self._user_poses)), others
+        object.__setattr__(self, "_replay", replay)
+        return replay
 
     def trial_window(self, index: int) -> tuple[float, float]:
         """[question start, next question start) span owned by a trial."""
@@ -655,7 +763,7 @@ _VEC3 = _Kind(
 )
 _POSITIVE_VEC3 = _Kind(
     *_VEC3.checks,
-    (lambda v: min(v) > 0, "positive [x, y, z]"),
+    (lambda v: _positive_scale(*v), POSITIVE_SCALE_RULE),
     convert=_VEC3.convert,
     dump=_VEC3.dump,
 )

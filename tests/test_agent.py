@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -319,6 +320,25 @@ class TestAgentParams:
             AgentParams(**{name: bad})
         with pytest.raises(ValueError, match=name):
             replace(AgentParams(), **{name: bad})
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_session_seed_is_the_replaced_params(self, name):
+        scn = load_bundled(name)
+        params = AgentParams(scan_policy="bearing_order", tick_hz=20.0)
+        for base in (None, params):
+            trace = simulate_session(scn, base, seed=5)
+            want = replace(base or AgentParams.from_mapping(scn.agent), seed=5)
+            assert trace.params == want
+            assert trace.params.seed == 5
+
+    @pytest.mark.parametrize("bad", [1.0, True, "3"])
+    def test_session_seed_is_checked_as_in_files(self, bad):
+        scn = load_bundled("static_stationary_env_ref")
+        message = f"^seed: expected integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_session(scn, seed=bad)
+        with pytest.raises(ValueError, match=message):
+            replace(AgentParams(), seed=bad)
 
 
 class TestGazeTargets:

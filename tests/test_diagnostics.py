@@ -198,7 +198,7 @@ MUTATIONS = [
         "mutant.scn:1:1: schema at placement.panel_scale: expected [x, y, z] numbers, got str 'big'",
     ]),
     (DM, ('placement', 'panel_scale'), [-1.4, 0.8, 0.02], [
-        'mutant.scn:1:1: schema at placement.panel_scale: expected positive [x, y, z], got list',
+        'mutant.scn:1:1: schema at placement.panel_scale: expected positive x, y and z, got list',
     ]),
     (DM, ('placement', 'panel_scale'), DELETE, []),
     (SS, ('placement', 'body_bearings_deg'), DELETE, [

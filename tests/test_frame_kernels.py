@@ -8,7 +8,9 @@ step.  Results must match bit for bit (floats compared by their IEEE bytes,
 so zero signs count), and every input that raised must raise the same
 exception class: extreme coordinates near +-1e308, a user on top of an
 intermediary, bodies at yaw +-180 and non-finite bearings are drawn on
-purpose.
+purpose.  TestPrebuiltReplay holds state_at, which builds each pose that
+cannot change with t once, to the float body that built every pose at
+every t.
 """
 
 import math
@@ -39,7 +41,7 @@ from xrlayout.placement import (
     body_heading_deg,
     place_body_fixed,
 )
-from xrlayout.scenario import Trajectory, Waypoint, load_bundled
+from xrlayout.scenario import Trajectory, Waypoint, load_bundled, serialize_scenario
 
 # -- oracles: the object-path bodies -----------------------------------------
 
@@ -351,3 +353,142 @@ class TestReplayKernels:
         t = data.draw(sample_times(user))
         got, want = outcome(scn.state_at, t), outcome(old_state_at, scn, t)
         assert same_outcome(got, want, lambda s: (bits(s.time), poses_bits(s.poses)))
+
+
+# -- prebuilt replay: state_at against the body that builds every pose -------
+
+
+def per_frame_state_at(scn, t):
+    """state_at as it was before its t-independent poses were prebuilt."""
+    poses = {}
+    user = scn.user
+    traj = scn.trajectories.get(user.id)
+    body_pos, body_yaw = (user.position, user.yaw_deg) if traj is None else traj.sample(t)
+    body_rot = yaw_rotation(body_yaw)
+    poses[USER_BODY] = Pose(body_pos, body_rot)
+    e = scn.params.eye_height
+    head = Vec3(body_pos.x + 0.0 * e, body_pos.y + e, body_pos.z + 0.0 * e)
+    poses[USER_HEAD] = Pose(head, body_rot)
+    for ent in scn.entities:
+        if ent.kind == "user":
+            continue
+        if ent.anchor == "user_forward":
+            f, a = body_rot.forward(), ent.anchor_distance_m
+            n = math.sqrt(f.x * f.x + f.z * f.z)
+            center = Vec3(head.x + f.x / n * a, head.y + 0.0 * a, head.z + f.z / n * a)
+            poses[ent.id] = Pose(center, yaw_rotation(body_yaw + 180.0))
+            continue
+        traj = scn.trajectories.get(ent.id)
+        pos, yaw = (ent.position, ent.yaw_deg) if traj is None else traj.sample(t)
+        poses[ent.id] = Pose(pos, yaw_rotation(yaw))
+    return SceneState(time=t, poses=poses)
+
+
+def state_bits(s):
+    """The time and every pose in dict order, floats as IEEE bytes (zero signs count)."""
+    return bits(s.time), poses_bits(s.poses)
+
+
+zero_or_coord = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.sampled_from(HUGE), st.floats(-50.0, 50.0)
+)
+
+
+@st.composite
+def repeating_trajectories(draw, still=False):
+    """Waypoints whose position and yaw often repeat the ones before, zeros re-signed.
+
+    So segments between equal waypoints (as floats: +-0.0 mix), segments
+    that only turn or only move, hold segments and moving segments all
+    occur, often in one trajectory.  still=True repeats every waypoint.
+    """
+    n = draw(st.integers(1, 5))
+    # +-1.7e308 make spans, and t - t0, that overflow to inf
+    stamps = st.one_of(st.floats(-10.0, 40.0), st.sampled_from([-1.7e308, 0.0, 1.7e308]))
+    times = sorted(draw(st.lists(stamps, min_size=n, max_size=n, unique=True)))
+    resign = st.sampled_from([0.0, -0.0])
+    wps = []
+    for i, t in enumerate(times):
+        if i == 0 or not still and draw(st.booleans()):
+            xyz = [draw(zero_or_coord) for _ in range(3)]
+        else:
+            xyz = [draw(resign) if c == 0.0 else c for c in xyz]
+        if i == 0 or not still and draw(st.booleans()):
+            yaw = draw(angles)
+        elif yaw == 0.0:
+            yaw = draw(resign)
+        wps.append(Waypoint(t, Vec3(*xyz), yaw))
+    return Trajectory(tuple(wps), draw(st.sampled_from(["linear", "hold"])))
+
+
+def replay_times(scn):
+    """Times on, next to and between every waypoint of the scenario, and far out."""
+    wp = sorted({w.time for tr in scn.trajectories.values() for w in tr.waypoints}) or [0.0]
+    near = [math.nextafter(x, d) for x in wp for d in (-math.inf, math.inf)]
+    return st.one_of(
+        st.sampled_from(wp),
+        st.sampled_from(near),
+        st.floats(wp[0] - 5.0, wp[-1] + 5.0),
+        st.sampled_from([-1e308, 1e308, -0.0]),
+    )
+
+
+def moved_scenario(draw, name):
+    """A bundled scene whose user and other entities get drawn trajectories (or none)."""
+    scn = FIXTURES[name]
+    motion = st.one_of(st.none(), repeating_trajectories(), trajectories())
+    trajs = {}
+    for e in scn.entities:  # a user_forward screen's trajectory is ignored
+        traj = draw(motion)
+        if traj is not None:
+            trajs[e.id] = traj
+    anchored = draw(st.one_of(st.sampled_from([0.0, -0.0, -1.5]), st.floats(0.1, 5.0)))
+    entities = tuple(
+        replace(e, anchor_distance_m=anchored) if e.anchor == "user_forward" else e
+        for e in scn.entities
+    )
+    # 1e308 overflows the head of a user high up: such poses raise when asked
+    eye = draw(st.one_of(st.sampled_from([1e-300, 1e308]), st.floats(0.5, 2.0)))
+    params = replace(scn.params, eye_height=eye)
+    return replace(scn, entities=entities, trajectories=trajs, params=params)
+
+
+class TestPrebuiltReplay:
+    @settings(max_examples=500, deadline=None)
+    @given(name=st.sampled_from(sorted(FIXTURES)), data=st.data())
+    def test_state_at_matches_the_per_frame_body(self, name, data):
+        scn = moved_scenario(data.draw, name)
+        for t in data.draw(st.lists(replay_times(scn), min_size=1, max_size=8)):
+            got, want = outcome(scn.state_at, t), outcome(per_frame_state_at, scn, t)
+            assert same_outcome(got, want, state_bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_still_user_with_an_anchored_screen(self, data):
+        scn = moved_scenario(data.draw, "static_mobile_env_ref")
+        user = data.draw(st.one_of(st.none(), repeating_trajectories(still=True)))
+        scn = replace(scn, trajectories={} if user is None else {"user": user})
+        for t in data.draw(st.lists(replay_times(scn), min_size=1, max_size=8)):
+            got, want = outcome(scn.state_at, t), outcome(per_frame_state_at, scn, t)
+            assert same_outcome(got, want, state_bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(FIXTURES)), data=st.data())
+    def test_replace_never_serves_stale_poses(self, name, data):
+        first = moved_scenario(data.draw, name)
+        t = data.draw(replay_times(first))
+        outcome(first.state_at, t)  # builds first's table
+        second = moved_scenario(data.draw, name)
+        second = replace(first, entities=second.entities, trajectories=second.trajectories)
+        assert second._replay is None
+        got, want = outcome(second.state_at, t), outcome(per_frame_state_at, second, t)
+        assert same_outcome(got, want, state_bits)
+
+    def test_prebuilt_poses_stay_out_of_equality_and_serialization(self):
+        scn = load_bundled("static_mobile_env_ref")
+        text = serialize_scenario(scn)
+        scn.state_at(3.0)
+        assert scn._replay is not None
+        assert scn == load_bundled("static_mobile_env_ref")
+        assert serialize_scenario(scn) == text
+        assert "_replay" not in repr(scn)

@@ -374,10 +374,11 @@ class TestValueSemantics:
         comps = [1.0, 2.0, 3.0]
         comps[slot] = bad
         scale = Vec3(*comps)
-        message = f"scale must be positive, got {scale}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        text = f"scale: expected positive x, y and z, got {scale!r}"
+        message = f"^{re.escape(text)}$"
+        with pytest.raises(ValueError, match=message):
             Pose(scale=scale)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=message):
             Pose(UP, yaw_rotation(10.0), scale)
 
     def test_eq_and_hash(self):

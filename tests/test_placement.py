@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -345,7 +346,8 @@ class TestParams:
         with pytest.raises(ValueError):
             PlacementParams(panel_height=-1.0)
         # a session used to die later with a bare ValueError from Pose
-        with pytest.raises(ValueError, match="panel_scale: expected positive components"):
+        message = "panel_scale: expected positive x, y and z, got Vec3(x=1.4, y=-0.8, z=0.02)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PlacementParams(panel_scale=Vec3(1.4, -0.8, 0.02))
 
     @pytest.mark.parametrize(
