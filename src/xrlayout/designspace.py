@@ -9,8 +9,10 @@ show all of them at once.
 
 Presentation detail beyond the enum level lives in modality_params, an
 open string-keyed map with a published key schema (MODALITY_PARAM_KEYS).
-Keys outside the schema must use the "custom." prefix; anything else is
-flagged so typos don't silently drop styling.
+Keys outside the schema must use the "custom." prefix (is_modality_param_key);
+anything else is flagged so typos don't silently drop styling.  validate_object
+checks objects built in code; a .scn file's panels are checked by the scenario
+schema table, which reads the domains and the key rule from here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .frames import RESERVED_REFS, FrameOfReference
-from .geometry import ONES, Pose, Vec3
+from .geometry import (
+    _POSITIVE_RULE, ONES, POSITIVE_SCALE_RULE, Pose, Vec3, _finite_positive, _positive_scale
+)
 
 AVAILABILITY = ("open", "minimized", "closed")
 AVAILABILITY_MUTABILITY = ("user", "context_aware", "immutable")
@@ -64,6 +68,11 @@ MODALITY_PARAM_KEYS = frozenset(
     }
 )
 CUSTOM_KEY_PREFIX = "custom."
+
+
+def is_modality_param_key(key: str) -> bool:
+    """The modality_params key rule: a published key, or one under CUSTOM_KEY_PREFIX."""
+    return key in MODALITY_PARAM_KEYS or key.startswith(CUSTOM_KEY_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -150,17 +159,17 @@ def validate_object(obj: XRObject, catalog: SceneCatalog) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    _check_enum(out, obj.id, "availability", obj.content.availability, AVAILABILITY)
-    _check_enum(
-        out,
-        obj.id,
-        "availability_mutability",
-        obj.content.availability_mutability,
-        AVAILABILITY_MUTABILITY,
-    )
-    _check_enum(out, obj.id, "immersion", obj.presentation.immersion, IMMERSION)
-    _check_enum(out, obj.id, "modality", obj.presentation.modality, MODALITY)
-    _check_enum(out, obj.id, "interactivity", obj.interactivity, INTERACTIVITY)
+    content, presentation = obj.content, obj.presentation
+    for name, value, allowed in (
+        ("availability", content.availability, AVAILABILITY),
+        ("availability_mutability", content.availability_mutability, AVAILABILITY_MUTABILITY),
+        ("immersion", presentation.immersion, IMMERSION),
+        ("modality", presentation.modality, MODALITY),
+        ("interactivity", obj.interactivity, INTERACTIVITY),
+    ):
+        if value not in allowed:
+            detail = f"{name}={value!r}, expected one of {allowed}"
+            out.append(Violation(BAD_ENUM_VALUE, obj.id, detail))
 
     if obj.content.level_of_detail < 0:
         out.append(
@@ -195,25 +204,19 @@ def validate_object(obj: XRObject, catalog: SceneCatalog) -> list[Violation]:
             )
 
     size = obj.layout.size
-    if min(size.scale.x, size.scale.y, size.scale.z) <= 0.0:
-        out.append(Violation(BAD_SIZE, obj.id, f"non-positive scale {size.scale}"))
-    if size.aspect_ratio is not None and size.aspect_ratio <= 0.0:
-        out.append(
-            Violation(BAD_SIZE, obj.id, f"non-positive aspect ratio {size.aspect_ratio}")
-        )
+    if not _positive_scale(*size.scale.to_tuple()):
+        detail = f"scale: expected {POSITIVE_SCALE_RULE}, got {size.scale}"
+        out.append(Violation(BAD_SIZE, obj.id, detail))
+    ratio = size.aspect_ratio
+    if ratio is not None and not _finite_positive(ratio):
+        detail = f"aspect ratio: expected {_POSITIVE_RULE}, got {ratio!r}"
+        out.append(Violation(BAD_SIZE, obj.id, detail))
 
     for key in obj.presentation.modality_params:
-        if key not in MODALITY_PARAM_KEYS and not key.startswith(CUSTOM_KEY_PREFIX):
+        if not is_modality_param_key(key):
             out.append(Violation(UNKNOWN_METADATA_KEY, obj.id, key))
 
     return out
-
-
-def _check_enum(out: list[Violation], subject: str, name: str, value: str, allowed):
-    if value not in allowed:
-        out.append(
-            Violation(BAD_ENUM_VALUE, subject, f"{name}={value!r}, expected one of {allowed}")
-        )
 
 
 def _on_cycle(obj: XRObject, catalog: SceneCatalog) -> bool:

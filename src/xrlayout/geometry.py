@@ -85,11 +85,16 @@ def _finite_number(v: object) -> bool:
 _POSITIVE_RULE = "a finite positive number"
 
 
+def _finite_positive(v: object) -> bool:
+    """The rule _POSITIVE_RULE states."""
+    return _finite_number(v) and v > 0
+
+
 def _require_positive(obj, *names: str) -> None:
     """ValueError unless each named field of obj is a finite positive number."""
     for name in names:
         value = getattr(obj, name)
-        if not (_finite_number(value) and value > 0):
+        if not _finite_positive(value):
             raise ValueError(f"{name}: expected {_POSITIVE_RULE}, got {value!r}")
 
 

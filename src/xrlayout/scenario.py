@@ -18,7 +18,8 @@ one row per file key, with its kind and constraints, its default or that
 it is required, and the attribute it fills.  The reader, the writer
 (Scenario.to_dict) and AgentParams.from_mapping all walk that table.
 Blocks are closed, so a key the table does not list is an error; metadata
-and a panel's modality_params are open maps.
+is an open map, and a panel's modality_params and five enums follow the
+design-space key rule and domains (less "hybrid"), checked at their keys.
 
 Parsing is total: any input yields either a Scenario or a list of
 Diagnostic records (syntax problems carry line/column, schema problems a
@@ -48,13 +49,17 @@ from operator import attrgetter, lt
 from typing import Mapping, NamedTuple
 
 from .designspace import (
+    AVAILABILITY,
+    AVAILABILITY_MUTABILITY,
+    IMMERSION,
+    INTERACTIVITY,
+    MODALITY,
     ContentSpec,
     PresentationSpec,
-    SceneCatalog,
     SizeSpec,
     SpatialLayout,
     XRObject,
-    validate_object,
+    is_modality_param_key,
 )
 from .errors import (
     Diagnostic,
@@ -181,15 +186,12 @@ class Trajectory:
         object.__setattr__(self, "_times", tuple(w.time for w in self.waypoints))
 
     def sample(self, t: float) -> tuple[Vec3, float]:
-        wps = self.waypoints
-        times = self._times
-        if t <= times[0]:
-            w = wps[0]
-            return w.position, w.yaw_deg
-        if t >= times[-1]:
-            w = wps[-1]
-            return w.position, w.yaw_deg
-        return self._between(bisect_right(times, t), t)
+        """The motion at t; the clamps are pieces 0 and len(waypoints) of _piece."""
+        wps, k = self.waypoints, _piece(self._times, t)
+        if 0 < k < len(wps):
+            return self._between(k, t)
+        w = wps[0] if k == 0 else wps[-1]
+        return w.position, w.yaw_deg
 
     def _between(self, hi: int, t: float) -> tuple[Vec3, float]:
         """The motion at t on the segment from waypoint hi - 1 to waypoint hi."""
@@ -614,14 +616,15 @@ class _Block(_Kind):
     """A closed JSON object read into build(**values).
 
     Values of dotted attrs reach build grouped by their first part.  A block
-    without build is only checked, and kept as written.
+    without build is only checked, and kept as written.  known(key), if given,
+    replaces its rows' keys as the rule for which keys it takes.
     """
 
-    def __init__(self, *rows: _Row, build=None, name: str = "object"):
+    def __init__(self, *rows: _Row, build=None, name: str = "object", known=None):
         super().__init__((_is_dict, name))
         self.rows = rows
         self.build = build
-        self.keys = frozenset(row.key for row in rows)
+        self.known = known or frozenset(row.key for row in rows).__contains__
         self.slots = []  # (row, group, attr): where build receives the row's value
         for row in rows:
             group, _, attr = (row.key if row.attr is None else row.attr).rpartition(".")
@@ -646,8 +649,8 @@ class _Block(_Kind):
             else:
                 values.update(value or {})
         for key in raw:
-            if key not in self.keys:
-                diags.append(Diagnostic("schema", "unknown key", path=_join(path, key)))
+            if not self.known(key):
+                diags.append(Diagnostic("schema", "unknown key", path=f"{path}.{key}" if path else key))
         if len(diags) > start:
             return None
         if self.build is None:
@@ -876,17 +879,22 @@ _TRAJECTORY = _Block(
 
 _LEVEL = _Kind(_INTEGER, (lambda v: v >= 0, "integer >= 0"))
 
+_MODALITY_PARAMS = _Block(known=is_modality_param_key)
+# A .scn panel has no sub-objects, so it cannot give a hybrid modality its parts.
+_MODALITY = _one_of(tuple(m for m in MODALITY if m != "hybrid"))
+
 _PANEL = _Block(
     _Row("id", _STR, _REQUIRED),
     _Row("topic", _one_of(CATEGORIES), _REQUIRED, attr="content.topic"),
-    _Row("modality_params", _OBJECT, attr="presentation.modality_params"),
+    _Row("modality_params", _MODALITY_PARAMS, attr="presentation.modality_params"),
     _Row("info_focus", _STR, attr="content.info_focus"),
     _Row("level_of_detail", _LEVEL, 1, attr="content.level_of_detail"),
-    _Row("availability", _STR, attr="content.availability"),
-    _Row("availability_mutability", _STR, "context_aware", attr="content.availability_mutability"),
-    _Row("immersion", _STR, attr="presentation.immersion"),
-    _Row("modality", _STR, attr="presentation.modality"),
-    _Row("interactivity", _STR, "full"),
+    _Row("availability", _one_of(AVAILABILITY), attr="content.availability"),
+    _Row("availability_mutability", _one_of(AVAILABILITY_MUTABILITY), "context_aware",
+         attr="content.availability_mutability"),
+    _Row("immersion", _one_of(IMMERSION), attr="presentation.immersion"),
+    _Row("modality", _MODALITY, attr="presentation.modality"),
+    _Row("interactivity", _one_of(INTERACTIVITY), "full"),
     build=_panel,
 )
 
@@ -966,18 +974,11 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
     if scn.setting == "static" and not any(e.kind == "screen" for e in scn.entities):
         bad("static sessions need a question screen entity", "entities")
 
-    # Panels: one per category, valid design metadata, configured on both
-    # strategy maps so a run can switch strategies without editing the file.
+    # Panels (the schema table checked their design metadata): one per category,
+    # configured on both strategy maps so a run can switch strategies without editing the file.
     topics = sorted(p.content.topic for p in scn.panels.values())
     if topics != sorted(CATEGORIES):
         bad(f"expected one panel per category, found topics {topics}", "panels")
-    catalog = SceneCatalog(
-        entity_ids=frozenset(e.id for e in scn.entities if e.kind != "user"),
-        objects=dict(scn.panels),
-    )
-    for pid, panel in scn.panels.items():
-        for v in validate_object(panel, catalog):
-            bad(f"panel {pid!r}: {v}", "panels")
     for pid in scn.panels:
         if pid not in scn.body_bearings:
             bad(f"panel {pid!r} missing a body bearing", "placement.body_bearings_deg")

@@ -23,6 +23,7 @@ from xrlayout.designspace import (
     SpatialLayout,
     Violation,
     XRObject,
+    is_modality_param_key,
     validate_object,
 )
 from xrlayout.frames import USER_BODY, FrameOfReference
@@ -195,6 +196,23 @@ class TestSizeAndMetadata:
         )
         assert BAD_SIZE in codes(validate_object(obj, catalog_of(obj)))
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -float("inf"), -1.0, True])
+    def test_aspect_ratio_not_finite_positive(self, ratio):
+        obj = make_object(
+            layout=SpatialLayout(
+                FrameOfReference.unified("world"),
+                Pose(),
+                SizeSpec(scale=Vec3(1.0, 1.0, 1.0), aspect_ratio=ratio),
+            )
+        )
+        assert codes(validate_object(obj, catalog_of(obj))) == [BAD_SIZE]
+
+    @pytest.mark.parametrize("ratio", [None, 1.75, 5e-324, 1e308])
+    def test_finite_positive_aspect_ratio_passes(self, ratio):
+        size = SizeSpec(aspect_ratio=ratio)
+        obj = make_object(layout=SpatialLayout(FrameOfReference.unified("world"), Pose(), size))
+        assert validate_object(obj, catalog_of(obj)) == []
+
     def test_unknown_metadata_key(self):
         obj = make_object(
             presentation=PresentationSpec(modality_params={"visual.dpi": 300})
@@ -212,6 +230,23 @@ class TestSizeAndMetadata:
             )
         )
         assert validate_object(obj, catalog_of(obj)) == []
+
+    @pytest.mark.parametrize(
+        "key, known",
+        [
+            ("visual.typography.size_pt", True),
+            ("custom.team_color", True),
+            ("custom.", True),
+            ("visual.dpi", False),
+            ("custom", False),
+            ("Custom.x", False),
+            ("", False),
+        ],
+    )
+    def test_key_rule(self, key, known):
+        assert is_modality_param_key(key) is known
+        obj = make_object(presentation=PresentationSpec(modality_params={key: 1}))
+        assert codes(validate_object(obj, catalog_of(obj))) == ([] if known else [UNKNOWN_METADATA_KEY])
 
 
 class TestCatalog:

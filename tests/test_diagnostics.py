@@ -8,7 +8,7 @@ range, a non-positive value where a positive one is required, a bad
 choice, an empty list and a malformed waypoint or [x, y, z] vector.  A few
 mutations are valid on purpose and pin an empty list.  The raw-text cases
 pin syntax errors, and the invalid fixtures pin the files shipped with the
-package to show invariant errors.
+package to show invariant errors and a panel enum typo's schema error.
 """
 
 import json
@@ -441,7 +441,7 @@ MUTATIONS = [
         "mutant.scn:1:1: schema at panels[0].modality_params: expected object, got str 'bold'",
     ]),
     (SS, ('panels', 0, 'modality_params'), {'colour': 'red'}, [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': unknown-metadata-key(panel_food): colour",
+        'mutant.scn:1:1: schema at panels[0].modality_params.colour: unknown key',
     ]),
     (SS, ('panels', 0, 'modality_params'), {'custom.colour': 'red'}, []),
     (SS, ('panels', 0, 'info_focus'), 3, [
@@ -461,28 +461,28 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at panels[0].availability: expected string, got int 3',
     ]),
     (SS, ('panels', 0, 'availability'), 'ajar', [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): availability='ajar', expected one of ('open', 'minimized', 'closed')",
+        "mutant.scn:1:1: schema at panels[0].availability: expected one of ('open', 'minimized', 'closed'), got str 'ajar'",
     ]),
     (SS, ('panels', 0, 'availability_mutability'), 'sometimes', [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): availability_mutability='sometimes', expected one of ('user', 'context_aware', 'immutable')",
+        "mutant.scn:1:1: schema at panels[0].availability_mutability: expected one of ('user', 'context_aware', 'immutable'), got str 'sometimes'",
     ]),
     (SS, ('panels', 0, 'immersion'), 3, [
         'mutant.scn:1:1: schema at panels[0].immersion: expected string, got int 3',
     ]),
     (SS, ('panels', 0, 'immersion'), 'total', [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): immersion='total', expected one of ('non_immersive', 'partially_immersive', 'fully_immersive')",
+        "mutant.scn:1:1: schema at panels[0].immersion: expected one of ('non_immersive', 'partially_immersive', 'fully_immersive'), got str 'total'",
     ]),
     (SS, ('panels', 0, 'modality'), None, [
         'mutant.scn:1:1: schema at panels[0].modality: expected string, got nothing',
     ]),
     (SS, ('panels', 0, 'modality'), 'hybrid', [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': hybrid-needs-two-modalities(panel_food): hybrid modality requires >= 2 sub-objects with distinct modalities",
+        "mutant.scn:1:1: schema at panels[0].modality: expected one of ('visual', 'audio', 'haptic', 'olfactory'), got str 'hybrid'",
     ]),
     (SS, ('panels', 0, 'interactivity'), 5, [
         'mutant.scn:1:1: schema at panels[0].interactivity: expected string, got int 5',
     ]),
     (SS, ('panels', 0, 'interactivity'), 'some', [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): interactivity='some', expected one of ('none', 'open_close_only', 'full')",
+        "mutant.scn:1:1: schema at panels[0].interactivity: expected one of ('none', 'open_close_only', 'full'), got str 'some'",
     ]),
     (DM, ('panels', 2, 'topic'), 'food', [
         "mutant.scn:1:1: invariant at panels: expected one panel per category, found topics ['food', 'food', 'movies']",
@@ -620,6 +620,9 @@ INVALID_FIXTURES = [
     ('invalid_reserved_entity_id.scn', [
         "invalid_reserved_entity_id.scn:1:1: invariant at entities: entity id 'user_head' is reserved for a frame of reference",
     ]),
+    ('invalid_panel_enum_typo.scn', [
+        "invalid_panel_enum_typo.scn:1:1: schema at panels[1].immersion: expected one of ('non_immersive', 'partially_immersive', 'fully_immersive'), got str 'partially-immersive'",
+    ]),
 ]
 INVALID_DIR = resources.files("xrlayout") / "fixtures" / "invalid"
 
@@ -688,17 +691,16 @@ ACCEPTANCE_CHANGES = [
         'question_start_s 40.0, got float 35.0',
     ]),
     (SS, ("panels", 0, "immersion"), "", [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
-        "immersion='', expected one of ('non_immersive', 'partially_immersive', "
-        "'fully_immersive')",
+        "mutant.scn:1:1: schema at panels[0].immersion: expected one of ('non_immersive', "
+        "'partially_immersive', 'fully_immersive'), got str ''",
     ]),
     (SS, ("panels", 0, "modality"), "", [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
-        "modality='', expected one of ('visual', 'audio', 'haptic', 'olfactory', 'hybrid')",
+        "mutant.scn:1:1: schema at panels[0].modality: expected one of ('visual', 'audio', "
+        "'haptic', 'olfactory'), got str ''",
     ]),
     (SS, ("panels", 0, "interactivity"), "", [
-        "mutant.scn:1:1: invariant at panels: panel 'panel_food': bad-enum-value(panel_food): "
-        "interactivity='', expected one of ('none', 'open_close_only', 'full')",
+        "mutant.scn:1:1: schema at panels[0].interactivity: expected one of ('none', "
+        "'open_close_only', 'full'), got str ''",
     ]),
     (SS, ("entities", 3, "position"), [0.0, 0.0, 0.0], [
         'mutant.scn:1:1: invariant at entities: user must start equidistant (within 1 cm) from '

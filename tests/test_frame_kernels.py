@@ -325,6 +325,16 @@ class TestReplayKernels:
         got, want = outcome(traj.sample, t), outcome(old_sample, traj, t)
         assert same_outcome(got, want, lambda r: pose_bits(Pose(r[0])) + bits(r[1]))
 
+    def test_sample_clamps_nan_as_state_at_does(self):
+        # No time domain is checked yet: NaN sorts past the last waypoint in
+        # both, where sample once raised a bare IndexError.
+        scn = load_bundled("dynamic_mobile_env_ref")
+        end = max(traj.waypoints[-1].time for traj in scn.trajectories.values())
+        for traj in scn.trajectories.values():
+            last = traj.waypoints[-1]
+            assert traj.sample(math.nan) == (last.position, last.yaw_deg)
+        assert scn.state_at(math.nan).poses == scn.state_at(end).poses
+
     @settings(max_examples=300, deadline=None)
     @given(
         name=st.sampled_from(sorted(FIXTURES)),

@@ -10,7 +10,9 @@ properties are the parser's promises: parsing raises nothing but
 ScenarioError, serialize(parse(x)) is a fixed point, and a parsed scenario
 simulates and scores under every strategy raising nothing outside
 XRLayoutError.  The parameter constructors (AgentParams, PlacementParams,
-FovSpec) accept exactly the values their table rows accept.
+FovSpec) accept exactly the values their table rows accept, and so do a
+panel's five enum rows (the design-space domains) and its modality_params
+keys (designspace.is_modality_param_key).
 
 Each edit is kept as the session's text split around the edited path, so
 an example costs a draw and a parse, not a copy and a dump of the session.
@@ -45,6 +47,7 @@ from xrlayout.scenario import (
     bundled_scenario_names,
     bundled_scenario_text,
     parse_scenario,
+    scan_scenario,
     serialize_scenario,
 )
 
@@ -340,3 +343,67 @@ def test_a_parameter_constructor_accepts_exactly_what_its_row_accepts(build, att
     else:
         with pytest.raises(ValueError, match=f"^{attr}: expected |^diagonal FOV out of range"):
             build(**{attr: value})
+
+
+# The five panel enum rows and the .scn domain of each: designspace's tuple,
+# less "hybrid", which a panel without sub-objects cannot take.
+PANEL_ENUMS = {
+    "availability": designspace.AVAILABILITY,
+    "availability_mutability": designspace.AVAILABILITY_MUTABILITY,
+    "immersion": designspace.IMMERSION,
+    "modality": tuple(m for m in designspace.MODALITY if m != "hybrid"),
+    "interactivity": designspace.INTERACTIVITY,
+}
+PANEL_DOC = json.loads(bundled_scenario_text("static_stationary_env_ref"))
+panel_strings = st.text(max_size=12) | st.sampled_from(VOCABULARY + ["hybrid", "Open", " full"])
+
+
+def with_panel(index, key, value):
+    """The static stationary session with one panel key set."""
+    doc = json.loads(json.dumps(PANEL_DOC))
+    doc["panels"][index][key] = value
+    return json.dumps(doc)
+
+
+def round_trips(text):
+    """The panels of the canonical text, which parses back to the same scenario."""
+    scn = parse_scenario(text)
+    canon = serialize_scenario(scn)
+    assert parse_scenario(canon) == scn and serialize_scenario(parse_scenario(canon)) == canon
+    return json.loads(canon)["panels"]
+
+
+@settings(max_examples=300, **RUN)
+@given(index=st.integers(0, 2), key=st.sampled_from(sorted(PANEL_ENUMS)), value=panel_strings)
+def test_a_panel_enum_row_takes_exactly_its_domain(index, key, value):
+    _, diags = scan_scenario(with_panel(index, key, value))
+    if value in PANEL_ENUMS[key]:
+        assert diags == []
+    else:
+        assert [(d.kind, d.path) for d in diags] == [("schema", f"panels[{index}].{key}")]
+
+
+@pytest.mark.parametrize("key", sorted(PANEL_ENUMS))
+def test_every_panel_enum_member_parses_and_round_trips(key):
+    for value in PANEL_ENUMS[key]:
+        assert round_trips(with_panel(1, key, value))[1][key] == value
+
+
+param_keys = (
+    st.text(max_size=12)
+    | st.sampled_from(sorted(designspace.MODALITY_PARAM_KEYS))
+    | st.text(max_size=8).map(designspace.CUSTOM_KEY_PREFIX.__add__)
+    | st.sampled_from(["custom", "Custom.x", "visual.dpi", "visual.", "audio.volume "])
+)
+
+
+@settings(max_examples=300, **RUN)
+@given(index=st.integers(0, 2), key=param_keys)
+def test_a_modality_param_key_is_taken_exactly_when_the_key_rule_takes_it(index, key):
+    text = with_panel(index, "modality_params", {key: 1})
+    if designspace.is_modality_param_key(key):
+        assert round_trips(text)[index]["modality_params"] == {key: 1}
+    else:
+        _, diags = scan_scenario(text)
+        path = f"panels[{index}].modality_params.{key}"
+        assert [(d.kind, d.path, d.message) for d in diags] == [("schema", path, "unknown key")]
