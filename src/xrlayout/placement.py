@@ -30,7 +30,12 @@ strategy.  The one stateful piece is EnvironmentReferencedPlacer: it holds
 the last valid pose for degenerate frames (user standing exactly on an
 intermediary), so its result depends on the history of its calls.  That
 history is confined to one placer instance; remember() lets a caller that
-kept a non-degenerate result leave the placer as place() would have.
+kept a non-degenerate result leave the placer as place() would have.  The
+placer also reuses: a panel whose body pose, intermediary pose and params
+are the very objects (by identity) of its last non-degenerate placement
+gets that placement's Pose back, since the panel pose is a pure function of
+them.  Scenario.state_at hands out the same Pose objects on still pieces,
+so on those frames nothing is recomputed.
 
 Body-fixed and environment-referenced placement, a headset app's per-frame
 work, run on floats (geometry's scalar kernels, under its bit-identity
@@ -284,6 +289,14 @@ class EnvironmentReferencedPlacer:
     the placer keeps the last valid pose and records a warning event.  If
     the very first update is already degenerate there is nothing to hold,
     so the underlying error propagates.
+
+    Per panel, the placer keeps the inputs of its last non-degenerate
+    placement (body pose, intermediary pose, params) and the Pose it
+    produced.  When all three are the same objects again, compared by
+    identity and never by value (+-0.0 and NaN would break that), it
+    returns that same Pose; any other frame is computed.  The record
+    changes no result: degenerate frames still hold and warn every time,
+    and remember() feeds only the held poses.
     """
 
     def __init__(self, intermediaries: Mapping[str, str], params: PlacementParams):
@@ -291,13 +304,21 @@ class EnvironmentReferencedPlacer:
         self.params = params
         self.warnings: list[WarningEvent] = []
         self._last: dict[str, Pose] = {}
+        # panel id -> (body, intermediary, params, pose) of its last computed placement
+        self._placed: dict[str, tuple[Pose, Pose, PlacementParams, Pose]] = {}
 
     def place(self, state: SceneState) -> dict[str, Pose]:
         body = state.pose_of(USER_BODY)
+        params, placed = self.params, self._placed
         out: dict[str, Pose] = {}
         for pid, eid in self.intermediaries.items():
+            target = state.pose_of(eid)
+            rec = placed.get(pid)
+            if rec is not None and rec[0] is body and rec[1] is target and rec[2] is params:
+                out[pid] = rec[3]
+                continue
             try:
-                out[pid] = _toward_intermediary(pid, body, state.pose_of(eid), self.params)
+                pose = _toward_intermediary(pid, body, target, params)
             except DegenerateIntermediary as exc:
                 if pid not in self._last:
                     raise
@@ -310,6 +331,9 @@ class EnvironmentReferencedPlacer:
                         extra={"distance": exc.distance},
                     )
                 )
+                continue
+            placed[pid] = (body, target, params, pose)
+            out[pid] = pose
         self._last.update(out)
         return out
 

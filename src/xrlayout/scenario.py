@@ -366,24 +366,28 @@ class Scenario:
         without a trajectory and, on a trajectory, those before its first
         and after its last waypoint, on hold segments and between equal
         waypoints; a still user's body, head and user_forward screens with
-        them.  Only a segment that moves runs the formulas at t.  They are
-        read from entities, trajectories and params once, so a scenario's
-        mappings must not be mutated after use (as the session plan
-        assumes); replace() starts a copy without them.
+        them.  Only a segment that moves runs the formulas at t.  Every t on
+        a still piece gets the very same Pose objects (identical by `is`),
+        which EnvironmentReferencedPlacer relies on to reuse its placements.
+        The prebuilt poses are read from entities, trajectories and params
+        once, so a scenario's mappings must not be mutated after use (as
+        the session plan assumes); replace() starts a copy without them.
         """
         (user, times, still), others = self._replay or self._prebuild()
-        user_poses = still[_piece(times, t)]
+        k = _piece(times, t)
+        user_poses = still[k]
         if user_poses is None:
-            user_poses = self._user_poses(*self._entity_motion(user, t))
+            user_poses = self._user_poses(*self._entity_motion(user, k, t))
         body, head, screens = user_poses
         poses = {USER_BODY: body, USER_HEAD: head}
         for ent, times, still in others:
             if times is None:  # a user_forward screen
                 poses[ent.id] = screens[ent.id]
                 continue
-            pose = still[_piece(times, t)]
+            k = _piece(times, t)
+            pose = still[k]
             if pose is None:
-                pose = _entity_pose(*self._entity_motion(ent, t))
+                pose = _entity_pose(*self._entity_motion(ent, k, t))
             poses[ent.id] = pose
         return SceneState(time=t, poses=poses)
 
@@ -405,10 +409,14 @@ class Scenario:
                 screens[ent.id] = Pose(center, yaw_rotation(body_yaw + 180.0))
         return body, Pose(head, body_rot), screens
 
-    def _entity_motion(self, e: EntitySpec, t: float) -> tuple[Vec3, float]:
+    def _entity_motion(self, e: EntitySpec, k: int, t: float) -> tuple[Vec3, float]:
+        """e's motion at t, which falls on piece k of its trajectory's times (see _piece)."""
         traj = self.trajectories.get(e.id)
         if traj is None:
             return e.position, e.yaw_deg
+        if 0 < k < len(traj.waypoints):
+            return traj._between(k, t)
+        # A clamp left to run: times not finite and increasing, or poses that raise.
         return traj.sample(t)
 
     def _prebuild(self) -> tuple:

@@ -494,6 +494,24 @@ class TestPrebuiltReplay:
         got, want = outcome(second.state_at, t), outcome(per_frame_state_at, second, t)
         assert same_outcome(got, want, state_bits)
 
+    def test_still_pieces_hand_out_the_same_objects(self):
+        # EnvironmentReferencedPlacer reuses a placement only for identical poses
+        scn = load_bundled("dynamic_mobile_env_ref")
+        still_pieces = 0
+        for eid, traj in scn.trajectories.items():
+            ref = USER_BODY if eid == scn.user.id else eid
+            wp = [w.time for w in traj.waypoints]
+            times = [wp[0] - 5.0, *wp, wp[-1] + 5.0]
+            for lo, hi, still in zip(times, times[1:], traj._still_motions()):
+                a, b = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+                same = scn.state_at(a).pose_of(ref) is scn.state_at(b).pose_of(ref)
+                assert same == (still is not None), (eid, lo, hi)
+                still_pieces += same
+        assert still_pieces > len(scn.trajectories)  # more than the clamps
+        still = load_bundled("static_stationary_env_ref")  # no trajectory at all
+        a, b = still.state_at(1.0).poses, still.state_at(2.0).poses
+        assert all(a[ref] is b[ref] for ref in a)
+
     def test_prebuilt_poses_stay_out_of_equality_and_serialization(self):
         scn = load_bundled("static_mobile_env_ref")
         text = serialize_scenario(scn)

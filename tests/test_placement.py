@@ -3,13 +3,15 @@
 import math
 import random
 import re
+import struct
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrlayout.errors import DegenerateIntermediary, MissingConfig
+import xrlayout.placement as placement
+from xrlayout.errors import DegenerateIntermediary, MissingConfig, XRLayoutError
 from xrlayout.frames import USER_BODY, USER_HEAD, SceneState, resolve_world_pose
 from xrlayout.geometry import FORWARD, UP, Pose, Rotation, Vec3, angle_between, yaw_rotation
 from xrlayout.placement import (
@@ -27,6 +29,7 @@ from xrlayout.placement import (
     place_object_fixed,
     reheighted_intermediary,
 )
+from xrlayout.scenario import load_bundled
 
 TOL = 1e-9
 PARAMS = PlacementParams()
@@ -337,6 +340,148 @@ class TestDirectEqualsOracleBitForBit:
         pose = place_object_fixed(state, {"p": "host"}, PARAMS)["p"]
         assert math.copysign(1.0, host.orientation.x) == -1.0
         assert math.copysign(1.0, pose.orientation.x) == 1.0
+
+
+def pose_bytes(p: Pose) -> bytes:
+    q = p.orientation
+    return struct.pack("<10d", *p.position.to_tuple(), q.w, q.x, q.y, q.z, *p.scale.to_tuple())
+
+
+class MemoFreePlacer:
+    """The placer's rule with nothing reused: every panel computed every frame."""
+
+    def __init__(self, intermediaries, params):
+        self.intermediaries, self.params = dict(intermediaries), params
+        self.warnings: list[tuple] = []
+        self.last: dict[str, Pose] = {}
+
+    def place(self, state):
+        body, out = state.pose_of(USER_BODY), {}
+        for pid, eid in self.intermediaries.items():
+            try:
+                out[pid] = placement._toward_intermediary(
+                    pid, body, state.pose_of(eid), self.params
+                )
+            except DegenerateIntermediary as exc:
+                if pid not in self.last:
+                    raise
+                out[pid] = self.last[pid]
+                self.warnings.append((state.time, pid, exc.distance))
+        self.last.update(out)
+        return out
+
+
+def placed_bytes(fn, *args):
+    """fn's poses as (panel id, IEEE bytes) in dict order, or the error it raised."""
+    try:
+        return [(pid, pose_bytes(p)) for pid, p in fn(*args).items()]
+    except (XRLayoutError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def warning_bytes(events):
+    return [struct.pack("<2d", t, d) + s.encode() for t, s, d in events]
+
+
+# x and z on a small grid, mostly zeros: bodies land on intermediaries
+# (degenerate, 1e-7 included), the panel's zero signs follow the inputs'
+# when the ray runs along an axis, and 1e308 overflows the panel offset.
+grid = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -2.5, 1e-7, 1e308])
+grid_poses = st.builds(
+    Pose, st.builds(Vec3, grid, st.sampled_from([0.0, -0.0, 1.7]), grid), rotations
+)
+
+
+class TestPlacerReuse:
+    """EnvironmentReferencedPlacer reuses a panel's pose only for the same input objects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(grid_poses, min_size=2, max_size=4),
+        param_pool=st.lists(params, min_size=2, max_size=2, unique_by=lambda p: p.panel_distance),
+        data=st.data(),
+    )
+    def test_matches_a_memo_free_placer(self, pool, param_pool, data):
+        intermediaries = {"a": "h1", "b": "h2", "c": "h1"}
+        placer = EnvironmentReferencedPlacer(intermediaries, param_pool[0])
+        oracle = MemoFreePlacer(intermediaries, param_pool[0])
+        poses = {ref: data.draw(st.sampled_from(pool)) for ref in (USER_BODY, "h1", "h2")}
+
+        def pick(pose) -> Pose:
+            """pose itself, another pool pose, or a fresh copy with zeros re-signed."""
+            how = data.draw(st.sampled_from(["same", "same", "pool", "copy", "copy"]))
+            if how == "pool":
+                return data.draw(st.sampled_from(pool))
+            if how == "same":
+                return pose
+            xyz = pose.position.to_tuple()
+            xyz = [-c if c == 0.0 and data.draw(st.booleans()) else c for c in xyz]
+            return Pose(Vec3(*xyz), pose.orientation, pose.scale)
+
+        for _ in range(data.draw(st.integers(1, 12))):
+            step = data.draw(st.sampled_from(["place", "place", "again", "remember", "params"]))
+            if step == "place":  # "again" places the very same pose objects once more
+                poses = {ref: pick(pose) for ref, pose in poses.items()}
+            if step in ("place", "again"):
+                state = SceneState(data.draw(st.sampled_from([0.0, -0.0, 1.5])), poses)
+                assert placed_bytes(placer.place, state) == placed_bytes(oracle.place, state)
+            elif step == "remember":
+                kept = {pid: pick(pool[0]) for pid in data.draw(st.sets(panel_ids))}
+                placer.remember(kept)
+                oracle.last.update(kept)
+            else:
+                new = data.draw(st.sampled_from(param_pool))
+                placer.params = oracle.params = new if data.draw(st.booleans()) else replace(new)
+            got = [(w.time, w.subject, w.extra["distance"]) for w in placer.warnings]
+            assert warning_bytes(got) == warning_bytes(oracle.warnings)
+
+    @staticmethod
+    def computed_per_frame(monkeypatch, scn, frames):
+        """Panel ids the placer computes (not reuses) on each frame, spied on."""
+        calls: list[str] = []
+        compute = placement._toward_intermediary
+
+        def spy(pid, body, target, params):
+            calls.append(pid)
+            return compute(pid, body, target, params)
+
+        monkeypatch.setattr(placement, "_toward_intermediary", spy)
+        placer = EnvironmentReferencedPlacer(scn.intermediaries, scn.params)
+        per_frame = []
+        for state in frames:
+            placer.place(state)
+            per_frame.append(calls[:])
+            calls.clear()
+        assert placer.warnings == []
+        return per_frame
+
+    @staticmethod
+    def frames_90hz(scn):
+        return [scn.state_at(k / 90.0) for k in range(int(scn.duration * 90.0) + 1)]
+
+    def test_still_scene_computes_each_panel_once(self, monkeypatch):
+        scn = load_bundled("static_stationary_env_ref")
+        per_frame = self.computed_per_frame(monkeypatch, scn, self.frames_90hz(scn))
+        assert per_frame[0] == list(scn.intermediaries)
+        assert all(calls == [] for calls in per_frame[1:])
+
+    def test_computes_exactly_where_an_input_pose_is_new(self, monkeypatch):
+        scn = load_bundled("dynamic_mobile_env_ref")
+        frames = self.frames_90hz(scn)
+        per_frame = self.computed_per_frame(monkeypatch, scn, frames)
+        expected = [list(scn.intermediaries)]
+        for prev, state in zip(frames, frames[1:]):
+            body_moved = state.pose_of(USER_BODY) is not prev.pose_of(USER_BODY)
+            expected.append(
+                [
+                    pid
+                    for pid, eid in scn.intermediaries.items()
+                    if body_moved or state.pose_of(eid) is not prev.pose_of(eid)
+                ]
+            )
+        assert per_frame == expected
+        # both kinds of frame occur: still stretches and moving ones
+        assert 0 < sum(map(len, per_frame)) < len(frames) * len(scn.intermediaries)
 
 
 class TestParams:
