@@ -17,17 +17,16 @@ laid down by one emitter, _Timeline.
 
 Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
-(_SessionPlan, kept in the scenario's private _plan slot) of every value
-pure in (scenario, strategy, scripted time): scene states, panel poses,
-the scripted focus with its head position and gaze point, head turns and
-scan-route sort keys.  One rule decides its use: a session reads and fills
+(_SessionPlan, derived state of the scenario; see Scenario._derived) of
+every value pure in (scenario, strategy, scripted time): scene states,
+panel poses, the scripted focus with its head position and gaze point,
+head turns and scan-route sort keys.  One rule decides its use: a session reads and fills
 the plan until its first step off the script (a scene query at a time
 that is not scripted, a settle tail before the scene has settled, a
 degenerate placement), then computes every value by the same code and
 stores nothing.  So a warm scripted session does only its per-seed work,
 and a session gives the same trace and warnings whether the plan was cold
-or warm.  The plan is outside the scenario's equality, repr and
-serialization.
+or warm.
 
 Behavioral model
 ----------------
@@ -297,8 +296,9 @@ class SessionTrace:
         Tick k, at k * (1 / hz), samples the segment in force then; there
         are ceil(duration * hz) ticks, at least one.  tick_hz=None uses the
         session's params rate; every rate must pass the tick_hz row's kind,
-        as AgentParams.tick_hz does, else ValueError.  The CLI's gaze export, metrics.gaze_to_csv, writes this
-        stream run by run from the same runs, without building the samples.
+        as AgentParams.tick_hz does, else ValueError.  The CLI's gaze
+        export, metrics.gaze_to_csv, writes this stream run by run from the
+        same runs, without building the samples.
         """
         grid, _, runs = self._tick_runs(tick_hz)
         times = grid.times
@@ -429,14 +429,15 @@ class _SessionPlan:
     stores nothing (_Simulator._leave_plan).  So the plan stays bounded by
     the scripted times however many seeds run, and a session gives the
     same trace and warnings whether the plan was cold or warm.  The plan
-    holds no reference to its scenario; callers pass it.
+    holds no reference to its scenario; callers pass it.  It is derived
+    state of the scenario (see Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
         times = {0.0}
         for trial in scenario.trials:
-            t0, _ = scenario.trial_window(trial.index)
-            times.update((t0 - IDLE_LEAD_S, trial.question_start, trial.question_complete))
+            t0 = trial.question_start
+            times.update((t0 - IDLE_LEAD_S, t0, trial.question_complete))
         self.times = frozenset(times)
         self.rest = max(
             [traj.waypoints[-1].time for traj in scenario.trajectories.values()], default=0.0
@@ -457,22 +458,11 @@ class _SessionPlan:
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
         self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
-        self._params: AgentParams | None = None
 
-    @staticmethod
-    def of(scenario: Scenario) -> "_SessionPlan":
-        """The scenario's plan, created on first use."""
-        plan = scenario._plan
-        if plan is None:
-            plan = _SessionPlan(scenario)
-            object.__setattr__(scenario, "_plan", plan)
-        return plan
 
-    def agent_params(self, scenario: Scenario) -> AgentParams:
-        """The scenario's agent block as AgentParams, built on first use."""
-        if self._params is None:
-            self._params = AgentParams.from_mapping(scenario.agent)
-        return self._params
+def _agent_params(scenario: Scenario) -> AgentParams:
+    """The scenario's agent block as AgentParams (kept by Scenario._derived)."""
+    return AgentParams.from_mapping(scenario.agent)
 
 
 def _planned(table: dict | None, key, compute):
@@ -544,10 +534,19 @@ class _Timeline:
 
 
 def _direct_placement(strategy: Strategy, scenario: Scenario):
-    """A stateless strategy's placement as a function of the scene state."""
+    """A stateless strategy's placement as a function of the scene state.
+
+    World-fixed panels freeze at the session-start body-fixed arrangement
+    (there is no other sensible world pose to give them from a scenario
+    authored for adaptive strategies): their placement ignores the state.
+    """
     params = scenario.params
     if strategy is Strategy.OBJECT_FIXED:
         return partial(place_object_fixed, intermediaries=scenario.intermediaries, params=params)
+    if strategy is Strategy.WORLD_FIXED:
+        return lambda state: place_body_fixed(
+            scenario.state_at(0.0), scenario.body_bearings, params
+        )
     place = place_head_fixed if strategy is Strategy.HEAD_FIXED else place_body_fixed
     return partial(place, bearings=scenario.body_bearings, params=params)
 
@@ -565,7 +564,7 @@ class _Simulator:
         self.strategy = strategy
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
-        self.plan = plan = _SessionPlan.of(scenario)
+        self.plan = plan = scenario._derived(_SessionPlan)
         # The session's plan tables; _leave_plan drops them all at once.
         self.states = plan.states
         self.aims = plan.aims
@@ -600,31 +599,25 @@ class _Simulator:
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
         """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
 
-        A time that is not a plan time leaves the plan.  World-fixed panels
-        freeze at the session-start body-fixed arrangement (there is no
-        other sensible world pose to give them from a scenario authored for
-        adaptive strategies), so they are the poses at 0.0.
-
-        The environment-referenced placer holds the last pose on degenerate
-        states, so its result there depends on the session's history:
-        a degenerate placement leaves the plan, and it records the
-        session's own warnings.  Elsewhere the placement is pure, so a plan
-        hit hands the stored poses to the placer, and later degenerate
-        states hold exactly what they would have held without the plan.
+        A time that is not a plan time leaves the plan.  The environment-
+        referenced placer holds the last pose on degenerate states, so its
+        result there depends on the session's history: a degenerate
+        placement leaves the plan, and it records the session's own
+        warnings.  Elsewhere the placement is pure, so a plan hit hands the
+        stored poses to the placer, and later degenerate states hold exactly
+        what they would have held without the plan.
         """
         if at is not _TAIL and at not in self.plan.times:
             self._leave_plan()
         state = self._state(t, at)
-        frozen = self.strategy is Strategy.WORLD_FIXED
-        placed = 0.0 if frozen else at
-        poses = None if self.poses is None else self.poses.get(placed)
+        poses = None if self.poses is None else self.poses.get(at)
         if poses is None:
             held = len(self.warnings)
-            poses = self.place(self._state(0.0, 0.0) if frozen else state)
+            poses = self.place(state)
             if len(self.warnings) > held:
                 self._leave_plan()
             elif self.poses is not None:
-                self.poses[placed] = poses
+                self.poses[at] = poses
         elif self.placer is not None:
             self.placer.remember(poses)
         return state, poses
@@ -643,7 +636,7 @@ class _Simulator:
         line = self.line
         trial_traces: list[TrialTrace] = []
         for trial in scn.trials:
-            t0, _ = scn.trial_window(trial.index)
+            t0 = trial.question_start
             seg_start = len(line.segments)
             self._idle_phase(t0)
             self._question_phase(trial)
@@ -826,7 +819,7 @@ def simulate_session(
     strategy may be a value string ("head_fixed"); an unknown one raises ValueError.
     """
     if params is None:
-        params = _SessionPlan.of(scenario).agent_params(scenario)
+        params = scenario._derived(_agent_params)
     if seed is not None:
         params = params._with_seed(seed)
     strategy = scenario.strategy if strategy is None else Strategy(strategy)

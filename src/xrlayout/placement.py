@@ -29,13 +29,14 @@ results; the agent's seed-shared session plan does, per scenario and
 strategy.  The one stateful piece is EnvironmentReferencedPlacer: it holds
 the last valid pose for degenerate frames (user standing exactly on an
 intermediary), so its result depends on the history of its calls.  That
-history is confined to one placer instance; remember() lets a caller that
-kept a non-degenerate result leave the placer as place() would have.  The
+history is confined to one placer instance, as one record per panel: the
+inputs and the Pose of its last valid placement.  remember() lets a caller
+that kept a non-degenerate result record its poses (without inputs).  The
 placer also reuses: a panel whose body pose, intermediary pose and params
-are the very objects (by identity) of its last non-degenerate placement
-gets that placement's Pose back, since the panel pose is a pure function of
-them.  Scenario.state_at hands out the same Pose objects on still pieces,
-so on those frames nothing is recomputed.
+are the very objects (by identity) of its record gets the recorded Pose
+back, since the panel pose is a pure function of them.  Scenario.state_at
+hands out the same Pose objects on still pieces, so on those frames
+nothing is recomputed.
 
 Body-fixed and environment-referenced placement, a headset app's per-frame
 work, run on floats (geometry's scalar kernels, under its bit-identity
@@ -290,27 +291,28 @@ class EnvironmentReferencedPlacer:
     the very first update is already degenerate there is nothing to hold,
     so the underlying error propagates.
 
-    Per panel, the placer keeps the inputs of its last non-degenerate
+    The placer keeps one record per panel: the inputs of its last valid
     placement (body pose, intermediary pose, params) and the Pose it
-    produced.  When all three are the same objects again, compared by
-    identity and never by value (+-0.0 and NaN would break that), it
-    returns that same Pose; any other frame is computed.  The record
-    changes no result: degenerate frames still hold and warn every time,
-    and remember() feeds only the held poses.
+    produced, which a degenerate frame holds.  When all three inputs are
+    the same objects again, compared by identity and never by value (+-0.0
+    and NaN would break that), it returns that same Pose; any other frame
+    is computed.  A frame's records are committed once all its panels are
+    placed, so a frame that raises leaves no history.  Reuse changes no
+    result: degenerate frames still hold and warn every time.
     """
 
     def __init__(self, intermediaries: Mapping[str, str], params: PlacementParams):
         self.intermediaries = dict(intermediaries)
         self.params = params
         self.warnings: list[WarningEvent] = []
-        self._last: dict[str, Pose] = {}
-        # panel id -> (body, intermediary, params, pose) of its last computed placement
-        self._placed: dict[str, tuple[Pose, Pose, PlacementParams, Pose]] = {}
+        # panel id -> (body, intermediary, params, pose) of its last valid placement
+        self._placed: dict[str, tuple] = {}
 
     def place(self, state: SceneState) -> dict[str, Pose]:
         body = state.pose_of(USER_BODY)
         params, placed = self.params, self._placed
         out: dict[str, Pose] = {}
+        computed = {}  # committed once every panel of the frame is placed
         for pid, eid in self.intermediaries.items():
             target = state.pose_of(eid)
             rec = placed.get(pid)
@@ -320,9 +322,9 @@ class EnvironmentReferencedPlacer:
             try:
                 pose = _toward_intermediary(pid, body, target, params)
             except DegenerateIntermediary as exc:
-                if pid not in self._last:
+                if rec is None:
                     raise
-                out[pid] = self._last[pid]
+                out[pid] = rec[3]
                 self.warnings.append(
                     WarningEvent(
                         time=state.time,
@@ -332,18 +334,21 @@ class EnvironmentReferencedPlacer:
                     )
                 )
                 continue
-            placed[pid] = (body, target, params, pose)
+            computed[pid] = (body, target, params, pose)
             out[pid] = pose
-        self._last.update(out)
+        placed.update(computed)
         return out
 
     def remember(self, poses: Mapping[str, Pose]) -> None:
         """Take poses placed elsewhere as the last valid ones.
 
         For a caller that already holds place()'s result for a state where
-        no panel is degenerate; leaves the placer as place() would have.
+        no panel is degenerate.  A degenerate frame then holds these poses;
+        the records (None, None, None, pose) never match by identity, so
+        the next non-degenerate frame computes.
         """
-        self._last.update(poses)
+        for pid, pose in poses.items():
+            self._placed[pid] = (None, None, None, pose)
 
 
 @dataclass(frozen=True)

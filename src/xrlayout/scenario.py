@@ -31,8 +31,8 @@ Replay is pure: state_at(scenario, t) depends only on the scenario and t.
 Waypoint trajectories interpolate linearly (or hold) between strictly
 increasing timestamps and clamp outside them.  Each pose that cannot change
 with t (no trajectory, a clamp, a hold, equal waypoints) is built once per
-scenario, on the first state_at, so a Scenario's mappings must not be
-mutated after use; dataclasses.replace() gives a copy that builds its own.
+scenario, on the first state_at; it is derived state, whose lifecycle
+rule Scenario._derived states.
 Question presentation is a word-at-a-time reveal on a fixed schedule,
 repeated every repeat_interval until answered; panel headers are
 transparent while words are revealing.
@@ -180,14 +180,10 @@ class Trajectory:
 
     waypoints: tuple[Waypoint, ...]
     interpolation: str = "linear"  # or "hold"
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)  # for sample()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_times", tuple(w.time for w in self.waypoints))
 
     def sample(self, t: float) -> tuple[Vec3, float]:
         """The motion at t; the clamps are pieces 0 and len(waypoints) of _piece."""
-        wps, k = self.waypoints, _piece(self._times, t)
+        wps, k = self.waypoints, _piece(tuple(w.time for w in self.waypoints), t)
         if 0 < k < len(wps):
             return self._between(k, t)
         w = wps[0] if k == 0 else wps[-1]
@@ -220,8 +216,8 @@ class Trajectory:
         finite and increasing (only possible outside the parser) leave
         every piece to sample().
         """
-        wps, times = self.waypoints, self._times
-        if not (all(map(math.isfinite, times)) and all(map(lt, times, times[1:]))):
+        wps, times = self.waypoints, tuple(w.time for w in self.waypoints)
+        if not (all(map(math.isfinite, times)) and _strictly_increasing(times)):
             return [None] * (len(wps) + 1)
         still: list[tuple[Vec3, float] | None] = [(wps[0].position, wps[0].yaw_deg)]
         for hi in range(1, len(wps)):
@@ -249,6 +245,11 @@ def _built(build, *args):
         return build(*args)
     except ValueError:
         return None
+
+
+def _strictly_increasing(xs) -> bool:
+    """Each item of the sequence xs below the next (NaN fails)."""
+    return all(map(lt, xs, xs[1:]))
 
 
 def _piece(times: tuple[float, ...], t: float) -> int:
@@ -322,13 +323,8 @@ class Scenario:
     trials: tuple[Trial, ...]
     agent: Mapping[str, object] = field(default_factory=dict)
     metadata: Mapping[str, object] = field(default_factory=dict)
-    # The agent's seed-shared session plan (agent._SessionPlan), created on
-    # the first simulated session.  Outside equality, repr and to_dict;
-    # replace() starts the copy without one.
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
-    # The poses state_at never rebuilds (see _prebuild), made on its first
-    # call; outside equality, repr and to_dict, and not carried by replace().
-    _replay: object = field(default=None, init=False, repr=False, compare=False)
+    # Values derived from the fields, by builder (see _derived).
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Not a field: the schema version every scenario is written under.
     schema = SCHEMA_VERSION
 
@@ -357,6 +353,22 @@ class Scenario:
             t = max(t, traj.waypoints[-1].time)
         return t + 10.0
 
+    def _derived(self, build):
+        """build(self), made on the first call for that build and kept.
+
+        The one home of every value derived from a scenario: state_at's
+        prebuilt poses (_prebuild), the agent's seed-shared session plan and
+        its agent-block AgentParams.  Their lifecycle rule: a value is built
+        on first use; it stays outside equality, repr and to_dict;
+        dataclasses.replace() gives a copy with an empty cache, which builds
+        its own; and since the fields are read only then, a scenario must not
+        be mutated after use.
+        """
+        value = self._cache.get(build)
+        if value is None:
+            value = self._cache[build] = build(self)
+        return value
+
     # -- replay ---------------------------------------------------------
 
     def state_at(self, t: float) -> SceneState:
@@ -369,11 +381,9 @@ class Scenario:
         them.  Only a segment that moves runs the formulas at t.  Every t on
         a still piece gets the very same Pose objects (identical by `is`),
         which EnvironmentReferencedPlacer relies on to reuse its placements.
-        The prebuilt poses are read from entities, trajectories and params
-        once, so a scenario's mappings must not be mutated after use (as
-        the session plan assumes); replace() starts a copy without them.
+        The table is derived state and follows _derived's rule.
         """
-        (user, times, still), others = self._replay or self._prebuild()
+        (user, times, still), others = self._derived(Scenario._prebuild)
         k = _piece(times, t)
         user_poses = still[k]
         if user_poses is None:
@@ -434,7 +444,7 @@ class Scenario:
             if traj is None:
                 times, motions = (), [(e.position, e.yaw_deg)]
             else:
-                times, motions = traj._times, traj._still_motions()
+                times, motions = tuple(w.time for w in traj.waypoints), traj._still_motions()
             return times, tuple(None if m is None else _built(build, *m) for m in motions)
 
         user = self.user
@@ -443,9 +453,7 @@ class Scenario:
             for e in self.entities
             if e.kind != "user"
         )
-        replay = (user, *pieces(user, self._user_poses)), others
-        object.__setattr__(self, "_replay", replay)
-        return replay
+        return (user, *pieces(user, self._user_poses)), others
 
     def trial_window(self, index: int) -> tuple[float, float]:
         """[question start, next question start) span owned by a trial."""
@@ -1020,7 +1028,7 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
         if eid not in entity_by_id:
             bad(f"trajectory for unknown entity {eid!r}", f"trajectories.{eid}")
         times = [w.time for w in traj.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not _strictly_increasing(times):
             bad(
                 f"waypoint times must be strictly increasing, got {times}",
                 f"trajectories.{eid}",
@@ -1047,9 +1055,7 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
             )
         if len(trial.word_schedule) != len(trial.question_words):
             bad("word schedule length must match question words", path)
-        if any(
-            b <= a for a, b in zip(trial.word_schedule, trial.word_schedule[1:])
-        ):
+        if not _strictly_increasing(trial.word_schedule):
             bad("word schedule must be strictly increasing", path)
         if trial.presentation_duration >= trial.repeat_interval:
             bad("presentation longer than its repeat interval", path)
@@ -1070,7 +1076,7 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
         if cats != sorted(CATEGORIES):
             bad(f"stationary sessions cover each category once, found {cats}", "trials")
     starts = [t.question_start for t in scn.trials]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
+    if not _strictly_increasing(starts):
         bad("trials must be ordered by strictly increasing question start", "trials")
     for a, b in zip(scn.trials, scn.trials[1:]):
         if a.question_complete >= b.question_start:

@@ -387,7 +387,7 @@ def degenerate_walk_scenario(tail_only=False):
 
 def plan_entries(scn):
     """Entries in every table of a scenario's session plan."""
-    plan = scn._plan
+    plan = scn._cache[agent._SessionPlan]
     per_strategy = (plan.poses, plan.turns, plan.scan_keys)
     return len(plan.states) + len(plan.aims) + sum(
         len(table) for tables in per_strategy for table in tables.values()
@@ -489,7 +489,7 @@ class TestSceneTrack:
             # one state per plan time (the scripted times and rest), one pose
             # set per strategy and plan time, two aims per scripted time and
             # the tail's
-            plan = scn._plan
+            plan = scn._cache[agent._SessionPlan]
             assert len(plan.states) <= len(plan.times) + 1
             assert all(len(p) <= len(plan.times) + 1 for p in plan.poses.values())
             assert len(plan.aims) <= 2 * len(plan.times) + 1
@@ -517,7 +517,7 @@ class TestSceneTrack:
         scn = parse_scenario(OFF_PLAN[case])
         trace = simulate_session(scn, seed=1)
         monkeypatch.undo()
-        plan = scn._plan
+        plan = scn._cache[agent._SessionPlan]
         off_plan = [t for t in asked if t not in plan.times and t < plan.rest]
         starts = [t.question_start for t in scn.trials]
         if case.startswith("search past the next window"):
@@ -537,7 +537,7 @@ class TestSceneTrack:
                 assert simulate_session(warm, strategy=strategy, seed=seed) == simulate_session(
                     cold, strategy=strategy, seed=seed
                 ), (strategy, seed)
-        assert_keys_are_plan_times(warm._plan)
+        assert_keys_are_plan_times(warm._cache[agent._SessionPlan])
 
     def test_bundled_sessions_never_leave_the_plan(self, monkeypatch):
         """A scripted session that left the plan would only show as a slower sweep."""
@@ -570,14 +570,27 @@ class TestSceneTrack:
                 simulate_session(scn, replace(base, scan_policy=other), seed=4)
             assert simulate_session(scn, params, seed=3) == cold, policy
 
-    def test_track_stays_out_of_equality_and_serialization(self):
+    def test_derived_state_lives_in_one_slot(self):
+        """Replay table, session plan and agent params: one cache, one lifecycle."""
         scn = load_bundled("static_mobile_env_ref")
         text = serialize_scenario(scn)
+        before = dict(scn._cache)  # the parser's replay check may have filled some
+        copy = replace(scn, name="copy")
+        assert copy._cache == {}
+        copy.state_at(3.0)
+        simulate_session(copy, seed=1)
+        # the copy never fills the original's cache
+        assert scn._cache.keys() == before.keys()
+        assert all(scn._cache[b] is v for b, v in before.items())
+        builds = {Scenario._prebuild, agent._SessionPlan, agent._agent_params}
+        assert set(copy._cache) == builds
         simulate_session(scn, seed=1)
-        assert scn._plan is not None
+        assert set(scn._cache) == builds
+        assert all(scn._cache[b] is not copy._cache[b] for b in builds)
+        assert replace(scn)._cache == {}  # a copy of a filled scenario starts empty
         assert scn == load_bundled("static_mobile_env_ref")
         assert serialize_scenario(scn) == text
-        assert "_plan" not in repr(scn)
+        assert "_cache" not in repr(scn)
 
     def test_degenerate_hold_last_is_per_session(self, monkeypatch):
         seen = record_poses(monkeypatch)
@@ -601,7 +614,7 @@ class TestSceneTrack:
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
         # the plan, so no pose, turn or scan key names it or a later time
-        plan = warm._plan
+        plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
         keys = [*plan.poses[env_ref], *plan.turns[env_ref], *plan.scan_keys[env_ref]]

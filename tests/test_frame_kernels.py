@@ -41,7 +41,7 @@ from xrlayout.placement import (
     body_heading_deg,
     place_body_fixed,
 )
-from xrlayout.scenario import Trajectory, Waypoint, load_bundled, serialize_scenario
+from xrlayout.scenario import Trajectory, Waypoint, load_bundled
 
 # -- oracles: the object-path bodies -----------------------------------------
 
@@ -490,7 +490,7 @@ class TestPrebuiltReplay:
         outcome(first.state_at, t)  # builds first's table
         second = moved_scenario(data.draw, name)
         second = replace(first, entities=second.entities, trajectories=second.trajectories)
-        assert second._replay is None
+        assert second._cache == {}
         got, want = outcome(second.state_at, t), outcome(per_frame_state_at, second, t)
         assert same_outcome(got, want, state_bits)
 
@@ -511,12 +511,3 @@ class TestPrebuiltReplay:
         still = load_bundled("static_stationary_env_ref")  # no trajectory at all
         a, b = still.state_at(1.0).poses, still.state_at(2.0).poses
         assert all(a[ref] is b[ref] for ref in a)
-
-    def test_prebuilt_poses_stay_out_of_equality_and_serialization(self):
-        scn = load_bundled("static_mobile_env_ref")
-        text = serialize_scenario(scn)
-        scn.state_at(3.0)
-        assert scn._replay is not None
-        assert scn == load_bundled("static_mobile_env_ref")
-        assert serialize_scenario(scn) == text
-        assert "_replay" not in repr(scn)

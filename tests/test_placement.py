@@ -436,17 +436,54 @@ class TestPlacerReuse:
             assert warning_bytes(got) == warning_bytes(oracle.warnings)
 
     @staticmethod
-    def computed_per_frame(monkeypatch, scn, frames):
-        """Panel ids the placer computes (not reuses) on each frame, spied on."""
+    def spied_placer(monkeypatch, intermediaries, params=PARAMS):
+        """A placer, and the panel ids it computes (not reuses), spied on."""
         calls: list[str] = []
         compute = placement._toward_intermediary
+        monkeypatch.setattr(
+            placement, "_toward_intermediary", lambda pid, *a: calls.append(pid) or compute(pid, *a)
+        )
+        return EnvironmentReferencedPlacer(intermediaries, params), calls
 
-        def spy(pid, body, target, params):
-            calls.append(pid)
-            return compute(pid, body, target, params)
+    @staticmethod
+    def frame(**hosts):
+        """A state at t = 1 with the body at the origin and each host at (0, 0, z)."""
+        poses = {eid: Pose(Vec3(0.0, 0.0, z)) for eid, z in hosts.items()}
+        return SceneState(1.0, {USER_BODY: Pose(), **poses})
 
-        monkeypatch.setattr(placement, "_toward_intermediary", spy)
-        placer = EnvironmentReferencedPlacer(scn.intermediaries, scn.params)
+    def test_a_frame_that_raises_leaves_no_history(self, monkeypatch):
+        placer, calls = self.spied_placer(monkeypatch, {"a": "h1", "c": "h2"})
+        # a is placed, then c is degenerate with nothing to hold
+        with pytest.raises(DegenerateIntermediary):
+            placer.place(self.frame(h1=-3.0, h2=0.0))
+        assert calls == ["a", "c"]
+        # so a's first degenerate frame has nothing to hold either
+        with pytest.raises(DegenerateIntermediary):
+            placer.place(self.frame(h1=0.0, h2=-3.0))
+        assert placer.warnings == []
+
+    def test_a_degenerate_frame_holds_the_remembered_pose(self):
+        placer = EnvironmentReferencedPlacer({"a": "h1"}, PARAMS)
+        kept = Pose(Vec3(5.0, 1.0, 5.0))
+        placer.remember({"a": kept})
+        assert placer.place(self.frame(h1=0.0))["a"] is kept
+        assert [(w.time, w.subject) for w in placer.warnings] == [(1.0, "a")]
+
+    def test_a_remembered_record_is_never_reused(self, monkeypatch):
+        placer, calls = self.spied_placer(monkeypatch, {"a": "h1"})
+        state = self.frame(h1=-3.0)
+        first = placer.place(state)["a"]
+        assert placer.place(state)["a"] is first and calls == ["a"]
+        placer.remember({"a": Pose(Vec3(5.0, 1.0, 5.0))})
+        again = placer.place(state)["a"]  # the very same input objects
+        assert calls == ["a", "a"]
+        assert pose_bytes(again) == pose_bytes(first)
+        assert placer.place(state)["a"] is again and calls == ["a", "a"]
+
+    @classmethod
+    def computed_per_frame(cls, monkeypatch, scn, frames):
+        """Panel ids the placer computes (not reuses) on each frame, spied on."""
+        placer, calls = cls.spied_placer(monkeypatch, scn.intermediaries, scn.params)
         per_frame = []
         for state in frames:
             placer.place(state)
