@@ -20,13 +20,13 @@ sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
 every value pure in (scenario, strategy, scripted time): scene states,
 panel poses, the scripted focus with its head position and gaze point,
-head turns and scan-route sort keys.  One rule decides its use: a session reads and fills
-the plan until its first step off the script (a scene query at a time
-that is not scripted, a settle tail before the scene has settled, a
-degenerate placement), then computes every value by the same code and
-stores nothing.  So a warm scripted session does only its per-seed work,
-and a session gives the same trace and warnings whether the plan was cold
-or warm.
+head turns and scan-route sort keys.  One rule decides its use: a session
+reads and fills the plan until its first step off the script (a scene
+query at a time that is not scripted, a settle tail before the scene has
+settled among them, or a degenerate placement), then computes every value
+by the same code and stores nothing.  So a warm scripted session does only
+its per-seed work, and a session gives the same trace and warnings whether
+the plan was cold or warm.
 
 Behavioral model
 ----------------
@@ -423,10 +423,11 @@ class _SessionPlan:
     One rule decides plan use: a session reads and fills the tables until
     its first step off the script, which is a scene query at a time that
     is not a plan time (where a cursor that overran its scripted time
-    lands), a settle tail before settled, or a degenerate environment-
-    referenced placement (hold-last depends on the session's own history
-    there).  From then on it computes every value by the same code and
-    stores nothing (_Simulator._leave_plan).  So the plan stays bounded by
+    lands; a settle tail before settled queries at its own start, which
+    is later than every plan time), or a degenerate environment-referenced
+    placement (hold-last depends on the session's own history there).
+    From then on it computes every value by the same code and stores
+    nothing (_Simulator._leave_plan).  So the plan stays bounded by
     the scripted times however many seeds run, and a session gives the
     same trace and warnings whether the plan was cold or warm.  The plan
     holds no reference to its scenario; callers pass it.  It is derived
@@ -599,13 +600,15 @@ class _Simulator:
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
         """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
 
-        A time that is not a plan time leaves the plan.  The environment-
-        referenced placer holds the last pose on degenerate states, so its
-        result there depends on the session's history: a degenerate
-        placement leaves the plan, and it records the session's own
-        warnings.  Elsewhere the placement is pure, so a plan hit hands the
-        stored poses to the placer, and later degenerate states hold exactly
-        what they would have held without the plan.
+        A time that is not a plan time leaves the plan; run keys a
+        settle tail that starts before settled by its time, so it is
+        one.  The environment-referenced placer holds the last pose on
+        degenerate states, so its result there depends on the session's
+        history: a degenerate placement leaves the plan, and it records
+        the session's own warnings.  Elsewhere the placement is pure, so
+        a plan hit hands the stored poses to the placer, and later
+        degenerate states hold exactly what they would have held without
+        the plan.
         """
         if at is not _TAIL and at not in self.plan.times:
             self._leave_plan()
@@ -655,9 +658,7 @@ class _Simulator:
             )
         # settle tail so the final fixation has somewhere to live
         t = line.cursor
-        if t < self.plan.settled:
-            self._leave_plan()
-        line.dwell(2.0, self._look(t, _TAIL, t))
+        line.dwell(2.0, self._look(t, _TAIL if t >= self.plan.settled else t, t))
         return SessionTrace(
             scenario_name=scn.name,
             context=scn.context,

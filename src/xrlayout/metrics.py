@@ -7,7 +7,10 @@ one scan over (t, target) pairs (_scan) holds the dwell rule and the
 switch rule.  Trial scoring reads a trace's segments as the
 exact-boundary stream, each segment's (t0, target), through that same
 scan, so navigation time and switches come from one pass and no sample
-object is built.
+object is built.  A trial scores under the fixation threshold of the agent
+that produced it; the stream functions take one, as a recorded stream
+carries no agent.  A session summary states each column's mean, median
+and sample SD by one rule (_stats), with no statistics module.
 
 The result rows are TrialMetrics and SessionSummary: the CSV and JSON
 columns are their fields, in order (TRIAL_FIELDS, SUMMARY_FIELDS), and a
@@ -20,9 +23,9 @@ import csv
 import io
 import json
 import math
-import statistics
 import sys
 from dataclasses import dataclass, fields
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .agent import (
@@ -195,20 +198,13 @@ class SessionSummary:
     relevant_fraction: float
 
 
-def trial_metrics(
-    trace: TrialTrace,
-    *,
-    context: str,
-    strategy: str,
-    min_fixation: float | None = None,
-) -> TrialMetrics:
+def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMetrics:
     """One trial's metrics.
 
-    min_fixation defaults to the fixation threshold of the agent that
-    produced the trace, so a trial scores under the dwell that opened it.
+    The fixation threshold is that of the agent that produced the trace,
+    so a trial scores under the dwell that opened it.
     """
-    if min_fixation is None:
-        min_fixation = trace.params.fixation_min
+    min_fixation = trace.params.fixation_min
     trial = trace.trial
     segments = trace.segments
     end = segments[-1].t1 if segments else trace.t_complete
@@ -235,19 +231,10 @@ def trial_metrics(
     )
 
 
-def session_metrics(
-    trace: SessionTrace,
-    *,
-    min_fixation: float | None = None,
-) -> list[TrialMetrics]:
-    """Per-trial metrics; min_fixation defaults to the agent's threshold."""
+def session_metrics(trace: SessionTrace) -> list[TrialMetrics]:
+    """Per-trial metrics, each under the agent's fixation threshold."""
     return [
-        trial_metrics(
-            t,
-            context=trace.context,
-            strategy=trace.strategy.value,
-            min_fixation=min_fixation,
-        )
+        trial_metrics(t, context=trace.context, strategy=trace.strategy.value)
         for t in trace.trials
     ]
 
@@ -279,44 +266,42 @@ def sample_sd(xs: Sequence[float]) -> float:
     # Float denominators are powers of two, so over the largest one every
     # value is an exact integer and the variance an exact integer ratio.
     ratios = [x.as_integer_ratio() for x in xs]
-    den = max(d for _, d in ratios)
+    den = max(map(itemgetter(1), ratios))
     ints = [num * (den // d) for num, d in ratios]
     total = sum(ints)
     return _sqrt_of_fraction(
-        n * sum(i * i for i in ints) - total * total, n * (n - 1) * den * den
+        n * sum(map(mul, ints, ints)) - total * total, n * (n - 1) * den * den
     )
+
+
+def _stats(xs: Sequence[float]) -> tuple[float, float, float]:
+    """(mean, median, sample sd) of a non-empty column of floats or integers.
+
+    The mean is math.fsum(xs) / n and the median the sorted middle (the
+    mean of the two middle values when n is even): the bits of
+    statistics.fmean and statistics.median.  Integers below 2**53 give the
+    bits of the same integers as floats.
+    """
+    n, s = len(xs), sorted(xs)
+    mid = n // 2
+    median = float(s[mid]) if n % 2 else (s[mid - 1] + s[mid]) / 2
+    return math.fsum(xs) / n, median, sample_sd(xs)
 
 
 def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     """Mean/median/sd summary over one session's trials."""
     if not rows:
         raise EmptyTrialSet("cannot aggregate zero trials")
-    contexts = {r.context for r in rows}
-    strategies = {r.strategy for r in rows}
-    if len(contexts) != 1 or len(strategies) != 1:
+    if len({(r.context, r.strategy) for r in rows}) != 1:
         raise ValueError("aggregate expects rows from a single session")
     n = len(rows)
-    navs = [r.navigation_time_s for r in rows]
-    # Switch counts are integers: their statistics are exact integer
-    # arithmetic, rounded once, equal to those of the counts as floats.
-    sws = sorted(r.gaze_switches for r in rows)
-    total = sum(sws)
-    mid = n // 2
     return SessionSummary(
-        context=rows[0].context,
-        strategy=rows[0].strategy,
-        seed=seed,
-        trials=n,
-        nav_time_mean_s=statistics.fmean(navs),
-        nav_time_median_s=statistics.median(navs),
-        nav_time_sd_s=sample_sd(navs),
-        switches_mean=math.fsum(sws) / n,
-        switches_median=float(sws[mid]) if n % 2 else (sws[mid - 1] + sws[mid]) / 2,
-        switches_sd=(
-            _sqrt_of_fraction(n * sum(i * i for i in sws) - total * total, n * (n - 1))
-            if n > 1
-            else 0.0
-        ),
+        rows[0].context,
+        rows[0].strategy,
+        seed,
+        n,
+        *_stats([r.navigation_time_s for r in rows]),  # nav_time_mean_s, _median_s, _sd_s
+        *_stats([r.gaze_switches for r in rows]),  # switches_mean, _median, _sd
         errors_total=sum(r.errors for r in rows),
         relevant_fraction=sum(1 for r in rows if r.relevant) / n,
     )
@@ -341,12 +326,23 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _parse_flag(text: str) -> bool | None:
-    return None if text == "" else text == "true"
+_FLAGS = {"true": True, "false": False}
+
+
+def _parse_flag(text: str) -> bool:
+    if text not in _FLAGS:
+        raise ValueError(f"expected true or false, got {text!r}")
+    return _FLAGS[text]
+
+
+def _parse_optional_flag(text: str) -> bool | None:
+    return None if text == "" else _parse_flag(text)
 
 
 # A cell's parser, by its field's annotation.
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_flag, "bool | None": _parse_flag}
+_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": _parse_flag, "bool | None": _parse_optional_flag
+}
 
 
 def _to_csv(cls, rows) -> str:
@@ -361,13 +357,22 @@ def _to_csv(cls, rows) -> str:
 
 
 def _from_csv(cls, text: str) -> list:
-    """The rows _to_csv(cls, ...) wrote; ValueError on another header."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != [f.name for f in fields(cls)]:
-        raise ValueError(f"unexpected {cls.__name__} csv header: {header}")
+    """The rows _to_csv(cls, ...) wrote; on any other text, ValueError naming its line."""
+    names = [f.name for f in fields(cls)]
     parsers = [_PARSERS[f.type] for f in fields(cls)]
-    return [cls(*(parse(v) for parse, v in zip(parsers, row))) for row in reader]
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
+        header = next(reader, None)
+        if header != names:
+            raise ValueError(f"unexpected header: {header}")
+        for row in reader:
+            if len(row) != len(names):
+                raise ValueError(f"expected {len(names)} cells, got {len(row)}")
+            rows.append(cls(*(parse(v) for parse, v in zip(parsers, row))))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{cls.__name__} csv line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def trials_to_csv(rows: Sequence[TrialMetrics]) -> str:

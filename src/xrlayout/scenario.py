@@ -20,6 +20,9 @@ it is required, and the attribute it fills.  The reader, the writer
 Blocks are closed, so a key the table does not list is an error; metadata
 is an open map, and a panel's modality_params and five enums follow the
 design-space key rule and domains (less "hybrid"), checked at their keys.
+Ids are schema checks too: the entities and panels lists each reject a
+repeated id, and an entity an id reserved for a frame of reference, at
+the id's own path.
 
 Parsing is total: any input yields either a Scenario or a list of
 Diagnostic records (syntax problems carry line/column, schema problems a
@@ -29,10 +32,11 @@ parsing its output reproduces an equal Scenario.
 
 Replay is pure: state_at(scenario, t) depends only on the scenario and t.
 Waypoint trajectories interpolate linearly (or hold) between strictly
-increasing timestamps and clamp outside them.  Each pose that cannot change
-with t (no trajectory, a clamp, a hold, equal waypoints) is built once per
-scenario, on the first state_at; it is derived state, whose lifecycle
-rule Scenario._derived states.
+increasing timestamps and clamp outside them, one rule (Trajectory._motion)
+per piece of the time line.  Each pose that cannot change with t (no
+trajectory, a clamp, a hold, equal waypoints) is built once per scenario,
+on the first state_at; it is derived state, whose lifecycle rule
+Scenario._derived states.
 Question presentation is a word-at-a-time reveal on a fixed schedule,
 repeated every repeat_interval until answered; panel headers are
 transparent while words are revealing.
@@ -56,8 +60,6 @@ from .designspace import (
     MODALITY,
     ContentSpec,
     PresentationSpec,
-    SizeSpec,
-    SpatialLayout,
     XRObject,
     is_modality_param_key,
 )
@@ -69,7 +71,7 @@ from .errors import (
     UnknownCountry,
     XRLayoutError,
 )
-from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, FrameOfReference, SceneState
+from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, SceneState
 from .geometry import (
     _POSITIVE_RULE,
     POSITIVE_SCALE_RULE,
@@ -182,8 +184,16 @@ class Trajectory:
     interpolation: str = "linear"  # or "hold"
 
     def sample(self, t: float) -> tuple[Vec3, float]:
-        """The motion at t; the clamps are pieces 0 and len(waypoints) of _piece."""
-        wps, k = self.waypoints, _piece(tuple(w.time for w in self.waypoints), t)
+        """The motion at t."""
+        return self._motion(_piece(tuple(w.time for w in self.waypoints), t), t)
+
+    def _motion(self, k: int, t: float) -> tuple[Vec3, float]:
+        """The motion at t on piece k of the time line (see _piece).
+
+        Pieces 0 and len(waypoints) clamp to the first and last waypoint;
+        piece k between them is the segment that ends at waypoint k.
+        """
+        wps = self.waypoints
         if 0 < k < len(wps):
             return self._between(k, t)
         w = wps[0] if k == 0 else wps[-1]
@@ -206,33 +216,33 @@ class Trajectory:
         return pos, a.yaw_deg + u * (b.yaw_deg - a.yaw_deg)
 
     def _still_motions(self) -> list[tuple[Vec3, float] | None]:
-        """sample()'s value on each piece of the time line (see _piece), None where t moves it.
+        """_motion's value on each piece of the time line (see _piece), None where t moves it.
 
-        Pieces 0 and len(times) are the clamps.  A segment that holds, or
-        joins equal waypoints (as floats, so +-0.0 may mix) over a finite
-        span, gives the same bits for every t - t0 >= +0.0, so its formula
-        runs once, at t0.  Not after an inner waypoint at time +0.0: t = -0.0
-        there makes t - t0 = -0.0, which flips zeros.  Times that are not
-        finite and increasing (only possible outside the parser) leave
-        every piece to sample().
+        The clamps never move.  A segment that holds, or joins equal
+        waypoints (as floats, so +-0.0 may mix) over a finite span, gives the
+        same bits for every t - t0 >= +0.0, so its formula runs once, at t0.
+        Not after an inner waypoint at time +0.0: t = -0.0 there makes
+        t - t0 = -0.0, which flips zeros.  Times that are not finite and
+        increasing (only possible outside the parser) leave every piece to
+        run at t.
         """
         wps, times = self.waypoints, tuple(w.time for w in self.waypoints)
         if not (all(map(math.isfinite, times)) and _strictly_increasing(times)):
             return [None] * (len(wps) + 1)
-        still: list[tuple[Vec3, float] | None] = [(wps[0].position, wps[0].yaw_deg)]
-        for hi in range(1, len(wps)):
-            a, b = wps[hi - 1], wps[hi]
-            if self.interpolation == "hold" or (
+
+        def still(k: int) -> bool:
+            if k == 0 or k == len(wps) or self.interpolation == "hold":
+                return True
+            a, b = wps[k - 1], wps[k]
+            return (
                 a.position == b.position
                 and a.yaw_deg == b.yaw_deg
                 and math.isfinite(b.time - a.time)
-                and (hi == 1 or a.time != 0.0)
-            ):
-                still.append(self._between(hi, a.time))
-            else:
-                still.append(None)
-        still.append((wps[-1].position, wps[-1].yaw_deg))
-        return still
+                and (k == 1 or a.time != 0.0)
+            )
+
+        # At t0 = wps[k - 1].time; a clamp's motion does not depend on t.
+        return [self._motion(k, wps[k - 1].time) if still(k) else None for k in range(len(wps) + 1)]
 
 
 def _entity_pose(position: Vec3, yaw_deg: float) -> Pose:
@@ -422,12 +432,7 @@ class Scenario:
     def _entity_motion(self, e: EntitySpec, k: int, t: float) -> tuple[Vec3, float]:
         """e's motion at t, which falls on piece k of its trajectory's times (see _piece)."""
         traj = self.trajectories.get(e.id)
-        if traj is None:
-            return e.position, e.yaw_deg
-        if 0 < k < len(traj.waypoints):
-            return traj._between(k, t)
-        # A clamp left to run: times not finite and increasing, or poses that raise.
-        return traj.sample(t)
+        return (e.position, e.yaw_deg) if traj is None else traj._motion(k, t)
 
     def _prebuild(self) -> tuple:
         """state_at's table: ((user, times, still), ((entity, times, still), ...)).
@@ -691,17 +696,29 @@ class _Block(_Kind):
 
 
 class _ListOf(_Kind):
-    """A JSON list of one kind, read into a tuple."""
+    """A JSON list of one kind, read into a tuple.
 
-    def __init__(self, item: _Kind, *checks):
+    With ids (what an item's id is expected to be), each read item's id must
+    differ from those before it; a repeat is reported at its own id.
+    """
+
+    def __init__(self, item: _Kind, *checks, ids: str | None = None):
         super().__init__(_LIST, *checks)
         self.item = item
+        self.ids = ids
 
     def read(self, raw: object, path: str, diags: list[Diagnostic]) -> tuple | None:
         if super().read(raw, path, diags) is None:
             return None
-        items = tuple(self.item.read(x, f"{path}[{i}]", diags) for i, x in enumerate(raw))
-        return None if any(x is None for x in items) else items
+        start, seen, items = len(diags), set(), []
+        for i, x in enumerate(raw):
+            item = self.item.read(x, f"{path}[{i}]", diags)
+            if self.ids and item is not None:
+                if item.id in seen:
+                    _fail(diags, f"{path}[{i}].id", self.ids, item.id)
+                seen.add(item.id)
+            items.append(item)
+        return None if len(diags) > start else tuple(items)
 
     def write(self, items) -> list:
         if isinstance(items, Mapping):  # panels are kept keyed by id
@@ -796,7 +813,6 @@ def _fov(**values) -> FovSpec:
 
 
 def _panel(content: dict, presentation: dict | None = None, **values) -> XRObject:
-    # _scenario gives each panel its layout, which the placement block sizes.
     return XRObject(
         content=ContentSpec(**content),
         presentation=PresentationSpec(**(presentation or {})),
@@ -818,18 +834,10 @@ def _trial(question_start: float, question_words: tuple, word_schedule=None, **v
 
 def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> Scenario:
     """The Scenario; its row already checked schema, which every scenario writes as its own."""
-    ids: set[str] = set()
-    for p in panels:
-        if p.id in ids:
-            raise _Invalid("panels", "unique panel ids", p.id)
-        ids.add(p.id)
-    params = PlacementParams(**(params or {}))
-    size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
-    layout = SpatialLayout(FrameOfReference.unified(USER_BODY), Pose(), size)
     return Scenario(
         fov=fov,
-        params=params,
-        panels={p.id: replace(p, layout=layout) for p in panels},
+        params=PlacementParams(**(params or {})),
+        panels={p.id: p for p in panels},
         trials=tuple(Trial(index=i, **t) for i, t in enumerate(trials)),
         **values,
     )
@@ -871,8 +879,13 @@ _PLACEMENT = _Block(
 
 _ANCHOR = _Row("anchor", _one_of(("user_forward",)))
 
+# Poses are looked up by entity id and frame-of-reference name alike.
+_ENTITY_ID = _Kind(
+    (_is_str, "string"), (lambda v: v not in RESERVED_REFS, "id not reserved for a frame of reference")
+)
+
 _ENTITY = _Block(
-    _Row("id", _STR, _REQUIRED),
+    _Row("id", _ENTITY_ID, _REQUIRED),
     _Row("kind", _one_of(("user", "poster", "host", "screen")), _REQUIRED),
     _Row("category", _one_of(CATEGORIES)),
     _Row("position", _VEC3),
@@ -949,9 +962,9 @@ _SCENARIO = _Block(
     _Row("fov", _FOV),
     _Row("placement", _PLACEMENT, _REQUIRED, attr=""),
     _Row("agent", _Block(*AGENT_ROWS)),
-    _Row("entities", _ListOf(_ENTITY), _REQUIRED),
+    _Row("entities", _ListOf(_ENTITY, ids="unique entity id"), _REQUIRED),
     _Row("trajectories", _MapOf(_TRAJECTORY), {}),
-    _Row("panels", _ListOf(_PANEL), _REQUIRED),
+    _Row("panels", _ListOf(_PANEL, ids="unique panel id"), _REQUIRED),
     _Row("trials", _ListOf(_TRIAL), _REQUIRED),
     build=_scenario,
     name="top-level object",
@@ -962,13 +975,6 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
     def bad(message: str, path: str = "") -> None:
         diags.append(Diagnostic("invariant", message, path=path))
 
-    ids: set[str] = set()
-    for e in scn.entities:
-        if e.id in RESERVED_REFS:
-            bad(f"entity id {e.id!r} is reserved for a frame of reference", "entities")
-        elif e.id in ids:
-            bad(f"entity id {e.id!r} is not unique", "entities")
-        ids.add(e.id)
     users = [e for e in scn.entities if e.kind == "user"]
     if len(users) != 1:
         bad(f"expected exactly one user entity, found {len(users)}", "entities")

@@ -1,10 +1,15 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import xrlayout
 from xrlayout import __version__
 from xrlayout.cli import build_parser, compare_results, main
 from xrlayout.errors import MismatchedScenarios
@@ -336,3 +341,22 @@ class TestCompare:
         )
         with pytest.raises(MismatchedScenarios):
             compare_results(empty, one)
+
+
+class TestImportGraph:
+    def test_a_full_run_loads_no_statistics_modules(self, tmp_path):
+        """A mean and a median need no statistics module, nor the fractions and
+        decimal modules it brings, in a CLI process."""
+        script = (
+            "import sys\n"
+            "from xrlayout.cli import main\n"
+            f"code = main(['run', '--all', '--format', 'json', '--gaze', '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        src = str(Path(xrlayout.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "results.json").exists()

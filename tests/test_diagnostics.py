@@ -618,7 +618,7 @@ INVALID_FIXTURES = [
         "invalid_bearing_unknown_panel.scn:1:1: invariant at placement.body_bearings_deg: body bearing names unknown panel 'panel_extra'",
     ]),
     ('invalid_reserved_entity_id.scn', [
-        "invalid_reserved_entity_id.scn:1:1: invariant at entities: entity id 'user_head' is reserved for a frame of reference",
+        "invalid_reserved_entity_id.scn:1:1: schema at entities[1].id: expected id not reserved for a frame of reference, got str 'user_head'",
     ]),
     ('invalid_panel_enum_typo.scn', [
         "invalid_panel_enum_typo.scn:1:1: schema at panels[1].immersion: expected one of ('non_immersive', 'partially_immersive', 'fully_immersive'), got str 'partially-immersive'",
@@ -728,14 +728,14 @@ ACCEPTANCE_CHANGES = [
         "panel 'panel_extra'",
     ]),
     (SS, ("entities", 4, "id"), "user_head", [
-        "mutant.scn:1:1: invariant at entities: entity id 'user_head' is reserved for a frame of "
-        "reference",
+        "mutant.scn:1:1: schema at entities[4].id: expected id not reserved for a frame of "
+        "reference, got str 'user_head'",
     ]),
     (SS, ("entities", 4, "id"), "user", [
-        "mutant.scn:1:1: invariant at entities: entity id 'user' is not unique",
+        "mutant.scn:1:1: schema at entities[4].id: expected unique entity id, got str 'user'",
     ]),
     (SS, ("panels",), SS_PANELS + SS_PANELS[:1], [
-        "mutant.scn:1:1: schema at panels: expected unique panel ids, got str 'panel_food'",
+        "mutant.scn:1:1: schema at panels[3].id: expected unique panel id, got str 'panel_food'",
     ]),
 ]
 

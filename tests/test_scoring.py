@@ -2,11 +2,13 @@
 
 metrics._scan computes a trial's navigation time and panel switches in one
 pass over (t, target) pairs, and trial_metrics feeds it the segments
-directly; aggregate computes the switch statistics on the integer counts.
-The oracle below is the scoring they replace, kept verbatim: the stream
-collapsed into dwell runs (_dwells), navigation time over those runs, a
-second walk for switches, boundary samples built per segment, and the
-switch statistics over the counts as floats.
+directly; aggregate computes both of its columns by one rule, without the
+statistics module, the switch column on the integer counts.  The oracle
+below is the scoring they replace, kept verbatim: the stream collapsed into
+dwell runs (_dwells), navigation time over those runs, a second walk for
+switches, boundary samples built per segment, statistics.fmean and
+statistics.median for means and medians, and the switch statistics over the
+counts as floats.
 """
 
 import copy
@@ -263,6 +265,16 @@ class TestScanEqualsRunOracle:
             navigation_time([], TRIAL, end_time=20.0)
 
 
+# Columns of any length mix ordinary times, both zeros, subnormals and values
+# near +-1e300 (40 of them still sum below the largest float).
+NAV_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(9e299, 1.1e300),
+    st.floats(-1.1e300, -9e299),
+)
+
 NAMES = sorted(bundled_scenario_names())
 SCENARIOS = {name: load_bundled(name) for name in NAMES}
 
@@ -288,6 +300,15 @@ class TestSessionScoringEqualsOracle:
         rows = [
             TrialMetrics("dynamic_mobile", "body_fixed", i, "sports", "Japan", 1.5, c, 0, True, None)
             for i, c in enumerate(counts)
+        ]
+        assert repr(aggregate(rows, seed=1)) == repr(oracle_aggregate(rows, seed=1))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(NAV_VALUES, min_size=1, max_size=40))
+    def test_statistics_on_drawn_navigation_columns(self, navs):
+        rows = [
+            TrialMetrics("dynamic_mobile", "body_fixed", i, "sports", "Japan", x, i % 3, 0, True, None)
+            for i, x in enumerate(navs)
         ]
         assert repr(aggregate(rows, seed=1)) == repr(oracle_aggregate(rows, seed=1))
 

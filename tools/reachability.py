@@ -1,0 +1,159 @@
+"""Which code of src/xrlayout the run path and the acceptance gate never reach.
+
+Run from the repository root:
+
+    python tools/reachability.py
+
+In one process, under sys.settrace, it runs:
+
+  * `xrlayout run --all --gaze` under the fixtures' own strategies and under
+    each of the five --strategy overrides, in json and in csv, and once more
+    in json and csv with --tick-hz 20;
+  * `xrlayout compare` of the fixture-strategy results with themselves;
+  * `xrlayout validate` on every bundled and every invalid fixture;
+  * the four demos (runpy);
+  * pytest on tests/test_acceptance.py.
+
+Then it prints, sorted by file and line, every code object of src/xrlayout
+that was never entered, and every entered code object with the lines it
+never ran, and how long the pass took.  It gates nothing: it is the
+reachability pass a structural change reports, as one command.  The
+tracer slows the run several times over, so on a loaded host the
+acceptance gate's time budgets may fail (its exit code shows 1); what ran
+is counted all the same.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PACKAGE = SRC / "xrlayout"
+STRATEGY_FLAGS = ("env-ref", "body-fixed", "world-fixed", "object-fixed", "head-fixed")
+
+
+def code_objects(path: Path) -> list:
+    """Every code object compiled from path: the module's and all it nests."""
+    found, todo = [], [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        found.append(code)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+    return found
+
+
+def key(code) -> tuple[str, int, str]:
+    return os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name
+
+
+def code_lines(code) -> set[int]:
+    """The lines code's own instructions start (nested code objects excluded)."""
+    return {line for _, _, line in code.co_lines() if line is not None and line > 0}
+
+
+class Tracer:
+    """Records which of the code objects in want run, and their lines."""
+
+    def __init__(self, want: dict[tuple, set[int]]):
+        self.want = want  # key -> lines not yet seen
+        self.entered: set[tuple] = set()
+        self.left: dict = {}  # code object -> its lines not yet seen, None if not wanted
+
+    def call(self, frame, event, arg):
+        code = frame.f_code
+        try:
+            left = self.left[code]
+        except KeyError:
+            k = key(code)
+            left = self.left[code] = self.want.get(k)
+            if left is not None:
+                self.entered.add(k)
+        if not left:  # not wanted, or every line already seen: no line events needed
+            return None
+        left.discard(frame.f_lineno)
+
+        def line(frame, event, arg):
+            if event == "line":
+                left.discard(frame.f_lineno)
+            return line
+
+        return line
+
+
+def workload(out: Path) -> list[tuple[str, object]]:
+    """The runs the pass traces (see the module docstring); (step, exit code) of each."""
+    import pytest
+
+    from xrlayout.cli import main
+
+    steps = []
+
+    def step(label: str, run) -> None:
+        steps.append((label, run()))
+
+    for name, extra in [("", ()), *((s, ("--strategy", s)) for s in STRATEGY_FLAGS)]:
+        for fmt in ("json", "csv"):
+            argv = ["run", "--all", "--format", fmt, "--gaze", *extra]
+            step(" ".join(argv), lambda: main([*argv, "--out", str(out / fmt / name)]))
+    for fmt in ("json", "csv"):
+        argv = ["run", "--all", "--format", fmt, "--gaze", "--tick-hz", "20"]
+        step(" ".join(argv), lambda: main([*argv, "--out", str(out / fmt / "20hz")]))
+    results = str(out / "json" / "results.json")
+    step("compare results.json results.json", lambda: main(["compare", results, results]))
+    fixtures = PACKAGE / "fixtures"
+    for scn in [*sorted(fixtures.glob("*.scn")), *sorted((fixtures / "invalid").glob("*.scn"))]:
+        step(f"validate {scn.relative_to(fixtures)}", lambda: main(["validate", str(scn)]))
+    def run_demo(path: Path) -> int:
+        runpy.run_path(str(path), run_name="__main__")
+        return 0
+
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        step(demo.name, lambda: run_demo(demo))
+    test = ROOT / "tests" / "test_acceptance.py"
+    step(f"pytest {test.name}", lambda: int(pytest.main(["-q", "-p", "no:cacheprovider", str(test)])))
+    return steps
+
+
+def main() -> int:
+    codes = [c for path in sorted(PACKAGE.glob("*.py")) for c in code_objects(path)]
+    want = {key(c): code_lines(c) for c in codes}
+    all_lines = {k: set(v) for k, v in want.items()}
+    tracer = Tracer(want)
+    sys.path.insert(0, str(SRC))
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        sys.settrace(tracer.call)
+        try:
+            steps = workload(Path(tmp))
+        finally:
+            sys.settrace(None)
+    elapsed = time.perf_counter() - start
+    print(f"{len(steps)} steps traced in {elapsed:.1f} s; exit codes:")
+    for label, code in steps:
+        print(f"  {code} {label}")
+
+    def where(k: tuple) -> str:
+        return f"{os.path.relpath(k[0], ROOT)}:{k[1]} {k[2]}"
+
+    unreached = sorted(k for k in want if k not in tracer.entered)
+    print(f"{len(unreached)} of {len(want)} code objects never entered:")
+    for k in unreached:
+        print(f"  {where(k)}")
+    partial = sorted(k for k in tracer.entered & want.keys() if want[k])
+    print(f"{len(partial)} entered code objects with lines never run:")
+    for k in partial:
+        lines = sorted(want[k])
+        print(f"  {where(k)}: {len(lines)} of {len(all_lines[k])} lines never run: {lines}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
