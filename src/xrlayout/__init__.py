@@ -32,10 +32,8 @@ from .agent import (
 from .designspace import (
     ContentSpec,
     PresentationSpec,
-    SceneCatalog,
     SizeSpec,
     SpatialLayout,
-    Violation,
     XRObject,
     validate_object,
 )

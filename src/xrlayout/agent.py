@@ -572,6 +572,7 @@ class _Simulator:
         self.poses = plan.poses[strategy]
         self.scan_keys = plan.scan_keys[strategy]
         self.placer: EnvironmentReferencedPlacer | None = None
+        self.hit_poses: dict[str, Pose] | None = None  # the last plan hit's, not yet remembered
         self.warnings: list[WarningEvent] = []
         if strategy is Strategy.ENVIRONMENT_REFERENCED:
             self.placer = EnvironmentReferencedPlacer(scenario.intermediaries, scenario.params)
@@ -606,15 +607,18 @@ class _Simulator:
         degenerate states, so its result there depends on the session's
         history: a degenerate placement leaves the plan, and it records
         the session's own warnings.  Elsewhere the placement is pure, so
-        a plan hit hands the stored poses to the placer, and later
-        degenerate states hold exactly what they would have held without
-        the plan.
+        the last plan hit's stored poses go to the placer right before
+        its next computed placement, and later degenerate states hold
+        exactly what they would have held without the plan.
         """
         if at is not _TAIL and at not in self.plan.times:
             self._leave_plan()
         state = self._state(t, at)
         poses = None if self.poses is None else self.poses.get(at)
         if poses is None:
+            if self.hit_poses is not None:
+                self.placer.remember(self.hit_poses)
+                self.hit_poses = None
             held = len(self.warnings)
             poses = self.place(state)
             if len(self.warnings) > held:
@@ -622,7 +626,7 @@ class _Simulator:
             elif self.poses is not None:
                 self.poses[at] = poses
         elif self.placer is not None:
-            self.placer.remember(poses)
+            self.hit_poses = poses
         return state, poses
 
     def _gaze_point(self, state: SceneState, target: ScreenGaze | IntermediaryGaze) -> Vec3:
@@ -676,7 +680,7 @@ class _Simulator:
 
         The question phase passes answered_at None: it presents the question.
         """
-        state, _ = self._scene_at(t, at)  # on a plan hit too: the placer takes the poses
+        state, _ = self._scene_at(t, at)  # on a plan hit too: the placer may need the poses
 
         def aim():
             focus = focus_target(state, self.scn, t, answered_at=answered_at)

@@ -1,18 +1,19 @@
-"""Design-space vocabulary for XR objects, plus structural validation.
+"""Design-space vocabulary for XR objects.
 
 An XRObject bundles what is shown (ContentSpec), how it is rendered
 (PresentationSpec) and where it lives (SpatialLayout, built on the hybrid
 frame machinery).  The types are deliberately permissive containers:
 constructing an inconsistent object is allowed, and validate_object
-reports problems as Violation values instead of raising, so tooling can
+reports problems as Diagnostic values instead of raising, so tooling can
 show all of them at once.
 
 Presentation detail beyond the enum level lives in modality_params, an
 open string-keyed map with a published key schema (MODALITY_PARAM_KEYS).
 Keys outside the schema must use the "custom." prefix (is_modality_param_key);
-anything else is flagged so typos don't silently drop styling.  validate_object
-checks objects built in code; a .scn file's panels are checked by the scenario
-schema table, which reads the domains and the key rule from here.
+anything else is flagged so typos don't silently drop styling.  The rules
+live in one place, the scenario schema table's panel block, which reads the
+domains and the key rule from here: it checks a .scn file's panels, and
+validate_object applies it to objects built in code.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .frames import RESERVED_REFS, FrameOfReference
-from .geometry import (
-    _POSITIVE_RULE, ONES, POSITIVE_SCALE_RULE, Pose, Vec3, _finite_positive, _positive_scale
-)
+from .errors import Diagnostic
+from .frames import FrameOfReference
+from .geometry import ONES, Pose, Vec3
 
 AVAILABILITY = ("open", "minimized", "closed")
 AVAILABILITY_MUTABILITY = ("user", "context_aware", "immutable")
 IMMERSION = ("non_immersive", "partially_immersive", "fully_immersive")
-MODALITY = ("visual", "audio", "haptic", "olfactory", "hybrid")
+MODALITY = ("visual", "audio", "haptic", "olfactory")
 INTERACTIVITY = ("none", "open_close_only", "full")
 
 # Published modality-parameter schema.  Grouped by namespace:
@@ -82,7 +82,6 @@ class ContentSpec:
     topic: str = ""
     level_of_detail: int = 0
     info_focus: str = ""
-    sub_objects: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,123 +117,16 @@ class XRObject:
     interactivity: str = "none"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One structural problem in an object; data, not an exception."""
+def validate_object(obj: XRObject) -> list[Diagnostic]:
+    """The .scn panel rules applied to an object built in code.
 
-    code: str
-    subject: str
-    detail: str = ""
-
-    def __str__(self):
-        return f"{self.code}({self.subject}): {self.detail}" if self.detail else f"{self.code}({self.subject})"
-
-
-# Violation codes.
-UNRESOLVED_REF = "unresolved-ref"
-HYBRID_NEEDS_TWO_MODALITIES = "hybrid-needs-two-modalities"
-CYCLIC_SUB_OBJECTS = "cyclic-sub-objects"
-BAD_ENUM_VALUE = "bad-enum-value"
-BAD_LEVEL_OF_DETAIL = "bad-level-of-detail"
-BAD_SIZE = "bad-size"
-UNKNOWN_METADATA_KEY = "unknown-metadata-key"
-
-
-@dataclass(frozen=True)
-class SceneCatalog:
-    """Everything an object's references may point at."""
-
-    entity_ids: frozenset[str] = frozenset()
-    objects: Mapping[str, XRObject] = field(default_factory=dict)
-
-    def resolves(self, ref: str) -> bool:
-        return ref in RESERVED_REFS or ref in self.entity_ids or ref in self.objects
-
-
-def validate_object(obj: XRObject, catalog: SceneCatalog) -> list[Violation]:
-    """All structural violations of one object against a catalog.
-
-    Pure and order-independent: the result is a function of the object and
-    catalog contents only.  An empty list means the object is well formed.
+    The object is written as a panel and read back by the scenario schema
+    table, so it gets the diagnostics a file holding that panel would get,
+    at paths relative to the panel.  A .scn panel has no layout, so the
+    layout is not checked.  An empty list means the object passes.
     """
-    out: list[Violation] = []
+    from .scenario import _PANEL  # scenario imports this module
 
-    content, presentation = obj.content, obj.presentation
-    for name, value, allowed in (
-        ("availability", content.availability, AVAILABILITY),
-        ("availability_mutability", content.availability_mutability, AVAILABILITY_MUTABILITY),
-        ("immersion", presentation.immersion, IMMERSION),
-        ("modality", presentation.modality, MODALITY),
-        ("interactivity", obj.interactivity, INTERACTIVITY),
-    ):
-        if value not in allowed:
-            detail = f"{name}={value!r}, expected one of {allowed}"
-            out.append(Violation(BAD_ENUM_VALUE, obj.id, detail))
-
-    if obj.content.level_of_detail < 0:
-        out.append(
-            Violation(
-                BAD_LEVEL_OF_DETAIL, obj.id, f"negative: {obj.content.level_of_detail}"
-            )
-        )
-
-    for ref in obj.layout.frame.refs():
-        if not catalog.resolves(ref):
-            out.append(Violation(UNRESOLVED_REF, ref, f"frame ref of {obj.id!r}"))
-
-    for sub in obj.content.sub_objects:
-        if sub not in catalog.objects:
-            out.append(Violation(UNRESOLVED_REF, sub, f"sub-object of {obj.id!r}"))
-    if _on_cycle(obj, catalog):
-        out.append(Violation(CYCLIC_SUB_OBJECTS, obj.id))
-
-    if obj.presentation.modality == "hybrid":
-        sub_modalities = {
-            catalog.objects[s].presentation.modality
-            for s in obj.content.sub_objects
-            if s in catalog.objects
-        }
-        if len(obj.content.sub_objects) < 2 or len(sub_modalities) < 2:
-            out.append(
-                Violation(
-                    HYBRID_NEEDS_TWO_MODALITIES,
-                    obj.id,
-                    "hybrid modality requires >= 2 sub-objects with distinct modalities",
-                )
-            )
-
-    size = obj.layout.size
-    if not _positive_scale(*size.scale.to_tuple()):
-        detail = f"scale: expected {POSITIVE_SCALE_RULE}, got {size.scale}"
-        out.append(Violation(BAD_SIZE, obj.id, detail))
-    ratio = size.aspect_ratio
-    if ratio is not None and not _finite_positive(ratio):
-        detail = f"aspect ratio: expected {_POSITIVE_RULE}, got {ratio!r}"
-        out.append(Violation(BAD_SIZE, obj.id, detail))
-
-    for key in obj.presentation.modality_params:
-        if not is_modality_param_key(key):
-            out.append(Violation(UNKNOWN_METADATA_KEY, obj.id, key))
-
-    return out
-
-
-def _on_cycle(obj: XRObject, catalog: SceneCatalog) -> bool:
-    """Does any sub-object chain starting at obj revisit a node?"""
-    seen: set[str] = set()
-    stack = [(obj.id, iter(obj.content.sub_objects))]
-    path = {obj.id}
-    while stack:
-        _, it = stack[-1]
-        nxt = next(it, None)
-        if nxt is None:
-            path.discard(stack.pop()[0])
-            continue
-        if nxt in path:
-            return True
-        if nxt in seen or nxt not in catalog.objects:
-            continue
-        seen.add(nxt)
-        path.add(nxt)
-        stack.append((nxt, iter(catalog.objects[nxt].content.sub_objects)))
-    return False
+    diags: list[Diagnostic] = []
+    _PANEL.read(_PANEL.write(obj), "", diags)
+    return diags

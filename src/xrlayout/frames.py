@@ -52,9 +52,6 @@ class FrameOfReference:
     def unified(cls, ref: str) -> "FrameOfReference":
         return cls(ref, ref, ref)
 
-    def refs(self) -> tuple[str, str, str]:
-        return (self.position_ref, self.orientation_ref, self.scale_ref)
-
 
 @dataclass(frozen=True)
 class SceneState:

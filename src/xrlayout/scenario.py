@@ -19,7 +19,8 @@ it is required, and the attribute it fills.  The reader, the writer
 (Scenario.to_dict) and AgentParams.from_mapping all walk that table.
 Blocks are closed, so a key the table does not list is an error; metadata
 is an open map, and a panel's modality_params and five enums follow the
-design-space key rule and domains (less "hybrid"), checked at their keys.
+design-space key rule and domains, checked at their keys.  The panel block
+(_PANEL) is also designspace.validate_object's rule for objects built in code.
 Ids are schema checks too: the entities and panels lists each reject a
 repeated id, and an entity an id reserved for a frame of reference, at
 the id's own path.
@@ -909,8 +910,6 @@ _TRAJECTORY = _Block(
 _LEVEL = _Kind(_INTEGER, (lambda v: v >= 0, "integer >= 0"))
 
 _MODALITY_PARAMS = _Block(known=is_modality_param_key)
-# A .scn panel has no sub-objects, so it cannot give a hybrid modality its parts.
-_MODALITY = _one_of(tuple(m for m in MODALITY if m != "hybrid"))
 
 _PANEL = _Block(
     _Row("id", _STR, _REQUIRED),
@@ -922,7 +921,7 @@ _PANEL = _Block(
     _Row("availability_mutability", _one_of(AVAILABILITY_MUTABILITY), "context_aware",
          attr="content.availability_mutability"),
     _Row("immersion", _one_of(IMMERSION), attr="presentation.immersion"),
-    _Row("modality", _MODALITY, attr="presentation.modality"),
+    _Row("modality", _one_of(MODALITY), attr="presentation.modality"),
     _Row("interactivity", _one_of(INTERACTIVITY), "full"),
     build=_panel,
 )

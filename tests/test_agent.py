@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from xrlayout.agent import (
     simulate_session,
 )
 from xrlayout.metrics import aggregate, results_to_json, session_metrics
-from xrlayout.placement import Strategy
+from xrlayout.placement import EnvironmentReferencedPlacer, Strategy
 from xrlayout.scenario import (
     SCAN_POLICIES,
     Scenario,
@@ -558,6 +559,64 @@ class TestSceneTrack:
         # the spy does see a session that leaves
         simulate_session(parse_scenario(OFF_PLAN["tail while the scene moves"]), seed=1)
         assert left
+
+    def test_warm_bundled_sessions_never_remember(self, monkeypatch):
+        """A warm session never places, so its plan hits leave the placer alone."""
+        calls = []
+        remember = EnvironmentReferencedPlacer.remember
+        monkeypatch.setattr(
+            EnvironmentReferencedPlacer,
+            "remember",
+            lambda self, poses: calls.append(poses) or remember(self, poses),
+        )
+        env_ref = Strategy.ENVIRONMENT_REFERENCED
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            simulate_session(scn, strategy=env_ref, seed=0)
+            calls.clear()
+            for seed in range(1, 6):
+                simulate_session(scn, strategy=env_ref, seed=seed)
+            assert calls == [], name
+        # the spy does see a warm session that places after plan hits
+        warm = degenerate_walk_scenario()
+        simulate_session(warm, seed=0)
+        calls.clear()
+        simulate_session(warm, seed=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["degenerate walk", *sorted(OFF_PLAN)])
+    def test_a_placement_sees_the_records_of_every_plan_hit(self, case, monkeypatch):
+        """When the placer places, its records are those that remembering each hit gives."""
+        eager = {}  # the records if every plan hit went to remember at once
+        placed, after_hit = [], []
+        place, scene_at = EnvironmentReferencedPlacer.place, agent._Simulator._scene_at
+
+        def spy_place(self, state):
+            assert self._placed == eager, state.time
+            after_hit.extend(rec[0] is None for rec in eager.values())
+            out = place(self, state)
+            placed.append(state.time)
+            eager.clear()
+            eager.update(self._placed)
+            return out
+
+        def spy_scene_at(self, t, at):
+            before = len(placed)
+            state, poses = scene_at(self, t, at)
+            if len(placed) == before:  # a plan hit
+                eager.update((pid, (None, None, None, pose)) for pid, pose in poses.items())
+            return state, poses
+
+        monkeypatch.setattr(EnvironmentReferencedPlacer, "place", spy_place)
+        monkeypatch.setattr(agent._Simulator, "_scene_at", spy_scene_at)
+        make = degenerate_walk_scenario if case == "degenerate walk" else partial(
+            parse_scenario, OFF_PLAN[case]
+        )
+        warm = make()
+        for seed in (0, 1, 2, 5):
+            eager.clear()
+            simulate_session(warm, seed=seed)
+        assert any(after_hit)
 
     def test_sessions_with_other_agent_params_share_the_plan(self):
         scn = load_bundled("dynamic_mobile_body_fixed")

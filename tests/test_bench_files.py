@@ -6,8 +6,14 @@ Every pair must have checked the same outputs on both sides, with no
 failed op, and each summary (medians, inclusive quartiles, win counts,
 ratios, the median gap against the parent's IQR) must follow from the
 pairs, so a hand-edited number cannot stand.
+
+The benchmark's tracer also pins names of the package: every function it
+wraps and every class whose constructions it counts must still exist, or
+the traced run stops before it measures anything.
 """
 
+import ast
+import importlib
 import json
 import math
 import statistics
@@ -81,3 +87,28 @@ def test_summaries_follow_from_the_pairs(block):
             gap, iqr = summary["median_gap_vs_parent_iqr"]
             assert close(gap, abs(change["median"] - parent["median"])), metric
             assert close(iqr, parent["q3"] - parent["q1"]), metric
+
+
+def tracer_table(name: str) -> tuple:
+    """A literal table of perfbench/tracer.py, read without running the file."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py has no {name}")
+
+
+@pytest.mark.parametrize("module, path, span", tracer_table("SPAN_TARGETS"))
+def test_every_traced_function_exists(module, path, span):
+    owner_name, _, attr = path.rpartition(".")
+    owner = importlib.import_module(f"xrlayout.{module}")
+    if owner_name:  # the tracer patches a method in its class's own namespace
+        owner = getattr(owner, owner_name)
+        assert callable(vars(owner).get(attr)), span
+    else:
+        assert callable(getattr(owner, attr, None)), span
+
+
+@pytest.mark.parametrize("module, cls, key", tracer_table("COUNTED_CLASSES"))
+def test_every_counted_class_exists(module, cls, key):
+    assert isinstance(getattr(importlib.import_module(f"xrlayout.{module}"), cls, None), type), key

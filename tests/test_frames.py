@@ -133,8 +133,3 @@ class TestHybridResolution:
         state = SceneState(time=0.0, poses={USER_BODY: Pose()})
         with pytest.raises(UnresolvedRef):
             resolve_world_pose(layout, state)
-
-    def test_frame_refs_listing(self):
-        f = FrameOfReference(position_ref="a", orientation_ref="b", scale_ref="c")
-        assert f.refs() == ("a", "b", "c")
-        assert FrameOfReference.unified("a").refs() == ("a", "a", "a")
