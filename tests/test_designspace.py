@@ -90,7 +90,7 @@ def with_field(obj, attr, value):
     return replace(obj, **{group: replace(getattr(obj, group), **{name: value})})
 
 
-class TestVocabulary:
+class TestEnumDomains:
     def test_published_values(self):
         assert AVAILABILITY == ("open", "minimized", "closed")
         assert AVAILABILITY_MUTABILITY == ("user", "context_aware", "immutable")
@@ -109,6 +109,29 @@ class TestVocabulary:
             assert any(key.startswith(p) for p in prefixes), key
 
     @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("availability", "sometimes"),
+            ("availability_mutability", "never"),
+        ],
+    )
+    def test_bad_content_enums(self, field, value):
+        obj = XRObject("panel", content=ContentSpec(**{field: value}, topic="food"))
+        assert [(d.kind, d.path) for d in validate_object(obj)] == [("schema", field)]
+
+    def test_bad_presentation_enums(self):
+        obj = XRObject(
+            "panel",
+            content=ContentSpec(topic="food"),
+            presentation=PresentationSpec(immersion="vr", modality="smellovision"),
+        )
+        assert sorted(d.path for d in validate_object(obj)) == ["immersion", "modality"]
+
+    def test_bad_interactivity(self):
+        obj = XRObject("panel", content=ContentSpec(topic="food"), interactivity="drag_only")
+        assert [d.path for d in validate_object(obj)] == ["interactivity"]
+
+    @pytest.mark.parametrize(
         "key, known",
         [
             ("visual.typography.size_pt", True),
@@ -125,6 +148,16 @@ class TestVocabulary:
         obj = with_field(PANELS[0], "presentation.modality_params", {key: 1})
         want = [] if known else [(f"modality_params.{key}", "unknown key")]
         assert [(d.path, d.message) for d in validate_object(obj)] == want
+
+
+class TestStructure:
+    def test_valid_object_has_no_violations(self):
+        obj = XRObject("panel", content=ContentSpec(topic="food", level_of_detail=1), interactivity="full")
+        assert validate_object(obj) == []
+
+    def test_negative_level_of_detail(self):
+        obj = XRObject("panel", content=ContentSpec(topic="food", level_of_detail=-1))
+        assert [d.path for d in validate_object(obj)] == ["level_of_detail"]
 
 
 class TestValidateObject:
