@@ -20,13 +20,15 @@ sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
 every value pure in (scenario, strategy, scripted time): scene states,
 panel poses, the scripted focus with its head position and gaze point,
-head turns and scan-route sort keys.  One rule decides its use: a session
-reads and fills the plan until its first step off the script (a scene
-query at a time that is not scripted, a settle tail before the scene has
-settled among them, or a degenerate placement), then computes every value
-by the same code and stores nothing.  So a warm scripted session does only
-its per-seed work, and a session gives the same trace and warnings whether
-the plan was cold or warm.
+head turns and scan-route sort keys.  Plan use is decided once per
+session: simulate_session runs the session on the plan, reading and
+filling it, and a first step off the script (a scene query at a time that
+is not scripted, a settle tail before the scene has settled among them, or
+a degenerate placement) abandons that run and reruns the session from
+t = 0 with no plan, computing every value by the same code and storing
+nothing.  So a warm scripted session does only its per-seed work, and an
+off-script session's trace and warnings are by construction those of a
+run with no plan, whether the plan was cold or warm.
 
 Behavioral model
 ----------------
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
-from .errors import WarningEvent
+from .errors import DegenerateIntermediary, WarningEvent
 from .frames import USER_BODY, USER_HEAD, SceneState
 from .geometry import Pose, Vec3, _value_type, angle_between
 from .placement import (
@@ -420,18 +422,19 @@ class _SessionPlan:
       * scan_keys[strategy]: (policy, from, plan time) -> the seed-free
         sort keys of a scan route (_scan_keys).
 
-    One rule decides plan use: a session reads and fills the tables until
-    its first step off the script, which is a scene query at a time that
-    is not a plan time (where a cursor that overran its scripted time
-    lands; a settle tail before settled queries at its own start, which
-    is later than every plan time), or a degenerate environment-referenced
-    placement (hold-last depends on the session's own history there).
-    From then on it computes every value by the same code and stores
-    nothing (_Simulator._leave_plan).  So the plan stays bounded by
-    the scripted times however many seeds run, and a session gives the
-    same trace and warnings whether the plan was cold or warm.  The plan
-    holds no reference to its scenario; callers pass it.  It is derived
-    state of the scenario (see Scenario._derived).
+    Plan use is decided once per session: a session reads and fills the
+    tables until its first step off the script, which is a scene query at
+    a time that is not a plan time (where a cursor that overran its
+    scripted time lands; a settle tail before settled queries at its own
+    start, which is later than every plan time), or a degenerate
+    environment-referenced placement (hold-last depends on the session's
+    own history there).  That step raises _OffScript, and simulate_session
+    reruns the whole session with no tables, so nothing off the script is
+    stored.  So the plan stays bounded by the scripted times however many
+    seeds run, and a session gives the same trace and warnings whether the
+    plan was cold or warm.  The plan holds no reference to its scenario;
+    callers pass it.  It is derived state of the scenario (see
+    Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -491,7 +494,8 @@ class _Timeline:
     """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
     The gaze starts at 0.0 facing forward (-z); facing is the plan key of
-    the gaze direction, turns the plan's head-turn table (None off plan).
+    the gaze direction, turns the plan's head-turn table (None in a
+    session run without the plan).
     """
 
     def __init__(self, yaw_rate_deg_s: float, turns: dict):
@@ -552,6 +556,10 @@ def _direct_placement(strategy: Strategy, scenario: Scenario):
     return partial(place, bearings=scenario.body_bearings, params=params)
 
 
+class _OffScript(Exception):
+    """A session on the plan stepped off the script; simulate_session reruns it."""
+
+
 class _Simulator:
     def __init__(
         self,
@@ -559,6 +567,7 @@ class _Simulator:
         params: AgentParams,
         strategy: Strategy,
         seed: int,
+        on_plan: bool = True,
     ):
         self.scn = scenario
         self.params = params
@@ -566,21 +575,17 @@ class _Simulator:
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
-        # The session's plan tables; _leave_plan drops them all at once.
-        self.states = plan.states
-        self.aims = plan.aims
-        self.poses = plan.poses[strategy]
-        self.scan_keys = plan.scan_keys[strategy]
-        self.placer: EnvironmentReferencedPlacer | None = None
-        self.hit_poses: dict[str, Pose] | None = None  # the last plan hit's, not yet remembered
+        # The session's plan tables; with none, _planned computes every value.
+        tables = (plan.states, plan.aims, plan.poses[strategy], plan.scan_keys[strategy])
+        self.states, self.aims, self.poses, self.scan_keys = tables if on_plan else (None,) * 4
         self.warnings: list[WarningEvent] = []
         if strategy is Strategy.ENVIRONMENT_REFERENCED:
-            self.placer = EnvironmentReferencedPlacer(scenario.intermediaries, scenario.params)
-            self.warnings = self.placer.warnings
-            self.place = self.placer.place
+            placer = EnvironmentReferencedPlacer(scenario.intermediaries, scenario.params)
+            self.warnings = placer.warnings
+            self.place = placer.place
         else:
             self.place = _direct_placement(strategy, scenario)
-        self.line = _Timeline(params.yaw_rate_deg_s, plan.turns[strategy])
+        self.line = _Timeline(params.yaw_rate_deg_s, plan.turns[strategy] if on_plan else None)
         self.opens: list[OpenEvent] = []
         self.panel_by_category = plan.panel_by_category
         # Where the panel sits is known without a header search: given by
@@ -588,10 +593,6 @@ class _Simulator:
         self.direct = strategy in (Strategy.ENVIRONMENT_REFERENCED, Strategy.OBJECT_FIXED) or (
             scenario.context == "static_stationary"
         )
-
-    def _leave_plan(self) -> None:
-        """The session's first step off the script: compute all, store nothing."""
-        self.states = self.aims = self.poses = self.scan_keys = self.line.turns = None
 
     def _state(self, t: float, at) -> SceneState:
         """Scene state at t (plan key at); the tail's comes back under t (warnings read it)."""
@@ -601,32 +602,30 @@ class _Simulator:
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
         """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
 
-        A time that is not a plan time leaves the plan; run keys a
-        settle tail that starts before settled by its time, so it is
-        one.  The environment-referenced placer holds the last pose on
-        degenerate states, so its result there depends on the session's
-        history: a degenerate placement leaves the plan, and it records
-        the session's own warnings.  Elsewhere the placement is pure, so
-        the last plan hit's stored poses go to the placer right before
-        its next computed placement, and later degenerate states hold
-        exactly what they would have held without the plan.
+        On the plan, a step off the script raises _OffScript: a time that
+        is not a plan time (run keys a settle tail that starts before
+        settled by its time, so it is one), or a degenerate placement.  The
+        environment-referenced placer holds the last pose there, or raises
+        DegenerateIntermediary with nothing to hold, so its result depends
+        on the session's history, which plan hits do not feed.  Elsewhere
+        the placement is pure in the state.
         """
+        if self.poses is None:
+            state = self._state(t, at)
+            return state, self.place(state)
         if at is not _TAIL and at not in self.plan.times:
-            self._leave_plan()
+            raise _OffScript
         state = self._state(t, at)
-        poses = None if self.poses is None else self.poses.get(at)
+        poses = self.poses.get(at)
         if poses is None:
-            if self.hit_poses is not None:
-                self.placer.remember(self.hit_poses)
-                self.hit_poses = None
             held = len(self.warnings)
-            poses = self.place(state)
+            try:
+                poses = self.place(state)
+            except DegenerateIntermediary:
+                raise _OffScript from None
             if len(self.warnings) > held:
-                self._leave_plan()
-            elif self.poses is not None:
-                self.poses[at] = poses
-        elif self.placer is not None:
-            self.hit_poses = poses
+                raise _OffScript
+            self.poses[at] = poses
         return state, poses
 
     def _gaze_point(self, state: SceneState, target: ScreenGaze | IntermediaryGaze) -> Vec3:
@@ -680,7 +679,7 @@ class _Simulator:
 
         The question phase passes answered_at None: it presents the question.
         """
-        state, _ = self._scene_at(t, at)  # on a plan hit too: the placer may need the poses
+        state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
 
         def aim():
             focus = focus_target(state, self.scn, t, answered_at=answered_at)
@@ -822,11 +821,15 @@ def simulate_session(
     params defaults to the scenario's agent block; seed (when given)
     overrides the params seed so batch sweeps can share scenario files.
     strategy may be a value string ("head_fixed"); an unknown one raises ValueError.
+    A session that steps off the script is run again without the session
+    plan (see _SessionPlan), so its trace is that of a run with no plan.
     """
     if params is None:
         params = scenario._derived(_agent_params)
     if seed is not None:
         params = params._with_seed(seed)
     strategy = scenario.strategy if strategy is None else Strategy(strategy)
-    sim = _Simulator(scenario, params, strategy, params.seed)
-    return sim.run()
+    try:
+        return _Simulator(scenario, params, strategy, params.seed).run()
+    except _OffScript:
+        return _Simulator(scenario, params, strategy, params.seed, on_plan=False).run()

@@ -23,20 +23,20 @@ Every strategy has one direct placement function (place_body_fixed,
 place_environment_referenced, place_head_fixed, place_object_fixed), and
 that is the only route the simulator takes.  Body-fixed and
 environment-referenced panels are kept upright (no vertical tilt): they
-yaw to face the user's body position at eye height, with world up as
-their up axis.  The direct functions are pure, so callers may keep their
+yaw to face the user's body position at eye height, with world up as their
+up axis.  The direct functions are pure, so callers may keep their
 results; the agent's seed-shared session plan does, per scenario and
 strategy.  The one stateful piece is EnvironmentReferencedPlacer: it holds
 the last valid pose for degenerate frames (user standing exactly on an
 intermediary), so its result depends on the history of its calls.  That
 history is confined to one placer instance, as one record per panel: the
-inputs and the Pose of its last valid placement.  remember() lets a caller
-that kept a non-degenerate result record its poses (without inputs).  The
-placer also reuses: a panel whose body pose, intermediary pose and params
-are the very objects (by identity) of its record gets the recorded Pose
-back, since the panel pose is a pure function of them.  Scenario.state_at
-hands out the same Pose objects on still pieces, so on those frames
-nothing is recomputed.
+inputs and the Pose of its last valid placement.  So the session plan
+keeps no degenerate placement: a session whose placer would hold a pose
+runs without the plan.  The placer also reuses: a panel whose body pose,
+intermediary pose and params are the very objects (by identity) of its
+record gets the recorded Pose back, since the panel pose is a pure
+function of them.  Scenario.state_at hands out the same Pose objects on
+still pieces, so on those frames nothing is recomputed.
 
 Body-fixed and environment-referenced placement, a headset app's per-frame
 work, run on floats (geometry's scalar kernels, under its bit-identity
@@ -338,17 +338,6 @@ class EnvironmentReferencedPlacer:
             out[pid] = pose
         placed.update(computed)
         return out
-
-    def remember(self, poses: Mapping[str, Pose]) -> None:
-        """Take poses placed elsewhere as the last valid ones.
-
-        For a caller that already holds place()'s result for a state where
-        no panel is degenerate.  A degenerate frame then holds these poses;
-        the records (None, None, None, pose) never match by identity, so
-        the next non-degenerate frame computes.
-        """
-        for pid, pose in poses.items():
-            self._placed[pid] = (None, None, None, pose)
 
 
 @dataclass(frozen=True)

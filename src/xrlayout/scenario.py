@@ -685,9 +685,9 @@ class _Block(_Kind):
             _fail(diags, _join(path, key), expected, got)
             return None
 
-    def write(self, obj) -> dict:
-        if self.build is None:
-            return dict(obj)
+    def write(self, obj) -> object:
+        if self.build is None:  # a value that is no map is written as is, for read to report
+            return dict(obj) if isinstance(obj, Mapping) else obj
         out = {}
         for row in self.rows:
             value = obj if row.attr == "" else attrgetter(row.attr or row.key)(obj)

@@ -22,7 +22,7 @@ from xrlayout.agent import (
     simulate_session,
 )
 from xrlayout.metrics import aggregate, results_to_json, session_metrics
-from xrlayout.placement import EnvironmentReferencedPlacer, Strategy
+from xrlayout.placement import Strategy
 from xrlayout.scenario import (
     SCAN_POLICIES,
     Scenario,
@@ -462,6 +462,26 @@ def record_poses(monkeypatch):
     return seen
 
 
+def off_script_scenario(case):
+    """A fresh parse of "degenerate walk" or of an OFF_PLAN case."""
+    if case == "degenerate walk":
+        return degenerate_walk_scenario()
+    return parse_scenario(OFF_PLAN[case])
+
+
+def record_simulators(monkeypatch):
+    """on_plan of every _Simulator built, in order."""
+    built = []
+    original = agent._Simulator.__init__
+
+    def spy(self, *args, on_plan=True):
+        built.append(on_plan)
+        original(self, *args, on_plan=on_plan)
+
+    monkeypatch.setattr(agent._Simulator, "__init__", spy)
+    return built
+
+
 class TestSceneTrack:
     """Sessions on a scenario share its seed-independent scene track."""
 
@@ -541,82 +561,54 @@ class TestSceneTrack:
         assert_keys_are_plan_times(warm._cache[agent._SessionPlan])
 
     def test_bundled_sessions_never_leave_the_plan(self, monkeypatch):
-        """A scripted session that left the plan would only show as a slower sweep."""
-        left = []
-        original = agent._Simulator._leave_plan
-
-        def spy(self):
-            left.append((self.scn.name, self.strategy.value, self.seed, self.line.cursor))
-            original(self)
-
-        monkeypatch.setattr(agent._Simulator, "_leave_plan", spy)
+        """A scripted session that reran without the plan would only show as a slower sweep."""
+        built = record_simulators(monkeypatch)
         for name in bundled_scenario_names():
             scn = load_bundled(name)
             for seed in range(10):
                 for strategy in Strategy:
                     simulate_session(scn, strategy=strategy, seed=seed)
-        assert left == []
-        # the spy does see a session that leaves
+        assert built and False not in built
+        # the spy does see a session that reruns
+        built.clear()
         simulate_session(parse_scenario(OFF_PLAN["tail while the scene moves"]), seed=1)
-        assert left
-
-    def test_warm_bundled_sessions_never_remember(self, monkeypatch):
-        """A warm session never places, so its plan hits leave the placer alone."""
-        calls = []
-        remember = EnvironmentReferencedPlacer.remember
-        monkeypatch.setattr(
-            EnvironmentReferencedPlacer,
-            "remember",
-            lambda self, poses: calls.append(poses) or remember(self, poses),
-        )
-        env_ref = Strategy.ENVIRONMENT_REFERENCED
-        for name in bundled_scenario_names():
-            scn = load_bundled(name)
-            simulate_session(scn, strategy=env_ref, seed=0)
-            calls.clear()
-            for seed in range(1, 6):
-                simulate_session(scn, strategy=env_ref, seed=seed)
-            assert calls == [], name
-        # the spy does see a warm session that places after plan hits
-        warm = degenerate_walk_scenario()
-        simulate_session(warm, seed=0)
-        calls.clear()
-        simulate_session(warm, seed=1)
-        assert len(calls) == 1
+        assert built == [True, False]
 
     @pytest.mark.parametrize("case", ["degenerate walk", *sorted(OFF_PLAN)])
-    def test_a_placement_sees_the_records_of_every_plan_hit(self, case, monkeypatch):
-        """When the placer places, its records are those that remembering each hit gives."""
-        eager = {}  # the records if every plan hit went to remember at once
-        placed, after_hit = [], []
-        place, scene_at = EnvironmentReferencedPlacer.place, agent._Simulator._scene_at
+    def test_a_session_is_the_run_without_the_plan(self, case, monkeypatch):
+        """On a warm plan, every session's trace, warnings included, is the plan-free run's."""
+        warm = off_script_scenario(case)
+        for seed in (0, 2):
+            for strategy in Strategy:
+                simulate_session(warm, strategy=strategy, seed=seed)
+        built = record_simulators(monkeypatch)
+        reruns = 0
+        for strategy in Strategy:
+            for seed in (1, 3, 7):
+                built.clear()
+                trace = simulate_session(warm, strategy=strategy, seed=seed)
+                reruns += built.count(False)
+                params = replace(AgentParams.from_mapping(warm.agent), seed=seed)
+                oracle = agent._Simulator(warm, params, strategy, seed, on_plan=False).run()
+                assert trace == oracle, (strategy, seed)  # SessionTrace.warnings included
+        assert reruns
+        assert_keys_are_plan_times(warm._cache[agent._SessionPlan])
 
-        def spy_place(self, state):
-            assert self._placed == eager, state.time
-            after_hit.extend(rec[0] is None for rec in eager.values())
-            out = place(self, state)
-            placed.append(state.time)
-            eager.clear()
-            eager.update(self._placed)
-            return out
-
-        def spy_scene_at(self, t, at):
-            before = len(placed)
-            state, poses = scene_at(self, t, at)
-            if len(placed) == before:  # a plan hit
-                eager.update((pid, (None, None, None, pose)) for pid, pose in poses.items())
-            return state, poses
-
-        monkeypatch.setattr(EnvironmentReferencedPlacer, "place", spy_place)
-        monkeypatch.setattr(agent._Simulator, "_scene_at", spy_scene_at)
-        make = degenerate_walk_scenario if case == "degenerate walk" else partial(
-            parse_scenario, OFF_PLAN[case]
-        )
-        warm = make()
-        for seed in (0, 1, 2, 5):
-            eager.clear()
-            simulate_session(warm, seed=seed)
-        assert any(after_hit)
+    def test_a_call_builds_at_most_two_simulators(self, monkeypatch):
+        built = record_simulators(monkeypatch)
+        makes = [partial(load_bundled, name) for name in bundled_scenario_names()]
+        makes += [partial(off_script_scenario, case) for case in ["degenerate walk", *OFF_PLAN]]
+        seen = set()
+        for make in makes:
+            scn = make()
+            for seed in (0, 1):
+                for strategy in Strategy:
+                    built.clear()
+                    simulate_session(scn, strategy=strategy, seed=seed)
+                    # on the plan, then at most one rerun without it
+                    assert built in ([True], [True, False]), (scn.name, strategy, seed)
+                    seen.add(tuple(built))
+        assert seen == {(True,), (True, False)}
 
     def test_sessions_with_other_agent_params_share_the_plan(self):
         scn = load_bundled("dynamic_mobile_body_fixed")

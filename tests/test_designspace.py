@@ -172,6 +172,17 @@ class TestValidateObject:
             ("schema", "availability", "expected one of ('open', 'minimized', 'closed'), got str 'bogus'")
         ]
 
+    @pytest.mark.parametrize(
+        "value, got",
+        [(3, "int 3"), ("ab", "str 'ab'"), ([["a", 1]], "list")],
+        ids=["int", "str", "list of pairs"],
+    )
+    def test_modality_params_that_are_no_map_get_the_files_text(self, value, got):
+        obj = with_field(PANELS[0], "presentation.modality_params", value)
+        assert [(d.path, d.message) for d in validate_object(obj)] == [
+            ("modality_params", f"expected object, got {got}")
+        ]
+
     @settings(max_examples=300, **RUN)
     @given(
         index=st.integers(0, len(PANELS) - 1),
@@ -179,8 +190,9 @@ class TestValidateObject:
         data=st.data(),
     )
     def test_an_object_gets_the_diagnostics_of_a_file_with_that_panel(self, index, key, data):
-        # modality_params is a Mapping field, so only maps stand in for it
-        value = data.draw(param_maps if key == "modality_params" else words | json_values)
+        # any JSON value, and for modality_params also maps of its own keys
+        values = words | json_values
+        value = data.draw(values | param_maps if key == "modality_params" else values)
         if key == "id":  # a repeated panel id is a list rule, not a panel rule
             assume(value not in [p.id for i, p in enumerate(PANELS) if i != index])
         doc = json.loads(json.dumps(DOC))

@@ -419,16 +419,12 @@ class TestPlacerReuse:
             return Pose(Vec3(*xyz), pose.orientation, pose.scale)
 
         for _ in range(data.draw(st.integers(1, 12))):
-            step = data.draw(st.sampled_from(["place", "place", "again", "remember", "params"]))
+            step = data.draw(st.sampled_from(["place", "place", "again", "params"]))
             if step == "place":  # "again" places the very same pose objects once more
                 poses = {ref: pick(pose) for ref, pose in poses.items()}
             if step in ("place", "again"):
                 state = SceneState(data.draw(st.sampled_from([0.0, -0.0, 1.5])), poses)
                 assert placed_bytes(placer.place, state) == placed_bytes(oracle.place, state)
-            elif step == "remember":
-                kept = {pid: pick(pool[0]) for pid in data.draw(st.sets(panel_ids))}
-                placer.remember(kept)
-                oracle.last.update(kept)
             else:
                 new = data.draw(st.sampled_from(param_pool))
                 placer.params = oracle.params = new if data.draw(st.booleans()) else replace(new)
@@ -461,24 +457,6 @@ class TestPlacerReuse:
         with pytest.raises(DegenerateIntermediary):
             placer.place(self.frame(h1=0.0, h2=-3.0))
         assert placer.warnings == []
-
-    def test_a_degenerate_frame_holds_the_remembered_pose(self):
-        placer = EnvironmentReferencedPlacer({"a": "h1"}, PARAMS)
-        kept = Pose(Vec3(5.0, 1.0, 5.0))
-        placer.remember({"a": kept})
-        assert placer.place(self.frame(h1=0.0))["a"] is kept
-        assert [(w.time, w.subject) for w in placer.warnings] == [(1.0, "a")]
-
-    def test_a_remembered_record_is_never_reused(self, monkeypatch):
-        placer, calls = self.spied_placer(monkeypatch, {"a": "h1"})
-        state = self.frame(h1=-3.0)
-        first = placer.place(state)["a"]
-        assert placer.place(state)["a"] is first and calls == ["a"]
-        placer.remember({"a": Pose(Vec3(5.0, 1.0, 5.0))})
-        again = placer.place(state)["a"]  # the very same input objects
-        assert calls == ["a", "a"]
-        assert pose_bytes(again) == pose_bytes(first)
-        assert placer.place(state)["a"] is again and calls == ["a", "a"]
 
     @classmethod
     def computed_per_frame(cls, monkeypatch, scn, frames):

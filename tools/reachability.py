@@ -16,15 +16,29 @@ In one process, under sys.settrace, it runs:
 
 Then it prints, sorted by file and line, every code object of src/xrlayout
 that was never entered, and every entered code object with the lines it
-never ran, and how long the pass took.  It gates nothing: it is the
-reachability pass a structural change reports, as one command.  The
-tracer slows the run several times over, so on a loaded host the
-acceptance gate's time budgets may fail (its exit code shows 1); what ran
-is counted all the same.
+never ran, and how long the pass took: the reachability pass a structural
+change reports, as one command.
+
+    python tools/reachability.py --check
+
+runs the same pass and gates on it: it exits 1 when the never-entered code
+objects, by file and co_qualname (a name may repeat, for lambdas and
+comprehensions), differ from those listed in tools/reachability_allow.txt.
+So code that nothing reaches cannot come in unlisted, and an entry whose
+code is now reached, or gone, must leave the list.  The list is that of
+CPython 3.11: co_qualname needs 3.11, and 3.12 inlines comprehensions, so
+their code objects vanish there.
+
+The tracer slows the run several times over, so the acceptance gate's
+time budgets may fail under it (criterion 1's 10 s budget usually does,
+and its step exits 1).  Those assertions come after the criteria's loops,
+so what ran is counted all the same; --check gates on the lists, never on
+the steps' exit codes.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -32,11 +46,13 @@ import runpy
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "xrlayout"
+ALLOW = ROOT / "tools" / "reachability_allow.txt"
 STRATEGY_FLAGS = ("env-ref", "body-fixed", "world-fixed", "object-fixed", "head-fixed")
 
 
@@ -122,7 +138,36 @@ def workload(out: Path) -> list[tuple[str, object]]:
     return steps
 
 
-def main() -> int:
+def allowed(path: Path) -> Counter:
+    """The listed (file, co_qualname) pairs; '#' starts a comment."""
+    listed = Counter()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            file, qualname = line.split()
+            listed[file, qualname] += 1
+    return listed
+
+
+def check(unreached: Counter, listed: Counter) -> int:
+    """0 when the never-entered code objects are exactly those listed, else 1."""
+    new, gone = unreached - listed, listed - unreached
+    for title, diff in [("never entered, not listed", new), ("listed, but entered or gone", gone)]:
+        if diff:
+            print(f"{title} ({ALLOW.relative_to(ROOT)}):")
+            for (file, qualname), n in sorted(diff.items()):
+                print(f"  {file} {qualname}" + (f" (x{n})" if n > 1 else ""))
+    print(f"check: {'fail' if new or gone else 'ok'}, {sum(listed.values())} listed")
+    return 1 if new or gone else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help=f"gate on {ALLOW.name}")
+    args = parser.parse_args(argv)
+    if args.check and sys.version_info < (3, 11):
+        print("--check needs Python 3.11 or later (co_qualname)")
+        return 2
     codes = [c for path in sorted(PACKAGE.glob("*.py")) for c in code_objects(path)]
     want = {key(c): code_lines(c) for c in codes}
     all_lines = {k: set(v) for k, v in want.items()}
@@ -152,7 +197,11 @@ def main() -> int:
     for k in partial:
         lines = sorted(want[k])
         print(f"  {where(k)}: {len(lines)} of {len(all_lines[k])} lines never run: {lines}")
-    return 0
+    if not args.check:
+        return 0
+    qualnames = {key(c): c.co_qualname for c in codes}
+    unreached_names = Counter((os.path.relpath(k[0], ROOT), qualnames[k]) for k in unreached)
+    return check(unreached_names, allowed(ALLOW))
 
 
 if __name__ == "__main__":
