@@ -66,10 +66,14 @@ dwell on the cell.  Wrong-category opens happen only under the
 random_seeded policy, which confuses itself with probability
 confusion_prob per rejected panel.
 
-scan_policy is a free parameter of this model (participant scan order was
-not recorded).  It is a field of the trace's AgentParams, but run outputs
-(results files, gaze exports) do not carry it yet, so results cannot be
-read against it from the files alone.
+These parameters, with the tick rate, the dwell jitter and the seed, make
+an AgentParams.  It is defined in scenario.py with the rows of the .scn
+agent block, which builds one per scenario (Scenario.agent); a session runs
+under it unless the caller passes its own.  They are free parameters of
+this model, which no participant data fixes; participant scan order, for
+one, was not recorded.  A trace carries its AgentParams, but run outputs
+(results files, gaze exports) do not carry scan_policy yet, so results
+cannot be read against it from the files alone.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ from .placement import (
 )
 from .scenario import (
     _TICK_RATE,
-    AGENT_ROWS,
     GRID_COLS,
+    AgentParams,
     Scenario,
     Trial,
     grid_cell,
@@ -169,10 +173,6 @@ class GazeSegment:
         _set_t1(self, t1)
         _set_target(self, target)
 
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
 
 _set_t0, _set_t1, _set_target = (
     GazeSegment.t0.__set__,
@@ -189,40 +189,6 @@ class OpenEvent:
     row: int
     col: int
     correct: bool
-
-
-_SEED_KIND = next(row.kind for row in AGENT_ROWS if row.key == "seed")
-
-
-@dataclass(frozen=True)
-class AgentParams:
-    fixation_min: float = 0.15  # s of dwell for a fixation to count
-    per_cell_scan_time: float = 0.2  # s to localize one grid cell
-    scan_policy: str = "nearest_panel_first"
-    known_grid: bool = True  # agent knows the alphabetical indexing
-    seed: int = 42
-    yaw_rate_deg_s: float = 180.0
-    tick_hz: float = 50.0
-    confusion_prob: float = 0.1  # consulted only by random_seeded
-    dwell_jitter_s: float = 0.02  # seeded jitter on post-open dwell
-
-    def __post_init__(self):
-        """Each field is checked by the kind of its AGENT_ROWS row, as in files."""
-        for row in AGENT_ROWS:
-            attr = row.attr or row.key
-            row.kind.require(attr, getattr(self, attr))
-
-    @classmethod
-    def from_mapping(cls, m: Mapping[str, object]) -> "AgentParams":
-        """Build from a scenario's agent block (file key names, see AGENT_ROWS)."""
-        return cls(**{row.attr or row.key: m[row.key] for row in AGENT_ROWS if row.key in m})
-
-    def _with_seed(self, seed: int) -> "AgentParams":
-        """replace(self, seed=seed) that checks only the seed: the rest passed already."""
-        _SEED_KIND.require("seed", seed)
-        params = object.__new__(type(self))
-        vars(params).update(vars(self), seed=seed)
-        return params
 
 
 # -- scripted focus ----------------------------------------------------------
@@ -462,11 +428,6 @@ class _SessionPlan:
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
         self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
-
-
-def _agent_params(scenario: Scenario) -> AgentParams:
-    """The scenario's agent block as AgentParams (kept by Scenario._derived)."""
-    return AgentParams.from_mapping(scenario.agent)
 
 
 def _planned(table: dict | None, key, compute):
@@ -818,14 +779,14 @@ def simulate_session(
 ) -> SessionTrace:
     """Run one full session; the core entry point for batch runs.
 
-    params defaults to the scenario's agent block; seed (when given)
+    params defaults to scenario.agent, its file's agent block; seed (when given)
     overrides the params seed so batch sweeps can share scenario files.
     strategy may be a value string ("head_fixed"); an unknown one raises ValueError.
     A session that steps off the script is run again without the session
     plan (see _SessionPlan), so its trace is that of a run with no plan.
     """
     if params is None:
-        params = scenario._derived(_agent_params)
+        params = scenario.agent
     if seed is not None:
         params = params._with_seed(seed)
     strategy = scenario.strategy if strategy is None else Strategy(strategy)

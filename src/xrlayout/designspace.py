@@ -1,11 +1,12 @@
 """Design-space vocabulary for XR objects.
 
-An XRObject bundles what is shown (ContentSpec), how it is rendered
-(PresentationSpec) and where it lives (SpatialLayout, built on the hybrid
-frame machinery).  The types are deliberately permissive containers:
-constructing an inconsistent object is allowed, and validate_object
-reports problems as Diagnostic values instead of raising, so tooling can
-show all of them at once.
+An XRObject bundles what is shown (ContentSpec) and how it is rendered
+(PresentationSpec).  Where an object lives is a SpatialLayout, built on the
+hybrid frame machinery and resolved by frames.resolve_world_pose.  The
+types are deliberately permissive containers: constructing an
+inconsistent object is allowed, and validate_object reports problems as
+Diagnostic values instead of raising, so tooling can show all of them at
+once.
 
 Presentation detail beyond the enum level lives in modality_params, an
 open string-keyed map with a published key schema (MODALITY_PARAM_KEYS).
@@ -111,9 +112,6 @@ class XRObject:
     id: str
     content: ContentSpec = field(default_factory=ContentSpec)
     presentation: PresentationSpec = field(default_factory=PresentationSpec)
-    layout: SpatialLayout = field(
-        default_factory=lambda: SpatialLayout(FrameOfReference.unified("world"))
-    )
     interactivity: str = "none"
 
 
@@ -122,8 +120,7 @@ def validate_object(obj: XRObject) -> list[Diagnostic]:
 
     The object is written as a panel and read back by the scenario schema
     table, so it gets the diagnostics a file holding that panel would get,
-    at paths relative to the panel.  A .scn panel has no layout, so the
-    layout is not checked.  An empty list means the object passes.
+    at paths relative to the panel.  An empty list means the object passes.
     """
     from .scenario import _PANEL  # scenario imports this module
 

@@ -71,9 +71,6 @@ class SceneState:
         except KeyError:
             raise UnresolvedRef(ref) from None
 
-    def has(self, ref: str) -> bool:
-        return ref in self.poses
-
     def with_poses(self, extra: Mapping[str, Pose]) -> "SceneState":
         merged = dict(self.poses)
         merged.update(extra)

@@ -236,13 +236,6 @@ class Rotation:
     def identity(cls) -> "Rotation":
         return cls(1.0, 0.0, 0.0, 0.0)
 
-    @classmethod
-    def from_axis_angle(cls, axis: Vec3, angle_rad: float) -> "Rotation":
-        a = axis.normalized()
-        h = 0.5 * angle_rad
-        s = math.sin(h)
-        return cls(math.cos(h), a.x * s, a.y * s, a.z * s)
-
     def __mul__(self, other: "Rotation") -> "Rotation":
         """Hamilton product; self is applied after other."""
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
@@ -274,9 +267,6 @@ class Rotation:
     def forward(self) -> Vec3:
         """World direction of the local -Z axis."""
         return self.rotate(FORWARD)
-
-    def up(self) -> Vec3:
-        return self.rotate(UP)
 
     @classmethod
     def from_matrix(cls, m) -> "Rotation":
@@ -311,8 +301,8 @@ def yaw_rotation(yaw_deg: float) -> Rotation:
 
     Equivalent to rotating by -yaw about the +Y axis in right-handed terms.
     """
-    # from_axis_angle(UP, angle) written out: UP normalizes to exactly
-    # (0.0, 1.0, 0.0), and 0.0 * s keeps the sign of a zero component.
+    # The axis-angle quaternion (cos h, axis * sin h) about the unit axis UP,
+    # (0.0, 1.0, 0.0); 0.0 * s keeps the sign of a zero component.
     h = 0.5 * -math.radians(yaw_deg)
     s = math.sin(h)
     return Rotation(math.cos(h), 0.0 * s, s, 0.0 * s)

@@ -253,6 +253,17 @@ def _sqrt_of_fraction(p: int, q: int) -> float:
     return float(root << e) if e >= 0 else root / (1 << -e)
 
 
+def _exact_integers(xs: Sequence[float]) -> tuple[list[int], int]:
+    """(ints, den): each value is exactly its int / den.
+
+    Float denominators are powers of two, so over the largest one every
+    value is an exact integer.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(map(itemgetter(1), ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
 def sample_sd(xs: Sequence[float]) -> float:
     """Sample standard deviation, correctly rounded; 0.0 below two values.
 
@@ -263,11 +274,7 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         return 0.0
-    # Float denominators are powers of two, so over the largest one every
-    # value is an exact integer and the variance an exact integer ratio.
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(map(itemgetter(1), ratios))
-    ints = [num * (den // d) for num, d in ratios]
+    ints, den = _exact_integers(xs)
     total = sum(ints)
     return _sqrt_of_fraction(
         n * sum(map(mul, ints, ints)) - total * total, n * (n - 1) * den * den
@@ -280,12 +287,25 @@ def _stats(xs: Sequence[float]) -> tuple[float, float, float]:
     The mean is math.fsum(xs) / n and the median the sorted middle (the
     mean of the two middle values when n is even): the bits of
     statistics.fmean and statistics.median.  Integers below 2**53 give the
-    bits of the same integers as floats.
+    bits of the same integers as floats.  Where the float sum of finite
+    values overflows, the mean and median are still the finite values
+    between them: the exact mean rounded once, the sum of halves.
     """
     n, s = len(xs), sorted(xs)
     mid = n // 2
-    median = float(s[mid]) if n % 2 else (s[mid - 1] + s[mid]) / 2
-    return math.fsum(xs) / n, median, sample_sd(xs)
+    if n % 2:
+        median = float(s[mid])
+    else:
+        a, b = s[mid - 1], s[mid]
+        median = (a + b) / 2
+        if math.isinf(median):
+            median = a / 2 + b / 2  # halves of values that large are exact
+    try:
+        mean = math.fsum(xs) / n
+    except OverflowError:  # finite values only: fsum gives inf or ValueError for infinities
+        ints, den = _exact_integers(xs)
+        mean = sum(ints) / (n * den)  # int / int rounds once
+    return mean, median, sample_sd(xs)
 
 
 def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:

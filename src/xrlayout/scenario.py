@@ -15,8 +15,11 @@ names the country to open.  Four context combinations exist:
 Files are JSON text with a versioned header (key "schema").  The schema
 table below (_SCENARIO and the blocks it nests) is the field reference:
 one row per file key, with its kind and constraints, its default or that
-it is required, and the attribute it fills.  The reader, the writer
-(Scenario.to_dict) and AgentParams.from_mapping all walk that table.
+it is required, and the attribute it fills.  The reader and the writer
+(Scenario.to_dict) walk that table.  The agent block builds Scenario.agent,
+an AgentParams (the gaze agent's parameters), whose fields are checked by
+the same rows (AGENT_ROWS) wherever one is built; the bundled files state
+every agent parameter, as the writer does.
 Blocks are closed, so a key the table does not list is an error; metadata
 is an open map, and a panel's modality_params and five enums follow the
 design-space key rule and domains, checked at their keys.  The panel block
@@ -48,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from operator import attrgetter, lt
 from typing import Mapping, NamedTuple
@@ -319,6 +322,34 @@ class QuestionStatus:
 
 
 @dataclass(frozen=True)
+class AgentParams:
+    """The gaze agent's parameters (see agent.py); AGENT_ROWS are their file keys."""
+
+    fixation_min: float = 0.15  # s of dwell for a fixation to count
+    per_cell_scan_time: float = 0.2  # s to localize one grid cell
+    scan_policy: str = "nearest_panel_first"
+    known_grid: bool = True  # agent knows the alphabetical indexing
+    seed: int = 42
+    yaw_rate_deg_s: float = 180.0
+    tick_hz: float = 50.0
+    confusion_prob: float = 0.1  # consulted only by random_seeded
+    dwell_jitter_s: float = 0.02  # seeded jitter on post-open dwell
+
+    def __post_init__(self):
+        """Each field is checked by the kind of its AGENT_ROWS row, as in files."""
+        for row in AGENT_ROWS:
+            attr = row.attr or row.key
+            row.kind.require(attr, getattr(self, attr))
+
+    def _with_seed(self, seed: int) -> AgentParams:
+        """replace(self, seed=seed) that checks only the seed: the rest passed already."""
+        _SEED_KIND.require("seed", seed)
+        params = object.__new__(type(self))
+        vars(params).update(vars(self), seed=seed)
+        return params
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: str
     setting: str  # "static" | "dynamic"
@@ -332,7 +363,7 @@ class Scenario:
     trajectories: Mapping[str, Trajectory]
     panels: Mapping[str, XRObject]
     trials: tuple[Trial, ...]
-    agent: Mapping[str, object] = field(default_factory=dict)
+    agent: AgentParams = field(default_factory=AgentParams)
     metadata: Mapping[str, object] = field(default_factory=dict)
     # Values derived from the fields, by builder (see _derived).
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -368,8 +399,8 @@ class Scenario:
         """build(self), made on the first call for that build and kept.
 
         The one home of every value derived from a scenario: state_at's
-        prebuilt poses (_prebuild), the agent's seed-shared session plan and
-        its agent-block AgentParams.  Their lifecycle rule: a value is built
+        prebuilt poses (_prebuild) and the agent's seed-shared session plan
+        (agent._SessionPlan).  Their lifecycle rule: a value is built
         on first use; it stays outside equality, repr and to_dict;
         dataclasses.replace() gives a copy with an empty cache, which builds
         its own; and since the fields are read only then, a scenario must not
@@ -461,13 +492,6 @@ class Scenario:
         )
         return (user, *pieces(user, self._user_poses)), others
 
-    def trial_window(self, index: int) -> tuple[float, float]:
-        """[question start, next question start) span owned by a trial."""
-        start = self.trials[index].question_start
-        if index + 1 < len(self.trials):
-            return start, self.trials[index + 1].question_start
-        return start, math.inf
-
     def active_trial_index(self, t: float) -> int | None:
         idx = None
         for trial in self.trials:
@@ -506,7 +530,12 @@ class Scenario:
 
 
 def serialize_scenario(scn: Scenario) -> str:
-    return json.dumps(scn.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _canonical_text(scn.to_dict())
+
+
+def _canonical_text(doc: dict) -> str:
+    """The one .scn text format: what serialize_scenario writes and bundled files hold."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- parsing ---------------------------------------------------------------
@@ -844,8 +873,10 @@ def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> S
     )
 
 
-# Scenario.agent keeps the agent block as written; each row's attr names the
-# AgentParams field it fills.
+_SEED_KIND = _Kind(_INTEGER)
+
+# The agent block, read into Scenario.agent; each row's attr names the
+# AgentParams field it fills, and AgentParams checks that field by its kind.
 AGENT_ROWS = (
     _Row("scan_policy", _one_of(SCAN_POLICIES)),
     _Row("fixation_min_s", _POSITIVE, attr="fixation_min"),
@@ -855,7 +886,7 @@ AGENT_ROWS = (
     _Row("confusion_prob", _NUM),
     _Row("dwell_jitter_s", _NUM),
     _Row("known_grid", _BOOL),
-    _Row("seed", _Kind(_INTEGER)),
+    _Row("seed", _SEED_KIND),
 )
 
 _FOV = _Block(
@@ -960,7 +991,7 @@ _SCENARIO = _Block(
     _Row("metadata", _OBJECT),
     _Row("fov", _FOV),
     _Row("placement", _PLACEMENT, _REQUIRED, attr=""),
-    _Row("agent", _Block(*AGENT_ROWS)),
+    _Row("agent", _Block(*AGENT_ROWS, build=AgentParams)),
     _Row("entities", _ListOf(_ENTITY, ids="unique entity id"), _REQUIRED),
     _Row("trajectories", _MapOf(_TRAJECTORY), {}),
     _Row("panels", _ListOf(_PANEL, ids="unique panel id"), _REQUIRED),
@@ -1142,9 +1173,11 @@ def _fmt_dists(dists: Mapping[str, float]) -> str:
 #
 # Strategy is a run axis, not a copied fixture.  fixtures/ holds one file per
 # context, "<context>_env_ref.scn", and each context is bundled as two named
-# sessions: the file itself and "<context>_body_fixed", the same session
-# renamed and switched to the body-fixed strategy.  The agent's RNG stream is
-# seeded from the session name, so the two sessions stay independent.
+# sessions: the file itself and "<context>_body_fixed", the same document
+# renamed and switched to the body-fixed strategy.  Each session is parsed
+# from its own text, so each builds its own derived state.  The agent's RNG
+# stream is seeded from the session name, so the two sessions stay
+# independent.
 
 _ENV_REF = "_env_ref"
 _BODY_FIXED = "_body_fixed"
@@ -1163,18 +1196,17 @@ def bundled_scenario_names() -> list[str]:
 
 def bundled_scenario_text(name: str) -> str:
     """Canonical .scn text of a bundled session; body-fixed ones are derived."""
-    if name.endswith(_BODY_FIXED):
-        return serialize_scenario(load_bundled(name))
-    root = resources.files(__package__) / "fixtures"
-    return (root / f"{name}.scn").read_text(encoding="utf-8")
+    if not name.endswith(_BODY_FIXED):
+        root = resources.files(__package__) / "fixtures"
+        return (root / f"{name}.scn").read_text(encoding="utf-8")
+    doc = json.loads(bundled_scenario_text(name.removesuffix(_BODY_FIXED) + _ENV_REF))
+    doc["name"] = name
+    doc["placement"]["strategy"] = Strategy.BODY_FIXED.value
+    return _canonical_text(doc)
 
 
 def load_bundled(name: str) -> Scenario:
-    context = name.removesuffix(_BODY_FIXED)
-    if context == name:
-        return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
-    twin = load_bundled(f"{context}{_ENV_REF}")
-    return replace(twin, name=name, strategy=Strategy.BODY_FIXED)
+    return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
 
 
 def load_scenario(path) -> Scenario:

@@ -281,23 +281,25 @@ class TestFocusScript:
 
 
 class TestAgentParams:
-    def test_from_mapping_uses_file_keys(self):
-        p = AgentParams.from_mapping(
-            {
-                "fixation_min_s": 0.2,
-                "per_cell_scan_time_s": 0.3,
-                "scan_policy": "bearing_order",
-                "known_grid": False,
-                "seed": 9,
-                "yaw_rate_deg_s": 90.0,
-            }
+    def test_agent_block_uses_file_keys(self):
+        doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
+        doc["agent"] = {
+            "fixation_min_s": 0.2,
+            "per_cell_scan_time_s": 0.3,
+            "scan_policy": "bearing_order",
+            "known_grid": False,
+            "seed": 9,
+            "yaw_rate_deg_s": 90.0,
+        }
+        # the keys the block leaves out keep AgentParams' defaults
+        assert parse_scenario(json.dumps(doc)).agent == AgentParams(
+            fixation_min=0.2,
+            per_cell_scan_time=0.3,
+            scan_policy="bearing_order",
+            known_grid=False,
+            seed=9,
+            yaw_rate_deg_s=90.0,
         )
-        assert p.fixation_min == 0.2
-        assert p.per_cell_scan_time == 0.3
-        assert p.scan_policy == "bearing_order"
-        assert not p.known_grid
-        assert p.seed == 9
-        assert p.yaw_rate_deg_s == 90.0
 
     def test_rejects_non_positive_rates(self):
         with pytest.raises(ValueError):
@@ -328,7 +330,7 @@ class TestAgentParams:
         params = AgentParams(scan_policy="bearing_order", tick_hz=20.0)
         for base in (None, params):
             trace = simulate_session(scn, base, seed=5)
-            want = replace(base or AgentParams.from_mapping(scn.agent), seed=5)
+            want = replace(base or scn.agent, seed=5)
             assert trace.params == want
             assert trace.params.seed == 5
 
@@ -588,7 +590,7 @@ class TestSceneTrack:
                 built.clear()
                 trace = simulate_session(warm, strategy=strategy, seed=seed)
                 reruns += built.count(False)
-                params = replace(AgentParams.from_mapping(warm.agent), seed=seed)
+                params = replace(warm.agent, seed=seed)
                 oracle = agent._Simulator(warm, params, strategy, seed, on_plan=False).run()
                 assert trace == oracle, (strategy, seed)  # SessionTrace.warnings included
         assert reruns
@@ -612,7 +614,7 @@ class TestSceneTrack:
 
     def test_sessions_with_other_agent_params_share_the_plan(self):
         scn = load_bundled("dynamic_mobile_body_fixed")
-        base = AgentParams.from_mapping(scn.agent)
+        base = scn.agent
         policies = sorted(SCAN_POLICIES)
         for policy in policies:
             params = replace(base, scan_policy=policy, yaw_rate_deg_s=90.0)
@@ -622,7 +624,11 @@ class TestSceneTrack:
             assert simulate_session(scn, params, seed=3) == cold, policy
 
     def test_derived_state_lives_in_one_slot(self):
-        """Replay table, session plan and agent params: one cache, one lifecycle."""
+        """Replay table and session plan: one cache, one lifecycle.
+
+        The agent block is no derived value: the parser builds it into the
+        field Scenario.agent, which a copy shares.
+        """
         scn = load_bundled("static_mobile_env_ref")
         text = serialize_scenario(scn)
         before = dict(scn._cache)  # the parser's replay check may have filled some
@@ -633,8 +639,9 @@ class TestSceneTrack:
         # the copy never fills the original's cache
         assert scn._cache.keys() == before.keys()
         assert all(scn._cache[b] is v for b, v in before.items())
-        builds = {Scenario._prebuild, agent._SessionPlan, agent._agent_params}
+        builds = {Scenario._prebuild, agent._SessionPlan}
         assert set(copy._cache) == builds
+        assert copy.agent is scn.agent
         simulate_session(scn, seed=1)
         assert set(scn._cache) == builds
         assert all(scn._cache[b] is not copy._cache[b] for b in builds)

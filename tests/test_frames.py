@@ -1,6 +1,5 @@
 """Frame-of-reference resolution: unified vs hybrid, reserved refs."""
 
-import math
 import random
 
 import pytest
@@ -21,9 +20,6 @@ TOL = 1e-9
 
 
 def rand_pose(rng, with_scale=False):
-    axis = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-    while axis.norm() < 0.1:
-        axis = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
     scale = (
         Vec3(rng.uniform(0.2, 3), rng.uniform(0.2, 3), rng.uniform(0.2, 3))
         if with_scale
@@ -31,9 +27,8 @@ def rand_pose(rng, with_scale=False):
     )
     return Pose(
         position=Vec3(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10)),
-        orientation=Rotation.from_axis_angle(
-            axis.normalized(), rng.uniform(-math.pi, math.pi)
-        ),
+        # A normal 4-vector, normalized by Rotation, is a uniform random rotation.
+        orientation=Rotation(*(rng.gauss(0.0, 1.0) for _ in range(4))),
         scale=scale,
     )
 
@@ -51,8 +46,8 @@ class TestSceneState:
     def test_with_poses_does_not_mutate(self):
         state = SceneState(time=0.0, poses={USER_BODY: Pose()})
         extended = state.with_poses({"extra": Pose(position=Vec3(1, 0, 0))})
-        assert not state.has("extra")
-        assert extended.has("extra")
+        assert "extra" not in state.poses
+        assert "extra" in extended.poses
 
 
 class TestHybridResolution:

@@ -53,7 +53,8 @@ def rand_unit(rng):
 
 
 def rand_rotation(rng):
-    return Rotation.from_axis_angle(rand_unit(rng), rng.uniform(-math.pi, math.pi))
+    # A normal 4-vector, normalized by Rotation, is a uniform random rotation.
+    return Rotation(*(rng.gauss(0.0, 1.0) for _ in range(4)))
 
 
 def as_scipy(q: Rotation) -> SciRot:
@@ -178,7 +179,7 @@ class TestCompassYaw:
 
     def test_yaw_keeps_up(self):
         for deg in (-135.0, -10.0, 45.0, 170.0):
-            assert yaw_rotation(deg).up().is_close(UP, tol=TOL)
+            assert yaw_rotation(deg).rotate(UP).is_close(UP, tol=TOL)
 
     def test_facing_roundtrip(self):
         for deg in range(-179, 181):
@@ -203,8 +204,8 @@ class TestLookRotation:
                 continue
             q = look_rotation(f)
             assert q.forward().is_close(f, tol=1e-8)
-            assert q.up().dot(UP) > 0.0
-            assert abs(q.forward().dot(q.up())) < 1e-8
+            assert q.rotate(UP).dot(UP) > 0.0
+            assert abs(q.forward().dot(q.rotate(UP))) < 1e-8
 
     def test_parallel_up_fallback(self):
         q = look_rotation(UP)
@@ -499,7 +500,7 @@ def old_look_rotation(forward, up=UP):
 
 
 def old_yaw_rotation(yaw_deg):
-    # Rotation.from_axis_angle(UP, -radians(yaw_deg)) with the old normalize
+    # the axis-angle quaternion about UP, angle -radians(yaw_deg), with the old normalize
     a = old_normalized(UP)
     h = 0.5 * -math.radians(yaw_deg)
     s = math.sin(h)

@@ -183,6 +183,21 @@ class TestRelevance:
             classify_relevance(make_trial(), context="martian")
 
 
+def summary_row(i, nav, sw):
+    return TrialMetrics(
+        context="static_mobile",
+        strategy="environment_referenced",
+        trial_index=i,
+        category="food",
+        country="Chile",
+        navigation_time_s=nav,
+        gaze_switches=sw,
+        errors=0,
+        relevant=bool(i % 2),
+        near=None,
+    )
+
+
 class TestSessionMetrics:
     def test_session_rows_line_up_with_trials(self):
         scn = load_bundled("static_mobile_env_ref")
@@ -210,21 +225,7 @@ class TestSessionMetrics:
             assert trial_metrics(tt, context=row.context, strategy=row.strategy) == row
 
     def test_aggregate_pinned_statistics(self):
-        def row(i, nav, sw):
-            return TrialMetrics(
-                context="static_mobile",
-                strategy="environment_referenced",
-                trial_index=i,
-                category="food",
-                country="Chile",
-                navigation_time_s=nav,
-                gaze_switches=sw,
-                errors=0,
-                relevant=bool(i % 2),
-                near=None,
-            )
-
-        rows = [row(0, 1.0, 1), row(1, 2.0, 2), row(2, 4.0, 6)]
+        rows = [summary_row(0, 1.0, 1), summary_row(1, 2.0, 2), summary_row(2, 4.0, 6)]
         s = aggregate(rows, seed=42)
         assert s.trials == 3
         assert s.nav_time_mean_s == pytest.approx(7.0 / 3.0)
@@ -234,6 +235,23 @@ class TestSessionMetrics:
         assert s.switches_median == 2.0
         assert s.errors_total == 0
         assert s.relevant_fraction == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "navs",
+        [
+            # a dwell_jitter_s of 7.43475599216108e+307 gave these; fsum overflowed
+            [0.22646467605958875, 5.860538292977244e307, 1.2116393055645915e308],
+            [0.5, 1.0e308, 1.5e308, 0.25],  # the two middle values overflow a float sum
+            [sys.float_info.max] * 3,
+        ],
+    )
+    def test_aggregate_of_finite_values_is_finite(self, navs):
+        rows = [summary_row(i, nav, 1) for i, nav in enumerate(navs)]
+        s = aggregate(rows, seed=1)
+        assert min(navs) <= s.nav_time_mean_s <= max(navs)
+        assert min(navs) <= s.nav_time_median_s <= max(navs)
+        assert s.nav_time_mean_s == pytest.approx(statistics.fmean(n / 4 for n in navs) * 4)
+        results_to_json([s], rows)  # no NaN or infinity to reject
 
     def test_aggregate_rejects_empty_and_mixed_input(self):
         with pytest.raises(EmptyTrialSet):

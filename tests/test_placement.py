@@ -81,7 +81,7 @@ class TestBodyFixed:
             to_body = (Vec3(2.0, 0.0, -1.0) - pose.position).horizontal()
             fwd = pose.orientation.forward()
             assert angle_between(fwd, to_body) < 1e-8
-            assert pose.orientation.up().is_close(UP, tol=1e-8)
+            assert pose.orientation.rotate(UP).is_close(UP, tol=1e-8)
 
 
 class TestEnvironmentReferenced:
@@ -188,9 +188,7 @@ class TestEmission:
         for _ in range(200):
             head = Pose(
                 position=Vec3(rng.uniform(-5, 5), rng.uniform(1, 2), rng.uniform(-5, 5)),
-                orientation=Rotation.from_axis_angle(
-                    Vec3(rng.uniform(-1, 1), 1.0, rng.uniform(-1, 1)), rng.uniform(-3, 3)
-                ),
+                orientation=Rotation(*(rng.uniform(-1, 1) for _ in range(4))),
             )
             state = SceneState(time=0.0, poses={USER_HEAD: head, USER_BODY: Pose()})
             bearings = {"p": rng.uniform(-180, 180), "q": rng.uniform(-180, 180)}

@@ -267,8 +267,24 @@ def session_output(scn, strategy, seed):
     return text, trace.warnings
 
 
+def _huge_jitter():
+    doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
+    doc["agent"]["dwell_jitter_s"] = 7.43475599216108e307
+    return json.dumps(doc)
+
+
+def test_run_leaves_cover_every_agent_key():
+    """Every agent parameter is redrawn: each bundled session states all of them."""
+    agent_keys = [row.key for row in AGENT_ROWS]
+    assert len(agent_keys) == 9
+    for doc in DOCS:
+        assert sorted(doc["agent"]) == sorted(agent_keys)
+    assert {path[1] for path, *_ in RUN_LEAVES if path[0] == "agent"} == set(agent_keys)
+
+
 @settings(max_examples=200, **RUN)
 @given(documents(RUN_LEAF))
+@example(_huge_jitter())  # its session times overflowed the mean's float sum
 def test_parsed_scenario_simulates_and_scores_under_every_strategy(text):
     """Also: a plan warmed by other seeds gives the output of a fresh parse."""
     scn = parsed(text)

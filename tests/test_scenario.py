@@ -1,7 +1,6 @@
 """Scenario files: parsing, diagnostics, replay arithmetic, round-trips."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -26,6 +25,8 @@ from xrlayout.scenario import (
     GRID_COLS,
     GRID_ROWS,
     SCHEMA_VERSION,
+    AgentParams,
+    Scenario,
     Trajectory,
     Waypoint,
     bundled_scenario_names,
@@ -224,11 +225,38 @@ class TestParsing:
             parse_scenario(json.dumps(doc).replace('"@"', "1" + "0" * 400))
         assert [d.path for d in exc_info.value.diagnostics] == [path]
 
-    def test_valid_agent_block_is_kept_verbatim(self):
+    def test_agent_block_builds_agent_params(self):
         doc = json.loads(bundled_scenario_text("dynamic_mobile_env_ref"))
-        doc["agent"].update(scan_policy="bearing_order", tick_hz=90, confusion_prob=0.0)
+        block = {
+            "scan_policy": "bearing_order",
+            "fixation_min_s": 0.25,
+            "per_cell_scan_time_s": 0.5,
+            "yaw_rate_deg_s": 90.0,
+            "tick_hz": 90,
+            "confusion_prob": 0.0,
+            "dwell_jitter_s": -0.5,
+            "known_grid": False,
+            "seed": 3,
+        }
+        doc["agent"] = block
         scn = parse_scenario(json.dumps(doc))
-        assert scn.agent == doc["agent"]
+        assert scn.agent == AgentParams(
+            scan_policy="bearing_order",
+            fixation_min=0.25,
+            per_cell_scan_time=0.5,
+            yaw_rate_deg_s=90.0,
+            tick_hz=90.0,
+            confusion_prob=0.0,
+            dwell_jitter_s=-0.5,
+            known_grid=False,
+            seed=3,
+        )
+        assert json.loads(serialize_scenario(scn))["agent"] == block
+        # no block: the defaults, and the writer states all nine of them
+        del doc["agent"]
+        scn = parse_scenario(json.dumps(doc))
+        assert scn.agent == AgentParams()
+        assert json.loads(serialize_scenario(scn))["agent"].keys() == block.keys()
 
     def test_wrong_schema_version_rejected(self):
         doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
@@ -282,6 +310,20 @@ class TestBundledSessions:
         for name in files:
             text = (root / name).read_text(encoding="utf-8")
             assert serialize_scenario(parse_scenario(text)) == text
+
+    def test_each_session_builds_its_replay_table_once(self, monkeypatch):
+        """Each session is parsed from its own text, and a parse builds the table it replays by."""
+        built = []
+        prebuild = Scenario._prebuild
+
+        def spy(scn):
+            built.append(scn.name)
+            return prebuild(scn)
+
+        monkeypatch.setattr(Scenario, "_prebuild", spy)
+        for name in bundled_scenario_names():
+            load_bundled(name).state_at(1.0)
+        assert sorted(built) == bundled_scenario_names()
 
     def test_body_fixed_view_differs_from_twin_only_in_name_and_strategy(self):
         for name in ALL_FIXTURES:
@@ -341,16 +383,6 @@ class TestReplay:
         assert scn.state_at(110.0).pose_of(USER_BODY).position.is_close(
             Vec3(2.0, 0.0, 0.0), tol=1e-9
         )
-
-    def test_trial_window_partition(self):
-        scn = load_bundled("dynamic_mobile_env_ref")
-        for i, trial in enumerate(scn.trials):
-            lo, hi = scn.trial_window(i)
-            assert lo == trial.question_start
-            if i + 1 < len(scn.trials):
-                assert hi == scn.trials[i + 1].question_start
-            else:
-                assert math.isinf(hi)
 
 
 class TestQuestionStatus:

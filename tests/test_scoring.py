@@ -337,7 +337,6 @@ class TestGazeSegmentValueSemantics:
         assert seg == GazeSegment(t0=args[0], t1=args[1], target=args[2])
         assert seg != old  # another class, as between two dataclasses
         assert seg != args
-        assert seg.duration == args[1] - args[0]
 
     def test_equality_follows_every_field(self):
         seg = GazeSegment(0.0, 1.0, PanelGaze("food"))

@@ -16,16 +16,18 @@ In one process, under sys.settrace, it runs:
 
 Then it prints, sorted by file and line, every code object of src/xrlayout
 that was never entered, and every entered code object with the lines it
-never ran, and how long the pass took: the reachability pass a structural
-change reports, as one command.
+never ran, and how long the pass took; and the line counts of src/xrlayout
+(line_counts): the reachability pass a structural change reports, as one
+command.
 
     python tools/reachability.py --check
 
 runs the same pass and gates on it: it exits 1 when the never-entered code
 objects, by file and co_qualname (a name may repeat, for lambdas and
-comprehensions), differ from those listed in tools/reachability_allow.txt.
-So code that nothing reaches cannot come in unlisted, and an entry whose
-code is now reached, or gone, must leave the list.  The list is that of
+comprehensions), differ from those listed in tools/reachability_allow.txt,
+or when an entry there gives no reason after a '#'.  So code that nothing
+reaches cannot come in unlisted or unexplained, and an entry whose code is
+now reached, or gone, must leave the list.  The list is that of
 CPython 3.11: co_qualname needs 3.11, and 3.12 inlines comprehensions, so
 their code objects vanish there.
 
@@ -39,6 +41,7 @@ the steps' exit codes.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import os
@@ -46,6 +49,7 @@ import runpy
 import sys
 import tempfile
 import time
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -64,6 +68,44 @@ def code_objects(path: Path) -> list:
         found.append(code)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
     return found
+
+
+_LAYOUT_TOKENS = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def line_counts(paths) -> tuple[int, int, int]:
+    """(all lines, code lines, docstring lines) of the files.
+
+    A docstring line is one in the span of a module, class or function
+    docstring (by ast).  A code line holds a token other than a comment or
+    whitespace (by tokenize) and is no docstring line.
+    """
+    total = code = docs = 0
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        lines = {
+            n
+            for tok in tokens
+            if tok.type not in _LAYOUT_TOKENS
+            for n in range(tok.start[0], tok.end[0] + 1)
+        }
+        doc_lines = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node, clean=False) is not None:
+                    doc_lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += len(text.splitlines())
+        code += len(lines - doc_lines)
+        docs += len(doc_lines)
+    return total, code, docs
 
 
 def key(code) -> tuple[str, int, str]:
@@ -138,27 +180,37 @@ def workload(out: Path) -> list[tuple[str, object]]:
     return steps
 
 
-def allowed(path: Path) -> Counter:
-    """The listed (file, co_qualname) pairs; '#' starts a comment."""
-    listed = Counter()
+def allowed(path: Path) -> tuple[Counter, list[str]]:
+    """The listed (file, co_qualname) pairs, and the entries without a reason.
+
+    '#' starts a comment; on an entry's line, its reason.
+    """
+    listed, bare = Counter(), []
     for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            file, qualname = line.split()
+        entry, _, reason = line.partition("#")
+        if entry.strip():
+            file, qualname = entry.split()
             listed[file, qualname] += 1
-    return listed
+            if not reason.strip():
+                bare.append(entry.strip())
+    return listed, bare
 
 
-def check(unreached: Counter, listed: Counter) -> int:
-    """0 when the never-entered code objects are exactly those listed, else 1."""
+def check(unreached: Counter, listed: Counter, bare: list[str]) -> int:
+    """0 when the never-entered code objects are exactly those listed, each with a reason."""
     new, gone = unreached - listed, listed - unreached
+    if bare:
+        print(f"listed without a reason ({ALLOW.relative_to(ROOT)}):")
+        for entry in bare:
+            print(f"  {entry}")
     for title, diff in [("never entered, not listed", new), ("listed, but entered or gone", gone)]:
         if diff:
             print(f"{title} ({ALLOW.relative_to(ROOT)}):")
             for (file, qualname), n in sorted(diff.items()):
                 print(f"  {file} {qualname}" + (f" (x{n})" if n > 1 else ""))
-    print(f"check: {'fail' if new or gone else 'ok'}, {sum(listed.values())} listed")
-    return 1 if new or gone else 0
+    failed = bool(new or gone or bare)
+    print(f"check: {'fail' if failed else 'ok'}, {sum(listed.values())} listed")
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,11 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     for k in partial:
         lines = sorted(want[k])
         print(f"  {where(k)}: {len(lines)} of {len(all_lines[k])} lines never run: {lines}")
+    total, code, docs = line_counts(sorted(PACKAGE.glob("*.py")))
+    print(f"src/xrlayout: {total:,} lines, {code:,} code lines, {docs:,} docstring lines")
     if not args.check:
         return 0
     qualnames = {key(c): c.co_qualname for c in codes}
     unreached_names = Counter((os.path.relpath(k[0], ROOT), qualnames[k]) for k in unreached)
-    return check(unreached_names, allowed(ALLOW))
+    return check(unreached_names, *allowed(ALLOW))
 
 
 if __name__ == "__main__":
