@@ -64,7 +64,6 @@ from .frames import (
     resolve_world_pose,
 )
 from .geometry import (
-    FovSpec,
     Pose,
     Rotation,
     Vec3,
@@ -109,6 +108,7 @@ from .scenario import (
     CATEGORIES,
     COUNTRIES,
     SCHEMA_VERSION,
+    FovSpec,
     Scenario,
     Trial,
     bundled_scenario_names,

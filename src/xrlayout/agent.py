@@ -91,7 +91,6 @@ from .frames import USER_BODY, USER_HEAD, SceneState
 from .geometry import Pose, Vec3, _value_type, angle_between
 from .placement import (
     EnvironmentReferencedPlacer,
-    Strategy,
     place_body_fixed,
     place_head_fixed,
     place_object_fixed,
@@ -101,6 +100,7 @@ from .scenario import (
     GRID_COLS,
     AgentParams,
     Scenario,
+    Strategy,
     Trial,
     grid_cell,
 )

@@ -32,10 +32,10 @@ from .metrics import (
     summaries_to_csv,
     trials_to_csv,
 )
-from .placement import Strategy
 from .scenario import (
     SCHEMA_VERSION,
     TICK_RATE_RULE,
+    Strategy,
     bundled_scenario_names,
     load_bundled,
     load_scenario,
@@ -234,7 +234,7 @@ def _cmd_compare(args) -> int:
     except MismatchedScenarios as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RecursionError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # results_from_json raises nothing else on bad text
         print(f"compare: malformed results file: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

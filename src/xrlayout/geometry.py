@@ -1,5 +1,9 @@
 """Minimal 3D geometry kernel: vectors, unit quaternions, poses, view cones.
 
+The view-cone test, in_fov, takes a scenario.FovSpec: the field of view is
+a .scn parameter, defined beside its rows, and at run time this module
+imports only errors from the package.
+
 Conventions, fixed once for the whole package:
 
   * right-handed coordinates, +Y up, -Z forward at identity orientation
@@ -39,8 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateTarget, NonFiniteVector
+
+if TYPE_CHECKING:
+    from .scenario import FovSpec
 
 # Tolerance for geometric equality assertions (positions in meters,
 # angles in radians, quaternion components).
@@ -80,22 +88,6 @@ def _finite_number(v: object) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
-
-
-_POSITIVE_RULE = "a finite positive number"
-
-
-def _finite_positive(v: object) -> bool:
-    """The rule _POSITIVE_RULE states."""
-    return _finite_number(v) and v > 0
-
-
-def _require_positive(obj, *names: str) -> None:
-    """ValueError unless each named field of obj is a finite positive number."""
-    for name in names:
-        value = getattr(obj, name)
-        if not _finite_positive(value):
-            raise ValueError(f"{name}: expected {_POSITIVE_RULE}, got {value!r}")
 
 
 POSITIVE_SCALE_RULE = "positive x, y and z"
@@ -413,28 +405,6 @@ def compose(parent: Pose, local: Pose) -> Pose:
         orientation=parent.orientation * local.orientation,
         scale=parent.scale.hadamard(local.scale),
     )
-
-
-@dataclass(frozen=True)
-class FovSpec:
-    """Circular view-cone model of a display field of view.
-
-    diagonal_deg is the full diagonal angle; visibility uses its half as
-    the cone half-angle.  aspect_ratio is carried for downstream layout
-    but does not affect the cone test.
-    """
-
-    diagonal_deg: float = 52.0
-    aspect_ratio: float = 16.0 / 9.0
-
-    def __post_init__(self):
-        _require_positive(self, "diagonal_deg", "aspect_ratio")
-        if self.diagonal_deg >= 180.0:
-            raise ValueError(f"diagonal FOV out of range: {self.diagonal_deg}")
-
-    @property
-    def half_angle_deg(self) -> float:
-        return 0.5 * self.diagonal_deg
 
 
 def angular_deviation(head: Pose, target: Vec3) -> float:

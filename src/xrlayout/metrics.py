@@ -13,8 +13,10 @@ carries no agent.  A session summary states each column's mean, median
 and sample SD by one rule (_stats), with no statistics module.
 
 The result rows are TrialMetrics and SessionSummary: the CSV and JSON
-columns are their fields, in order (TRIAL_FIELDS, SUMMARY_FIELDS), and a
-CSV cell is read back by its field's annotation.
+columns are their fields, in order (TRIAL_FIELDS, SUMMARY_FIELDS).  Both
+readers check a row by one rule (_row), keyed by each field's annotation,
+and raise ValueError naming the location of any text the writers do not
+produce.
 """
 
 from __future__ import annotations
@@ -363,6 +365,32 @@ def _parse_optional_flag(text: str) -> bool | None:
 _PARSERS = {
     "str": str, "int": int, "float": float, "bool": _parse_flag, "bool | None": _parse_optional_flag
 }
+# A field's value types, by its annotation: what a cell's parser makes and a
+# results.json value must be (so no boolean is an int and no integer a float).
+_TYPES = {
+    "str": (str,), "int": (int,), "float": (float,), "bool": (bool,),
+    "bool | None": (bool, type(None)),
+}
+
+
+def _object(value: object, where: str, keys=None) -> dict:
+    """value, a JSON object with exactly keys (any keys when None); else ValueError naming where."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
+    if keys is not None and value.keys() != set(keys):
+        missing, unknown = sorted(set(keys) - value.keys()), sorted(value.keys() - set(keys))
+        raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return value
+
+
+def _row(cls, values: object, where: str):
+    """The CSV and JSON readers' one row rule: cls from an object holding each field at its
+    annotated type; else ValueError naming where, or where.field for a field's value."""
+    _object(values, where, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if type(values[f.name]) not in _TYPES[f.type]:
+            raise ValueError(f"{where}.{f.name}: expected {f.type}, got {values[f.name]!r}")
+    return cls(**values)
 
 
 def _to_csv(cls, rows) -> str:
@@ -378,8 +406,8 @@ def _to_csv(cls, rows) -> str:
 
 def _from_csv(cls, text: str) -> list:
     """The rows _to_csv(cls, ...) wrote; on any other text, ValueError naming its line."""
-    names = [f.name for f in fields(cls)]
-    parsers = [_PARSERS[f.type] for f in fields(cls)]
+    parsers = {f.name: _PARSERS[f.type] for f in fields(cls)}
+    names = list(parsers)
     reader = csv.reader(io.StringIO(text))
     rows = []
     try:
@@ -389,7 +417,7 @@ def _from_csv(cls, text: str) -> list:
         for row in reader:
             if len(row) != len(names):
                 raise ValueError(f"expected {len(names)} cells, got {len(row)}")
-            rows.append(cls(*(parse(v) for parse, v in zip(parsers, row))))
+            rows.append(_row(cls, {n: parsers[n](v) for n, v in zip(names, row)}, cls.__name__))
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{cls.__name__} csv line {reader.line_num}: {exc}") from None
     return rows
@@ -443,7 +471,17 @@ def results_to_json(
 
 
 def results_from_json(text: str) -> tuple[list[SessionSummary], list[TrialMetrics], dict]:
-    doc = json.loads(text)
-    summaries = [SessionSummary(**{f: r[f] for f in SUMMARY_FIELDS}) for r in doc["summaries"]]
-    trials = [TrialMetrics(**{f: r[f] for f in TRIAL_FIELDS}) for r in doc["trials"]]
-    return summaries, trials, doc.get("meta", {})
+    """(summaries, trials, meta) of what results_to_json wrote; on any other
+    text, ValueError naming where it differs (results.json summaries[0].seed)."""
+    try:
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        raise ValueError(f"results.json: {exc}") from None
+    _object(doc, "results.json", ("meta", "summaries", "trials"))
+    out = []
+    for cls, key in ((SessionSummary, "summaries"), (TrialMetrics, "trials")):
+        where = f"results.json {key}"
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{where}: expected a list, got {type(doc[key]).__name__}")
+        out.append([_row(cls, r, f"{where}[{i}]") for i, r in enumerate(doc[key])])
+    return out[0], out[1], _object(doc["meta"], "results.json meta")

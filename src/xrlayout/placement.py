@@ -18,6 +18,9 @@ supported for comparison runs: head_fixed rings the panels around the
 user's eyes at the body-fixed bearings, object_fixed floats each panel
 name-tag style above its intermediary, and world_fixed is the body-fixed
 layout frozen at session start (the caller places it at t = 0).
+Strategy and PlacementParams (with PlacementWarning) are defined in
+scenario.py, beside the .scn rows that fill them, and are importable from
+here as well.
 
 Every strategy has one direct placement function (place_body_fixed,
 place_environment_referenced, place_head_fixed, place_object_fixed), and
@@ -54,9 +57,7 @@ and to within GEOM_EPS for the others; tests compare both routes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 from .designspace import SizeSpec, SpatialLayout
@@ -72,69 +73,26 @@ from .frames import (
 from .geometry import (
     FORWARD,
     GEOM_EPS,
-    POSITIVE_SCALE_RULE,
     UP,
     Pose,
     Rotation,
     Vec3,
     _look_quat,
-    _positive_scale,
     _reject_non_finite,
-    _require_positive,
     _unit,
     facing_yaw_deg,
     look_rotation,
     yaw_rotation,
 )
+from .scenario import PlacementParams, PlacementWarning, Strategy
 
 # Horizontal user-intermediary distances below this leave the panel
 # bearing undefined.
 DEGENERATE_HORIZONTAL_M = 1e-6
 
-# Comfortable reading band for the panel distance; values outside it are
-# legal but almost certainly a configuration mistake, so they warn.
-PANEL_DISTANCE_SOFT_RANGE_M = (0.4, 2.0)
-
 # Object-fixed panels float name-tag style this far above their
 # intermediary's floor anchor: 0.6 m over the 1.5 m gaze height.
 NAME_TAG_HEIGHT_M = 2.1
-
-
-class PlacementWarning(UserWarning):
-    pass
-
-
-class Strategy(str, Enum):
-    WORLD_FIXED = "world_fixed"
-    OBJECT_FIXED = "object_fixed"
-    HEAD_FIXED = "head_fixed"
-    BODY_FIXED = "body_fixed"
-    ENVIRONMENT_REFERENCED = "environment_referenced"
-
-
-@dataclass(frozen=True)
-class PlacementParams:
-    """Geometry shared by all panels of a session."""
-
-    panel_distance: float = 1.2  # m, horizontal, user body to panel center
-    panel_height: float = 1.5  # m, panel center above the body's ground level
-    eye_height: float = 1.6  # m, user eye above the body's ground level
-    panel_scale: Vec3 = Vec3(1.4, 0.8, 0.02)
-    aspect_ratio: float = 1.75
-
-    def __post_init__(self):
-        _require_positive(self, "panel_distance", "panel_height", "eye_height", "aspect_ratio")
-        scale = self.panel_scale
-        if not _positive_scale(*scale.to_tuple()):
-            raise ValueError(f"panel_scale: expected {POSITIVE_SCALE_RULE}, got {scale!r}")
-        lo, hi = PANEL_DISTANCE_SOFT_RANGE_M
-        if not lo <= self.panel_distance <= hi:
-            warnings.warn(
-                f"panel_distance {self.panel_distance} m outside comfortable "
-                f"band [{lo}, {hi}] m",
-                PlacementWarning,
-                stacklevel=2,
-            )
 
 
 def body_heading_deg(body: Pose) -> float:

@@ -16,10 +16,13 @@ Files are JSON text with a versioned header (key "schema").  The schema
 table below (_SCENARIO and the blocks it nests) is the field reference:
 one row per file key, with its kind and constraints, its default or that
 it is required, and the attribute it fills.  The reader and the writer
-(Scenario.to_dict) walk that table.  The agent block builds Scenario.agent,
-an AgentParams (the gaze agent's parameters), whose fields are checked by
-the same rows (AGENT_ROWS) wherever one is built; the bundled files state
-every agent parameter, as the writer does.
+(Scenario.to_dict) walk that table.  The fov, placement and agent blocks
+build a FovSpec, a Strategy with PlacementParams, and an AgentParams (the
+gaze agent's parameters), defined here beside their rows, so this module
+imports nothing from placement or agent.  Each checks its fields by the
+kinds of their rows wherever one is built (_check_fields), so a constructor
+rejects exactly what a file's row rejects; the bundled files state every
+agent parameter, as the writer does.
 Blocks are closed, so a key the table does not list is an error; metadata
 is an open map, and a panel's modality_params and five enums follow the
 design-space key rule and domains, checked at their keys.  The panel block
@@ -50,8 +53,10 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from enum import Enum
 from importlib import resources
 from operator import attrgetter, lt
 from typing import Mapping, NamedTuple
@@ -77,9 +82,7 @@ from .errors import (
 )
 from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, SceneState
 from .geometry import (
-    _POSITIVE_RULE,
     POSITIVE_SCALE_RULE,
-    FovSpec,
     Pose,
     Vec3,
     _finite_number,
@@ -87,7 +90,6 @@ from .geometry import (
     angle_between,
     yaw_rotation,
 )
-from .placement import PlacementParams, Strategy
 
 SCHEMA_VERSION = 1
 
@@ -321,6 +323,75 @@ class QuestionStatus:
     headers_transparent: bool = False
 
 
+class Strategy(str, Enum):
+    WORLD_FIXED = "world_fixed"
+    OBJECT_FIXED = "object_fixed"
+    HEAD_FIXED = "head_fixed"
+    BODY_FIXED = "body_fixed"
+    ENVIRONMENT_REFERENCED = "environment_referenced"
+
+
+# Comfortable reading band for the panel distance; values outside it are
+# legal but almost certainly a configuration mistake, so they warn.
+PANEL_DISTANCE_SOFT_RANGE_M = (0.4, 2.0)
+
+
+class PlacementWarning(UserWarning):
+    pass
+
+
+def _check_fields(obj, rows) -> None:
+    """Each field of obj that a row fills, checked by the row's kind as in files."""
+    for row in rows:
+        attr = (row.attr or row.key).rpartition(".")[2]
+        row.kind.require(attr, getattr(obj, attr))
+
+
+@dataclass(frozen=True)
+class FovSpec:
+    """Circular view-cone model of a display field of view; _FOV's rows are its file keys.
+
+    diagonal_deg is the full diagonal angle; visibility uses its half as
+    the cone half-angle.  aspect_ratio is carried for downstream layout
+    but does not affect the cone test.
+    """
+
+    diagonal_deg: float = 52.0
+    aspect_ratio: float = 16.0 / 9.0
+
+    def __post_init__(self):
+        _check_fields(self, _FOV.rows)
+
+    @property
+    def half_angle_deg(self) -> float:
+        return 0.5 * self.diagonal_deg
+
+
+@dataclass(frozen=True)
+class PlacementParams:
+    """Geometry shared by a session's panels; PARAMS_ROWS and panel_scale are their file keys."""
+
+    panel_distance: float = 1.2  # m, horizontal, user body to panel center
+    panel_height: float = 1.5  # m, panel center above the body's ground level
+    eye_height: float = 1.6  # m, user eye above the body's ground level
+    panel_scale: Vec3 = Vec3(1.4, 0.8, 0.02)
+    aspect_ratio: float = 1.75
+
+    def __post_init__(self):
+        _check_fields(self, PARAMS_ROWS)
+        scale = self.panel_scale  # a Vec3, where its row reads a list; the rule its kind ends with
+        if not _positive_scale(*scale.to_tuple()):
+            raise ValueError(f"panel_scale: expected {POSITIVE_SCALE_RULE}, got {scale!r}")
+        lo, hi = PANEL_DISTANCE_SOFT_RANGE_M
+        if not lo <= self.panel_distance <= hi:
+            warnings.warn(
+                f"panel_distance {self.panel_distance} m outside comfortable "
+                f"band [{lo}, {hi}] m",
+                PlacementWarning,
+                stacklevel=2,
+            )
+
+
 @dataclass(frozen=True)
 class AgentParams:
     """The gaze agent's parameters (see agent.py); AGENT_ROWS are their file keys."""
@@ -336,10 +407,7 @@ class AgentParams:
     dwell_jitter_s: float = 0.02  # seeded jitter on post-open dwell
 
     def __post_init__(self):
-        """Each field is checked by the kind of its AGENT_ROWS row, as in files."""
-        for row in AGENT_ROWS:
-            attr = row.attr or row.key
-            row.kind.require(attr, getattr(self, attr))
+        _check_fields(self, AGENT_ROWS)
 
     def _with_seed(self, seed: int) -> AgentParams:
         """replace(self, seed=seed) that checks only the seed: the rest passed already."""
@@ -808,14 +876,19 @@ def _one_of(options: tuple, **kw) -> _Kind:
     return _Kind((_is_str, "string"), (options.__contains__, f"one of {options}"), **kw)
 
 
+def _number(*checks) -> _Kind:
+    """A finite number, read as a float, passing checks; rule: "a finite " + the last check's."""
+    rule = f"a finite {checks[-1][1]}" if checks else "a finite number"
+    return _Kind(_FINITE, *checks, name="number", rule=rule, convert=float)
+
+
 _FINITE = (_finite_number, "finite number")
+_IS_POSITIVE = (lambda v: v > 0, "positive number")
 _INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "integer")
 _LIST = (lambda v: isinstance(v, list), "list")
 _STR = _Kind((_is_str, "string"))
-_NUM = _Kind(_FINITE, name="number", rule="a finite number", convert=float)
-_POSITIVE = _Kind(
-    _FINITE, (lambda v: v > 0, "positive number"), name="number", rule=_POSITIVE_RULE, convert=float
-)
+_NUM = _number()
+_POSITIVE = _number(_IS_POSITIVE)
 _TICK_RATE = _Kind(
     *_POSITIVE.checks, (valid_tick_rate, TICK_RATE_RULE), name="number", convert=float
 )
@@ -833,13 +906,6 @@ _POSITIVE_VEC3 = _Kind(
     convert=_VEC3.convert,
     dump=_VEC3.dump,
 )
-
-
-def _fov(**values) -> FovSpec:
-    try:
-        return FovSpec(**values)
-    except ValueError as exc:  # FovSpec also bounds the diagonal below 180 degrees
-        raise _Invalid("", "valid fov", str(exc)) from None
 
 
 def _panel(content: dict, presentation: dict | None = None, **values) -> XRObject:
@@ -862,47 +928,52 @@ def _trial(question_start: float, question_words: tuple, word_schedule=None, **v
     return dict(values, question_words=question_words, word_schedule=word_schedule)
 
 
-def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> Scenario:
-    """The Scenario; its row already checked schema, which every scenario writes as its own."""
-    return Scenario(
-        fov=fov,
-        params=PlacementParams(**(params or {})),
-        panels={p.id: p for p in panels},
-        trials=tuple(Trial(index=i, **t) for i, t in enumerate(trials)),
-        **values,
-    )
-
-
 _SEED_KIND = _Kind(_INTEGER)
 
 # The agent block, read into Scenario.agent; each row's attr names the
 # AgentParams field it fills, and AgentParams checks that field by its kind.
+# The ranges keep every trial scorable: confusion_prob is a probability, a
+# fixation of 1 ms stays far above the timeline's 1e-12 s emission threshold,
+# and times of at most 10 s with turns of at least 10 deg/s keep a search
+# short (a 1e-300 deg/s turn, a 1e300 s cell scan or 7e307 s of jitter left
+# trials unscored).  The bundled values lie well inside them.
+_FIXATION = _number(_IS_POSITIVE, (lambda v: 0.001 <= v <= 10, "positive number in [0.001, 10]"))
+_SCAN_TIME = _number(_IS_POSITIVE, (lambda v: v <= 10, "positive number at most 10"))
+_TURN_RATE = _number(_IS_POSITIVE, (lambda v: v >= 10, "positive number at least 10"))
 AGENT_ROWS = (
     _Row("scan_policy", _one_of(SCAN_POLICIES)),
-    _Row("fixation_min_s", _POSITIVE, attr="fixation_min"),
-    _Row("per_cell_scan_time_s", _POSITIVE, attr="per_cell_scan_time"),
-    _Row("yaw_rate_deg_s", _POSITIVE),
+    _Row("fixation_min_s", _FIXATION, attr="fixation_min"),
+    _Row("per_cell_scan_time_s", _SCAN_TIME, attr="per_cell_scan_time"),
+    _Row("yaw_rate_deg_s", _TURN_RATE),
     _Row("tick_hz", _TICK_RATE),
-    _Row("confusion_prob", _NUM),
-    _Row("dwell_jitter_s", _NUM),
+    _Row("confusion_prob", _number((lambda v: 0 <= v <= 1, "number in [0, 1]"))),
+    _Row("dwell_jitter_s", _number((lambda v: 0 <= v <= 10, "number in [0, 10]"))),
     _Row("known_grid", _BOOL),
     _Row("seed", _SEED_KIND),
 )
 
+# The fov block, built into Scenario.fov; FovSpec checks each field by its row's kind.
 _FOV = _Block(
-    _Row("diagonal_deg", _POSITIVE, _REQUIRED),
+    _Row("diagonal_deg", _number(_IS_POSITIVE, (lambda v: v < 180.0, "positive number below 180")),
+         _REQUIRED),
     _Row("aspect_ratio", _POSITIVE, _REQUIRED),
-    build=_fov,
+    build=FovSpec,
 )
 
 _STRATEGY = _one_of(tuple(s.value for s in Strategy), convert=Strategy, dump=attrgetter("value"))
 
-_PLACEMENT = _Block(
-    _Row("strategy", _STRATEGY, _REQUIRED),
+# The placement block's number rows, read into Scenario.params; each row's attr
+# names the PlacementParams field it fills, which PlacementParams checks by its kind.
+PARAMS_ROWS = (
     _Row("panel_distance_m", _POSITIVE, attr="params.panel_distance"),
     _Row("panel_height_m", _POSITIVE, attr="params.panel_height"),
     _Row("eye_height_m", _POSITIVE, attr="params.eye_height"),
     _Row("panel_aspect_ratio", _POSITIVE, attr="params.aspect_ratio"),
+)
+
+_PLACEMENT = _Block(
+    _Row("strategy", _STRATEGY, _REQUIRED),
+    *PARAMS_ROWS,
     _Row("panel_scale", _POSITIVE_VEC3, attr="params.panel_scale"),
     _Row("body_bearings_deg", _MapOf(_NUM), _REQUIRED, attr="body_bearings"),
     _Row("intermediaries", _MapOf(_Kind((_is_str, "entity id string"))), _REQUIRED),
@@ -982,6 +1053,18 @@ _TRIAL = _Block(
 )
 
 _VERSION = f"supported schema version {SCHEMA_VERSION}"
+
+
+def _scenario(schema, panels, trials, params=None, fov=FovSpec(), **values) -> Scenario:
+    """The Scenario; its row already checked schema, which every scenario writes as its own."""
+    return Scenario(
+        fov=fov,
+        params=PlacementParams(**(params or {})),
+        panels={p.id: p for p in panels},
+        trials=tuple(Trial(index=i, **t) for i, t in enumerate(trials)),
+        **values,
+    )
+
 
 _SCENARIO = _Block(
     _Row("schema", _Kind((lambda v: v == SCHEMA_VERSION, _VERSION)), _REQUIRED),

@@ -27,7 +27,6 @@ from xrlayout.frames import (
     resolve_world_pose,
 )
 from xrlayout.geometry import (
-    FovSpec,
     Pose,
     Rotation,
     Vec3,
@@ -46,6 +45,7 @@ from xrlayout.placement import (
 from xrlayout.scenario import (
     CATEGORIES,
     COUNTRIES,
+    FovSpec,
     bundled_scenario_names,
     bundled_scenario_text,
     grid_cell,

@@ -1,19 +1,29 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
+import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import xrlayout
-from xrlayout import __version__
+from xrlayout import __version__, scenario
 from xrlayout.cli import build_parser, compare_results, main
 from xrlayout.errors import MismatchedScenarios
-from xrlayout.metrics import summaries_from_csv, trials_from_csv
+from xrlayout.metrics import (
+    SessionSummary,
+    TrialMetrics,
+    results_from_json,
+    summaries_from_csv,
+    trials_from_csv,
+)
 from xrlayout.scenario import (
     MAX_TICK_HZ,
     SCHEMA_VERSION,
@@ -256,6 +266,70 @@ class TestIOErrors:
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err
 
 
+# A JSON value of another type than the annotated one: no boolean is an int
+# and no integer a float.
+WRONG_TYPE = {"str": 1, "int": True, "float": 1, "bool": "true", "bool | None": 0}
+DROP = object()
+
+
+def _set(key, field, value):
+    """The edit that sets (or drops) field of the first row of key."""
+
+    def edit(doc):
+        row = doc[key][0]
+        if value is DROP:
+            del row[field]
+        else:
+            row[field] = value
+        return doc
+
+    return edit
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _row_faults():
+    for key, cls in (("summaries", SessionSummary), ("trials", TrialMetrics)):
+        where = f"results.json {key}[0]"
+        yield (f"{key}[0] extra key", _set(key, "more", 1),
+               f"{where}: missing keys [], unknown keys ['more']")
+        for f in fields(cls):
+            wrong = WRONG_TYPE[f.type]
+            yield (f"{key}[0].{f.name} dropped", _set(key, f.name, DROP),
+                   f"{where}: missing keys ['{f.name}'], unknown keys []")
+            yield (f"{key}[0].{f.name} wrong type", _set(key, f.name, wrong),
+                   f"{where}.{f.name}: expected {f.type}, got {wrong!r}")
+
+
+# (id, edit of a results.json document, the ValueError's message)
+RESULTS_FAULTS = [
+    ("top-level list", lambda doc: [doc], "results.json: expected an object, got list"),
+    ("top-level extra key", lambda doc: dict(doc, more=1),
+     "results.json: missing keys [], unknown keys ['more']"),
+    *((f"{key} dropped", _without(key), f"results.json: missing keys ['{key}'], unknown keys []")
+      for key in ("meta", "summaries", "trials")),
+    ("meta not an object", lambda doc: dict(doc, meta=3),
+     "results.json meta: expected an object, got int"),
+    ("summaries not a list", lambda doc: dict(doc, summaries={}),
+     "results.json summaries: expected a list, got dict"),
+    ("trial not an object", lambda doc: dict(doc, trials=[[]]),
+     "results.json trials[0]: expected an object, got list"),
+    *_row_faults(),
+]
+
+
+@pytest.fixture(scope="module")
+def results_file(tmp_path_factory):
+    """A bundled session's results.json, as `xrlayout run` writes it."""
+    out = tmp_path_factory.mktemp("results")
+    argv = ["run", "--scenario", "static_mobile_env_ref", "--format", "json", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return out / "results.json"
+
+
 class TestCompare:
     def _results(self, capsys, tmp_path, name, seed, sub, strategy=None):
         argv = [
@@ -304,6 +378,24 @@ class TestCompare:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [case[1:] for case in RESULTS_FAULTS],
+        ids=[case[0] for case in RESULTS_FAULTS],
+    )
+    def test_a_single_fault_raises_value_error_naming_it_and_exits_two(
+        self, capsys, tmp_path, results_file, edit, message
+    ):
+        text = json.dumps(edit(json.loads(results_file.read_text())))
+        with pytest.raises(ValueError) as caught:
+            results_from_json(text)
+        assert str(caught.value) == message
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "compare", str(results_file), str(bad))
+        assert code == 2
+        assert message in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         good = self._results(capsys, tmp_path, "static_mobile_env_ref", 1, "a")
         code, _, err = run_cli(capsys, "compare", str(good), str(tmp_path / "nope.json"))
@@ -344,6 +436,18 @@ class TestCompare:
 
 
 class TestImportGraph:
+    def test_scenario_imports_nothing_from_placement_or_agent(self):
+        """The .scn rows and the parameters they build share one module, which
+        sits below the placement and agent layers."""
+        tree = ast.parse(Path(scenario.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert [m for m in imported if {"placement", "agent"} & set(m.split("."))] == []
+
     def test_a_full_run_loads_no_statistics_modules(self, tmp_path):
         """A mean and a median need no statistics module, nor the fractions and
         decimal modules it brings, in a CLI process."""

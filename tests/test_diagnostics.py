@@ -120,7 +120,7 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at fov.diagonal_deg: expected positive number, got int 0',
     ]),
     (SS, ('fov', 'diagonal_deg'), 200.0, [
-        "mutant.scn:1:1: schema at fov: expected valid fov, got str 'diagonal FOV out of range: 200.0'",
+        'mutant.scn:1:1: schema at fov.diagonal_deg: expected positive number below 180, got float 200.0',
     ]),
     (SS, ('fov', 'diagonal_deg'), BIG, [
         f'mutant.scn:1:1: schema at fov.diagonal_deg: expected finite number, got int {BIG}',
@@ -623,6 +623,9 @@ INVALID_FIXTURES = [
     ('invalid_panel_enum_typo.scn', [
         "invalid_panel_enum_typo.scn:1:1: schema at panels[1].immersion: expected one of ('non_immersive', 'partially_immersive', 'fully_immersive'), got str 'partially-immersive'",
     ]),
+    ('invalid_agent_confusion_prob.scn', [
+        'invalid_agent_confusion_prob.scn:1:1: schema at agent.confusion_prob: expected number in [0, 1], got float 7.0',
+    ]),
 ]
 INVALID_DIR = resources.files("xrlayout") / "fixtures" / "invalid"
 
@@ -660,7 +663,8 @@ def test_every_invalid_fixture_is_rejected(filename):
 # that cannot be replayed (an intermediary placed on the user), a tick rate
 # outside the one tick-rate rule (too fast, or a period that overflows), a
 # body bearing for a panel that does not exist, an entity id that names a
-# frame of reference, and an entity or panel id given twice.
+# frame of reference, an entity or panel id given twice, and an agent parameter
+# outside its range (each range includes its ends).
 ACCEPTANCE_CHANGES = [
     (SS, ("surprise",), 1, [
         'mutant.scn:1:1: schema at surprise: unknown key',
@@ -737,6 +741,41 @@ ACCEPTANCE_CHANGES = [
     (SS, ("panels",), SS_PANELS + SS_PANELS[:1], [
         "mutant.scn:1:1: schema at panels[3].id: expected unique panel id, got str 'panel_food'",
     ]),
+    (DM, ('agent', 'fixation_min_s'), 1e-13, [
+        'mutant.scn:1:1: schema at agent.fixation_min_s: expected positive number in [0.001, 10], got float 1e-13',
+    ]),
+    (DM, ('agent', 'fixation_min_s'), 10.5, [
+        'mutant.scn:1:1: schema at agent.fixation_min_s: expected positive number in [0.001, 10], got float 10.5',
+    ]),
+    (DM, ('agent', 'per_cell_scan_time_s'), 1e300, [
+        'mutant.scn:1:1: schema at agent.per_cell_scan_time_s: expected positive number at most 10, got float 1e+300',
+    ]),
+    (DM, ('agent', 'yaw_rate_deg_s'), 1e-300, [
+        'mutant.scn:1:1: schema at agent.yaw_rate_deg_s: expected positive number at least 10, got float 1e-300',
+    ]),
+    (DM, ('agent', 'yaw_rate_deg_s'), 9.5, [
+        'mutant.scn:1:1: schema at agent.yaw_rate_deg_s: expected positive number at least 10, got float 9.5',
+    ]),
+    (DM, ('agent', 'confusion_prob'), 7.0, [
+        'mutant.scn:1:1: schema at agent.confusion_prob: expected number in [0, 1], got float 7.0',
+    ]),
+    (DM, ('agent', 'confusion_prob'), -0.1, [
+        'mutant.scn:1:1: schema at agent.confusion_prob: expected number in [0, 1], got float -0.1',
+    ]),
+    (DM, ('agent', 'dwell_jitter_s'), -5, [
+        'mutant.scn:1:1: schema at agent.dwell_jitter_s: expected number in [0, 10], got int -5',
+    ]),
+    (DM, ('agent', 'dwell_jitter_s'), 7.43475599216108e307, [
+        'mutant.scn:1:1: schema at agent.dwell_jitter_s: expected number in [0, 10], got float 7.43475599216108e+307',
+    ]),
+    (DM, ("agent", "fixation_min_s"), 0.001, []),
+    (DM, ("agent", "fixation_min_s"), 10, []),
+    (DM, ("agent", "per_cell_scan_time_s"), 10, []),
+    (DM, ("agent", "yaw_rate_deg_s"), 10, []),
+    (DM, ("agent", "confusion_prob"), 0, []),
+    (DM, ("agent", "confusion_prob"), 1.0, []),
+    (DM, ("agent", "dwell_jitter_s"), 0.0, []),
+    (DM, ("agent", "dwell_jitter_s"), 10, []),
 ]
 
 

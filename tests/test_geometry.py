@@ -24,7 +24,6 @@ from xrlayout.geometry import (
     RIGHT,
     UP,
     ZERO,
-    FovSpec,
     Pose,
     Rotation,
     Vec3,
@@ -37,6 +36,7 @@ from xrlayout.geometry import (
     yaw_rotation,
 )
 from xrlayout.placement import PlacementParams, place_body_fixed
+from xrlayout.scenario import FovSpec
 
 TOL = 1e-9
 
@@ -283,7 +283,9 @@ class TestAnglesAndFov:
     def test_fov_validation(self):
         with pytest.raises(ValueError):
             FovSpec(diagonal_deg=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^diagonal_deg: expected a finite positive number below 180, got 220.0$"
+        ):
             FovSpec(diagonal_deg=220.0)
         with pytest.raises(ValueError):
             FovSpec(aspect_ratio=-1.0)

@@ -3,6 +3,7 @@
 import json
 import statistics
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -212,7 +213,7 @@ class TestSessionMetrics:
             assert row.errors == len(error_events(tt.opens))
             assert row.near == tt.trial.near
 
-    @pytest.mark.parametrize("fixation_min_s", [0.1, 1e-6])
+    @pytest.mark.parametrize("fixation_min_s", [0.1, 0.001])  # 0.001: the row's lower end
     def test_scoring_follows_the_agent_fixation_threshold(self, fixation_min_s):
         doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
         doc["agent"]["fixation_min_s"] = fixation_min_s
@@ -260,6 +261,22 @@ class TestSessionMetrics:
         b = session_metrics(simulate_session(load_bundled("static_mobile_body_fixed")))
         with pytest.raises(ValueError):
             aggregate(a + b, seed=1)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=6)
+# A field's values by its annotation: what results_to_json can write.
+BY_ANNOTATION = {
+    "str": st.text(max_size=12),
+    "int": st.integers(),
+    "float": finite_floats,
+    "bool": st.booleans(),
+    "bool | None": st.none() | st.booleans(),
+}
+
+
+def rows_of(cls):
+    return st.builds(cls, **{f.name: BY_ANNOTATION[f.type] for f in fields(cls)})
 
 
 class TestSerialization:
@@ -345,6 +362,17 @@ class TestSerialization:
         assert summaries2 == [summary]
         assert rows2 == rows
         assert meta2 == meta
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        summaries=st.lists(rows_of(SessionSummary), max_size=3),
+        trials=st.lists(rows_of(TrialMetrics), max_size=3),
+        meta=st.dictionaries(st.text(max_size=6), json_scalars, max_size=3),
+    )
+    def test_json_round_trip_of_any_rows_is_exact(self, summaries, trials, meta):
+        back = results_from_json(results_to_json(summaries, trials, meta=meta))
+        assert repr(back[:2]) == repr((summaries, trials))
+        assert back[2] == meta
 
     def test_json_rejects_non_finite_values(self):
         _, summary = self._rows()

@@ -234,7 +234,7 @@ class TestParsing:
             "yaw_rate_deg_s": 90.0,
             "tick_hz": 90,
             "confusion_prob": 0.0,
-            "dwell_jitter_s": -0.5,
+            "dwell_jitter_s": 0.5,
             "known_grid": False,
             "seed": 3,
         }
@@ -247,7 +247,7 @@ class TestParsing:
             yaw_rate_deg_s=90.0,
             tick_hz=90.0,
             confusion_prob=0.0,
-            dwell_jitter_s=-0.5,
+            dwell_jitter_s=0.5,
             known_grid=False,
             seed=3,
         )
