@@ -9,8 +9,9 @@ inputs produce bit-identical traces.
 A session runs in phases on one simulator, _Simulator: per trial an idle
 approach to the scripted focus, the question, and the search
 (search_and_open), then a settle tail.  Panels are placed by one path:
-each session calls its strategy's direct placement function from
-placement.py (environment-referenced through the session's own
+each session places by placement.session_placement(strategy, scenario),
+the one map from a strategy to its direct placement function
+(environment-referenced through the session's own
 EnvironmentReferencedPlacer, which holds the last pose on degenerate
 frames; world-fixed as the body-fixed layout at t = 0).  Gaze segments are
 laid down by one emitter, _Timeline.
@@ -89,12 +90,7 @@ from typing import Mapping
 from .errors import DegenerateIntermediary, WarningEvent
 from .frames import USER_BODY, USER_HEAD, SceneState
 from .geometry import Pose, Vec3, _value_type, angle_between
-from .placement import (
-    EnvironmentReferencedPlacer,
-    place_body_fixed,
-    place_head_fixed,
-    place_object_fixed,
-)
+from .placement import INTERMEDIARY_PLACED, session_placement
 from .scenario import (
     _TICK_RATE,
     GRID_COLS,
@@ -499,24 +495,6 @@ class _Timeline:
             self.cursor += dt
 
 
-def _direct_placement(strategy: Strategy, scenario: Scenario):
-    """A stateless strategy's placement as a function of the scene state.
-
-    World-fixed panels freeze at the session-start body-fixed arrangement
-    (there is no other sensible world pose to give them from a scenario
-    authored for adaptive strategies): their placement ignores the state.
-    """
-    params = scenario.params
-    if strategy is Strategy.OBJECT_FIXED:
-        return partial(place_object_fixed, intermediaries=scenario.intermediaries, params=params)
-    if strategy is Strategy.WORLD_FIXED:
-        return lambda state: place_body_fixed(
-            scenario.state_at(0.0), scenario.body_bearings, params
-        )
-    place = place_head_fixed if strategy is Strategy.HEAD_FIXED else place_body_fixed
-    return partial(place, bearings=scenario.body_bearings, params=params)
-
-
 class _OffScript(Exception):
     """A session on the plan stepped off the script; simulate_session reruns it."""
 
@@ -539,21 +517,13 @@ class _Simulator:
         # The session's plan tables; with none, _planned computes every value.
         tables = (plan.states, plan.aims, plan.poses[strategy], plan.scan_keys[strategy])
         self.states, self.aims, self.poses, self.scan_keys = tables if on_plan else (None,) * 4
-        self.warnings: list[WarningEvent] = []
-        if strategy is Strategy.ENVIRONMENT_REFERENCED:
-            placer = EnvironmentReferencedPlacer(scenario.intermediaries, scenario.params)
-            self.warnings = placer.warnings
-            self.place = placer.place
-        else:
-            self.place = _direct_placement(strategy, scenario)
+        self.place, self.warnings = session_placement(strategy, scenario)
         self.line = _Timeline(params.yaw_rate_deg_s, plan.turns[strategy] if on_plan else None)
         self.opens: list[OpenEvent] = []
         self.panel_by_category = plan.panel_by_category
         # Where the panel sits is known without a header search: given by
         # its intermediary, or recalled in the static stationary room.
-        self.direct = strategy in (Strategy.ENVIRONMENT_REFERENCED, Strategy.OBJECT_FIXED) or (
-            scenario.context == "static_stationary"
-        )
+        self.direct = strategy in INTERMEDIARY_PLACED or scenario.context == "static_stationary"
 
     def _state(self, t: float, at) -> SceneState:
         """Scene state at t (plan key at); the tail's comes back under t (warnings read it)."""

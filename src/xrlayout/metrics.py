@@ -385,11 +385,15 @@ def _object(value: object, where: str, keys=None) -> dict:
 
 def _row(cls, values: object, where: str):
     """The CSV and JSON readers' one row rule: cls from an object holding each field at its
-    annotated type; else ValueError naming where, or where.field for a field's value."""
+    annotated type, a float finite; else ValueError naming where, or where.field for a
+    field's value."""
     _object(values, where, [f.name for f in fields(cls)])
     for f in fields(cls):
-        if type(values[f.name]) not in _TYPES[f.type]:
-            raise ValueError(f"{where}.{f.name}: expected {f.type}, got {values[f.name]!r}")
+        value = values[f.name]
+        if type(value) not in _TYPES[f.type]:
+            raise ValueError(f"{where}.{f.name}: expected {f.type}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{where}.{f.name}: expected a finite float, got {value!r}")
     return cls(**values)
 
 
@@ -472,7 +476,8 @@ def results_to_json(
 
 def results_from_json(text: str) -> tuple[list[SessionSummary], list[TrialMetrics], dict]:
     """(summaries, trials, meta) of what results_to_json wrote; on any other
-    text, ValueError naming where it differs (results.json summaries[0].seed)."""
+    text, ValueError naming where it differs (results.json summaries[0].seed),
+    a NaN, Infinity or -Infinity number among them."""
     try:
         doc = json.loads(text)
     except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
@@ -484,4 +489,9 @@ def results_from_json(text: str) -> tuple[list[SessionSummary], list[TrialMetric
         if not isinstance(doc[key], list):
             raise ValueError(f"{where}: expected a list, got {type(doc[key]).__name__}")
         out.append([_row(cls, r, f"{where}[{i}]") for i, r in enumerate(doc[key])])
-    return out[0], out[1], _object(doc["meta"], "results.json meta")
+    meta = _object(doc["meta"], "results.json meta")
+    try:
+        json.dumps(meta, allow_nan=False)
+    except ValueError:
+        raise ValueError("results.json meta: a NaN or infinite number") from None
+    return out[0], out[1], meta

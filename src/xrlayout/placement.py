@@ -17,14 +17,15 @@ world_fixed, object_fixed and head_fixed are the classic baselines and are
 supported for comparison runs: head_fixed rings the panels around the
 user's eyes at the body-fixed bearings, object_fixed floats each panel
 name-tag style above its intermediary, and world_fixed is the body-fixed
-layout frozen at session start (the caller places it at t = 0).
+layout of the session start, state_at(0.0), held in the world.
 Strategy and PlacementParams (with PlacementWarning) are defined in
 scenario.py, beside the .scn rows that fill them, and are importable from
 here as well.
 
 Every strategy has one direct placement function (place_body_fixed,
 place_environment_referenced, place_head_fixed, place_object_fixed), and
-that is the only route the simulator takes.  Body-fixed and
+session_placement, the one map from a strategy to its placement, is the
+only route the simulator takes.  Body-fixed and
 environment-referenced panels are kept upright (no vertical tilt): they
 yaw to face the user's body position at eye height, with world up as their
 up axis.  The direct functions are pure, so callers may keep their
@@ -48,16 +49,19 @@ rule) and build one Vec3, one Rotation and one Pose per panel, at the end.
 emit_layouts is the test oracle: it expresses each strategy as
 frame-of-reference layouts (unified frames for body-, head-, world- and
 object-fixed, hybrid frames for environment_referenced) that
-frames.resolve_world_pose turns into world poses.  Resolving an emission
-matches the direct functions: bit for bit for head- and object-fixed,
-which share one unified-frame transcription of it (_in_unified_frame),
-and to within GEOM_EPS for the others; tests compare both routes.
+frames.resolve_world_pose turns into world poses.  It takes the config
+sessions place by, and resolving its emission of a state (for world_fixed,
+the session start) matches session_placement: bit for bit for head- and
+object-fixed, which share one unified-frame transcription of it
+(_in_unified_frame), and to within GEOM_EPS for the others; tests compare
+both routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 from .designspace import SizeSpec, SpatialLayout
@@ -80,11 +84,12 @@ from .geometry import (
     _look_quat,
     _reject_non_finite,
     _unit,
+    compose,
     facing_yaw_deg,
     look_rotation,
     yaw_rotation,
 )
-from .scenario import PlacementParams, PlacementWarning, Strategy
+from .scenario import PlacementParams, PlacementWarning, Scenario, Strategy
 
 # Horizontal user-intermediary distances below this leave the panel
 # bearing undefined.
@@ -93,6 +98,10 @@ DEGENERATE_HORIZONTAL_M = 1e-6
 # Object-fixed panels float name-tag style this far above their
 # intermediary's floor anchor: 0.6 m over the 1.5 m gaze height.
 NAME_TAG_HEIGHT_M = 2.1
+
+# The strategies that place each panel through its intermediary; the others
+# place it at its bearing from the user.
+INTERMEDIARY_PLACED = frozenset({Strategy.ENVIRONMENT_REFERENCED, Strategy.OBJECT_FIXED})
 
 
 def body_heading_deg(body: Pose) -> float:
@@ -298,6 +307,27 @@ class EnvironmentReferencedPlacer:
         return out
 
 
+def session_placement(strategy: Strategy, scenario: Scenario):
+    """(place, warnings): a session's placement under strategy.
+
+    place(state) is the strategy's direct function on the scenario's params
+    and its intermediaries or body_bearings; world_fixed's ignores state
+    and places the session start, state_at(0.0).  warnings is a new
+    EnvironmentReferencedPlacer's list, else a new empty one.
+    """
+    params = scenario.params
+    if strategy is Strategy.ENVIRONMENT_REFERENCED:
+        placer = EnvironmentReferencedPlacer(scenario.intermediaries, params)
+        return placer.place, placer.warnings
+    if strategy is Strategy.OBJECT_FIXED:
+        return partial(place_object_fixed, intermediaries=scenario.intermediaries, params=params), []
+    bearings = scenario.body_bearings
+    if strategy is Strategy.WORLD_FIXED:
+        return (lambda state: place_body_fixed(scenario.state_at(0.0), bearings, params)), []
+    place = place_head_fixed if strategy is Strategy.HEAD_FIXED else place_body_fixed
+    return partial(place, bearings=bearings, params=params), []
+
+
 @dataclass(frozen=True)
 class LayoutEmission:
     """Layouts plus any derived entity poses they reference.
@@ -316,43 +346,40 @@ def bearing_entity_id(panel_id: str) -> str:
 
 
 def emit_layouts(
-    strategy: Strategy,
+    strategy: Strategy | str,
     state: SceneState,
     params: PlacementParams,
     *,
     bearings: Mapping[str, float] | None = None,
     intermediaries: Mapping[str, str] | None = None,
-    world_poses: Mapping[str, Pose] | None = None,
-    anchors: Mapping[str, tuple[str, Pose]] | None = None,
 ) -> LayoutEmission:
     """Express a strategy's placement as frame-of-reference layouts.
 
-    Config per strategy: bearings for body_fixed and head_fixed,
-    intermediaries for environment_referenced, world_poses for
-    world_fixed, anchors (entity ref + local pose) for object_fixed.
-    Raises MissingConfig when the needed one is absent.
+    Config: intermediaries for INTERMEDIARY_PLACED, bearings for the rest,
+    as sessions place them; MissingConfig when it is absent.  world_fixed
+    holds the body-fixed layout of state in the world frame (sessions hold
+    the session start's); object_fixed floats each panel NAME_TAG_HEIGHT_M
+    above its intermediary, in its frame.  An unknown strategy string
+    raises ValueError.
     """
-    size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
-
-    if strategy in (Strategy.BODY_FIXED, Strategy.HEAD_FIXED):
-        if bearings is None:
-            raise MissingConfig(strategy.value, "bearings")
-        frame_ref = USER_BODY if strategy is Strategy.BODY_FIXED else USER_HEAD
-        # In the head frame the panels ring the eyes, so no height term.
-        height = params.panel_height if strategy is Strategy.BODY_FIXED else 0.0
-        layouts = {}
-        for pid, b in bearings.items():
-            d = yaw_rotation(b).forward() * params.panel_distance + UP * height
-            layouts[pid] = SpatialLayout(
-                FrameOfReference.unified(frame_ref),
-                Pose(position=d, orientation=yaw_rotation(b + 180.0)),
-                size,
-            )
-        return LayoutEmission(layouts)
-
-    if strategy is Strategy.ENVIRONMENT_REFERENCED:
+    strategy = Strategy(strategy)
+    if strategy in INTERMEDIARY_PLACED:
         if intermediaries is None:
             raise MissingConfig(strategy.value, "intermediaries")
+    elif bearings is None:
+        raise MissingConfig(strategy.value, "bearings")
+    size = SizeSpec(scale=params.panel_scale, aspect_ratio=params.aspect_ratio)
+
+    if strategy is Strategy.OBJECT_FIXED:
+        tag = Pose(position=Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0))
+        return LayoutEmission(
+            {
+                pid: SpatialLayout(FrameOfReference.unified(eid), tag, size)
+                for pid, eid in intermediaries.items()
+            }
+        )
+
+    if strategy is Strategy.ENVIRONMENT_REFERENCED:
         body = state.pose_of(USER_BODY)
         layouts: dict[str, SpatialLayout] = {}
         derived: dict[str, Pose] = {}
@@ -379,27 +406,19 @@ def emit_layouts(
             )
         return LayoutEmission(layouts, derived)
 
-    if strategy is Strategy.WORLD_FIXED:
-        if world_poses is None:
-            raise MissingConfig(strategy.value, "world_poses")
-        return LayoutEmission(
-            {
-                pid: SpatialLayout(FrameOfReference.unified(WORLD), pose, size)
-                for pid, pose in world_poses.items()
-            }
-        )
-
-    if strategy is Strategy.OBJECT_FIXED:
-        if anchors is None:
-            raise MissingConfig(strategy.value, "anchors")
-        return LayoutEmission(
-            {
-                pid: SpatialLayout(FrameOfReference.unified(ref), local, size)
-                for pid, (ref, local) in anchors.items()
-            }
-        )
-
-    raise MissingConfig(str(strategy), "a recognized strategy")
+    # Head-fixed panels ring the eyes, so no height term; world-fixed ones
+    # hold the body-fixed pose of state in the world frame.
+    head, held = strategy is Strategy.HEAD_FIXED, strategy is Strategy.WORLD_FIXED
+    height = 0.0 if head else params.panel_height
+    frame = FrameOfReference.unified(USER_HEAD if head else WORLD if held else USER_BODY)
+    layouts = {}
+    for pid, b in bearings.items():
+        d = yaw_rotation(b).forward() * params.panel_distance + UP * height
+        local = Pose(position=d, orientation=yaw_rotation(b + 180.0))
+        if held:
+            local = compose(state.pose_of(USER_BODY), local)
+        layouts[pid] = SpatialLayout(frame, local, size)
+    return LayoutEmission(layouts)
 
 
 def collinearity_error_rad(

@@ -317,6 +317,13 @@ RESULTS_FAULTS = [
     ("trial not an object", lambda doc: dict(doc, trials=[[]]),
      "results.json trials[0]: expected an object, got list"),
     *_row_faults(),
+    # Python's JSON reader takes the NaN, Infinity and -Infinity tokens as floats
+    *((f"summaries[0].nav_time_mean_s {token}", _set("summaries", "nav_time_mean_s", value),
+       f"results.json summaries[0].nav_time_mean_s: expected a finite float, got {value!r}")
+      for token, value in (("NaN", float("nan")), ("Infinity", float("inf")),
+                           ("-Infinity", float("-inf")))),
+    ("meta NaN", lambda doc: dict(doc, meta={"seed": float("nan")}),
+     "results.json meta: a NaN or infinite number"),
 ]
 
 

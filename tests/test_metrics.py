@@ -328,6 +328,7 @@ class TestSerialization:
             summaries_from_csv("nope\n1\n")
 
     GOOD_ROW = "static_mobile,body_fixed,0,sports,Japan,0.5,0,0,true,false"
+    NON_FINITE_NAV = "TrialMetrics.navigation_time_s: expected a finite float, got"
 
     @pytest.mark.parametrize(
         "text, line, reason",
@@ -341,9 +342,12 @@ class TestSerialization:
             (GOOD_ROW.replace(",false", ",False"), 2, "expected true or false, got 'False'"),
             (GOOD_ROW.replace(",0,sports", ",x,sports"), 2, "invalid literal for int"),
             (GOOD_ROW.replace("Japan", "J" * 200_000), 2, "field larger than field limit"),
+            (GOOD_ROW.replace(",0.5,", ",nan,"), 2, f"{NON_FINITE_NAV} nan"),
+            (GOOD_ROW.replace(",0.5,", ",inf,"), 2, f"{NON_FINITE_NAV} inf"),
+            (GOOD_ROW.replace(",0.5,", ",-inf,"), 2, f"{NON_FINITE_NAV} -inf"),
         ],
         ids=["empty", "short_row", "long_row", "blank_line", "flag_yes", "flag_empty_not_optional",
-             "flag_capitalized", "int_cell", "csv_error"],
+             "flag_capitalized", "int_cell", "csv_error", "nan_cell", "inf_cell", "minus_inf_cell"],
     )
     def test_malformed_text_raises_value_error_naming_the_line(self, text, line, reason):
         if text:

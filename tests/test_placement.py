@@ -11,9 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xrlayout.placement as placement
+from xrlayout.agent import IDLE_LEAD_S
 from xrlayout.errors import DegenerateIntermediary, MissingConfig, XRLayoutError
 from xrlayout.frames import USER_BODY, USER_HEAD, SceneState, resolve_world_pose
-from xrlayout.geometry import FORWARD, UP, Pose, Rotation, Vec3, angle_between, yaw_rotation
+from xrlayout.geometry import (
+    FORWARD,
+    GEOM_EPS,
+    UP,
+    Pose,
+    Rotation,
+    Vec3,
+    angle_between,
+    yaw_rotation,
+)
 from xrlayout.placement import (
     NAME_TAG_HEIGHT_M,
     EnvironmentReferencedPlacer,
@@ -28,8 +38,9 @@ from xrlayout.placement import (
     place_head_fixed,
     place_object_fixed,
     reheighted_intermediary,
+    session_placement,
 )
-from xrlayout.scenario import load_bundled
+from xrlayout.scenario import bundled_scenario_names, load_bundled
 
 TOL = 1e-9
 PARAMS = PlacementParams()
@@ -200,7 +211,6 @@ class TestEmission:
 
     def test_object_fixed_emission_matches_direct(self):
         rng = random.Random(36)
-        local = Pose(position=Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0))
         for _ in range(200):
             host = Pose(
                 position=Vec3(rng.uniform(-8, 8), 0.0, rng.uniform(-8, 8)),
@@ -208,7 +218,7 @@ class TestEmission:
             )
             state = state_with_body(extra={"host": host})
             emission = emit_layouts(
-                Strategy.OBJECT_FIXED, state, PARAMS, anchors={"p": ("host", local)}
+                Strategy.OBJECT_FIXED, state, PARAMS, intermediaries={"p": "host"}
             )
             resolved = resolve_world_pose(emission.layouts["p"], state)
             direct = place_object_fixed(state, {"p": "host"}, PARAMS)["p"]
@@ -223,34 +233,30 @@ class TestEmission:
         want = head.position + head.orientation.forward() * PARAMS.panel_distance
         assert resolved.position.is_close(want, tol=1e-8)
 
-    def test_world_fixed_stays_put(self):
-        anchor = Pose(position=Vec3(5.0, 1.0, 5.0))
-        emission = emit_layouts(
-            Strategy.WORLD_FIXED, state_with_body(), PARAMS, world_poses={"p": anchor}
-        )
+    def test_world_fixed_holds_the_body_fixed_layout_of_its_state(self):
+        start = state_with_body(Vec3(2.0, 0.0, -1.0), yaw=30.0)
+        emission = emit_layouts(Strategy.WORLD_FIXED, start, PARAMS, bearings={"p": 90.0})
+        want = place_body_fixed(start, {"p": 90.0}, PARAMS)["p"]
         moved = state_with_body(Vec3(9.0, 0.0, -9.0), yaw=120.0)
-        resolved = resolve_world_pose(emission.layouts["p"], moved)
-        assert resolved.position.is_close(anchor.position, tol=TOL)
+        for state in (start, moved):
+            resolved = resolve_world_pose(emission.layouts["p"], state)
+            assert resolved.position.is_close(want.position, tol=TOL)
+            assert resolved.orientation.approx_eq(want.orientation, tol=TOL)
 
-    def test_object_fixed_follows_anchor(self):
-        local = Pose(position=Vec3(0.0, 2.0, 0.0))
+    def test_object_fixed_follows_its_intermediary(self):
         emission = emit_layouts(
-            Strategy.OBJECT_FIXED, state_with_body(), PARAMS, anchors={"p": ("host", local)}
+            Strategy.OBJECT_FIXED, state_with_body(), PARAMS, intermediaries={"p": "host"}
         )
         state = state_with_body(extra={"host": Pose(position=Vec3(-3.0, 0.0, 1.0))})
         resolved = resolve_world_pose(emission.layouts["p"], state)
-        assert resolved.position.is_close(Vec3(-3.0, 2.0, 1.0), tol=TOL)
+        assert resolved.position.is_close(Vec3(-3.0, NAME_TAG_HEIGHT_M, 1.0), tol=TOL)
 
     def test_missing_config_raises(self):
         state = state_with_body()
         with pytest.raises(MissingConfig):
-            emit_layouts(Strategy.BODY_FIXED, state, PARAMS)
+            emit_layouts(Strategy.WORLD_FIXED, state, PARAMS, intermediaries={"p": "host"})
         with pytest.raises(MissingConfig):
-            emit_layouts(Strategy.ENVIRONMENT_REFERENCED, state, PARAMS)
-        with pytest.raises(MissingConfig):
-            emit_layouts(Strategy.WORLD_FIXED, state, PARAMS)
-        with pytest.raises(MissingConfig):
-            emit_layouts(Strategy.OBJECT_FIXED, state, PARAMS)
+            emit_layouts(Strategy.OBJECT_FIXED, state, PARAMS, bearings={"p": 0.0})
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -310,21 +316,17 @@ class TestDirectEqualsOracleBitForBit:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        anchors=st.dictionaries(st.sampled_from(["h1", "h2", "h3"]), poses, min_size=1),
+        hosts=st.dictionaries(st.sampled_from(["h1", "h2", "h3"]), poses, min_size=1),
         data=st.data(),
         params=params,
     )
-    def test_object_fixed(self, anchors, data, params):
+    def test_object_fixed(self, hosts, data, params):
         intermediaries = data.draw(
-            st.dictionaries(panel_ids, st.sampled_from(sorted(anchors)), min_size=1)
+            st.dictionaries(panel_ids, st.sampled_from(sorted(hosts)), min_size=1)
         )
-        state = SceneState(time=0.0, poses=anchors)
-        local = Pose(position=Vec3(0.0, NAME_TAG_HEIGHT_M, 0.0))
+        state = SceneState(time=0.0, poses=hosts)
         emission = emit_layouts(
-            Strategy.OBJECT_FIXED,
-            state,
-            params,
-            anchors={pid: (eid, local) for pid, eid in intermediaries.items()},
+            Strategy.OBJECT_FIXED, state, params, intermediaries=intermediaries
         )
         direct = place_object_fixed(state, intermediaries, params)
         assert list(direct) == list(intermediaries)
@@ -338,6 +340,57 @@ class TestDirectEqualsOracleBitForBit:
         pose = place_object_fixed(state, {"p": "host"}, PARAMS)["p"]
         assert math.copysign(1.0, host.orientation.x) == -1.0
         assert math.copysign(1.0, pose.orientation.x) == 1.0
+
+
+def close_pose(a: Pose, b: Pose) -> bool:
+    """Every component within GEOM_EPS, the orientation up to quaternion sign."""
+    qa = (a.orientation.w, a.orientation.x, a.orientation.y, a.orientation.z)
+    qb = (b.orientation.w, b.orientation.x, b.orientation.y, b.orientation.z)
+    sign = math.copysign(1.0, sum(x * y for x, y in zip(qa, qb)))
+    got = (*a.position.to_tuple(), *a.scale.to_tuple(), *qa)
+    want = (*b.position.to_tuple(), *b.scale.to_tuple(), *(sign * q for q in qb))
+    return all(abs(x - y) <= GEOM_EPS for x, y in zip(got, want))
+
+
+class TestSessionPlacementMatchesOracle:
+    """What sessions place is the oracle's emission of the same config, resolved."""
+
+    def test_every_bundled_session_and_strategy(self):
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            times = {0.0}
+            for trial in scn.trials:
+                t0 = trial.question_start
+                times.update((t0 - IDLE_LEAD_S, t0, trial.question_complete))
+            # and midway between waypoints, where the scripted pieces move
+            for traj in scn.trajectories.values():
+                w = traj.waypoints
+                times.update((a.time + b.time) / 2 for a, b in zip(w, w[1:]))
+            moves = [t for t in times if scn.state_at(t - 1e-3).poses != scn.state_at(t).poses]
+            assert moves or not scn.trajectories, name
+            start = scn.state_at(0.0)
+            for strategy in Strategy:
+                place, warnings = session_placement(strategy, scn)
+                exact = strategy in (Strategy.HEAD_FIXED, Strategy.OBJECT_FIXED)
+                for t in sorted(times):
+                    state = scn.state_at(t)
+                    # world-fixed panels hold the layout of the session start
+                    at = start if strategy is Strategy.WORLD_FIXED else state
+                    emission = emit_layouts(
+                        strategy,
+                        at,
+                        scn.params,
+                        bearings=scn.body_bearings,
+                        intermediaries=scn.intermediaries,
+                    )
+                    resolved_state = state.with_poses(emission.derived_poses)
+                    poses = place(state)
+                    assert list(poses) == list(emission.layouts), (name, strategy)
+                    for pid, layout in emission.layouts.items():
+                        want = resolve_world_pose(layout, resolved_state)
+                        same = same_pose if exact else close_pose
+                        assert same(poses[pid], want), (name, strategy, t, pid)
+                assert warnings == [], (name, strategy)
 
 
 def pose_bytes(p: Pose) -> bytes:
