@@ -75,6 +75,31 @@ this model, which no participant data fixes; participant scan order, for
 one, was not recorded.  A trace carries its AgentParams, but run outputs
 (results files, gaze exports) do not carry scan_policy yet, so results
 cannot be read against it from the files alone.
+
+What the seed varies
+--------------------
+
+The seed (with the scenario name and the strategy) seeds the agent's RNG
+and nothing else, and the agent draws from it only in search_and_open:
+
+  * under every policy, one dwell jitter per trial when dwell_jitter_s is
+    positive.  It lengthens the confirming dwell after the open time is
+    scored, so it moves the gaze stream, not the open;
+  * nearest_panel_first (the default): one draw per panel of a visual
+    search, which only breaks ties between panels at equal deviation
+    from the gaze (a symmetric left/right layout).  A search without a
+    tie takes one route for every seed;
+  * bearing_order: nothing more; the route is seed-free;
+  * random_seeded: a shuffle of the panels of a visual search, and a
+    confusion draw per rejected panel (a wrong open with probability
+    confusion_prob).
+
+A direct-placed session (environment-referenced, object-fixed, or any
+strategy in the static stationary room) searches no route.  So at default
+AgentParams its metrics are one vector for every seed, and a visual-search
+session's are at most 2 ** trials vectors, one per way its tied searches
+fall.  Over seeds 1-100 the bundled sessions give 1, 2, 4, 8 or 16
+(tests/test_agent.py, TestWhatTheSeedVaries).
 """
 
 from __future__ import annotations
@@ -84,7 +109,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
 from .errors import DegenerateIntermediary, WarningEvent
@@ -124,16 +148,39 @@ class IntermediaryGaze:
     entity_id: str
 
 
-@dataclass(frozen=True)
+# The targets a search steps through, and its open events, are built on
+# every step of every session, so they follow the geometry.Vec3 recipe,
+# _value_type, as GazeSegment does.
+
+
+@_value_type
 class PanelGaze:
     category: str
 
+    def __init__(self, category: str):
+        _set_panel_category(self, category)
 
-@dataclass(frozen=True)
+
+_set_panel_category = PanelGaze.category.__set__
+
+
+@_value_type
 class DocumentGaze:
     category: str
     row: int
     col: int
+
+    def __init__(self, category: str, row: int, col: int):
+        _set_doc_category(self, category)
+        _set_doc_row(self, row)
+        _set_doc_col(self, col)
+
+
+_set_doc_category, _set_doc_row, _set_doc_col = (
+    DocumentGaze.category.__set__,
+    DocumentGaze.row.__set__,
+    DocumentGaze.col.__set__,
+)
 
 
 GazeTarget = NoGaze | ScreenGaze | IntermediaryGaze | PanelGaze | DocumentGaze
@@ -177,7 +224,7 @@ _set_t0, _set_t1, _set_target = (
 )
 
 
-@dataclass(frozen=True)
+@_value_type
 class OpenEvent:
     t: float
     category: str
@@ -185,6 +232,22 @@ class OpenEvent:
     row: int
     col: int
     correct: bool
+
+    def __init__(self, t: float, category: str, country: str, row: int, col: int, correct: bool):
+        _set_open_t(self, t)
+        _set_open_category(self, category)
+        _set_open_country(self, country)
+        _set_open_row(self, row)
+        _set_open_col(self, col)
+        _set_open_correct(self, correct)
+
+
+_set_open_t, _set_open_category, _set_open_country = (
+    OpenEvent.t.__set__, OpenEvent.category.__set__, OpenEvent.country.__set__
+)
+_set_open_row, _set_open_col, _set_open_correct = (
+    OpenEvent.row.__set__, OpenEvent.col.__set__, OpenEvent.correct.__set__
+)
 
 
 # -- scripted focus ----------------------------------------------------------
@@ -426,13 +489,19 @@ class _SessionPlan:
         self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
 
 
-def _planned(table: dict | None, key, compute):
-    """table[key], computed by compute() and stored on a miss; no table: compute()."""
+def _planned(table: dict | None, key, compute, *args):
+    """table[key], computed as compute(*args) and stored on a miss.
+
+    With no table (a session rerun off the plan) it returns compute(*args)
+    and stores nothing, by the same call.  Callers pass the function and
+    its arguments, not a closure over them, so a hit, nearly every lookup
+    of a warm seed sweep, builds no function object and computes nothing.
+    """
     if table is None:
-        return compute()
+        return compute(*args)
     value = table.get(key, _MISS)
     if value is _MISS:
-        value = table[key] = compute()
+        value = table[key] = compute(*args)
     return value
 
 
@@ -482,7 +551,7 @@ class _Timeline:
         deadline; the gaze direction ends on point either way.  key is the
         plan key of (head, point).
         """
-        turn = _planned(self.turns, (self.facing, key), lambda: _turn(self.gaze_dir, head, point))
+        turn = _planned(self.turns, (self.facing, key), _turn, self.gaze_dir, head, point)
         if turn is None:
             return
         degrees, self.gaze_dir = turn
@@ -527,7 +596,7 @@ class _Simulator:
 
     def _state(self, t: float, at) -> SceneState:
         """Scene state at t (plan key at); the tail's comes back under t (warnings read it)."""
-        state = _planned(self.states, at, partial(self.scn.state_at, t))
+        state = _planned(self.states, at, self.scn.state_at, t)
         return state if state.time == t else SceneState(t, state.poses)
 
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
@@ -580,14 +649,12 @@ class _Simulator:
             t_open = search_and_open(self, trial)
             trial_traces.append(
                 TrialTrace(
-                    trial=trial,
-                    t_complete=trial.question_complete,
-                    t_open=t_open,
-                    segments=[
-                        s for s in line.segments[seg_start:] if s.t1 > t0
-                    ],
-                    opens=[o for o in self.opens if t0 <= o.t <= line.cursor],
-                    params=self.params,
+                    trial,
+                    trial.question_complete,
+                    t_open,
+                    [s for s in line.segments[seg_start:] if s.t1 > t0],
+                    [o for o in self.opens if t0 <= o.t <= line.cursor],
+                    self.params,
                 )
             )
         # settle tail so the final fixation has somewhere to live
@@ -611,15 +678,15 @@ class _Simulator:
         The question phase passes answered_at None: it presents the question.
         """
         state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
-
-        def aim():
-            focus = focus_target(state, self.scn, t, answered_at=answered_at)
-            return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus)
-
         key = (at, answered_at is None)
-        focus, head, point = _planned(self.aims, key, aim)
+        focus, head, point = _planned(self.aims, key, self._aim, state, t, answered_at)
         self.line.travel(head, point, key, deadline)
         return focus
+
+    def _aim(self, state: SceneState, t: float, answered_at: float | None):
+        """(focus, head position, gaze point) of the scripted focus at t."""
+        focus = focus_target(state, self.scn, t, answered_at=answered_at)
+        return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus)
 
     def _idle_phase(self, until: float) -> None:
         line = self.line
@@ -659,9 +726,7 @@ def search_and_open(sim: _Simulator, trial: Trial) -> float:
     else:
         policy = params.scan_policy
         keys = _planned(
-            sim.scan_keys,
-            (policy, line.facing, at),
-            lambda: _scan_keys(panels, head, line.gaze_dir, policy),
+            sim.scan_keys, (policy, line.facing, at), _scan_keys, panels, head, line.gaze_dir, policy
         )
         route = _scan_route(keys, target_pid, params, rng)
 

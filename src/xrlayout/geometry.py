@@ -20,10 +20,14 @@ multiplicatively and never touches positions; this keeps composition
 associative for non-uniform scales and matches how object size is used
 here (size metadata, not a spatial transform of children).
 
-All types are immutable value objects and safe to share.  Vec3, Rotation
-and Pose, built on every geometric step, follow one recipe, _value_type:
+All types are immutable value objects and safe to share.  The value types
+built many times per step or per session follow one recipe, _value_type:
+Vec3, Rotation and Pose here, agent.GazeSegment, agent.PanelGaze,
+agent.DocumentGaze and agent.OpenEvent in every session, and
+metrics.TrialMetrics and metrics.SessionSummary in its scoring.  Each is
 a slotted dataclass with a hand-written __init__ that sets the slots
-directly (faster than the generated one).  They are not frozen=True: on
+through their descriptors' setters (faster than the generated one, which
+goes through object.__setattr__ per field).  They are not frozen=True: on
 Python 3.11 a frozen slotted dataclass raises TypeError when a name that
 is not a field is assigned, so _frozen_setattr raises FrozenInstanceError
 for every name instead.  __reduce__ rebuilds through __init__, so
@@ -75,8 +79,9 @@ def _value_type(cls):
     cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
-    args = attrgetter(*(f.name for f in fields(cls)))
-    cls.__reduce__ = lambda self: (self.__class__, args(self))
+    names = [f.name for f in fields(cls)]
+    get, single = attrgetter(*names), len(names) == 1  # one name: a bare value
+    cls.__reduce__ = lambda self: (self.__class__, (get(self),) if single else get(self))
     return cls
 
 

@@ -26,7 +26,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -41,6 +41,7 @@ from .agent import (
     panel_category_of,
 )
 from .errors import EmptyTrialSet, IncompleteTrial
+from .geometry import _value_type
 from .scenario import Trial, grid_cell
 
 # A glance shorter than this is a saccade passing through, not a fixation.
@@ -170,7 +171,11 @@ def classify_relevance(trial: Trial, *, context: str) -> bool:
     raise ValueError(f"unknown context: {context!r}")
 
 
-@dataclass(frozen=True)
+# One TrialMetrics per trial and one SessionSummary per session of every
+# sweep, so both follow the geometry.Vec3 recipe, _value_type.
+
+
+@_value_type
 class TrialMetrics:
     context: str
     strategy: str
@@ -183,8 +188,48 @@ class TrialMetrics:
     relevant: bool
     near: bool | None
 
+    def __init__(
+        self,
+        context: str,
+        strategy: str,
+        trial_index: int,
+        category: str,
+        country: str,
+        navigation_time_s: float,
+        gaze_switches: int,
+        errors: int,
+        relevant: bool,
+        near: bool | None,
+    ):
+        _set_tm_context(self, context)
+        _set_tm_strategy(self, strategy)
+        _set_tm_trial_index(self, trial_index)
+        _set_tm_category(self, category)
+        _set_tm_country(self, country)
+        _set_tm_navigation_time_s(self, navigation_time_s)
+        _set_tm_gaze_switches(self, gaze_switches)
+        _set_tm_errors(self, errors)
+        _set_tm_relevant(self, relevant)
+        _set_tm_near(self, near)
 
-@dataclass(frozen=True)
+
+_set_tm_context, _set_tm_strategy, _set_tm_trial_index = (
+    TrialMetrics.context.__set__, TrialMetrics.strategy.__set__, TrialMetrics.trial_index.__set__
+)
+_set_tm_category, _set_tm_country, _set_tm_navigation_time_s = (
+    TrialMetrics.category.__set__,
+    TrialMetrics.country.__set__,
+    TrialMetrics.navigation_time_s.__set__,
+)
+_set_tm_gaze_switches, _set_tm_errors, _set_tm_relevant, _set_tm_near = (
+    TrialMetrics.gaze_switches.__set__,
+    TrialMetrics.errors.__set__,
+    TrialMetrics.relevant.__set__,
+    TrialMetrics.near.__set__,
+)
+
+
+@_value_type
 class SessionSummary:
     context: str
     strategy: str
@@ -198,6 +243,55 @@ class SessionSummary:
     switches_sd: float
     errors_total: int
     relevant_fraction: float
+
+    def __init__(
+        self,
+        context: str,
+        strategy: str,
+        seed: int,
+        trials: int,
+        nav_time_mean_s: float,
+        nav_time_median_s: float,
+        nav_time_sd_s: float,
+        switches_mean: float,
+        switches_median: float,
+        switches_sd: float,
+        errors_total: int,
+        relevant_fraction: float,
+    ):
+        _set_ss_context(self, context)
+        _set_ss_strategy(self, strategy)
+        _set_ss_seed(self, seed)
+        _set_ss_trials(self, trials)
+        _set_ss_nav_time_mean_s(self, nav_time_mean_s)
+        _set_ss_nav_time_median_s(self, nav_time_median_s)
+        _set_ss_nav_time_sd_s(self, nav_time_sd_s)
+        _set_ss_switches_mean(self, switches_mean)
+        _set_ss_switches_median(self, switches_median)
+        _set_ss_switches_sd(self, switches_sd)
+        _set_ss_errors_total(self, errors_total)
+        _set_ss_relevant_fraction(self, relevant_fraction)
+
+
+_set_ss_context, _set_ss_strategy, _set_ss_seed, _set_ss_trials = (
+    SessionSummary.context.__set__,
+    SessionSummary.strategy.__set__,
+    SessionSummary.seed.__set__,
+    SessionSummary.trials.__set__,
+)
+_set_ss_nav_time_mean_s, _set_ss_nav_time_median_s, _set_ss_nav_time_sd_s = (
+    SessionSummary.nav_time_mean_s.__set__,
+    SessionSummary.nav_time_median_s.__set__,
+    SessionSummary.nav_time_sd_s.__set__,
+)
+_set_ss_switches_mean, _set_ss_switches_median, _set_ss_switches_sd = (
+    SessionSummary.switches_mean.__set__,
+    SessionSummary.switches_median.__set__,
+    SessionSummary.switches_sd.__set__,
+)
+_set_ss_errors_total, _set_ss_relevant_fraction = (
+    SessionSummary.errors_total.__set__, SessionSummary.relevant_fraction.__set__
+)
 
 
 def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMetrics:
@@ -220,16 +314,16 @@ def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMet
     )
     nav = _complete(nav, trial, min_fixation)
     return TrialMetrics(
-        context=context,
-        strategy=strategy,
-        trial_index=trial.index,
-        category=trial.category,
-        country=trial.country,
-        navigation_time_s=nav,
-        gaze_switches=switches,
-        errors=len(error_events(trace.opens)),
-        relevant=classify_relevance(trial, context=context),
-        near=trial.near,
+        context,
+        strategy,
+        trial.index,
+        trial.category,
+        trial.country,
+        nav,
+        switches,
+        len(error_events(trace.opens)),
+        classify_relevance(trial, context=context),
+        trial.near,
     )
 
 
@@ -324,8 +418,8 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
         n,
         *_stats([r.navigation_time_s for r in rows]),  # nav_time_mean_s, _median_s, _sd_s
         *_stats([r.gaze_switches for r in rows]),  # switches_mean, _median, _sd
-        errors_total=sum(r.errors for r in rows),
-        relevant_fraction=sum(1 for r in rows if r.relevant) / n,
+        sum(r.errors for r in rows),  # errors_total
+        sum(1 for r in rows if r.relevant) / n,  # relevant_fraction
     )
 
 

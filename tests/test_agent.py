@@ -22,7 +22,7 @@ from xrlayout.agent import (
     simulate_session,
 )
 from xrlayout.metrics import aggregate, results_to_json, session_metrics
-from xrlayout.placement import Strategy
+from xrlayout.placement import INTERMEDIARY_PLACED, Strategy
 from xrlayout.scenario import (
     SCAN_POLICIES,
     Scenario,
@@ -251,6 +251,38 @@ class TestScanPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             AgentParams(scan_policy="psychic")
+
+
+class TestWhatTheSeedVaries:
+    """The agent.py docstring's account of the seed, at default AgentParams.
+
+    A direct-placed session (its panel given by an intermediary, or
+    recalled in the static stationary room) scans nothing, so over seeds
+    1-100 its metrics take one value.  A visual-search session under
+    nearest_panel_first draws only to break ties in its scan routes, one
+    coin flip per tied trial, so its metrics take a power of two of values,
+    at most 2 ** trials.
+    """
+
+    SEEDS = range(1, 101)
+
+    def test_metric_vectors_over_seeds(self):
+        params = AgentParams()
+        counts = set()
+        for name in bundled_scenario_names():
+            scn = load_bundled(name)
+            for strategy in Strategy:
+                vectors = {
+                    tuple(session_metrics(simulate_session(scn, params, strategy=strategy, seed=s)))
+                    for s in self.SEEDS
+                }
+                n = len(vectors)
+                counts.add(n)
+                if strategy in INTERMEDIARY_PLACED or scn.context == "static_stationary":
+                    assert n == 1, (name, strategy)
+                else:
+                    assert n & (n - 1) == 0 and n <= 2 ** len(scn.trials), (name, strategy, n)
+        assert counts == {1, 2, 4, 8, 16}  # the search sessions do vary
 
 
 class TestFocusScript:

@@ -19,6 +19,16 @@ produced by this command, run from the repository root:
         --seed $seed --out $d/seed$seed/csv
     done
     (cd $d && sha256sum seed*/*/*) > tests/golden/run_all.sha256
+
+Those runs are cold: each CLI run parses its fixtures afresh, so every
+session fills the session plan it reads.  A seed sweep runs warm, every
+seed on one parsed Scenario, and its later sessions read the plan the
+first ones filled.  tests/golden/warm_sweep.sha256 pins that path: the
+results.json text of every bundled fixture x strategy x seeds 1-20, run on
+one Scenario per fixture.  It was produced by this command, run from the
+repository root:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/warm_sweep.sha256
 """
 
 import hashlib
@@ -26,9 +36,12 @@ from pathlib import Path
 
 import pytest
 
+import xrlayout as xl
 from xrlayout.cli import STRATEGY_FLAGS, main
 
 MANIFEST = Path(__file__).parent / "golden" / "run_all.sha256"
+WARM_MANIFEST = Path(__file__).parent / "golden" / "warm_sweep.sha256"
+WARM_SEEDS = range(1, 21)
 SEEDS = (7, 42)
 STRATEGIES = ("fixture", *sorted(STRATEGY_FLAGS))
 
@@ -72,3 +85,30 @@ def test_run_all_matches_golden_digests(tmp_path, seed, strategy):
 def test_run_all_csv_matches_golden_digests(tmp_path, seed):
     argv = ["run", "--all", "--format", "csv", "--seed", str(seed)]
     _assert_golden(tmp_path, f"seed{seed}/csv", argv)
+
+
+def warm_sweep_results() -> str:
+    """results.json text of every fixture x strategy x WARM_SEEDS, each fixture parsed once."""
+    scenarios = [xl.load_bundled(name) for name in xl.bundled_scenario_names()]
+    summaries, rows = [], []
+    for seed in WARM_SEEDS:
+        for scn in scenarios:
+            for strategy in xl.Strategy:
+                trial_rows = xl.session_metrics(
+                    xl.simulate_session(scn, strategy=strategy, seed=seed)
+                )
+                summaries.append(xl.aggregate(trial_rows, seed=seed))
+                rows.extend(trial_rows)
+    meta = {"seeds": [WARM_SEEDS[0], WARM_SEEDS[-1]], "sessions": len(summaries)}
+    return xl.results_to_json(summaries, rows, meta=meta)
+
+
+def test_warm_seed_sweep_matches_golden_digest():
+    digest, rel = WARM_MANIFEST.read_text(encoding="utf-8").split()
+    assert rel == "warm_sweep/results.json"
+    got = hashlib.sha256(warm_sweep_results().encode()).hexdigest()
+    assert got == digest, "warm seed-sweep results differ from golden"
+
+
+if __name__ == "__main__":
+    print(f"{hashlib.sha256(warm_sweep_results().encode()).hexdigest()}  warm_sweep/results.json")
