@@ -20,16 +20,20 @@ Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
 every value pure in (scenario, strategy, scripted time): scene states,
-panel poses, the scripted focus with its head position and gaze point,
-head turns and scan-route sort keys.  Plan use is decided once per
+panel poses, scan-route sort keys, and whole scripted steps, each look at
+the scripted focus (its focus and head turn) and each search route (its
+segments and opens up to the fixation).  Plan use is decided once per
 session: simulate_session runs the session on the plan, reading and
 filling it, and a first step off the script (a scene query at a time that
 is not scripted, a settle tail before the scene has settled among them, or
 a degenerate placement) abandons that run and reruns the session from
 t = 0 with no plan, computing every value by the same code and storing
-nothing.  So a warm scripted session does only its per-seed work, and an
-off-script session's trace and warnings are by construction those of a
-run with no plan, whether the plan was cold or warm.
+nothing.  So a warm scripted session replays each step with one lookup and
+does only its per-seed work: the RNG draws, the jittered confirming dwell,
+and each idle turn's length, cut at the question start from the cursor
+that the jitter moved.  An off-script session's trace and warnings are by
+construction those of a run with no plan, whether the plan was cold or
+warm.
 
 Behavioral model
 ----------------
@@ -107,8 +111,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import DegenerateIntermediary, WarningEvent
@@ -188,11 +193,6 @@ GazeTarget = NoGaze | ScreenGaze | IntermediaryGaze | PanelGaze | DocumentGaze
 _NO_GAZE = NoGaze()
 
 
-def panel_category_of(target: GazeTarget) -> str | None:
-    """Panel a gaze target lies on, for switch counting; None off-panel."""
-    return target.category if isinstance(target, (PanelGaze, DocumentGaze)) else None
-
-
 @dataclass(frozen=True)
 class GazeSample:
     t: float
@@ -222,6 +222,7 @@ _set_t0, _set_t1, _set_target = (
     GazeSegment.t1.__set__,
     GazeSegment.target.__set__,
 )
+_segment_end = attrgetter("t1")
 
 
 @_value_type
@@ -412,13 +413,10 @@ def _stable_seed(*parts: object) -> int:
 IDLE_LEAD_S = 1e-6
 
 # Plan keys of the gaze direction every session starts with and of the
-# settle tail's state, poses and aim; every other key is built from plan
+# settle tail's state, poses and look; every other key is built from plan
 # times.
 _START = "start"
 _TAIL = "tail"
-# Default of a plan lookup: None is a stored value (a turn toward a point
-# at the head).
-_MISS = object()
 
 
 class _SessionPlan:
@@ -436,16 +434,23 @@ class _SessionPlan:
         the scene has stopped (past rest, the last waypoint time of any
         trajectory, state_at(t) has the poses of state_at(rest) bit for
         bit) and the last question has started (settled);
+      * a gaze direction is named by the point it was turned to: a look by
+        its aim (plan time or _TAIL, presenting), a panel seen from a plan
+        time by (time, panel id), the start direction by _START;
       * states: plan time or _TAIL -> scene state;
       * poses[strategy]: plan time or _TAIL -> panel poses;
-      * aims: (plan time or _TAIL, presenting) -> (focus, head position,
-        gaze point);
-      * turns[strategy]: (from, to) -> (degrees, end direction) of a head
-        turn between two named gaze points, or None when the point is at
-        the head; an aim is named by its key, a panel seen from a plan time
-        by (time, panel id), the start direction by _START;
-      * scan_keys[strategy]: (policy, from, plan time) -> the seed-free
-        sort keys of a scan route (_scan_keys).
+      * looks[strategy]: (plan time or _TAIL, presenting, facing) ->
+        (focus, turn), a look at the scripted focus from the gaze direction
+        named facing; turn is _turn's (degrees, end direction), or None
+        when the gaze point is at the head;
+      * scan_keys[strategy]: (policy, facing, plan time) -> the seed-free
+        sort keys of a scan route (_scan_keys);
+      * searches[(strategy, yaw_rate_deg_s, fixation_min,
+        per_cell_scan_time, known_grid)]: (trial index, plan time, facing,
+        route, confusion flags) -> (segments up to the fixation, wrong
+        opens, fixation time, end facing, end gaze direction, wanted
+        document, correct open), a search from its start to the confirming
+        dwell; the agent parameters that shape its segments pick the table.
 
     Plan use is decided once per session: a session reads and fills the
     tables until its first step off the script, which is a scene query at
@@ -455,11 +460,12 @@ class _SessionPlan:
     environment-referenced placement (hold-last depends on the session's
     own history there).  That step raises _OffScript, and simulate_session
     reruns the whole session with no tables, so nothing off the script is
-    stored.  So the plan stays bounded by the scripted times however many
-    seeds run, and a session gives the same trace and warnings whether the
-    plan was cold or warm.  The plan holds no reference to its scenario;
-    callers pass it.  It is derived state of the scenario (see
-    Scenario._derived).
+    stored.  A look or search entry is stored only after its scene query
+    passed, so a hit, which skips the query, is on the script too.  So the
+    plan stays bounded by the scripted times however many seeds run, and a
+    session gives the same trace and warnings whether the plan was cold or
+    warm.  The plan holds no reference to its scenario; callers pass it.
+    It is derived state of the scenario (see Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -473,16 +479,14 @@ class _SessionPlan:
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
         self.states: dict[object, SceneState] = {}
-        self.aims: dict[tuple, tuple[GazeTarget, Vec3, Vec3]] = {}
         self.poses: dict[Strategy, dict[object, dict[str, Pose]]] = {
             strategy: {} for strategy in Strategy
         }
-        self.turns: dict[Strategy, dict[tuple, tuple[float, Vec3] | None]] = {
-            strategy: {} for strategy in Strategy
-        }
+        self.looks: dict[Strategy, dict[tuple, tuple]] = {strategy: {} for strategy in Strategy}
         self.scan_keys: dict[Strategy, dict[tuple, tuple]] = {
             strategy: {} for strategy in Strategy
         }
+        self.searches: dict[tuple, dict[tuple, tuple]] = {}
         self.panel_by_category = {
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
@@ -494,13 +498,13 @@ def _planned(table: dict | None, key, compute, *args):
 
     With no table (a session rerun off the plan) it returns compute(*args)
     and stores nothing, by the same call.  Callers pass the function and
-    its arguments, not a closure over them, so a hit, nearly every lookup
-    of a warm seed sweep, builds no function object and computes nothing.
+    its arguments, not a closure over them, so a hit builds no function
+    object and computes nothing.  No stored value is None.
     """
     if table is None:
         return compute(*args)
-    value = table.get(key, _MISS)
-    if value is _MISS:
+    value = table.get(key)
+    if value is None:
         value = table[key] = compute(*args)
     return value
 
@@ -520,17 +524,15 @@ class _Timeline:
     """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
     The gaze starts at 0.0 facing forward (-z); facing is the plan key of
-    the gaze direction, turns the plan's head-turn table (None in a
-    session run without the plan).
+    the gaze direction.
     """
 
-    def __init__(self, yaw_rate_deg_s: float, turns: dict):
+    def __init__(self, yaw_rate_deg_s: float):
         self.segments: list[GazeSegment] = []
         self.cursor = 0.0
         self.gaze_dir = Vec3(0.0, 0.0, -1.0)
         self.facing = _START
         self.yaw_rate_deg_s = yaw_rate_deg_s
-        self.turns = turns
 
     def until(self, t1: float, target: GazeTarget) -> None:
         """Hold target from the cursor to t1 (nothing unless t1 is later)."""
@@ -551,7 +553,10 @@ class _Timeline:
         deadline; the gaze direction ends on point either way.  key is the
         plan key of (head, point).
         """
-        turn = _planned(self.turns, (self.facing, key), _turn, self.gaze_dir, head, point)
+        self.turn(_turn(self.gaze_dir, head, point), key, deadline)
+
+    def turn(self, turn: tuple[float, Vec3] | None, key, deadline: float | None = None) -> None:
+        """Take turn, a _turn result, toward the point named key (see travel)."""
         if turn is None:
             return
         degrees, self.gaze_dir = turn
@@ -583,11 +588,16 @@ class _Simulator:
         self.seed = seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
-        # The session's plan tables; with none, _planned computes every value.
-        tables = (plan.states, plan.aims, plan.poses[strategy], plan.scan_keys[strategy])
-        self.states, self.aims, self.poses, self.scan_keys = tables if on_plan else (None,) * 4
+        # The session's plan tables; with none, every value is computed.
+        self.states = self.poses = self.looks = self.scan_keys = self.searches = None
+        if on_plan:
+            self.states, self.poses = plan.states, plan.poses[strategy]
+            self.looks, self.scan_keys = plan.looks[strategy], plan.scan_keys[strategy]
+            shape = (strategy, params.yaw_rate_deg_s, params.fixation_min)
+            shape += (params.per_cell_scan_time, params.known_grid)
+            self.searches = plan.searches.setdefault(shape, {})
         self.place, self.warnings = session_placement(strategy, scenario)
-        self.line = _Timeline(params.yaw_rate_deg_s, plan.turns[strategy] if on_plan else None)
+        self.line = _Timeline(params.yaw_rate_deg_s)
         self.opens: list[OpenEvent] = []
         self.panel_by_category = plan.panel_by_category
         # Where the panel sits is known without a header search: given by
@@ -640,19 +650,22 @@ class _Simulator:
     def run(self) -> SessionTrace:
         scn = self.scn
         line = self.line
+        segments = line.segments
         trial_traces: list[TrialTrace] = []
         for trial in scn.trials:
             t0 = trial.question_start
-            seg_start = len(line.segments)
+            seg_start = len(segments)
             self._idle_phase(t0)
             self._question_phase(trial)
             t_open = search_and_open(self, trial)
+            # segments tile the session, so their ends never decrease
+            first = bisect_right(segments, t0, seg_start, key=_segment_end)
             trial_traces.append(
                 TrialTrace(
                     trial,
                     trial.question_complete,
                     t_open,
-                    [s for s in line.segments[seg_start:] if s.t1 > t0],
+                    segments[first:],
                     [o for o in self.opens if t0 <= o.t <= line.cursor],
                     self.params,
                 )
@@ -667,7 +680,7 @@ class _Simulator:
             params=self.params,
             seed=self.seed,
             trials=trial_traces,
-            segments=line.segments,
+            segments=segments,
             warnings=list(self.warnings),
             duration=line.cursor,
         )
@@ -676,17 +689,20 @@ class _Simulator:
         """Turn toward the scripted focus at t (plan key at); returns the focus.
 
         The question phase passes answered_at None: it presents the question.
+        A look entry replays the focus and the turn; the turn's length is
+        cut at deadline from the live cursor either way.
         """
-        state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
-        key = (at, answered_at is None)
-        focus, head, point = _planned(self.aims, key, self._aim, state, t, answered_at)
-        self.line.travel(head, point, key, deadline)
+        aim = (at, answered_at is None)
+        focus, turn = _planned(self.looks, (*aim, self.line.facing), self._aim, t, at, answered_at)
+        self.line.turn(turn, aim, deadline)
         return focus
 
-    def _aim(self, state: SceneState, t: float, answered_at: float | None):
-        """(focus, head position, gaze point) of the scripted focus at t."""
+    def _aim(self, t: float, at, answered_at: float | None):
+        """(focus, turn) of a look at the scripted focus at t from the current gaze."""
+        state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
         focus = focus_target(state, self.scn, t, answered_at=answered_at)
-        return focus, state.pose_of(USER_HEAD).position, self._gaze_point(state, focus)
+        head = state.pose_of(USER_HEAD).position
+        return focus, _turn(self.line.gaze_dir, head, self._gaze_point(state, focus))
 
     def _idle_phase(self, until: float) -> None:
         line = self.line
@@ -710,55 +726,94 @@ def search_and_open(sim: _Simulator, trial: Trial) -> float:
     the open events, and returns the time of the correct open.  The cursor
     must be at or after the question's full presentation; the agent never
     touches a document earlier than that.
+
+    The RNG draws come first, in one order: the route's, then one
+    confusion flag per rejected panel (random_seeded only), then the
+    dwell jitter.  With the route and the flags drawn, a search entry
+    replays everything up to the fixation; only the jittered confirming
+    dwell and the open are the session's own.
     """
     line, params, rng = sim.line, sim.params, sim.rng
     at = line.cursor
-    state, panels = sim._scene_at(at, at)
-    head = state.pose_of(USER_HEAD).position
-
-    target_cat = trial.category
-    target_pid = sim.panel_by_category[target_cat]
-    row, col = grid_cell(target_cat, trial.country)
-    cat_of = sim.plan.category_of
-
+    target_pid = sim.panel_by_category[trial.category]
+    scene = None  # (state, panel poses) at the cursor, queried once, on a miss
     if sim.direct:
-        route = [target_pid]
+        route = (target_pid,)
     else:
         policy = params.scan_policy
-        keys = _planned(
-            sim.scan_keys, (policy, line.facing, at), _scan_keys, panels, head, line.gaze_dir, policy
-        )
+        key = (policy, line.facing, at)
+        keys = None if sim.scan_keys is None else sim.scan_keys.get(key)
+        if keys is None:
+            scene = state, panels = sim._scene_at(at, at)
+            keys = _scan_keys(panels, state.pose_of(USER_HEAD).position, line.gaze_dir, policy)
+            if sim.scan_keys is not None:
+                sim.scan_keys[key] = keys
         route = _scan_route(keys, target_pid, params, rng)
+    # per rejected panel: whether the agent confuses it and opens its same-lettered cell
+    confused = [False] * (len(route) - 1)
+    if params.scan_policy == "random_seeded":
+        for k in range(len(confused)):
+            confused[k] = rng.random() < params.confusion_prob
+    key = (trial.index, at, line.facing, route, tuple(confused))
+    search = _planned(sim.searches, key, _search, sim, trial, route, confused, scene)
+    segments, wrong, line.cursor, line.facing, line.gaze_dir, wanted, opened = search
+    line.segments += segments
+    sim.opens += wrong
+    jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
+    line.dwell(params.fixation_min + jitter, wanted)
+    sim.opens.append(opened)
+    return opened.t
 
-    for pid in route:
+
+def _search(
+    sim: _Simulator,
+    trial: Trial,
+    route: tuple[str, ...],
+    confused: list[bool],
+    scene: tuple[SceneState, dict[str, Pose]] | None,
+) -> tuple:
+    """A search from the session's gaze up to the fixation on the wanted cell.
+
+    Returns its plan entry, (segments from the cursor, wrong opens,
+    fixation time, end facing, end gaze direction, wanted document, correct
+    open), laid on a timeline of its own; the open fires after fixation_min
+    of confirming dwell, which search_and_open lays.  scene is the state and
+    panel poses at the cursor, or None when not queried yet.
+    """
+    params, opens = sim.params, []
+    line = _Timeline(params.yaw_rate_deg_s)
+    line.cursor, line.facing, line.gaze_dir = sim.line.cursor, sim.line.facing, sim.line.gaze_dir
+    at = line.cursor
+    state, panels = scene or sim._scene_at(at, at)
+    head = state.pose_of(USER_HEAD).position
+    cat_of = sim.plan.category_of
+    for pid, wrong in zip(route, confused):
         line.travel(head, panels[pid].position, (at, pid))
-        if pid != target_pid:
-            # read the header, reject, move on
-            line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))
-            if (
-                params.scan_policy == "random_seeded"
-                and rng.random() < params.confusion_prob
-            ):
-                # confusion: opens the same-lettered cell on the wrong panel
-                wrow, wcol = grid_cell(cat_of[pid], trial.country)
-                line.dwell(params.fixation_min, DocumentGaze(cat_of[pid], wrow, wcol))
-                sim.opens.append(
-                    OpenEvent(line.cursor, cat_of[pid], trial.country, wrow, wcol, False)
-                )
-            continue
-        # on the target panel: grid acquisition, then the cell
-        line.dwell(params.per_cell_scan_time, PanelGaze(target_cat))
-        if not params.known_grid:
-            for idx in range(row * GRID_COLS + col):
-                r, c = divmod(idx, GRID_COLS)
-                line.dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
-        t_fix = line.cursor
-        confirm = params.fixation_min
-        jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
-        line.dwell(confirm + jitter, DocumentGaze(target_cat, row, col))
-        t_open = t_fix + confirm
-        sim.opens.append(OpenEvent(t_open, target_cat, trial.country, row, col, True))
-        return t_open
+        # read the header, reject, move on
+        line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))
+        if wrong:
+            wrow, wcol = grid_cell(cat_of[pid], trial.country)
+            line.dwell(params.fixation_min, DocumentGaze(cat_of[pid], wrow, wcol))
+            opens.append(OpenEvent(line.cursor, cat_of[pid], trial.country, wrow, wcol, False))
+    # on the target panel: grid acquisition, then the cell
+    target_pid, target_cat = route[-1], trial.category
+    row, col = grid_cell(target_cat, trial.country)
+    line.travel(head, panels[target_pid].position, (at, target_pid))
+    line.dwell(params.per_cell_scan_time, PanelGaze(target_cat))
+    if not params.known_grid:
+        for idx in range(row * GRID_COLS + col):
+            r, c = divmod(idx, GRID_COLS)
+            line.dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
+    t_fix = line.cursor
+    return (
+        tuple(line.segments),
+        tuple(opens),
+        t_fix,
+        line.facing,
+        line.gaze_dir,
+        DocumentGaze(target_cat, row, col),
+        OpenEvent(t_fix + params.fixation_min, target_cat, trial.country, row, col, True),
+    )
 
 
 def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: str) -> tuple:
@@ -790,7 +845,9 @@ def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: st
     )
 
 
-def _scan_route(keys: tuple, target_pid: str, params: AgentParams, rng: random.Random) -> list[str]:
+def _scan_route(
+    keys: tuple, target_pid: str, params: AgentParams, rng: random.Random
+) -> tuple[str, ...]:
     """Candidate visiting order, cut after the target (every panel is a candidate)."""
     if params.scan_policy == "random_seeded":
         order = list(keys)
@@ -802,7 +859,7 @@ def _scan_route(keys: tuple, target_pid: str, params: AgentParams, rng: random.R
         order = [pid for _, _, pid in sorted((dev, rng.random(), pid) for dev, pid in keys)]
     else:
         order = list(keys)
-    return order[: order.index(target_pid) + 1]
+    return tuple(order[: order.index(target_pid) + 1])
 
 
 def simulate_session(

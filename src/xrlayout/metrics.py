@@ -36,9 +36,9 @@ from .agent import (
     GazeSample,
     GazeTarget,
     OpenEvent,
+    PanelGaze,
     SessionTrace,
     TrialTrace,
-    panel_category_of,
 )
 from .errors import EmptyTrialSet, IncompleteTrial
 from .geometry import _value_type
@@ -89,8 +89,9 @@ def _scan(
                     nav = start - t_done
             run_t0, run = t, target
         if window is None or w0 <= t < w1:
-            cat = panel_category_of(target)
-            if cat is not None:
+            cls = target.__class__
+            if cls is PanelGaze or cls is DocumentGaze:  # on a panel
+                cat = target.category
                 if last is not None and cat != last:
                     switches += 1
                 last = cat
@@ -370,11 +371,15 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         return 0.0
-    ints, den = _exact_integers(xs)
+    if all(x.__class__ is int for x in xs):  # a count column is exact as it is
+        ints, den = xs, 1
+    else:
+        ints, den = _exact_integers(xs)
     total = sum(ints)
-    return _sqrt_of_fraction(
-        n * sum(map(mul, ints, ints)) - total * total, n * (n - 1) * den * den
-    )
+    num = n * sum(map(mul, ints, ints)) - total * total
+    if not num:  # every value equal
+        return 0.0
+    return _sqrt_of_fraction(num, n * (n - 1) * den * den)
 
 
 def _stats(xs: Sequence[float]) -> tuple[float, float, float]:

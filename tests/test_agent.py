@@ -13,15 +13,15 @@ from xrlayout import agent
 from xrlayout.agent import (
     AgentParams,
     DocumentGaze,
+    GazeSample,
     IntermediaryGaze,
     NoGaze,
     PanelGaze,
     ScreenGaze,
     focus_target,
-    panel_category_of,
     simulate_session,
 )
-from xrlayout.metrics import aggregate, results_to_json, session_metrics
+from xrlayout.metrics import aggregate, gaze_switches, results_to_json, session_metrics
 from xrlayout.placement import INTERMEDIARY_PLACED, Strategy
 from xrlayout.scenario import (
     SCAN_POLICIES,
@@ -378,11 +378,16 @@ class TestAgentParams:
 
 class TestGazeTargets:
     def test_panel_category_mapping(self):
-        assert panel_category_of(PanelGaze("food")) == "food"
-        assert panel_category_of(DocumentGaze("sports", 1, 2)) == "sports"
-        assert panel_category_of(NoGaze()) is None
-        assert panel_category_of(ScreenGaze()) is None
-        assert panel_category_of(IntermediaryGaze("host_food")) is None
+        """A document lies on its panel; hosts, the screen and saccades on none."""
+
+        def switches(*targets):
+            return gaze_switches([GazeSample(float(k), t) for k, t in enumerate(targets)])
+
+        assert switches(PanelGaze("food"), DocumentGaze("food", 1, 2)) == 0
+        assert switches(PanelGaze("food"), DocumentGaze("sports", 1, 2)) == 1
+        off_panel = (NoGaze(), ScreenGaze(), IntermediaryGaze("host_food"))
+        assert switches(PanelGaze("food"), *off_panel, DocumentGaze("food", 0, 0)) == 0
+        assert switches(DocumentGaze("sports", 1, 2), *off_panel, PanelGaze("food")) == 1
 
 
 def session_output(scn, strategy, seed):
@@ -420,13 +425,15 @@ def degenerate_walk_scenario(tail_only=False):
     return parse_scenario(json.dumps(doc))
 
 
+def plan_tables(plan):
+    """Every table of a session plan whose keys are plan steps."""
+    by_strategy = (plan.poses, plan.looks, plan.scan_keys, plan.searches)
+    return [plan.states, *(table for tables in by_strategy for table in tables.values())]
+
+
 def plan_entries(scn):
     """Entries in every table of a scenario's session plan."""
-    plan = scn._cache[agent._SessionPlan]
-    per_strategy = (plan.poses, plan.turns, plan.scan_keys)
-    return len(plan.states) + len(plan.aims) + sum(
-        len(table) for tables in per_strategy for table in tables.values()
-    )
+    return sum(map(len, plan_tables(scn._cache[agent._SessionPlan])))
 
 
 def edited_session(name, agent_block=(), user_waypoint=None):
@@ -476,23 +483,31 @@ def key_times(key):
 
 def assert_keys_are_plan_times(plan):
     """Plan keys hold only plan times (scripted times and rest), no cursor."""
-    tables = [plan.states, plan.aims]
-    tables += [t for by in (plan.poses, plan.turns, plan.scan_keys) for t in by.values()]
-    used = {t for table in tables for key in table for t in key_times(key)}
+    used = {t for table in plan_tables(plan) for key in table for t in key_times(key)}
     assert used <= plan.times | {plan.rest}, sorted(used - plan.times - {plan.rest})
 
 
 def record_poses(monkeypatch):
-    """(time, poses) for every panel placement the simulator asks for."""
+    """(time, poses) for every panel placement of the last session run started.
+
+    A run that steps off the script is dropped and the session run again
+    without the plan, so the list holds the placements of the run whose
+    trace simulate_session returns.
+    """
     seen = []
-    original = agent._Simulator._scene_at
+    scene_at, run = agent._Simulator._scene_at, agent._Simulator.run
 
     def spy(self, t, at):
-        state, poses = original(self, t, at)
+        state, poses = scene_at(self, t, at)
         seen.append((state.time, dict(poses)))
         return state, poses
 
+    def spy_run(self):
+        seen.clear()
+        return run(self)
+
     monkeypatch.setattr(agent._Simulator, "_scene_at", spy)
+    monkeypatch.setattr(agent._Simulator, "run", spy_run)
     return seen
 
 
@@ -542,12 +557,13 @@ class TestSceneTrack:
                     after_five = plan_entries(scn)
             assert plan_entries(scn) == after_five, name
             # one state per plan time (the scripted times and rest), one pose
-            # set per strategy and plan time, two aims per scripted time and
-            # the tail's
+            # set per strategy and plan time, per strategy two looks per
+            # scripted time and the tail's, one search table per strategy
             plan = scn._cache[agent._SessionPlan]
             assert len(plan.states) <= len(plan.times) + 1
             assert all(len(p) <= len(plan.times) + 1 for p in plan.poses.values())
-            assert len(plan.aims) <= 2 * len(plan.times) + 1
+            assert all(len(looks) <= 2 * len(plan.times) + 1 for looks in plan.looks.values())
+            assert len(plan.searches) <= len(Strategy)
             assert_keys_are_plan_times(plan)
 
     def test_scene_at_rest_keeps_the_poses_of_rest(self):
@@ -703,11 +719,12 @@ class TestSceneTrack:
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
-        # the plan, so no pose, turn or scan key names it or a later time
+        # the plan, so no pose, look, scan or search key names it or a later time
         plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
-        keys = [*plan.poses[env_ref], *plan.turns[env_ref], *plan.scan_keys[env_ref]]
+        keys = [*plan.poses[env_ref], *plan.looks[env_ref], *plan.scan_keys[env_ref]]
+        keys += [key for shape, table in plan.searches.items() if shape[0] is env_ref for key in table]
         named = {t for key in keys for t in key_times(key)}
         assert named and max(named) < 62.25
 
@@ -721,6 +738,57 @@ class TestSceneTrack:
             assert trace.warnings == cold.warnings, seed
             assert [w.subject for w in trace.warnings] == ["panel_movies"]
             assert trace.warnings[0].time == trace.trials[-1].segments[-1].t1
+
+
+def replay_params(base):
+    """Agent parameters that shape a search, each on both of its sides."""
+    for yaw in (90.0, 180.0):
+        for known_grid in (False, True):
+            for policy in sorted(SCAN_POLICIES):
+                for confusion in (0.0, 0.5, 1.0) if policy == "random_seeded" else (0.1,):
+                    yield replace(
+                        base,
+                        yaw_rate_deg_s=yaw,
+                        known_grid=known_grid,
+                        scan_policy=policy,
+                        confusion_prob=confusion,
+                    )
+
+
+# Its cell-by-cell scans overrun the next question start, so those sessions
+# store that question's look from the gaze the search left, then step off
+# the script; a session that knows the grid looks there from its idle aim.
+STEPS_OFF = "search past the next window, user turning"
+
+
+class TestStepReplay:
+    """A warm session replays whole scripted steps: looks and search routes."""
+
+    @pytest.mark.parametrize("name", [*bundled_scenario_names(), STEPS_OFF])
+    def test_warm_replay_is_the_run_without_the_plan(self, name):
+        warm = off_script_scenario(name) if name == STEPS_OFF else load_bundled(name)
+        stepped_off = 0
+        for params in replay_params(warm.agent):
+            for strategy in Strategy:
+                for seed in (1, 2, 3):
+                    seeded = params._with_seed(seed)
+                    on = agent._Simulator(warm, seeded, strategy, seed)
+                    off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
+                    case = (seeded, strategy, seed)
+                    try:
+                        trace = on.run()
+                    except agent._OffScript:  # simulate_session reruns it without the plan
+                        stepped_off += 1
+                        on = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
+                        trace = on.run()
+                    assert trace == off.run(), case  # segments, opens and warnings
+                    assert on.opens == off.opens, case
+                    # the same draws in the same order
+                    assert on.rng.getstate() == off.rng.getstate(), case
+        assert bool(stepped_off) == (name == STEPS_OFF)
+        plan = warm._cache[agent._SessionPlan]
+        assert all(plan.looks.values()) and all(plan.searches.values())
+        assert_keys_are_plan_times(plan)
 
 
 class TestOnePlacementPath:

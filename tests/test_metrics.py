@@ -416,14 +416,26 @@ class TestSampleSd:
     )
     @settings(max_examples=500, deadline=None)
     @given(
-        st.lists(
-            st.one_of(
-                st.floats(0.0, 500.0),
-                st.integers(0, 40).map(float),
-                st.floats(-1e150, 1e150, allow_nan=False),
+        st.one_of(
+            # floats, Python ints (the switch column) and a mix, ints near 2**53
+            st.lists(
+                st.one_of(
+                    st.floats(0.0, 500.0),
+                    st.integers(0, 40).map(float),
+                    st.floats(-1e150, 1e150, allow_nan=False),
+                    st.integers(0, 40),
+                    st.integers(2**53 - 4, 2**53 + 4),
+                ),
+                min_size=2,
+                max_size=12,
             ),
-            min_size=2,
-            max_size=12,
+            st.lists(st.integers(0, 40) | st.integers(2**53 - 4, 2**53 + 4), min_size=2, max_size=12),
+            # every value equal: a zero variance
+            st.builds(
+                lambda x, n: [x] * n,
+                st.integers(0, 2**53 + 4) | st.floats(-1e150, 1e150, allow_nan=False),
+                st.integers(2, 12),
+            ),
         )
     )
     def test_matches_correctly_rounded_stdev(self, xs):

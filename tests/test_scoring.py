@@ -31,7 +31,6 @@ from xrlayout.agent import (
     PanelGaze,
     ScreenGaze,
     TrialTrace,
-    panel_category_of,
     simulate_session,
 )
 from xrlayout.errors import IncompleteTrial
@@ -76,6 +75,11 @@ def oracle_navigation_time(samples, trial, *, end_time, min_fixation=0.15):
     raise IncompleteTrial(
         f"no fixation >= {min_fixation}s on {trial.category}/{trial.country}"
     )
+
+
+def panel_category_of(target):
+    """Panel a gaze target lies on, for switch counting; None off-panel."""
+    return target.category if isinstance(target, (PanelGaze, DocumentGaze)) else None
 
 
 def oracle_gaze_switches(samples, *, window=None):
