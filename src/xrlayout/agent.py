@@ -19,21 +19,23 @@ laid down by one emitter, _Timeline.
 Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
-every value pure in (scenario, strategy, scripted time): scene states,
-panel poses, scan-route sort keys, and whole scripted steps, each look at
-the scripted focus (its focus and head turn) and each search route (its
+every value pure in (scenario, strategy, scripted time): scene states, the
+scripted focus and its gaze point (shared by every strategy), panel poses,
+scan-route sort keys, and whole scripted steps: each idle or settle look
+at the scripted focus (its focus and head turn), each question phase (its
+segments, laid from the question start), and each search route (its
 segments and opens up to the fixation).  Plan use is decided once per
 session: simulate_session runs the session on the plan, reading and
 filling it, and a first step off the script (a scene query at a time that
-is not scripted, a settle tail before the scene has settled among them, or
-a degenerate placement) abandons that run and reruns the session from
-t = 0 with no plan, computing every value by the same code and storing
-nothing.  So a warm scripted session replays each step with one lookup and
-does only its per-seed work: the RNG draws, the jittered confirming dwell,
-and each idle turn's length, cut at the question start from the cursor
-that the jitter moved.  An off-script session's trace and warnings are by
-construction those of a run with no plan, whether the plan was cold or
-warm.
+is not scripted, a settle tail before the scene has settled among them, a
+question phase that does not start at its question start, or a degenerate
+placement) abandons that run and reruns the session from t = 0 with no
+plan, computing every value by the same code and storing nothing.  So a
+warm scripted session replays each step with one lookup and does only its
+per-seed work: the RNG draws, the jittered confirming dwell, and each idle
+turn's length, cut at the question start from the cursor that the jitter
+moved.  An off-script session's trace and warnings are by construction
+those of a run with no plan, whether the plan was cold or warm.
 
 Behavioral model
 ----------------
@@ -438,11 +440,18 @@ class _SessionPlan:
         its aim (plan time or _TAIL, presenting), a panel seen from a plan
         time by (time, panel id), the start direction by _START;
       * states: plan time or _TAIL -> scene state;
+      * focus: (plan time or _TAIL, presenting) -> (focus, gaze point), the
+        scripted focus (focus_target) and where the eyes rest on it.  Both
+        are pure in the scene state, so one table serves every strategy;
       * poses[strategy]: plan time or _TAIL -> panel poses;
       * looks[strategy]: (plan time or _TAIL, presenting, facing) ->
-        (focus, turn), a look at the scripted focus from the gaze direction
-        named facing; turn is _turn's (degrees, end direction), or None
-        when the gaze point is at the head;
+        (focus, turn), an idle or settle look at the scripted focus from
+        the gaze direction named facing; turn is _turn's (degrees, end
+        direction), or None when the gaze point is at the head;
+      * questions[(strategy, yaw_rate_deg_s)]: (question start, facing) ->
+        (segments, cursor, facing, gaze direction), a question phase laid
+        from its question start: the look at the asker or the screen, cut
+        at question complete, and the hold on it, with the gaze after it;
       * scan_keys[strategy]: (policy, facing, plan time) -> the seed-free
         sort keys of a scan route (_scan_keys);
       * searches[(strategy, yaw_rate_deg_s, fixation_min,
@@ -456,16 +465,20 @@ class _SessionPlan:
     tables until its first step off the script, which is a scene query at
     a time that is not a plan time (where a cursor that overran its
     scripted time lands; a settle tail before settled queries at its own
-    start, which is later than every plan time), or a degenerate
+    start, which is later than every plan time), a question phase whose
+    cursor is not its question start (a search that ran late: the phase's
+    segments would start at the session's own cursor), or a degenerate
     environment-referenced placement (hold-last depends on the session's
     own history there).  That step raises _OffScript, and simulate_session
     reruns the whole session with no tables, so nothing off the script is
-    stored.  A look or search entry is stored only after its scene query
-    passed, so a hit, which skips the query, is on the script too.  So the
-    plan stays bounded by the scripted times however many seeds run, and a
-    session gives the same trace and warnings whether the plan was cold or
-    warm.  The plan holds no reference to its scenario; callers pass it.
-    It is derived state of the scenario (see Scenario._derived).
+    stored.  A look, question or search entry is stored only after its
+    scene query passed, so a hit, which skips the query, is on the script
+    too; a focus entry is stored after some strategy's query passed, which
+    is enough, as it reads no placement.  So the plan stays bounded by the
+    scripted times however many seeds run, and a session gives the same
+    trace and warnings whether the plan was cold or warm.  The plan holds
+    no reference to its scenario; callers pass it.  It is derived state of
+    the scenario (see Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -479,10 +492,12 @@ class _SessionPlan:
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
         self.states: dict[object, SceneState] = {}
+        self.focus: dict[tuple, tuple] = {}
         self.poses: dict[Strategy, dict[object, dict[str, Pose]]] = {
             strategy: {} for strategy in Strategy
         }
         self.looks: dict[Strategy, dict[tuple, tuple]] = {strategy: {} for strategy in Strategy}
+        self.questions: dict[tuple, dict[tuple, tuple]] = {}
         self.scan_keys: dict[Strategy, dict[tuple, tuple]] = {
             strategy: {} for strategy in Strategy
         }
@@ -520,6 +535,9 @@ def _turn(gaze_dir: Vec3, head: Vec3, point: Vec3) -> tuple[float, Vec3] | None:
     return math.degrees(angle_between(gaze_dir, d)), d.normalized()
 
 
+_FORWARD = Vec3(0.0, 0.0, -1.0)
+
+
 class _Timeline:
     """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
@@ -530,9 +548,15 @@ class _Timeline:
     def __init__(self, yaw_rate_deg_s: float):
         self.segments: list[GazeSegment] = []
         self.cursor = 0.0
-        self.gaze_dir = Vec3(0.0, 0.0, -1.0)
+        self.gaze_dir = _FORWARD
         self.facing = _START
         self.yaw_rate_deg_s = yaw_rate_deg_s
+
+    def branch(self) -> _Timeline:
+        """An empty timeline from this one's cursor and gaze; a plan entry is laid on one."""
+        line = _Timeline(self.yaw_rate_deg_s)
+        line.cursor, line.facing, line.gaze_dir = self.cursor, self.facing, self.gaze_dir
+        return line
 
     def until(self, t1: float, target: GazeTarget) -> None:
         """Hold target from the cursor to t1 (nothing unless t1 is later)."""
@@ -589,10 +613,12 @@ class _Simulator:
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
         # The session's plan tables; with none, every value is computed.
-        self.states = self.poses = self.looks = self.scan_keys = self.searches = None
+        self.states = self.focus = self.poses = self.looks = self.questions = None
+        self.scan_keys = self.searches = None
         if on_plan:
-            self.states, self.poses = plan.states, plan.poses[strategy]
+            self.states, self.focus, self.poses = plan.states, plan.focus, plan.poses[strategy]
             self.looks, self.scan_keys = plan.looks[strategy], plan.scan_keys[strategy]
+            self.questions = plan.questions.setdefault((strategy, params.yaw_rate_deg_s), {})
             shape = (strategy, params.yaw_rate_deg_s, params.fixation_min)
             shape += (params.per_cell_scan_time, params.known_grid)
             self.searches = plan.searches.setdefault(shape, {})
@@ -638,13 +664,6 @@ class _Simulator:
             self.poses[at] = poses
         return state, poses
 
-    def _gaze_point(self, state: SceneState, target: ScreenGaze | IntermediaryGaze) -> Vec3:
-        """Where the eyes rest on a scripted focus (what focus_target returns)."""
-        if isinstance(target, ScreenGaze):
-            screen = next(e for e in self.scn.entities if e.kind == "screen")
-            return state.pose_of(screen.id).position
-        return state.pose_of(target.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
-
     # -- phases ---------------------------------------------------------
 
     def run(self) -> SessionTrace:
@@ -656,10 +675,13 @@ class _Simulator:
             t0 = trial.question_start
             seg_start = len(segments)
             self._idle_phase(t0)
+            # segments tile the session with positive lengths, so their ends
+            # never decrease, and a question laid from t0 starts the slice
+            first = len(segments) if line.cursor == t0 else None
             self._question_phase(trial)
             t_open = search_and_open(self, trial)
-            # segments tile the session, so their ends never decrease
-            first = bisect_right(segments, t0, seg_start, key=_segment_end)
+            if first is None:
+                first = bisect_right(segments, t0, seg_start, key=_segment_end)
             trial_traces.append(
                 TrialTrace(
                     trial,
@@ -685,24 +707,36 @@ class _Simulator:
             duration=line.cursor,
         )
 
-    def _look(self, t: float, at, answered_at: float | None, deadline: float | None = None):
+    def _look(self, t: float, at, answered_at: float, deadline: float | None = None):
         """Turn toward the scripted focus at t (plan key at); returns the focus.
 
-        The question phase passes answered_at None: it presents the question.
-        A look entry replays the focus and the turn; the turn's length is
-        cut at deadline from the live cursor either way.
+        An idle or settle look: answered_at is at or before t, so the focus
+        is the one outside questions.  A look entry replays the focus and
+        the turn; the turn's length is cut at deadline from the live cursor
+        either way.
         """
-        aim = (at, answered_at is None)
+        aim = (at, False)
         focus, turn = _planned(self.looks, (*aim, self.line.facing), self._aim, t, at, answered_at)
         self.line.turn(turn, aim, deadline)
         return focus
 
     def _aim(self, t: float, at, answered_at: float | None):
-        """(focus, turn) of a look at the scripted focus at t from the current gaze."""
+        """(focus, turn) of a look at the scripted focus at t from the current gaze.
+
+        answered_at None presents the question.
+        """
         state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
+        aim = (at, answered_at is None)
+        focus, point = _planned(self.focus, aim, self._focus, state, t, answered_at)
+        return focus, _turn(self.line.gaze_dir, state.pose_of(USER_HEAD).position, point)
+
+    def _focus(self, state: SceneState, t: float, answered_at: float | None):
+        """(focus, gaze point): focus_target at t and where the eyes rest on it."""
         focus = focus_target(state, self.scn, t, answered_at=answered_at)
-        head = state.pose_of(USER_HEAD).position
-        return focus, _turn(self.line.gaze_dir, head, self._gaze_point(state, focus))
+        if isinstance(focus, ScreenGaze):
+            screen = next(e for e in self.scn.entities if e.kind == "screen")
+            return focus, state.pose_of(screen.id).position
+        return focus, state.pose_of(focus.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
 
     def _idle_phase(self, until: float) -> None:
         line = self.line
@@ -713,9 +747,28 @@ class _Simulator:
         line.until(until, self._look(t, t, line.cursor, deadline=until))
 
     def _question_phase(self, trial: Trial) -> None:
+        """Lay the question phase; on the plan it must start at the question start."""
+        line = self.line
         t = trial.question_start
-        focus = self._look(t, t, None, deadline=trial.question_complete)
-        self.line.until(trial.question_complete, focus)
+        if self.questions is not None and line.cursor != t:
+            raise _OffScript  # its segments would start at the session's own cursor
+        phase = _planned(self.questions, (t, line.facing), self._question, trial)
+        segments, line.cursor, line.facing, line.gaze_dir = phase
+        line.segments += segments
+
+    def _question(self, trial: Trial) -> tuple:
+        """The question phase from the session's gaze, laid on a timeline of its own.
+
+        Returns its plan entry, (segments, cursor, facing, gaze direction):
+        a turn to the asker or the screen, cut at question complete, then
+        the hold on it until then.
+        """
+        t, done = trial.question_start, trial.question_complete
+        line = self.line.branch()
+        focus, turn = self._aim(t, t, None)
+        line.turn(turn, (t, True), done)
+        line.until(done, focus)
+        return tuple(line.segments), line.cursor, line.facing, line.gaze_dir
 
 
 def search_and_open(sim: _Simulator, trial: Trial) -> float:
@@ -781,8 +834,7 @@ def _search(
     panel poses at the cursor, or None when not queried yet.
     """
     params, opens = sim.params, []
-    line = _Timeline(params.yaw_rate_deg_s)
-    line.cursor, line.facing, line.gaze_dir = sim.line.cursor, sim.line.facing, sim.line.gaze_dir
+    line = sim.line.branch()
     at = line.cursor
     state, panels = scene or sim._scene_at(at, at)
     head = state.pose_of(USER_HEAD).position

@@ -27,7 +27,8 @@ import json
 import math
 import sys
 from dataclasses import fields
-from operator import itemgetter, mul
+from functools import cache
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .agent import (
@@ -116,7 +117,7 @@ def navigation_time(
     """
     nav, _ = _scan(
         ((s.t, s.target) for s in samples),
-        want=_wanted(trial),
+        want=_wanted(trial.category, trial.country),
         t_done=trial.question_complete,
         end_time=end_time,
         min_fixation=min_fixation,
@@ -134,10 +135,11 @@ def gaze_switches(
     return switches
 
 
-def _wanted(trial: Trial) -> DocumentGaze:
-    """The document a trial asks for."""
-    row, col = grid_cell(trial.category, trial.country)
-    return DocumentGaze(trial.category, row, col)
+@cache  # one entry per cell of the finite grid: grid_cell raises on any other
+def _wanted(category: str, country: str) -> DocumentGaze:
+    """The document a trial of category and country asks for."""
+    row, col = grid_cell(category, country)
+    return DocumentGaze(category, row, col)
 
 
 def _complete(nav: float | None, trial: Trial, min_fixation: float) -> float:
@@ -295,6 +297,10 @@ _set_ss_errors_total, _set_ss_relevant_fraction = (
 )
 
 
+# A segment's (t0, target): its pair of the exact-boundary stream.
+_segment_pair = attrgetter("t0", "target")
+
+
 def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMetrics:
     """One trial's metrics.
 
@@ -306,8 +312,8 @@ def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMet
     segments = trace.segments
     end = segments[-1].t1 if segments else trace.t_complete
     nav, switches = _scan(
-        [(s.t0, s.target) for s in segments],
-        want=_wanted(trial),
+        map(_segment_pair, segments),
+        want=_wanted(trial.category, trial.country),
         t_done=trial.question_complete,
         end_time=end,
         min_fixation=min_fixation,
@@ -322,7 +328,7 @@ def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMet
         trial.country,
         nav,
         switches,
-        len(error_events(trace.opens)),
+        sum(not o.correct for o in trace.opens),  # the error_events count, unsorted
         classify_relevance(trial, context=context),
         trial.near,
     )
@@ -330,10 +336,8 @@ def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMet
 
 def session_metrics(trace: SessionTrace) -> list[TrialMetrics]:
     """Per-trial metrics, each under the agent's fixation threshold."""
-    return [
-        trial_metrics(t, context=trace.context, strategy=trace.strategy.value)
-        for t in trace.trials
-    ]
+    context, strategy = trace.context, trace.strategy.value
+    return [trial_metrics(t, context=context, strategy=strategy) for t in trace.trials]
 
 
 # Bits the integer square root keeps: two beyond the float mantissa, so
@@ -413,12 +417,14 @@ def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     """Mean/median/sd summary over one session's trials."""
     if not rows:
         raise EmptyTrialSet("cannot aggregate zero trials")
-    if len({(r.context, r.strategy) for r in rows}) != 1:
-        raise ValueError("aggregate expects rows from a single session")
+    context, strategy = rows[0].context, rows[0].strategy
+    for r in rows:
+        if r.context != context or r.strategy != strategy:
+            raise ValueError("aggregate expects rows from a single session")
     n = len(rows)
     return SessionSummary(
-        rows[0].context,
-        rows[0].strategy,
+        context,
+        strategy,
         seed,
         n,
         *_stats([r.navigation_time_s for r in rows]),  # nav_time_mean_s, _median_s, _sd_s

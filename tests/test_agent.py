@@ -427,8 +427,12 @@ def degenerate_walk_scenario(tail_only=False):
 
 def plan_tables(plan):
     """Every table of a session plan whose keys are plan steps."""
-    by_strategy = (plan.poses, plan.looks, plan.scan_keys, plan.searches)
-    return [plan.states, *(table for tables in by_strategy for table in tables.values())]
+    by_strategy = (plan.poses, plan.looks, plan.scan_keys, plan.questions, plan.searches)
+    return [
+        plan.states,
+        plan.focus,
+        *(table for tables in by_strategy for table in tables.values()),
+    ]
 
 
 def plan_entries(scn):
@@ -556,13 +560,20 @@ class TestSceneTrack:
                 if seed == 4:
                     after_five = plan_entries(scn)
             assert plan_entries(scn) == after_five, name
-            # one state per plan time (the scripted times and rest), one pose
-            # set per strategy and plan time, per strategy two looks per
-            # scripted time and the tail's, one search table per strategy
+            # one state per plan time (the scripted times and rest); one
+            # focus per idle aim, per question and for the tail, shared by
+            # the strategies; one pose set per strategy and plan time; per
+            # strategy one look per idle aim and the tail's; one question
+            # table per strategy (at one yaw rate), one entry per question
+            # start, laid from the idle aim; one search table per strategy
             plan = scn._cache[agent._SessionPlan]
+            trials = len(scn.trials)
             assert len(plan.states) <= len(plan.times) + 1
+            assert len(plan.focus) <= 2 * trials + 1
             assert all(len(p) <= len(plan.times) + 1 for p in plan.poses.values())
-            assert all(len(looks) <= 2 * len(plan.times) + 1 for looks in plan.looks.values())
+            assert all(len(looks) <= trials + 1 for looks in plan.looks.values())
+            assert len(plan.questions) <= len(Strategy)
+            assert all(len(questions) == trials for questions in plan.questions.values())
             assert len(plan.searches) <= len(Strategy)
             assert_keys_are_plan_times(plan)
 
@@ -719,12 +730,14 @@ class TestSceneTrack:
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
-        # the plan, so no pose, look, scan or search key names it or a later time
+        # the plan, so no pose, look, scan, question or search key names it
+        # or a later time
         plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
         keys = [*plan.poses[env_ref], *plan.looks[env_ref], *plan.scan_keys[env_ref]]
-        keys += [key for shape, table in plan.searches.items() if shape[0] is env_ref for key in table]
+        for tables in (plan.questions, plan.searches):
+            keys += [key for shape, table in tables.items() if shape[0] is env_ref for key in table]
         named = {t for key in keys for t in key_times(key)}
         assert named and max(named) < 62.25
 
@@ -756,17 +769,49 @@ def replay_params(base):
 
 
 # Its cell-by-cell scans overrun the next question start, so those sessions
-# store that question's look from the gaze the search left, then step off
-# the script; a session that knows the grid looks there from its idle aim.
+# step off the script at that question, before they store anything laid
+# from the cursor the search left; a session that knows the grid stays on
+# the plan and lays each question from its idle aim.
 STEPS_OFF = "search past the next window, user turning"
 
 
-class TestStepReplay:
-    """A warm session replays whole scripted steps: looks and search routes."""
+def moved_question(start, agent_block=()):
+    """dynamic_stationary_env_ref text with trial 1 asked from start on.
 
-    @pytest.mark.parametrize("name", [*bundled_scenario_names(), STEPS_OFF])
+    The words keep their offsets from the question start.  Trial 0's
+    question completes at 12.25 s, and the scene does not depend on when
+    trial 1 is asked.
+    """
+    doc = json.loads(bundled_scenario_text("dynamic_stationary_env_ref"))
+    doc["agent"].update(agent_block)
+    trial = doc["trials"][1]
+    words = trial["word_schedule_s"]
+    trial["question_start_s"] = start
+    trial["word_schedule_s"] = [start] + [start + (w - words[0]) for w in words[1:]]
+    return json.dumps(doc)
+
+
+# Trial 1 is asked at 12.5 s, so trial 0's search, which starts at 12.25 s
+# and lasts 0.36-0.42 s under the file's agent and every strategy, ends
+# inside its presentation (12.5-14.75 s) and the question phase starts late.
+LATE_QUESTION = "question starts late"
+
+
+def replay_scenario(name):
+    """A fresh parse of a bundled session, of STEPS_OFF or of LATE_QUESTION."""
+    if name == STEPS_OFF:
+        return off_script_scenario(name)
+    if name == LATE_QUESTION:
+        return parse_scenario(moved_question(12.5))
+    return load_bundled(name)
+
+
+class TestStepReplay:
+    """A warm session replays whole scripted steps: looks, questions and search routes."""
+
+    @pytest.mark.parametrize("name", [*bundled_scenario_names(), STEPS_OFF, LATE_QUESTION])
     def test_warm_replay_is_the_run_without_the_plan(self, name):
-        warm = off_script_scenario(name) if name == STEPS_OFF else load_bundled(name)
+        warm = replay_scenario(name)
         stepped_off = 0
         for params in replay_params(warm.agent):
             for strategy in Strategy:
@@ -785,10 +830,98 @@ class TestStepReplay:
                     assert on.opens == off.opens, case
                     # the same draws in the same order
                     assert on.rng.getstate() == off.rng.getstate(), case
-        assert bool(stepped_off) == (name == STEPS_OFF)
+        assert bool(stepped_off) == (name in (STEPS_OFF, LATE_QUESTION))
         plan = warm._cache[agent._SessionPlan]
-        assert all(plan.looks.values()) and all(plan.searches.values())
+        assert plan.focus and all(plan.looks.values()) and all(plan.questions.values())
+        assert all(plan.searches.values())
         assert_keys_are_plan_times(plan)
+
+    def test_a_question_that_starts_late_steps_off_there(self, monkeypatch):
+        warm = replay_scenario(LATE_QUESTION)
+        late = warm.trials[1]
+        begun = []  # (trial, cursor) of every question phase begun
+        question_phase = agent._Simulator._question_phase
+
+        def spy(self, trial):
+            begun.append((trial, self.line.cursor))
+            return question_phase(self, trial)
+
+        monkeypatch.setattr(agent._Simulator, "_question_phase", spy)
+        for seed in (1, 2, 3):
+            for strategy in Strategy:
+                params = warm.agent._with_seed(seed)
+                on = agent._Simulator(warm, params, strategy, seed)
+                begun.clear()
+                with pytest.raises(agent._OffScript) as stepped:
+                    on.run()
+                # at trial 1's question phase, from a cursor inside its presentation
+                assert stepped.traceback[-1].name == "_question_phase"
+                trial, cursor = begun[-1]
+                assert trial is late, (strategy, seed)
+                assert late.question_start < cursor <= late.question_complete, (strategy, seed)
+                # simulate_session's rerun is the run without the plan
+                rerun = agent._Simulator(warm, params, strategy, seed, on_plan=False)
+                off = agent._Simulator(warm, params, strategy, seed, on_plan=False)
+                oracle = off.run()
+                assert rerun.run() == oracle, (strategy, seed)  # warnings included
+                assert rerun.opens == off.opens
+                assert rerun.rng.getstate() == off.rng.getstate()
+                assert simulate_session(warm, params, strategy=strategy) == oracle
+        # nothing laid from a late cursor was stored: one question entry per
+        # strategy, trial 0's, laid from its question start
+        plan = warm._cache[agent._SessionPlan]
+        starts = {key[0] for table in plan.questions.values() for key in table}
+        assert starts == {warm.trials[0].question_start}
+        assert_keys_are_plan_times(plan)
+
+    def test_the_question_key_names_the_facing(self):
+        """Two sessions reach one question start on the plan from different gaze directions.
+
+        Trial 1 is asked at the very end of trial 0's search under the
+        default agent without jitter, so that session skips the idle phase
+        and starts the question facing the sports panel; with a shorter
+        fixation the search ends earlier and the question starts from the
+        idle aim.  A question key without the facing would replay one
+        session's head turn in the other.
+        """
+        strategy = Strategy.ENVIRONMENT_REFERENCED
+        block = {"dwell_jitter_s": 0.0}
+        probe = parse_scenario(moved_question(20.0, block))
+        end = agent._Simulator(probe, probe.agent, strategy, 1, on_plan=False).run()
+        start = end.trials[0].segments[-1].t1
+        warm = parse_scenario(moved_question(start, block))
+        assert warm.trials[1].question_start == start
+        for params in (warm.agent, replace(warm.agent, fixation_min=0.1)):
+            for seed in (1, 2):
+                seeded = params._with_seed(seed)
+                on = agent._Simulator(warm, seeded, strategy, seed)
+                off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
+                assert on.run() == off.run(), (params, seed)  # on the plan: no _OffScript
+                assert on.rng.getstate() == off.rng.getstate()
+        questions = warm._cache[agent._SessionPlan].questions[(strategy, warm.agent.yaw_rate_deg_s)]
+        facings = {facing for at, facing in questions if at == start}
+        assert len(facings) == 2, facings
+        assert_keys_are_plan_times(warm._cache[agent._SessionPlan])
+
+    def test_a_warm_session_builds_no_question_segment(self, monkeypatch):
+        """A question phase on a warm plan is one lookup and one list extend."""
+        built = []
+        segment = agent.GazeSegment
+        monkeypatch.setattr(agent, "GazeSegment", lambda *args: built.append(args) or segment(*args))
+        for name in bundled_scenario_names():
+            warm = load_bundled(name)
+            runs = [(strategy, seed) for strategy in Strategy for seed in (1, 2, 3)]
+            for strategy, seed in runs:
+                simulate_session(warm, strategy=strategy, seed=seed)
+            windows = [(t.question_start, t.question_complete) for t in warm.trials]
+            for strategy, seed in runs:
+                built.clear()
+                trace = simulate_session(warm, strategy=strategy, seed=seed)
+                # per trial the idle turn, the idle hold and the confirming
+                # dwell, then the settle tail's turn and dwell
+                assert len(built) <= 3 * len(warm.trials) + 2, (name, strategy, seed)
+                assert not [t0 for t0, _, _ in built for qs, qc in windows if qs <= t0 < qc]
+                assert trace.segments[-1] == segment(*built[-1])  # the spy saw the session
 
 
 class TestOnePlacementPath:
