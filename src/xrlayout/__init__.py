@@ -42,6 +42,7 @@ from .errors import (
     DegenerateTarget,
     Diagnostic,
     EmptyTrialSet,
+    FrozenInstanceError,
     IncompleteTrial,
     MismatchedScenarios,
     MissingConfig,
@@ -53,6 +54,8 @@ from .errors import (
     UnresolvedRef,
     WarningEvent,
     XRLayoutError,
+    fields,
+    replace,
 )
 from .frames import (
     USER_BODY,

@@ -114,13 +114,12 @@ import hashlib
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping
 
-from .errors import DegenerateIntermediary, WarningEvent
+from .errors import DegenerateIntermediary, WarningEvent, record
 from .frames import USER_BODY, USER_HEAD, SceneState
-from .geometry import Pose, Vec3, _value_type, angle_between
+from .geometry import Pose, Vec3, angle_between
 from .placement import INTERMEDIARY_PLACED, session_placement
 from .scenario import (
     _TICK_RATE,
@@ -140,27 +139,27 @@ GAZE_HEIGHT_M = 1.5
 # -- gaze targets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoGaze:
     """Saccade / head travel; the gaze is on nothing in particular."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScreenGaze:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntermediaryGaze:
     entity_id: str
 
 
 # The targets a search steps through, and its open events, are built on
-# every step of every session, so they follow the geometry.Vec3 recipe,
-# _value_type, as GazeSegment does.
+# every step of every session, so they are slotted records with their own
+# __init__, as geometry.Vec3 and GazeSegment are.
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class PanelGaze:
     category: str
 
@@ -171,7 +170,7 @@ class PanelGaze:
 _set_panel_category = PanelGaze.category.__set__
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class DocumentGaze:
     category: str
     row: int
@@ -195,18 +194,18 @@ GazeTarget = NoGaze | ScreenGaze | IntermediaryGaze | PanelGaze | DocumentGaze
 _NO_GAZE = NoGaze()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GazeSample:
     t: float
     target: GazeTarget
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class GazeSegment:
     """Half-open span [t0, t1) of constant gaze target.
 
-    Built for every step of every session, so it follows the geometry.Vec3
-    recipe, _value_type.
+    Built for every step of every session, so it is a slotted record with
+    its own __init__, as geometry.Vec3 is.
     """
 
     t0: float
@@ -227,7 +226,7 @@ _set_t0, _set_t1, _set_target = (
 _segment_end = attrgetter("t1")
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class OpenEvent:
     t: float
     category: str
@@ -298,7 +297,11 @@ def focus_target(
 # -- traces ------------------------------------------------------------------
 
 
-@dataclass
+# A session builds one SessionTrace and a TrialTrace per trial, so both
+# write their __init__ out.
+
+
+@record
 class TrialTrace:
     trial: Trial
     t_complete: float  # question fully presented
@@ -307,8 +310,12 @@ class TrialTrace:
     opens: list[OpenEvent]
     params: AgentParams  # the agent that produced the trace; scoring reads it
 
+    def __init__(self, trial, t_complete, t_open, segments, opens, params):
+        self.trial, self.t_complete, self.t_open = trial, t_complete, t_open
+        self.segments, self.opens, self.params = segments, opens, params
 
-@dataclass
+
+@record
 class SessionTrace:
     scenario_name: str
     context: str
@@ -319,6 +326,13 @@ class SessionTrace:
     segments: list[GazeSegment]
     warnings: list[WarningEvent]
     duration: float
+
+    def __init__(
+        self, scenario_name, context, strategy, params, seed, trials, segments, warnings, duration
+    ):
+        self.scenario_name, self.context, self.strategy = scenario_name, context, strategy
+        self.params, self.seed, self.trials = params, seed, trials
+        self.segments, self.warnings, self.duration = segments, warnings, duration
 
     def tick_samples(self, tick_hz: float | None = None) -> list[GazeSample]:
         """Fixed-rate stream over the whole session (strictly increasing t).

@@ -19,10 +19,9 @@ validate_object applies it to objects built in code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import Diagnostic
+from .errors import Diagnostic, field, record
 from .frames import FrameOfReference
 from .geometry import ONES, Pose, Vec3
 
@@ -76,7 +75,7 @@ def is_modality_param_key(key: str) -> bool:
     return key in MODALITY_PARAM_KEYS or key.startswith(CUSTOM_KEY_PREFIX)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContentSpec:
     availability: str = "open"
     availability_mutability: str = "user"
@@ -85,14 +84,14 @@ class ContentSpec:
     info_focus: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PresentationSpec:
     immersion: str = "non_immersive"
     modality: str = "visual"
     modality_params: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SizeSpec:
     """Object size: per-axis scale plus an enforced width:height ratio."""
 
@@ -100,14 +99,14 @@ class SizeSpec:
     aspect_ratio: float | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpatialLayout:
     frame: FrameOfReference
     local_pose: Pose = field(default_factory=Pose)
     size: SizeSpec = field(default_factory=SizeSpec)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class XRObject:
     id: str
     content: ContentSpec = field(default_factory=ContentSpec)

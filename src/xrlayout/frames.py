@@ -27,10 +27,9 @@ Entity references are plain string ids; "world", "user_body" and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import UnresolvedRef
+from .errors import UnresolvedRef, _setattr, record
 from .geometry import GEOM_EPS, Pose, Vec3, compose
 
 if TYPE_CHECKING:  # import cycle guard: designspace builds on these types
@@ -41,8 +40,10 @@ USER_BODY = "user_body"
 USER_HEAD = "user_head"
 RESERVED_REFS = frozenset({WORLD, USER_BODY, USER_HEAD})
 _WORLD_POSE = Pose()  # shared by every snapshot that does not set its own
+_WORLD_ONLY: Mapping[str, Pose] = {}  # SceneState's default poses; copied, never written
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class FrameOfReference:
     position_ref: str
     orientation_ref: str
@@ -53,17 +54,22 @@ class FrameOfReference:
         return cls(ref, ref, ref)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SceneState:
-    """Immutable snapshot of world poses for every entity at one instant."""
+    """Immutable snapshot of world poses for every entity at one instant.
+
+    Built once per state_at, so its __init__ is written out: poses is
+    copied, with the world pose added unless it sets its own.
+    """
 
     time: float
-    poses: Mapping[str, Pose] = field(default_factory=dict)
+    poses: Mapping[str, Pose]
 
-    def __post_init__(self):
-        p = dict(self.poses)
+    def __init__(self, time: float, poses: Mapping[str, Pose] = _WORLD_ONLY):
+        p = dict(poses)
         p.setdefault(WORLD, _WORLD_POSE)
-        object.__setattr__(self, "poses", p)
+        _setattr(self, "time", time)
+        _setattr(self, "poses", p)
 
     def pose_of(self, ref: str) -> Pose:
         try:

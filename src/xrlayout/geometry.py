@@ -21,17 +21,14 @@ associative for non-uniform scales and matches how object size is used
 here (size metadata, not a spatial transform of children).
 
 All types are immutable value objects and safe to share.  The value types
-built many times per step or per session follow one recipe, _value_type:
-Vec3, Rotation and Pose here, agent.GazeSegment, agent.PanelGaze,
-agent.DocumentGaze and agent.OpenEvent in every session, and
-metrics.TrialMetrics and metrics.SessionSummary in its scoring.  Each is
-a slotted dataclass with a hand-written __init__ that sets the slots
-through their descriptors' setters (faster than the generated one, which
-goes through object.__setattr__ per field).  They are not frozen=True: on
-Python 3.11 a frozen slotted dataclass raises TypeError when a name that
-is not a field is assigned, so _frozen_setattr raises FrozenInstanceError
-for every name instead.  __reduce__ rebuilds through __init__, so
-unpickling re-runs its checks.
+built many times per step or per session are slotted records
+(errors.record with frozen=True, slots=True): Vec3, Rotation and Pose
+here, agent.GazeSegment, agent.PanelGaze, agent.DocumentGaze and
+agent.OpenEvent in every session, and metrics.TrialMetrics and
+metrics.SessionSummary in its scoring.  Each has a hand-written __init__
+that sets the slots through their descriptors' setters, since the frozen
+__setattr__ raises FrozenInstanceError for every name.  __reduce__
+rebuilds through __init__, so unpickling re-runs its checks.
 Every Vec3 is checked finite when constructed, arithmetic results
 included, so a NaN or infinity never travels further than the operation
 that made it.  The hot operations are scalar kernels on plain floats:
@@ -45,11 +42,9 @@ raises the same exception classes, so it gives the same floats bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, fields
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateTarget, NonFiniteVector
+from .errors import DegenerateTarget, NonFiniteVector, record
 
 if TYPE_CHECKING:
     from .scenario import FovSpec
@@ -59,30 +54,6 @@ if TYPE_CHECKING:
 GEOM_EPS = 1e-9
 # Below this length a direction is considered undefined.
 DEGENERACY_EPS = 1e-12
-
-
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _value_type(cls):
-    """The hot value types' recipe: a slotted dataclass frozen by hand.
-
-    cls keeps its own __init__; dataclasses writes eq, hash and repr.
-    __reduce__ rebuilds through __init__ from the fields in order (a
-    Rotation's stored components are already unit, so it keeps them as is).
-    """
-    cls = dataclass(slots=True, init=False, unsafe_hash=True)(cls)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    names = [f.name for f in fields(cls)]
-    get, single = attrgetter(*names), len(names) == 1  # one name: a bare value
-    cls.__reduce__ = lambda self: (self.__class__, (get(self),) if single else get(self))
-    return cls
 
 
 def _finite_number(v: object) -> bool:
@@ -117,7 +88,7 @@ def _reject_non_finite(*components) -> None:
             raise NonFiniteVector(f"non-finite vector component: {c!r}")
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class Vec3:
     """Immutable 3-vector; every construction checks that it is finite."""
 
@@ -209,7 +180,7 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return math.atan2(u.cross(v).norm(), u.dot(v))
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class Rotation:
     """Immutable unit quaternion, scalar first.  Normalized on construction."""
 
@@ -355,7 +326,7 @@ def look_rotation(forward: Vec3, up: Vec3 = UP) -> Rotation:
     return Rotation(*_look_quat(forward.x, forward.y, forward.z, up.x, up.y, up.z))
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class Pose:
     """Position, orientation and per-axis positive scale."""
 

@@ -26,7 +26,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
 from functools import cache
 from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
@@ -41,8 +40,7 @@ from .agent import (
     SessionTrace,
     TrialTrace,
 )
-from .errors import EmptyTrialSet, IncompleteTrial
-from .geometry import _value_type
+from .errors import EmptyTrialSet, IncompleteTrial, fields, record
 from .scenario import Trial, grid_cell
 
 # A glance shorter than this is a saccade passing through, not a fixation.
@@ -82,7 +80,7 @@ def _scan(
     switches = 0
     w0, w1 = window or (None, None)
     for t, target in pairs:
-        # targets of different classes are never equal (dataclass equality)
+        # targets of different classes are never equal (record equality)
         if target is not run and (target.__class__ is not run.__class__ or target != run):
             if nav is None and run.__class__ is want_cls and run == want:
                 start = max(run_t0, t_done)
@@ -175,10 +173,11 @@ def classify_relevance(trial: Trial, *, context: str) -> bool:
 
 
 # One TrialMetrics per trial and one SessionSummary per session of every
-# sweep, so both follow the geometry.Vec3 recipe, _value_type.
+# sweep, so both are slotted records with their own __init__, as
+# geometry.Vec3 is.
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class TrialMetrics:
     context: str
     strategy: str
@@ -232,7 +231,7 @@ _set_tm_gaze_switches, _set_tm_errors, _set_tm_relevant, _set_tm_near = (
 )
 
 
-@_value_type
+@record(frozen=True, slots=True)
 class SessionSummary:
     context: str
     strategy: str

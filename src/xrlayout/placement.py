@@ -60,12 +60,18 @@ both routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping
 
 from .designspace import SizeSpec, SpatialLayout
-from .errors import DegenerateIntermediary, DegenerateTarget, MissingConfig, WarningEvent
+from .errors import (
+    DegenerateIntermediary,
+    DegenerateTarget,
+    MissingConfig,
+    WarningEvent,
+    field,
+    record,
+)
 from .frames import (
     USER_BODY,
     USER_HEAD,
@@ -328,7 +334,7 @@ def session_placement(strategy: Strategy, scenario: Scenario):
     return partial(place, bearings=bearings, params=params), []
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LayoutEmission:
     """Layouts plus any derived entity poses they reference.
 

@@ -55,7 +55,6 @@ import json
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from operator import attrgetter, lt
@@ -79,6 +78,8 @@ from .errors import (
     ScenarioSyntaxError,
     UnknownCountry,
     XRLayoutError,
+    field,
+    record,
 )
 from .frames import RESERVED_REFS, USER_BODY, USER_HEAD, SceneState
 from .geometry import (
@@ -175,14 +176,14 @@ def grid_cell(category: str, country: str) -> tuple[int, int]:
     return divmod(idx, GRID_COLS)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Waypoint:
     time: float
     position: Vec3
     yaw_deg: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trajectory:
     """Scripted motion: clamped interpolation over strictly increasing times."""
 
@@ -274,7 +275,7 @@ def _piece(times: tuple[float, ...], t: float) -> int:
     return 0 if k == 1 and t == times[0] else k
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntitySpec:
     """A scene entity: the user, an intermediary, or the question screen."""
 
@@ -287,7 +288,7 @@ class EntitySpec:
     anchor_distance_m: float = 1.5
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trial:
     index: int
     category: str
@@ -311,7 +312,7 @@ class Trial:
         return self.word_schedule[-1] - self.word_schedule[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuestionStatus:
     """Presentation state of the active trial at one instant."""
 
@@ -347,7 +348,7 @@ def _check_fields(obj, rows) -> None:
         row.kind.require(attr, getattr(obj, attr))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FovSpec:
     """Circular view-cone model of a display field of view; _FOV's rows are its file keys.
 
@@ -367,7 +368,7 @@ class FovSpec:
         return 0.5 * self.diagonal_deg
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlacementParams:
     """Geometry shared by a session's panels; PARAMS_ROWS and panel_scale are their file keys."""
 
@@ -392,7 +393,7 @@ class PlacementParams:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AgentParams:
     """The gaze agent's parameters (see agent.py); AGENT_ROWS are their file keys."""
 
@@ -417,7 +418,7 @@ class AgentParams:
         return params
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     name: str
     setting: str  # "static" | "dynamic"
@@ -433,10 +434,11 @@ class Scenario:
     trials: tuple[Trial, ...]
     agent: AgentParams = field(default_factory=AgentParams)
     metadata: Mapping[str, object] = field(default_factory=dict)
-    # Values derived from the fields, by builder (see _derived).
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Not a field: the schema version every scenario is written under.
     schema = SCHEMA_VERSION
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cache", {})  # values derived from the fields (see _derived)
 
     @property
     def context(self) -> str:
@@ -469,8 +471,8 @@ class Scenario:
         The one home of every value derived from a scenario: state_at's
         prebuilt poses (_prebuild) and the agent's seed-shared session plan
         (agent._SessionPlan).  Their lifecycle rule: a value is built
-        on first use; it stays outside equality, repr and to_dict;
-        dataclasses.replace() gives a copy with an empty cache, which builds
+        on first use; it stays outside the fields, so outside equality, repr
+        and to_dict; replace() gives a copy with an empty cache, which builds
         its own; and since the fields are read only then, a scenario must not
         be mutated after use.
         """

@@ -4,7 +4,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -21,6 +20,7 @@ from xrlayout.agent import (
     focus_target,
     simulate_session,
 )
+from xrlayout.errors import replace
 from xrlayout.metrics import aggregate, gaze_switches, results_to_json, session_metrics
 from xrlayout.placement import INTERMEDIARY_PLACED, Strategy
 from xrlayout.scenario import (

@@ -8,7 +8,6 @@ mutated reports the same messages, at the same paths under panels[i].
 """
 
 import json
-from dataclasses import replace
 from operator import attrgetter
 
 import pytest
@@ -28,6 +27,7 @@ from xrlayout.designspace import (
     is_modality_param_key,
     validate_object,
 )
+from xrlayout.errors import replace
 from xrlayout.scenario import (
     CATEGORIES,
     bundled_scenario_names,

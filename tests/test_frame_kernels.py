@@ -17,12 +17,11 @@ import math
 import struct
 import warnings
 from bisect import bisect_right
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xrlayout.errors import DegenerateIntermediary, DegenerateTarget, XRLayoutError
+from xrlayout.errors import DegenerateIntermediary, DegenerateTarget, XRLayoutError, replace
 from xrlayout.frames import USER_BODY, USER_HEAD, SceneState
 from xrlayout.geometry import (
     FORWARD,

@@ -9,7 +9,6 @@ whatever ticks remain.
 
 import functools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +26,7 @@ from xrlayout.agent import (
     SessionTrace,
     simulate_session,
 )
+from xrlayout.errors import replace
 from xrlayout.metrics import gaze_to_csv
 from xrlayout.placement import Strategy
 from xrlayout.scenario import MAX_TICK_HZ, bundled_scenario_names, load_bundled

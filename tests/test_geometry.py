@@ -7,7 +7,7 @@ import math
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError, make_dataclass, replace
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as SciRot
 
 from xrlayout.agent import GazeSegment, PanelGaze
-from xrlayout.errors import DegenerateTarget, NonFiniteVector, XRLayoutError
+from xrlayout.errors import (
+    DegenerateTarget,
+    FrozenInstanceError,
+    NonFiniteVector,
+    XRLayoutError,
+    replace,
+)
 from xrlayout.frames import USER_BODY, SceneState
 from xrlayout.geometry import (
     DEGENERACY_EPS,

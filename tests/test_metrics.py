@@ -3,7 +3,6 @@
 import json
 import statistics
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from xrlayout.agent import (
     ScreenGaze,
     simulate_session,
 )
-from xrlayout.errors import EmptyTrialSet, IncompleteTrial
+from xrlayout.errors import EmptyTrialSet, IncompleteTrial, fields
 from xrlayout.metrics import (
     SUMMARY_FIELDS,
     TRIAL_FIELDS,

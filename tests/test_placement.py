@@ -4,7 +4,6 @@ import math
 import random
 import re
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 import xrlayout.placement as placement
 from xrlayout.agent import IDLE_LEAD_S
-from xrlayout.errors import DegenerateIntermediary, MissingConfig, XRLayoutError
+from xrlayout.errors import DegenerateIntermediary, MissingConfig, XRLayoutError, replace
 from xrlayout.frames import USER_BODY, USER_HEAD, SceneState, resolve_world_pose
 from xrlayout.geometry import (
     FORWARD,

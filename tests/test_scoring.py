@@ -15,7 +15,7 @@ import copy
 import math
 import pickle
 import statistics
-from dataclasses import FrozenInstanceError, make_dataclass
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +33,7 @@ from xrlayout.agent import (
     TrialTrace,
     simulate_session,
 )
-from xrlayout.errors import IncompleteTrial
+from xrlayout.errors import FrozenInstanceError, IncompleteTrial
 from xrlayout.metrics import (
     SessionSummary,
     TrialMetrics,
