@@ -26,9 +26,13 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a frozen record."""
 
 
-def field(*, default_factory) -> partial:
+class _Factory(partial):
+    """A field's default that is built anew, by calling it, for each record."""
+
+
+def field(*, default_factory) -> _Factory:
     """The default of a field whose value default_factory() builds anew for each record."""
-    return partial(default_factory)
+    return _Factory(default_factory)
 
 
 def fields(record) -> tuple[SimpleNamespace, ...]:
@@ -108,7 +112,7 @@ def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
         return cls
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     for name, default in defaults.items():
-        if default.__class__ is partial:  # a factory leaves the class, as with dataclasses
+        if default.__class__ is _Factory:  # a factory leaves the class, as with dataclasses
             delattr(cls, name)
     post_init, where = hasattr(cls, "__post_init__"), f"{cls.__qualname__}()"
 
@@ -118,10 +122,14 @@ def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
             raise TypeError(f"{where} takes {len(names)} arguments, each once")
         given.update(kwargs)
         for name in names:
-            value = given.pop(name, defaults.get(name, _MISSING))
-            if value is _MISSING:
-                raise TypeError(f"{where} missing required argument {name!r}")
-            _setattr(self, name, value() if value.__class__ is partial else value)
+            value = given.pop(name, _MISSING)
+            if value is _MISSING:  # only a default, never a value given, is a factory to call
+                value = defaults.get(name, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{where} missing required argument {name!r}")
+                if value.__class__ is _Factory:
+                    value = value()
+            _setattr(self, name, value)
         if given:
             raise TypeError(f"{where} got unexpected keyword arguments {sorted(given)}")
         if post_init:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import UnresolvedRef, _setattr, record
+from .errors import UnresolvedRef, record
 from .geometry import GEOM_EPS, Pose, Vec3, compose
 
 if TYPE_CHECKING:  # import cycle guard: designspace builds on these types
@@ -41,6 +41,7 @@ USER_HEAD = "user_head"
 RESERVED_REFS = frozenset({WORLD, USER_BODY, USER_HEAD})
 _WORLD_POSE = Pose()  # shared by every snapshot that does not set its own
 _WORLD_ONLY: Mapping[str, Pose] = {}  # SceneState's default poses; copied, never written
+_setattr = object.__setattr__  # how SceneState's __init__ writes past its frozen __setattr__
 
 
 @record(frozen=True)
