@@ -19,23 +19,24 @@ laid down by one emitter, _Timeline.
 Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
-every value pure in (scenario, strategy, scripted time): scene states, the
-scripted focus and its gaze point (shared by every strategy), panel poses,
-scan-route sort keys, and whole scripted steps: each idle or settle look
-at the scripted focus (its focus and head turn), each question phase (its
-segments, laid from the question start), and each search route (its
-segments and opens up to the fixation).  Plan use is decided once per
-session: simulate_session runs the session on the plan, reading and
-filling it, and a first step off the script (a scene query at a time that
-is not scripted, a settle tail before the scene has settled among them, a
-question phase that does not start at its question start, or a degenerate
-placement) abandons that run and reruns the session from t = 0 with no
-plan, computing every value by the same code and storing nothing.  So a
-warm scripted session replays each step with one lookup and does only its
-per-seed work: the RNG draws, the jittered confirming dwell, and each idle
-turn's length, cut at the question start from the cursor that the jitter
-moved.  An off-script session's trace and warnings are by construction
-those of a run with no plan, whether the plan was cold or warm.
+whole scripted steps, each pure in (scenario, strategy, scripted time):
+each idle or settle look at the scripted focus (its focus and head turn),
+each question phase (its segments, laid from the question start), each
+scan route's sort keys, and each search route (its segments and opens up
+to the fixation).  A step that misses computes its scene state, panel
+placement and focus afresh; nothing below a step is stored.  Plan use is
+decided once per session: simulate_session runs the session on the plan,
+reading and filling it, and a first step off the script (a scene query at
+a time that is not scripted, a settle tail before the scene has settled
+among them, a question phase that does not start at its question start,
+or a degenerate placement) abandons that run and reruns the session from
+t = 0 with no plan, computing every value by the same code and storing
+nothing.  So a warm scripted session replays each step with one lookup and
+does only its per-seed work: the RNG draws, the jittered confirming dwell,
+and each idle turn's length, cut at the question start from the cursor
+that the jitter moved.  An off-script session's trace and warnings are by
+construction those of a run with no plan, whether the plan was cold or
+warm.
 
 Behavioral model
 ----------------
@@ -429,8 +430,7 @@ def _stable_seed(*parts: object) -> int:
 IDLE_LEAD_S = 1e-6
 
 # Plan keys of the gaze direction every session starts with and of the
-# settle tail's state, poses and look; every other key is built from plan
-# times.
+# settle tail's look; every other key is built from plan times.
 _START = "start"
 _TAIL = "tail"
 
@@ -440,7 +440,9 @@ class _SessionPlan:
 
     Only the agent's RNG depends on the seed; every other value a session
     computes on its script is pure in (scenario, strategy, scripted time),
-    so the plan keeps it, filled lazily as sessions first ask for it.  Its
+    so the plan keeps its whole scripted steps, filled lazily as sessions
+    first ask for them.  A step that misses computes its scene state, panel
+    placement and focus afresh; the plan stores nothing below a step.  Its
     keys are plan times and symbolic steps, never object identities or
     seed-dependent floats:
 
@@ -453,11 +455,6 @@ class _SessionPlan:
       * a gaze direction is named by the point it was turned to: a look by
         its aim (plan time or _TAIL, presenting), a panel seen from a plan
         time by (time, panel id), the start direction by _START;
-      * states: plan time or _TAIL -> scene state;
-      * focus: (plan time or _TAIL, presenting) -> (focus, gaze point), the
-        scripted focus (focus_target) and where the eyes rest on it.  Both
-        are pure in the scene state, so one table serves every strategy;
-      * poses[strategy]: plan time or _TAIL -> panel poses;
       * looks[strategy]: (plan time or _TAIL, presenting, facing) ->
         (focus, turn), an idle or settle look at the scripted focus from
         the gaze direction named facing; turn is _turn's (degrees, end
@@ -487,12 +484,11 @@ class _SessionPlan:
     reruns the whole session with no tables, so nothing off the script is
     stored.  A look, question or search entry is stored only after its
     scene query passed, so a hit, which skips the query, is on the script
-    too; a focus entry is stored after some strategy's query passed, which
-    is enough, as it reads no placement.  So the plan stays bounded by the
-    scripted times however many seeds run, and a session gives the same
-    trace and warnings whether the plan was cold or warm.  The plan holds
-    no reference to its scenario; callers pass it.  It is derived state of
-    the scenario (see Scenario._derived).
+    too.  So the plan stays bounded by the scripted times however many
+    seeds run, and a session gives the same trace and warnings whether the
+    plan was cold or warm.  The plan holds no reference to its scenario;
+    callers pass it.  It is derived state of the scenario (see
+    Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -505,11 +501,6 @@ class _SessionPlan:
             [traj.waypoints[-1].time for traj in scenario.trajectories.values()], default=0.0
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
-        self.states: dict[object, SceneState] = {}
-        self.focus: dict[tuple, tuple] = {}
-        self.poses: dict[Strategy, dict[object, dict[str, Pose]]] = {
-            strategy: {} for strategy in Strategy
-        }
         self.looks: dict[Strategy, dict[tuple, tuple]] = {strategy: {} for strategy in Strategy}
         self.questions: dict[tuple, dict[tuple, tuple]] = {}
         self.scan_keys: dict[Strategy, dict[tuple, tuple]] = {
@@ -627,10 +618,8 @@ class _Simulator:
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
         # The session's plan tables; with none, every value is computed.
-        self.states = self.focus = self.poses = self.looks = self.questions = None
-        self.scan_keys = self.searches = None
+        self.looks = self.questions = self.scan_keys = self.searches = None
         if on_plan:
-            self.states, self.focus, self.poses = plan.states, plan.focus, plan.poses[strategy]
             self.looks, self.scan_keys = plan.looks[strategy], plan.scan_keys[strategy]
             self.questions = plan.questions.setdefault((strategy, params.yaw_rate_deg_s), {})
             shape = (strategy, params.yaw_rate_deg_s, params.fixation_min)
@@ -644,38 +633,32 @@ class _Simulator:
         # its intermediary, or recalled in the static stationary room.
         self.direct = strategy in INTERMEDIARY_PLACED or scenario.context == "static_stationary"
 
-    def _state(self, t: float, at) -> SceneState:
-        """Scene state at t (plan key at); the tail's comes back under t (warnings read it)."""
-        state = _planned(self.states, at, self.scn.state_at, t)
-        return state if state.time == t else SceneState(t, state.poses)
-
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
         """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
 
-        On the plan, a step off the script raises _OffScript: a time that
-        is not a plan time (run keys a settle tail that starts before
-        settled by its time, so it is one), or a degenerate placement.  The
-        environment-referenced placer holds the last pose there, or raises
-        DegenerateIntermediary with nothing to hold, so its result depends
-        on the session's history, which plan hits do not feed.  Elsewhere
-        the placement is pure in the state.
+        The state is scn.state_at(t), placed by the session's own placer;
+        nothing here is stored.  On the plan, a step off the script raises
+        _OffScript: a time that is not a plan time (run keys a settle tail
+        that starts before settled by its time, so it is one), or a
+        degenerate placement.  The environment-referenced placer holds the
+        last pose there, or raises DegenerateIntermediary with nothing to
+        hold, so its result depends on the session's history, and a look or
+        search entry computed from it would carry that history to other
+        sessions.  Elsewhere the placement is pure in the state.
         """
-        if self.poses is None:
-            state = self._state(t, at)
+        if self.looks is None:
+            state = self.scn.state_at(t)
             return state, self.place(state)
         if at is not _TAIL and at not in self.plan.times:
             raise _OffScript
-        state = self._state(t, at)
-        poses = self.poses.get(at)
-        if poses is None:
-            held = len(self.warnings)
-            try:
-                poses = self.place(state)
-            except DegenerateIntermediary:
-                raise _OffScript from None
-            if len(self.warnings) > held:
-                raise _OffScript
-            self.poses[at] = poses
+        state = self.scn.state_at(t)
+        held = len(self.warnings)
+        try:
+            poses = self.place(state)
+        except DegenerateIntermediary:
+            raise _OffScript from None
+        if len(self.warnings) > held:
+            raise _OffScript
         return state, poses
 
     # -- phases ---------------------------------------------------------
@@ -740,17 +723,13 @@ class _Simulator:
         answered_at None presents the question.
         """
         state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
-        aim = (at, answered_at is None)
-        focus, point = _planned(self.focus, aim, self._focus, state, t, answered_at)
-        return focus, _turn(self.line.gaze_dir, state.pose_of(USER_HEAD).position, point)
-
-    def _focus(self, state: SceneState, t: float, answered_at: float | None):
-        """(focus, gaze point): focus_target at t and where the eyes rest on it."""
         focus = focus_target(state, self.scn, t, answered_at=answered_at)
         if isinstance(focus, ScreenGaze):
             screen = next(e for e in self.scn.entities if e.kind == "screen")
-            return focus, state.pose_of(screen.id).position
-        return focus, state.pose_of(focus.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
+            point = state.pose_of(screen.id).position
+        else:
+            point = state.pose_of(focus.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
+        return focus, _turn(self.line.gaze_dir, state.pose_of(USER_HEAD).position, point)
 
     def _idle_phase(self, until: float) -> None:
         line = self.line

@@ -426,13 +426,9 @@ def degenerate_walk_scenario(tail_only=False):
 
 
 def plan_tables(plan):
-    """Every table of a session plan whose keys are plan steps."""
-    by_strategy = (plan.poses, plan.looks, plan.scan_keys, plan.questions, plan.searches)
-    return [
-        plan.states,
-        plan.focus,
-        *(table for tables in by_strategy for table in tables.values()),
-    ]
+    """Every table of a session plan: the four step tables, per strategy or shape."""
+    by_strategy = (plan.looks, plan.scan_keys, plan.questions, plan.searches)
+    return [table for tables in by_strategy for table in tables.values()]
 
 
 def plan_entries(scn):
@@ -560,17 +556,11 @@ class TestSceneTrack:
                 if seed == 4:
                     after_five = plan_entries(scn)
             assert plan_entries(scn) == after_five, name
-            # one state per plan time (the scripted times and rest); one
-            # focus per idle aim, per question and for the tail, shared by
-            # the strategies; one pose set per strategy and plan time; per
-            # strategy one look per idle aim and the tail's; one question
+            # per strategy one look per idle aim and the tail's; one question
             # table per strategy (at one yaw rate), one entry per question
             # start, laid from the idle aim; one search table per strategy
             plan = scn._cache[agent._SessionPlan]
             trials = len(scn.trials)
-            assert len(plan.states) <= len(plan.times) + 1
-            assert len(plan.focus) <= 2 * trials + 1
-            assert all(len(p) <= len(plan.times) + 1 for p in plan.poses.values())
             assert all(len(looks) <= trials + 1 for looks in plan.looks.values())
             assert len(plan.questions) <= len(Strategy)
             assert all(len(questions) == trials for questions in plan.questions.values())
@@ -730,12 +720,12 @@ class TestSceneTrack:
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
-        # the plan, so no pose, look, scan, question or search key names it
+        # the plan, so no look, scan, question or search key names it
         # or a later time
         plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
-        keys = [*plan.poses[env_ref], *plan.looks[env_ref], *plan.scan_keys[env_ref]]
+        keys = [*plan.looks[env_ref], *plan.scan_keys[env_ref]]
         for tables in (plan.questions, plan.searches):
             keys += [key for shape, table in tables.items() if shape[0] is env_ref for key in table]
         named = {t for key in keys for t in key_times(key)}
@@ -743,7 +733,7 @@ class TestSceneTrack:
 
     def test_degenerate_tail_warns_at_the_sessions_own_time(self):
         warm = degenerate_walk_scenario(tail_only=True)
-        # a body-fixed session stores the tail's scene state under its own tail time
+        # a body-fixed session, whose tail starts at another time, fills the plan first
         simulate_session(warm, strategy=Strategy.BODY_FIXED, seed=0)
         for seed in (1, 3):
             trace = simulate_session(warm, seed=seed)
@@ -832,9 +822,40 @@ class TestStepReplay:
                     assert on.rng.getstate() == off.rng.getstate(), case
         assert bool(stepped_off) == (name in (STEPS_OFF, LATE_QUESTION))
         plan = warm._cache[agent._SessionPlan]
-        assert plan.focus and all(plan.looks.values()) and all(plan.questions.values())
+        assert all(plan.looks.values()) and all(plan.questions.values())
         assert all(plan.searches.values())
         assert_keys_are_plan_times(plan)
+
+    def test_a_warm_session_makes_no_scene_query(self, monkeypatch):
+        """Every scene query, placement and focus of a warm session is inside a step hit.
+
+        So the plan needs no table below its step tables: a miss computes
+        the scene, the placement and the focus afresh.
+        """
+        warm = {name: load_bundled(name) for name in bundled_scenario_names()}
+        for seed in range(1, 21):
+            for name, scn in warm.items():
+                for strategy in Strategy:
+                    simulate_session(scn, strategy=strategy, seed=seed)
+        placed = record_poses(monkeypatch)
+        asked = []
+        state_at, focus = Scenario.state_at, agent.focus_target
+        monkeypatch.setattr(
+            Scenario, "state_at", lambda self, t: asked.append(t) or state_at(self, t)
+        )
+        monkeypatch.setattr(
+            agent, "focus_target", lambda *args, **kw: asked.append(args) or focus(*args, **kw)
+        )
+        for seed in range(21, 41):
+            for name, scn in warm.items():
+                for strategy in Strategy:
+                    simulate_session(scn, strategy=strategy, seed=seed)
+                    assert not placed and not asked, (name, strategy, seed)
+        # the spies do see a cold session
+        cold = load_bundled("dynamic_mobile_env_ref")
+        asked.clear()  # the parser's own replay check
+        simulate_session(cold, seed=1)
+        assert placed and asked
 
     def test_a_question_that_starts_late_steps_off_there(self, monkeypatch):
         warm = replay_scenario(LATE_QUESTION)

@@ -11,11 +11,9 @@ statistics.median for means and medians, and the switch statistics over the
 counts as floats.
 """
 
-import copy
 import math
 import pickle
 import statistics
-from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +31,7 @@ from xrlayout.agent import (
     TrialTrace,
     simulate_session,
 )
-from xrlayout.errors import FrozenInstanceError, IncompleteTrial
+from xrlayout.errors import IncompleteTrial
 from xrlayout.metrics import (
     SessionSummary,
     TrialMetrics,
@@ -321,28 +319,12 @@ class TestSessionScoringEqualsOracle:
 
 # -- GazeSegment keeps the frozen dataclass's value semantics ------------------
 
-DataclassSegment = make_dataclass(
-    "GazeSegment", [("t0", float), ("t1", float), ("target", object)], frozen=True
-)
-SEGMENT_ARGS = [
-    (0.0, 1.5, NoGaze()),
-    (-0.0, 0.0, ScreenGaze()),
-    (2.25, 2.4, DocumentGaze("sports", ROW, COL)),
-    (1e308, float("inf"), IntermediaryGaze("host_food")),
-    (0.1, 0.30000000000000004, PanelGaze("movies")),
-]
-
-
 class TestGazeSegmentValueSemantics:
-    @pytest.mark.parametrize("args", SEGMENT_ARGS)
-    def test_eq_hash_and_repr_are_the_dataclass_ones(self, args):
-        seg, old = GazeSegment(*args), DataclassSegment(*args)
-        assert repr(seg) == repr(old)
-        assert hash(seg) == hash(old)
-        assert seg == GazeSegment(*args)
-        assert seg == GazeSegment(t0=args[0], t1=args[1], target=args[2])
-        assert seg != old  # another class, as between two dataclasses
-        assert seg != args
+    """GazeSegment checks beyond those every record gets.
+
+    tests/test_value_types.py checks its eq, hash and repr against a
+    dataclass oracle, its frozen fields, and its pickle and copy.
+    """
 
     def test_equality_follows_every_field(self):
         seg = GazeSegment(0.0, 1.0, PanelGaze("food"))
@@ -351,30 +333,6 @@ class TestGazeSegmentValueSemantics:
         assert seg != GazeSegment(0.0, 1.0, PanelGaze("sports"))
         assert seg == GazeSegment(-0.0, 1.0, PanelGaze("food"))  # float equality
         assert len({seg, GazeSegment(0.0, 1.0, PanelGaze("food"))}) == 1
-
-    def test_assignment_and_deletion_raise(self):
-        seg = GazeSegment(0.0, 1.0, NoGaze())
-        for name in ("t0", "t1", "target"):
-            with pytest.raises(FrozenInstanceError):
-                setattr(seg, name, 2.0)
-            with pytest.raises(FrozenInstanceError):
-                delattr(seg, name)
-        with pytest.raises(FrozenInstanceError):
-            seg.extra = 1
-        assert (seg.t0, seg.t1, seg.target) == (0.0, 1.0, NoGaze())
-
-    @pytest.mark.parametrize(
-        "roundtrip",
-        [lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy],
-        ids=["pickle", "copy", "deepcopy"],
-    )
-    def test_pickle_and_copy_roundtrip(self, roundtrip):
-        for args in SEGMENT_ARGS:
-            seg = GazeSegment(*args)
-            back = roundtrip(seg)
-            assert type(back) is GazeSegment
-            assert back == seg
-            assert repr(back) == repr(seg)
 
     def test_pattern_matching_by_position(self):
         match GazeSegment(1.0, 2.0, ScreenGaze()):
