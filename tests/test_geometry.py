@@ -323,7 +323,8 @@ class TestValueSemantics:
     """Vec3, Rotation and Pose behave as frozen dataclasses.
 
     tests/test_value_types.py checks every record's eq, hash and repr
-    against a dataclass oracle, its frozen fields, and its pickle and copy.
+    against a dataclass oracle, its frozen fields, and its pickle and copy,
+    also at the edge values these checks used to carry.
     """
 
     @pytest.mark.parametrize(

@@ -323,7 +323,8 @@ class TestGazeSegmentValueSemantics:
     """GazeSegment checks beyond those every record gets.
 
     tests/test_value_types.py checks its eq, hash and repr against a
-    dataclass oracle, its frozen fields, and its pickle and copy.
+    dataclass oracle, its frozen fields, and its pickle and copy, also at
+    the edge values these checks used to carry.
     """
 
     def test_equality_follows_every_field(self):

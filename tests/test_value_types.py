@@ -8,7 +8,9 @@ __post_init__ where the record had one: fields() and __match_args__, eq,
 hash or unhashability, repr, assignment and deletion, construction by
 position and keyword, missing and unknown arguments, replace(), and the
 checks a construction runs.  Every record pickles, copies and deep-copies
-back to an equal record of its own class.
+back to an equal record of its own class.  Vec3, Rotation, Pose and
+GazeSegment are also checked at edge values: signed zeros, subnormal,
+huge and infinite floats.
 """
 
 import copy
@@ -114,6 +116,25 @@ SAMPLE_ARGS = {
     SessionSummary: ("dynamic_mobile", "env_ref", 7, 6, 1.5, 1.25, 0.5, 2.0, 2.0, -0.0, 1, 0.5),
 }
 SAMPLES = {cls: cls(*args) for cls, args in SAMPLE_ARGS.items()}
+
+# Edge values of the records most often built: signed zeros, subnormal and
+# huge floats, an infinite end time, and a rotation normalized on construction.
+EDGE_ARGS = [
+    (Vec3, (1.0, -0.0, 2.5)),
+    (Vec3, (0.0, 5e-324, -1e308)),
+    (Rotation, (1.0, 0.0, 0.0, 0.0)),
+    (Rotation, (0.3, 0.1, -0.2, 0.9)),
+    (Pose, ()),
+    (Pose, (UP, Rotation(0.6, 0.0, 0.8, 0.0))),
+    (GazeSegment, (0.0, 1.5, NoGaze())),
+    (GazeSegment, (-0.0, 0.0, ScreenGaze())),
+    (GazeSegment, (2.25, 2.4, DocumentGaze("sports", 2, 3))),
+    (GazeSegment, (1e308, math.inf, IntermediaryGaze("host_food"))),
+    (GazeSegment, (0.1, 0.30000000000000004, PanelGaze("movies"))),
+]
+EDGES = pytest.mark.parametrize(
+    "cls, args", EDGE_ARGS, ids=[f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(EDGE_ARGS)]
+)
 
 # The records that are not frozen, and every default factory.
 MUTABLE = {WarningEvent, TrialTrace, SessionTrace}
@@ -230,6 +251,25 @@ def test_every_record_pickles_and_copies(cls, roundtrip):
     assert type(back) is cls
     assert back == obj
     assert repr(back) == repr(obj)  # every bit, signed zeros included
+
+
+@ROUNDTRIPS
+@EDGES
+def test_edge_values_pickle_and_copy(cls, args, roundtrip):
+    obj = cls(*args)
+    back = roundtrip(obj)
+    assert type(back) is cls
+    assert back == obj
+    assert repr(back) == repr(obj)
+
+
+@EDGES
+def test_edge_values_eq_hash_and_repr_are_the_dataclass_ones(cls, args):
+    obj, old = cls(*args), old_twin(cls(*args))
+    assert repr(obj) == repr(old)
+    assert hash(obj) == hash(old)
+    assert obj == cls(*args)
+    assert obj != old
 
 
 class TestRecordsAgainstDataclassOracles:
