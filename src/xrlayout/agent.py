@@ -21,10 +21,11 @@ sessions on one Scenario object.  So the sessions share a session plan
 (_SessionPlan, derived state of the scenario; see Scenario._derived) of
 whole scripted steps, each pure in (scenario, strategy, scripted time):
 each idle or settle look at the scripted focus (its focus and head turn),
-each question phase (its segments, laid from the question start), each
-scan route's sort keys, and each search route (its segments and opens up
+and each trial from its question start: the question phase (its
+segments), the scene and the scan route's sort keys where the search
+starts, and the searches by drawn route (their segments and opens up
 to the fixation).  A step that misses computes its scene state, panel
-placement and focus afresh; nothing below a step is stored.  Plan use is
+placement and focus afresh; only trial entries keep a scene.  Plan use is
 decided once per session: simulate_session runs the session on the plan,
 reading and filling it, and a first step off the script (a scene query at
 a time that is not scripted, a settle tail before the scene has settled
@@ -442,9 +443,9 @@ class _SessionPlan:
     computes on its script is pure in (scenario, strategy, scripted time),
     so the plan keeps its whole scripted steps, filled lazily as sessions
     first ask for them.  A step that misses computes its scene state, panel
-    placement and focus afresh; the plan stores nothing below a step.  Its
-    keys are plan times and symbolic steps, never object identities or
-    seed-dependent floats:
+    placement and focus afresh; the plan stores no scene but the one a
+    trial entry holds for its searches.  Its keys are plan times and
+    symbolic steps, never object identities or seed-dependent floats:
 
       * a plan time is a scripted query time: 0.0 and, for each trial, the
         instant IDLE_LEAD_S before its window, its question start and its
@@ -459,18 +460,15 @@ class _SessionPlan:
         (focus, turn), an idle or settle look at the scripted focus from
         the gaze direction named facing; turn is _turn's (degrees, end
         direction), or None when the gaze point is at the head;
-      * questions[(strategy, yaw_rate_deg_s)]: (question start, facing) ->
-        (segments, cursor, facing, gaze direction), a question phase laid
-        from its question start: the look at the asker or the screen, cut
-        at question complete, and the hold on it, with the gaze after it;
-      * scan_keys[strategy]: (policy, facing, plan time) -> the seed-free
-        sort keys of a scan route (_scan_keys);
-      * searches[(strategy, yaw_rate_deg_s, fixation_min,
-        per_cell_scan_time, known_grid)]: (trial index, plan time, facing,
-        route, confusion flags) -> (segments up to the fixation, wrong
-        opens, fixation time, end facing, end gaze direction, wanted
-        document, correct open), a search from its start to the confirming
-        dwell; the agent parameters that shape its segments pick the table.
+      * trials[(strategy, scan_policy, yaw_rate_deg_s, fixation_min,
+        per_cell_scan_time, known_grid)]: (trial index, facing) -> a trial
+        entry laid from its question start (_Simulator._question): the
+        question phase with the gaze after it; the scene and the seed-free
+        scan route keys (_scan_keys) at its end, where the search starts;
+        and the searches by (route, confusion flags), each the segments up
+        to the fixation, the wrong opens, the fixation time, the end facing
+        and gaze direction, the wanted document and the correct open.  The
+        agent parameters that shape it pick the table.
 
     Plan use is decided once per session: a session reads and fills the
     tables until its first step off the script, which is a scene query at
@@ -482,13 +480,12 @@ class _SessionPlan:
     environment-referenced placement (hold-last depends on the session's
     own history there).  That step raises _OffScript, and simulate_session
     reruns the whole session with no tables, so nothing off the script is
-    stored.  A look, question or search entry is stored only after its
-    scene query passed, so a hit, which skips the query, is on the script
-    too.  So the plan stays bounded by the scripted times however many
-    seeds run, and a session gives the same trace and warnings whether the
-    plan was cold or warm.  The plan holds no reference to its scenario;
-    callers pass it.  It is derived state of the scenario (see
-    Scenario._derived).
+    stored.  A look or trial entry is stored only after its scene queries
+    passed, so a hit, which skips them, is on the script too.  So the plan
+    stays bounded by the scripted times however many seeds run, and a session
+    gives the same trace and warnings whether the plan was cold or warm.  The
+    plan holds no reference to its scenario; callers pass it.  It is derived
+    state of the scenario (see Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -502,11 +499,7 @@ class _SessionPlan:
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
         self.looks: dict[Strategy, dict[tuple, tuple]] = {strategy: {} for strategy in Strategy}
-        self.questions: dict[tuple, dict[tuple, tuple]] = {}
-        self.scan_keys: dict[Strategy, dict[tuple, tuple]] = {
-            strategy: {} for strategy in Strategy
-        }
-        self.searches: dict[tuple, dict[tuple, tuple]] = {}
+        self.trials: dict[tuple, dict[tuple, tuple]] = {}
         self.panel_by_category = {
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
@@ -618,20 +611,16 @@ class _Simulator:
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
         # The session's plan tables; with none, every value is computed.
-        self.looks = self.questions = self.scan_keys = self.searches = None
+        self.looks = self.trials = None
         if on_plan:
-            self.looks, self.scan_keys = plan.looks[strategy], plan.scan_keys[strategy]
-            self.questions = plan.questions.setdefault((strategy, params.yaw_rate_deg_s), {})
-            shape = (strategy, params.yaw_rate_deg_s, params.fixation_min)
+            self.looks = plan.looks[strategy]
+            shape = (strategy, params.scan_policy, params.yaw_rate_deg_s, params.fixation_min)
             shape += (params.per_cell_scan_time, params.known_grid)
-            self.searches = plan.searches.setdefault(shape, {})
+            self.trials = plan.trials.setdefault(shape, {})
         self.place, self.warnings = session_placement(strategy, scenario)
         self.line = _Timeline(params.yaw_rate_deg_s)
         self.opens: list[OpenEvent] = []
         self.panel_by_category = plan.panel_by_category
-        # Where the panel sits is known without a header search: given by
-        # its intermediary, or recalled in the static stationary room.
-        self.direct = strategy in INTERMEDIARY_PLACED or scenario.context == "static_stationary"
 
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
         """(scene state, panel poses) at t, whose plan key at is t or _TAIL.
@@ -675,8 +664,8 @@ class _Simulator:
             # segments tile the session with positive lengths, so their ends
             # never decrease, and a question laid from t0 starts the slice
             first = len(segments) if line.cursor == t0 else None
-            self._question_phase(trial)
-            t_open = search_and_open(self, trial)
+            entry = self._question_phase(trial)
+            t_open = search_and_open(self, trial, entry)
             if first is None:
                 first = bisect_right(segments, t0, seg_start, key=_segment_end)
             trial_traces.append(
@@ -739,69 +728,71 @@ class _Simulator:
         # at or after the cursor, so answered whatever the cursor was
         line.until(until, self._look(t, t, line.cursor, deadline=until))
 
-    def _question_phase(self, trial: Trial) -> None:
-        """Lay the question phase; on the plan it must start at the question start."""
+    def _question_phase(self, trial: Trial) -> tuple:
+        """Lay the question phase, from the question start on the plan; returns its trial entry."""
         line = self.line
-        t = trial.question_start
-        if self.questions is not None and line.cursor != t:
+        if self.trials is not None and line.cursor != trial.question_start:
             raise _OffScript  # its segments would start at the session's own cursor
-        phase = _planned(self.questions, (t, line.facing), self._question, trial)
-        segments, line.cursor, line.facing, line.gaze_dir = phase
+        entry = _planned(self.trials, (trial.index, line.facing), self._question, trial)
+        segments, line.cursor, line.facing, line.gaze_dir, _, _, _ = entry
         line.segments += segments
+        return entry
 
     def _question(self, trial: Trial) -> tuple:
-        """The question phase from the session's gaze, laid on a timeline of its own.
+        """The trial entry: the question phase from the session's gaze, and the search's start.
 
-        Returns its plan entry, (segments, cursor, facing, gaze direction):
-        a turn to the asker or the screen, cut at question complete, then
-        the hold on it until then.
+        Returns (segments, cursor, facing, gaze direction, scene, scan
+        keys, searches): the question phase laid on a timeline of its own
+        (a turn to the asker or the screen, cut at question complete, then
+        the hold on it until then); the (state, panel poses) at its end,
+        where the search starts; _scan_keys there, or None for a
+        direct-placed session; and an empty dict that search_and_open
+        fills by (route, confusion flags).
         """
         t, done = trial.question_start, trial.question_complete
         line = self.line.branch()
         focus, turn = self._aim(t, t, None)
         line.turn(turn, (t, True), done)
         line.until(done, focus)
-        return tuple(line.segments), line.cursor, line.facing, line.gaze_dir
+        at = line.cursor
+        scene = state, panels = self._scene_at(at, at)
+        keys = None
+        # Where the panel sits is known without a header search when its
+        # intermediary gives it, or recalled in the static stationary room.
+        if self.strategy not in INTERMEDIARY_PLACED and self.scn.context != "static_stationary":
+            head = state.pose_of(USER_HEAD).position
+            keys = _scan_keys(panels, head, line.gaze_dir, self.params.scan_policy)
+        return tuple(line.segments), at, line.facing, line.gaze_dir, scene, keys, {}
 
 
-def search_and_open(sim: _Simulator, trial: Trial) -> float:
+def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> float:
     """Post-question navigation for one trial of a session.
 
     Finds the category panel, then the country document, and opens it:
     lays the segments onto the session's timeline from its cursor, records
     the open events, and returns the time of the correct open.  The cursor
-    must be at or after the question's full presentation; the agent never
-    touches a document earlier than that.
+    is where the trial's question phase ended, and entry is that trial's
+    entry (_Simulator._question), which holds the scene and the scan keys
+    there; the agent never touches a document before the question's full
+    presentation.
 
     The RNG draws come first, in one order: the route's, then one
     confusion flag per rejected panel (random_seeded only), then the
-    dwell jitter.  With the route and the flags drawn, a search entry
-    replays everything up to the fixation; only the jittered confirming
-    dwell and the open are the session's own.
+    dwell jitter.  With the route and the flags drawn, the entry's search
+    for them replays everything up to the fixation; only the jittered
+    confirming dwell and the open are the session's own.
     """
     line, params, rng = sim.line, sim.params, sim.rng
-    at = line.cursor
+    _, _, _, _, scene, keys, searches = entry
     target_pid = sim.panel_by_category[trial.category]
-    scene = None  # (state, panel poses) at the cursor, queried once, on a miss
-    if sim.direct:
-        route = (target_pid,)
-    else:
-        policy = params.scan_policy
-        key = (policy, line.facing, at)
-        keys = None if sim.scan_keys is None else sim.scan_keys.get(key)
-        if keys is None:
-            scene = state, panels = sim._scene_at(at, at)
-            keys = _scan_keys(panels, state.pose_of(USER_HEAD).position, line.gaze_dir, policy)
-            if sim.scan_keys is not None:
-                sim.scan_keys[key] = keys
-        route = _scan_route(keys, target_pid, params, rng)
+    route = (target_pid,) if keys is None else _scan_route(keys, target_pid, params, rng)
     # per rejected panel: whether the agent confuses it and opens its same-lettered cell
     confused = [False] * (len(route) - 1)
     if params.scan_policy == "random_seeded":
         for k in range(len(confused)):
             confused[k] = rng.random() < params.confusion_prob
-    key = (trial.index, at, line.facing, route, tuple(confused))
-    search = _planned(sim.searches, key, _search, sim, trial, route, confused, scene)
+    flags = tuple(confused)
+    search = _planned(searches, (route, flags), _search, sim, trial, route, confused, scene)
     segments, wrong, line.cursor, line.facing, line.gaze_dir, wanted, opened = search
     line.segments += segments
     sim.opens += wrong
@@ -816,7 +807,7 @@ def _search(
     trial: Trial,
     route: tuple[str, ...],
     confused: list[bool],
-    scene: tuple[SceneState, dict[str, Pose]] | None,
+    scene: tuple[SceneState, dict[str, Pose]],
 ) -> tuple:
     """A search from the session's gaze up to the fixation on the wanted cell.
 
@@ -824,12 +815,12 @@ def _search(
     fixation time, end facing, end gaze direction, wanted document, correct
     open), laid on a timeline of its own; the open fires after fixation_min
     of confirming dwell, which search_and_open lays.  scene is the state and
-    panel poses at the cursor, or None when not queried yet.
+    panel poses at the cursor.
     """
     params, opens = sim.params, []
     line = sim.line.branch()
     at = line.cursor
-    state, panels = scene or sim._scene_at(at, at)
+    state, panels = scene
     head = state.pose_of(USER_HEAD).position
     cat_of = sim.plan.category_of
     for pid, wrong in zip(route, confused):

@@ -1,6 +1,7 @@
 """Synthetic gaze agent: determinism, navigation arithmetic, scan policies."""
 
 import json
+import math
 import random
 import re
 import sys
@@ -262,6 +263,11 @@ class TestWhatTheSeedVaries:
     nearest_panel_first draws only to break ties in its scan routes, one
     coin flip per tied trial, so its metrics take a power of two of values,
     at most 2 ** trials.
+
+    The session plan the sweep fills shows the same structure: one trial
+    entry per trial, and in it one search per route drawn.  So the product
+    of a session's search counts is the number of route sequences its
+    seeds took.
     """
 
     SEEDS = range(1, 101)
@@ -269,6 +275,7 @@ class TestWhatTheSeedVaries:
     def test_metric_vectors_over_seeds(self):
         params = AgentParams()
         counts = set()
+        sequences = 0
         for name in bundled_scenario_names():
             scn = load_bundled(name)
             for strategy in Strategy:
@@ -278,11 +285,24 @@ class TestWhatTheSeedVaries:
                 }
                 n = len(vectors)
                 counts.add(n)
-                if strategy in INTERMEDIARY_PLACED or scn.context == "static_stationary":
+                direct = strategy in INTERMEDIARY_PLACED or scn.context == "static_stationary"
+                if direct:
                     assert n == 1, (name, strategy)
                 else:
                     assert n & (n - 1) == 0 and n <= 2 ** len(scn.trials), (name, strategy, n)
+                plan = scn._cache[agent._SessionPlan]
+                (entries,) = [table for shape, table in plan.trials.items() if shape[0] is strategy]
+                assert sorted(index for index, _ in entries) == list(range(len(scn.trials)))
+                edges = [len(entry[-1]) for entry in entries.values()]
+                assert set(edges) <= ({1} if direct else {1, 2}), (name, strategy)
+                routes = math.prod(edges)
+                if strategy is Strategy.WORLD_FIXED and scn.user_state == "mobile":
+                    assert routes > n, (name, strategy)  # two routes, one metric vector
+                else:
+                    assert routes == n, (name, strategy)
+                sequences += routes
         assert counts == {1, 2, 4, 8, 16}  # the search sessions do vary
+        assert sequences == 148
 
 
 class TestFocusScript:
@@ -426,9 +446,9 @@ def degenerate_walk_scenario(tail_only=False):
 
 
 def plan_tables(plan):
-    """Every table of a session plan: the four step tables, per strategy or shape."""
-    by_strategy = (plan.looks, plan.scan_keys, plan.questions, plan.searches)
-    return [table for tables in by_strategy for table in tables.values()]
+    """Every table of a session plan: looks, trials, and each trial entry's searches."""
+    tables = [*plan.looks.values(), *plan.trials.values()]
+    return tables + [entry[-1] for trials in plan.trials.values() for entry in trials.values()]
 
 
 def plan_entries(scn):
@@ -556,15 +576,16 @@ class TestSceneTrack:
                 if seed == 4:
                     after_five = plan_entries(scn)
             assert plan_entries(scn) == after_five, name
-            # per strategy one look per idle aim and the tail's; one question
-            # table per strategy (at one yaw rate), one entry per question
-            # start, laid from the idle aim; one search table per strategy
+            # per strategy one look per idle aim and the tail's; one trial
+            # table per strategy (at the file's agent), one entry per trial,
+            # laid from the idle aim, and in it one search per route drawn
             plan = scn._cache[agent._SessionPlan]
             trials = len(scn.trials)
             assert all(len(looks) <= trials + 1 for looks in plan.looks.values())
-            assert len(plan.questions) <= len(Strategy)
-            assert all(len(questions) == trials for questions in plan.questions.values())
-            assert len(plan.searches) <= len(Strategy)
+            assert len(plan.trials) <= len(Strategy)
+            for entries in plan.trials.values():
+                assert sorted(index for index, _ in entries) == list(range(trials))
+                assert all(1 <= len(entry[-1]) <= 2 for entry in entries.values())
             assert_keys_are_plan_times(plan)
 
     def test_scene_at_rest_keeps_the_poses_of_rest(self):
@@ -720,15 +741,15 @@ class TestSceneTrack:
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
-        # the plan, so no look, scan, question or search key names it
-        # or a later time
+        # the plan, so no look or trial key names it or a later time, and
+        # no trial entry's search starts there (at its question complete)
         plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
-        keys = [*plan.looks[env_ref], *plan.scan_keys[env_ref]]
-        for tables in (plan.questions, plan.searches):
-            keys += [key for shape, table in tables.items() if shape[0] is env_ref for key in table]
-        named = {t for key in keys for t in key_times(key)}
+        tables = [table for shape, table in plan.trials.items() if shape[0] is env_ref]
+        trials = [key for table in tables for key in table]
+        named = {t for key in [*plan.looks[env_ref], *trials] for t in key_times(key)}
+        named |= {warm.trials[index].question_complete for index, _ in trials}
         assert named and max(named) < 62.25
 
     def test_degenerate_tail_warns_at_the_sessions_own_time(self):
@@ -765,16 +786,16 @@ def replay_params(base):
 STEPS_OFF = "search past the next window, user turning"
 
 
-def moved_question(start, agent_block=()):
-    """dynamic_stationary_env_ref text with trial 1 asked from start on.
+def moved_question(start, agent_block=(), name="dynamic_stationary_env_ref", index=1):
+    """A bundled session's text with trial index asked from start on.
 
-    The words keep their offsets from the question start.  Trial 0's
-    question completes at 12.25 s, and the scene does not depend on when
-    trial 1 is asked.
+    The words keep their offsets from the question start, and the scene
+    does not depend on when a trial is asked.  By default trial 1 of
+    dynamic_stationary_env_ref, whose trial 0 question completes at 12.25 s.
     """
-    doc = json.loads(bundled_scenario_text("dynamic_stationary_env_ref"))
+    doc = json.loads(bundled_scenario_text(name))
     doc["agent"].update(agent_block)
-    trial = doc["trials"][1]
+    trial = doc["trials"][index]
     words = trial["word_schedule_s"]
     trial["question_start_s"] = start
     trial["word_schedule_s"] = [start] + [start + (w - words[0]) for w in words[1:]]
@@ -797,7 +818,7 @@ def replay_scenario(name):
 
 
 class TestStepReplay:
-    """A warm session replays whole scripted steps: looks, questions and search routes."""
+    """A warm session replays whole scripted steps: looks, and trials with their search routes."""
 
     @pytest.mark.parametrize("name", [*bundled_scenario_names(), STEPS_OFF, LATE_QUESTION])
     def test_warm_replay_is_the_run_without_the_plan(self, name):
@@ -822,8 +843,8 @@ class TestStepReplay:
                     assert on.rng.getstate() == off.rng.getstate(), case
         assert bool(stepped_off) == (name in (STEPS_OFF, LATE_QUESTION))
         plan = warm._cache[agent._SessionPlan]
-        assert all(plan.looks.values()) and all(plan.questions.values())
-        assert all(plan.searches.values())
+        assert all(plan.looks.values()) and all(plan.trials.values())
+        assert all(entry[-1] for table in plan.trials.values() for entry in table.values())
         assert_keys_are_plan_times(plan)
 
     def test_a_warm_session_makes_no_scene_query(self, monkeypatch):
@@ -857,6 +878,47 @@ class TestStepReplay:
         simulate_session(cold, seed=1)
         assert placed and asked
 
+    def test_a_new_route_reuses_its_trial_entrys_scene(self, monkeypatch):
+        """A seed that draws a route no session drew yet lays it from its trial entry.
+
+        The entry holds the scene and the scan keys where the search starts,
+        so the new route's search queries no scene, and the rest of the
+        session replays what the first seed stored.
+        """
+        scn = load_bundled("dynamic_stationary_body_fixed")
+        strategy = Strategy.BODY_FIXED
+
+        def run(seed, on_plan):
+            sim = agent._Simulator(scn, scn.agent._with_seed(seed), strategy, seed, on_plan)
+            return sim, sim.run()
+
+        def routes(seed):
+            _, trace = run(seed, on_plan=False)
+            return [panel_fixations(trace, k) for k in range(len(scn.trials))]
+
+        first = routes(1)
+        other = next(s for s in range(2, 50) if sum(a != b for a, b in zip(routes(s), first)) == 1)
+        simulate_session(scn, strategy=strategy, seed=1)
+        (trials,) = scn._cache[agent._SessionPlan].trials.values()
+        assert [len(entry[-1]) for entry in trials.values()] == [1] * len(scn.trials)
+        asked = []
+        scene_at, state_at = agent._Simulator._scene_at, Scenario.state_at
+        monkeypatch.setattr(
+            agent._Simulator, "_scene_at", lambda *args: asked.append(args) or scene_at(*args)
+        )
+        monkeypatch.setattr(
+            Scenario, "state_at", lambda self, t: asked.append(t) or state_at(self, t)
+        )
+        on, trace = run(other, on_plan=True)  # on the plan: no _OffScript
+        assert not asked
+        monkeypatch.undo()
+        off, oracle = run(other, on_plan=False)
+        assert trace == oracle
+        assert on.opens == off.opens
+        assert on.rng.getstate() == off.rng.getstate()
+        # the new route is stored beside the first seed's, in its trial's entry
+        assert sorted(len(entry[-1]) for entry in trials.values()) == [1] * (len(scn.trials) - 1) + [2]
+
     def test_a_question_that_starts_late_steps_off_there(self, monkeypatch):
         warm = replay_scenario(LATE_QUESTION)
         late = warm.trials[1]
@@ -888,41 +950,52 @@ class TestStepReplay:
                 assert rerun.opens == off.opens
                 assert rerun.rng.getstate() == off.rng.getstate()
                 assert simulate_session(warm, params, strategy=strategy) == oracle
-        # nothing laid from a late cursor was stored: one question entry per
+        # nothing laid from a late cursor was stored: one trial entry per
         # strategy, trial 0's, laid from its question start
         plan = warm._cache[agent._SessionPlan]
-        starts = {key[0] for table in plan.questions.values() for key in table}
-        assert starts == {warm.trials[0].question_start}
+        keys = [key for table in plan.trials.values() for key in table]
+        starts = [warm.trials[index].question_start for index, _ in keys]
+        assert starts == [warm.trials[0].question_start] * len(Strategy)
         assert_keys_are_plan_times(plan)
 
     def test_the_question_key_names_the_facing(self):
-        """Two sessions reach one question start on the plan from different gaze directions.
+        """Two sessions reach one trial on the plan from different gaze directions.
 
-        Trial 1 is asked at the very end of trial 0's search under the
-        default agent without jitter, so that session skips the idle phase
-        and starts the question facing the sports panel; with a shorter
-        fixation the search ends earlier and the question starts from the
-        idle aim.  A question key without the facing would replay one
-        session's head turn in the other.
+        Body-fixed dynamic_mobile_env_ref without jitter ties trial 2's
+        search between two routes.  Trial 3 is asked at the very end of the
+        longer one, so a seed that draws it skips the idle phase and starts
+        the question facing the food panel; a seed that draws the shorter
+        one starts it from the idle aim.  Both are one agent, so one trial
+        table; a trial key without the facing would replay one session's
+        head turn in the other.
         """
-        strategy = Strategy.ENVIRONMENT_REFERENCED
-        block = {"dwell_jitter_s": 0.0}
-        probe = parse_scenario(moved_question(20.0, block))
-        end = agent._Simulator(probe, probe.agent, strategy, 1, on_plan=False).run()
-        start = end.trials[0].segments[-1].t1
-        warm = parse_scenario(moved_question(start, block))
-        assert warm.trials[1].question_start == start
-        for params in (warm.agent, replace(warm.agent, fixation_min=0.1)):
-            for seed in (1, 2):
-                seeded = params._with_seed(seed)
-                on = agent._Simulator(warm, seeded, strategy, seed)
-                off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
-                assert on.run() == off.run(), (params, seed)  # on the plan: no _OffScript
-                assert on.rng.getstate() == off.rng.getstate()
-        questions = warm._cache[agent._SessionPlan].questions[(strategy, warm.agent.yaw_rate_deg_s)]
-        facings = {facing for at, facing in questions if at == start}
+        strategy, name, block = Strategy.BODY_FIXED, "dynamic_mobile_env_ref", {"dwell_jitter_s": 0.0}
+        seeds = range(1, 6)
+        probe = parse_scenario(edited_session(name, block))
+        ends = {
+            agent._Simulator(probe, probe.agent._with_seed(seed), strategy, seed, on_plan=False)
+            .run()
+            .trials[2]
+            .segments[-1]
+            .t1
+            for seed in seeds
+        }
+        assert len(ends) == 2, ends  # both routes drawn
+        start = max(ends)
+        warm = parse_scenario(moved_question(start, block, name, index=3))
+        assert warm.trials[3].question_start == start
+        for seed in seeds:
+            seeded = warm.agent._with_seed(seed)
+            on = agent._Simulator(warm, seeded, strategy, seed)
+            off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
+            assert on.run() == off.run(), seed  # on the plan: no _OffScript
+            assert on.rng.getstate() == off.rng.getstate()
+        plan = warm._cache[agent._SessionPlan]
+        (trials,) = plan.trials.values()
+        facings = {facing for index, facing in trials if index == 3}
         assert len(facings) == 2, facings
-        assert_keys_are_plan_times(warm._cache[agent._SessionPlan])
+        assert (62.25, "panel_food") in facings  # trial 2's search, from its question complete
+        assert_keys_are_plan_times(plan)
 
     def test_a_warm_session_builds_no_question_segment(self, monkeypatch):
         """A question phase on a warm plan is one lookup and one list extend."""
