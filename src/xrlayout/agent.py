@@ -37,7 +37,9 @@ does only its per-seed work: the RNG draws, the jittered confirming dwell,
 and each idle turn's length, cut at the question start from the cursor
 that the jitter moved.  An off-script session's trace and warnings are by
 construction those of a run with no plan, whether the plan was cold or
-warm.
+warm.  A trial trace laid on the plan points at its plan entries, so
+metrics.session_metrics scores each search entry once and hands the row
+to the warm trials it provably holds for.
 
 Behavioral model
 ----------------
@@ -312,6 +314,11 @@ class TrialTrace:
     opens: list[OpenEvent]
     params: AgentParams  # the agent that produced the trace; scoring reads it
 
+    # A trace laid on the session plan: (its question entry's segments, its
+    # search entry), whose score slot metrics.session_metrics reads and
+    # fills.  It is not a field, so eq, repr, fields() and replace() ignore it.
+    _plan = None
+
     def __init__(self, trial, t_complete, t_open, segments, opens, params):
         self.trial, self.t_complete, self.t_open = trial, t_complete, t_open
         self.segments, self.opens, self.params = segments, opens, params
@@ -467,8 +474,11 @@ class _SessionPlan:
         scan route keys (_scan_keys) at its end, where the search starts;
         and the searches by (route, confusion flags), each the segments up
         to the fixation, the wrong opens, the fixation time, the end facing
-        and gaze direction, the wanted document and the correct open.  The
-        agent parameters that shape it pick the table.
+        and gaze direction, the wanted document and the correct open, plus
+        a score slot: the trial's metrics, which metrics.session_metrics
+        computes once from the entry and hands to every trace laid on it
+        that it proves they hold for.  The agent parameters that shape the
+        entry pick the table.
 
     Plan use is decided once per session: a session reads and fills the
     tables until its first step off the script, which is a scene query at
@@ -665,19 +675,20 @@ class _Simulator:
             # never decrease, and a question laid from t0 starts the slice
             first = len(segments) if line.cursor == t0 else None
             entry = self._question_phase(trial)
-            t_open = search_and_open(self, trial, entry)
+            search = search_and_open(self, trial, entry)
             if first is None:
                 first = bisect_right(segments, t0, seg_start, key=_segment_end)
-            trial_traces.append(
-                TrialTrace(
-                    trial,
-                    trial.question_complete,
-                    t_open,
-                    segments[first:],
-                    [o for o in self.opens if t0 <= o.t <= line.cursor],
-                    self.params,
-                )
+            trace = TrialTrace(
+                trial,
+                trial.question_complete,
+                search[6].t,  # the correct open
+                segments[first:],
+                [o for o in self.opens if t0 <= o.t <= line.cursor],
+                self.params,
             )
+            if self.trials is not None:
+                trace._plan = entry[0], search
+            trial_traces.append(trace)
         # settle tail so the final fixation has somewhere to live
         t = line.cursor
         line.dwell(2.0, self._look(t, _TAIL if t >= self.plan.settled else t, t))
@@ -765,22 +776,25 @@ class _Simulator:
         return tuple(line.segments), at, line.facing, line.gaze_dir, scene, keys, {}
 
 
-def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> float:
+def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> list:
     """Post-question navigation for one trial of a session.
 
     Finds the category panel, then the country document, and opens it:
     lays the segments onto the session's timeline from its cursor, records
-    the open events, and returns the time of the correct open.  The cursor
-    is where the trial's question phase ended, and entry is that trial's
-    entry (_Simulator._question), which holds the scene and the scan keys
-    there; the agent never touches a document before the question's full
-    presentation.
+    the open events, and returns the search's plan entry (_search), which
+    holds the correct open.  The cursor is where the trial's question
+    phase ended, and entry is that trial's entry (_Simulator._question),
+    which holds the scene and the scan keys there; the agent never touches
+    a document before the question's full presentation.
 
     The RNG draws come first, in one order: the route's, then one
     confusion flag per rejected panel (random_seeded only), then the
     dwell jitter.  With the route and the flags drawn, the entry's search
     for them replays everything up to the fixation; only the jittered
-    confirming dwell and the open are the session's own.
+    confirming dwell and the open are the session's own.  The search
+    entry's score slot holds the trial's metrics once a session laid on it
+    is scored: the jitter only lengthens the confirming dwell, which moves
+    no metric (see metrics.session_metrics).
     """
     line, params, rng = sim.line, sim.params, sim.rng
     _, _, _, _, scene, keys, searches = entry
@@ -793,13 +807,13 @@ def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> float:
             confused[k] = rng.random() < params.confusion_prob
     flags = tuple(confused)
     search = _planned(searches, (route, flags), _search, sim, trial, route, confused, scene)
-    segments, wrong, line.cursor, line.facing, line.gaze_dir, wanted, opened = search
+    segments, wrong, line.cursor, line.facing, line.gaze_dir, wanted, opened, _ = search
     line.segments += segments
     sim.opens += wrong
     jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
     line.dwell(params.fixation_min + jitter, wanted)
     sim.opens.append(opened)
-    return opened.t
+    return search
 
 
 def _search(
@@ -808,14 +822,15 @@ def _search(
     route: tuple[str, ...],
     confused: list[bool],
     scene: tuple[SceneState, dict[str, Pose]],
-) -> tuple:
+) -> list:
     """A search from the session's gaze up to the fixation on the wanted cell.
 
-    Returns its plan entry, (segments from the cursor, wrong opens,
+    Returns its plan entry, [segments from the cursor, wrong opens,
     fixation time, end facing, end gaze direction, wanted document, correct
-    open), laid on a timeline of its own; the open fires after fixation_min
-    of confirming dwell, which search_and_open lays.  scene is the state and
-    panel poses at the cursor.
+    open, score slot], laid on a timeline of its own; the open fires after
+    fixation_min of confirming dwell, which search_and_open lays.  The
+    score slot is None until metrics.session_metrics first scores a trial
+    laid on the entry.  scene is the state and panel poses at the cursor.
     """
     params, opens = sim.params, []
     line = sim.line.branch()
@@ -841,7 +856,7 @@ def _search(
             r, c = divmod(idx, GRID_COLS)
             line.dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
     t_fix = line.cursor
-    return (
+    return [
         tuple(line.segments),
         tuple(opens),
         t_fix,
@@ -849,7 +864,8 @@ def _search(
         line.gaze_dir,
         DocumentGaze(target_cat, row, col),
         OpenEvent(t_fix + params.fixation_min, target_cat, trial.country, row, col, True),
-    )
+        None,
+    ]
 
 
 def _scan_keys(panels: Mapping[str, Pose], head: Vec3, cur_dir: Vec3, policy: str) -> tuple:

@@ -12,6 +12,29 @@ that produced it; the stream functions take one, as a recorded stream
 carries no agent.  A session summary states each column's mean, median
 and sample SD by one rule (_stats), with no statistics module.
 
+Warm seed sweeps score each plan search once.  A trial a session laid on
+its session plan (agent._SessionPlan) is the question entry's segments,
+the search entry's segments, and a confirming dwell on the wanted
+document from the fixation time t_fix that lasts fixation_min plus the
+session's dwell jitter.  So session_metrics scores a canonical trial per
+search entry, the first time a trial laid on it is scored: the same
+segments with a dwell of exactly fixation_min, ending at t_fix +
+fixation_min, and the search's opens, through trial_metrics like any
+trial.  It keeps the row in the entry's score slot (or that the entry is
+always scanned, when the canonical trial does not score or its end rounds
+to t_fix), and hands it to a trace only when everything trial_metrics
+reads matches: the trial (by identity) and fixation_min; the session's
+context and strategy; the count of wrong opens; the question and search
+segments, the same objects in order; and one last segment on the wanted
+document from t_fix that ends no earlier than the canonical end.  That is
+exact for every jitter: the two streams differ only in the last end time,
+which lies past every pair, and float subtraction is monotone, so a
+longer last dwell still qualifies and the navigation time, start -
+t_done, is the same.  Every other trace is scanned.  aggregate keeps the
+summaries of recent row sequences by the rows' identities, for rows that
+are frozen and that the memo keeps alive; identity, not value, since
+0.0 == -0.0 would make a result depend on call order.
+
 The result rows are TrialMetrics and SessionSummary: the CSV and JSON
 columns are their fields, in order (TRIAL_FIELDS, SUMMARY_FIELDS).  Both
 readers check a row by one rule (_row), keyed by each field's annotation,
@@ -27,13 +50,14 @@ import json
 import math
 import sys
 from functools import cache
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, is_, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .agent import (
     AgentParams,
     DocumentGaze,
     GazeSample,
+    GazeSegment,
     GazeTarget,
     OpenEvent,
     PanelGaze,
@@ -334,9 +358,80 @@ def trial_metrics(trace: TrialTrace, *, context: str, strategy: str) -> TrialMet
 
 
 def session_metrics(trace: SessionTrace) -> list[TrialMetrics]:
-    """Per-trial metrics, each under the agent's fixation threshold."""
+    """Per-trial metrics, each under the agent's fixation threshold.
+
+    A trial laid on the session plan takes its search entry's score when
+    it provably equals trial_metrics of the trial (see the module
+    docstring); every other trial is scanned.
+    """
     context, strategy = trace.context, trace.strategy.value
-    return [trial_metrics(t, context=context, strategy=strategy) for t in trace.trials]
+    rows = []
+    for t in trace.trials:
+        row = None if t._plan is None else _planned_row(t, context, strategy)
+        rows.append(trial_metrics(t, context=context, strategy=strategy) if row is None else row)
+    return rows
+
+
+def _planned_row(trace: TrialTrace, context: str, strategy: str) -> TrialMetrics | None:
+    """The score of trace's search entry if it is trial_metrics(trace) exactly, else None.
+
+    The first trace laid on the entry fills its score slot (_plan_score).
+    """
+    question, search = trace._plan
+    score = search[7]
+    if score is None:
+        score = search[7] = _plan_score(trace, question, search, context, strategy)
+    trial, fixation_min, prefix, end, row = score
+    segments = trace.segments
+    if (
+        row is None
+        or trace.trial is not trial
+        or trace.params.fixation_min != fixation_min
+        or row.context != context
+        or row.strategy != strategy
+        or len(segments) != len(prefix) + 1
+    ):
+        return None
+    last = segments[-1]
+    if (
+        last.t0 is not search[2]  # t_fix
+        or last.target is not search[5]  # the wanted document
+        or not last.t1 >= end
+        or not all(map(is_, segments, prefix))
+        or sum(not o.correct for o in trace.opens) != row.errors
+    ):
+        return None
+    return row
+
+
+def _plan_score(
+    trace: TrialTrace, question: tuple, search: list, context: str, strategy: str
+) -> tuple:
+    """A search entry's score slot, from the first trace laid on it.
+
+    (trial, fixation_min, question and search segments, canonical end,
+    row): the row is trial_metrics of the canonical trial, or None when
+    that trial is incomplete or its end rounds to t_fix (no trace laid on
+    the entry then takes the row).
+    """
+    segments, wrong, t_fix, _, _, wanted, opened, _ = search
+    trial, params = trace.trial, trace.params
+    prefix, end = question + segments, t_fix + params.fixation_min
+    row = None
+    if end > t_fix:  # else the canonical window would leave out the pair at t_fix
+        canonical = TrialTrace(
+            trial,
+            trial.question_complete,
+            opened.t,
+            [*prefix, GazeSegment(t_fix, end, wanted)],
+            [*wrong, opened],
+            params,
+        )
+        try:
+            row = trial_metrics(canonical, context=context, strategy=strategy)
+        except IncompleteTrial:
+            pass
+    return trial, params.fixation_min, prefix, end, row
 
 
 # Bits the integer square root keeps: two beyond the float mantissa, so
@@ -412,25 +507,42 @@ def _stats(xs: Sequence[float]) -> tuple[float, float, float]:
     return mean, median, sample_sd(xs)
 
 
+# aggregate's memo: the ids of a row sequence -> (the rows, which the entry
+# keeps alive so no id is reused while it is kept, then the summary's
+# fields but the seed).  Warm sessions of a sweep hand back the same plan
+# rows (session_metrics), so a sweep has an entry per outcome it drew.
+# Only sequences of frozen TrialMetrics are kept, no exception is, and past
+# _AGGREGATE_ENTRIES the oldest entry is dropped, as agent._TICK_GRIDS does.
+_AGGREGATES: dict[tuple, tuple] = {}
+_AGGREGATE_ENTRIES = 1024
+
+
 def aggregate(rows: Sequence[TrialMetrics], *, seed: int) -> SessionSummary:
     """Mean/median/sd summary over one session's trials."""
     if not rows:
         raise EmptyTrialSet("cannot aggregate zero trials")
+    key = tuple(map(id, rows))
+    hit = _AGGREGATES.get(key)
+    if hit is not None:
+        _, context, strategy, summary = hit
+        return SessionSummary(context, strategy, seed, *summary)
     context, strategy = rows[0].context, rows[0].strategy
     for r in rows:
         if r.context != context or r.strategy != strategy:
             raise ValueError("aggregate expects rows from a single session")
     n = len(rows)
-    return SessionSummary(
-        context,
-        strategy,
-        seed,
+    summary = (
         n,
         *_stats([r.navigation_time_s for r in rows]),  # nav_time_mean_s, _median_s, _sd_s
         *_stats([r.gaze_switches for r in rows]),  # switches_mean, _median, _sd
         sum(r.errors for r in rows),  # errors_total
         sum(1 for r in rows if r.relevant) / n,  # relevant_fraction
     )
+    if all(r.__class__ is TrialMetrics for r in rows):
+        if len(_AGGREGATES) >= _AGGREGATE_ENTRIES:
+            del _AGGREGATES[next(iter(_AGGREGATES))]
+        _AGGREGATES[key] = tuple(rows), context, strategy, summary
+    return SessionSummary(context, strategy, seed, *summary)
 
 
 # -- export -----------------------------------------------------------------

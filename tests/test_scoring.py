@@ -9,16 +9,25 @@ dwell runs (_dwells), navigation time over those runs, a second walk for
 switches, boundary samples built per segment, statistics.fmean and
 statistics.median for means and medians, and the switch statistics over the
 counts as floats.
+
+A warm session's trials take the score of their plan search entry, and
+aggregate the summary of the same row objects; the checks below hold both
+to the scan: redrawn agent parameters, a trace edited after the run, a
+score that a naive cache would reuse wrongly, and rows equal by value only.
 """
 
+import copy
+import json
 import math
 import pickle
 import statistics
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xrlayout import metrics
 from xrlayout.agent import (
     AgentParams,
     DocumentGaze,
@@ -26,12 +35,13 @@ from xrlayout.agent import (
     GazeSegment,
     IntermediaryGaze,
     NoGaze,
+    OpenEvent,
     PanelGaze,
     ScreenGaze,
     TrialTrace,
     simulate_session,
 )
-from xrlayout.errors import IncompleteTrial
+from xrlayout.errors import IncompleteTrial, replace
 from xrlayout.metrics import (
     SessionSummary,
     TrialMetrics,
@@ -44,7 +54,15 @@ from xrlayout.metrics import (
     trial_metrics,
 )
 from xrlayout.placement import Strategy
-from xrlayout.scenario import Trial, bundled_scenario_names, grid_cell, load_bundled
+from xrlayout.scenario import (
+    SCAN_POLICIES,
+    Trial,
+    bundled_scenario_names,
+    bundled_scenario_text,
+    grid_cell,
+    load_bundled,
+    parse_scenario,
+)
 
 # -- the oracle: scoring before the one-pass scan -----------------------------
 
@@ -315,6 +333,265 @@ class TestSessionScoringEqualsOracle:
             for i, x in enumerate(navs)
         ]
         assert repr(aggregate(rows, seed=1)) == repr(oracle_aggregate(rows, seed=1))
+
+
+# -- a warm session reuses its plan entries' scores ----------------------------
+
+
+def scanned(trace):
+    """outcome of scoring every trial of trace by trial_metrics, the scan."""
+    kw = dict(context=trace.context, strategy=trace.strategy.value)
+    return outcome(lambda: [trial_metrics(t, **kw) for t in trace.trials])
+
+
+# Each bundled session on one Scenario of its own, which keeps its plan
+# across the examples drawn below.
+WARM = {name: load_bundled(name) for name in NAMES}
+
+
+@st.composite
+def agent_params(draw):
+    """AgentParams over the agent rows' ranges (the tick rate scores nothing)."""
+    return AgentParams(
+        fixation_min=draw(st.sampled_from([0.15, 0.001, 10.0]) | st.floats(0.001, 10.0)),
+        per_cell_scan_time=draw(st.sampled_from([0.2, 10.0]) | st.floats(1e-6, 10.0)),
+        scan_policy=draw(st.sampled_from(SCAN_POLICIES)),
+        known_grid=draw(st.booleans()),
+        yaw_rate_deg_s=draw(st.sampled_from([180.0, 10.0]) | st.floats(10.0, 1e4)),
+        confusion_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+    )
+
+
+def shifted_static_room(shift):
+    """static_stationary_env_ref with every question moved shift seconds later."""
+    doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
+    for trial in doc["trials"]:
+        trial["question_start_s"] += shift
+        trial["word_schedule_s"] = [t + shift for t in trial["word_schedule_s"]]
+    return parse_scenario(json.dumps(doc))
+
+
+class TestPlanScore:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        params=agent_params(),
+        jitter=st.sampled_from([0.02, 10.0]) | st.floats(1e-9, 10.0),
+        jitter_first=st.booleans(),
+    )
+    def test_warm_scores_are_the_scan(self, params, jitter, jitter_first):
+        """Sessions with and without dwell jitter share one plan shape, in either order."""
+        jitters = (jitter, 0.0) if jitter_first else (0.0, jitter)
+        for name in NAMES:
+            for strategy in Strategy:
+                for seed in (1, 2):
+                    for j in jitters:
+                        run = replace(params, dwell_jitter_s=j)
+                        trace = simulate_session(WARM[name], run, strategy=strategy, seed=seed)
+                        got = outcome(session_metrics, trace)
+                        assert got == scanned(trace), (name, strategy, seed, j)
+                        if got[0] == "raised":
+                            continue
+                        rows = session_metrics(trace)
+                        want = oracle_aggregate(rows, seed=seed)
+                        for _ in range(2):  # a fresh summary, then the memo's
+                            assert repr(aggregate(rows, seed=seed)) == repr(want)
+
+    def test_a_score_a_naive_cache_would_reuse(self):
+        """Past 1e5 s a confirming dwell of exactly fixation_min fails the dwell rule.
+
+        So with no jitter the trial cannot be scored, while a jittered
+        session laid on the same plan entry scores: reusing the jittered
+        session's row for the other would be wrong.
+        """
+        scn = shifted_static_room(1e5)
+        jittered, exact = (
+            simulate_session(
+                scn, replace(scn.agent, dwell_jitter_s=j), strategy="body_fixed", seed=1
+            )
+            for j in (0.02, 0.0)
+        )
+        assert outcome(session_metrics, jittered) == scanned(jittered)
+        assert scanned(jittered)[0] == "ok"
+        with pytest.raises(IncompleteTrial, match="no fixation >= 0.15s on sports/Japan"):
+            session_metrics(exact)
+
+    def test_a_warm_pass_scans_and_sums_nothing(self, monkeypatch):
+        """A second pass over seeds the plan holds reads every score and summary back."""
+        warm = {name: load_bundled(name) for name in NAMES}
+
+        def sweep():
+            for seed in range(1, 21):
+                for scn in warm.values():
+                    for strategy in Strategy:
+                        trace = simulate_session(scn, strategy=strategy, seed=seed)
+                        aggregate(session_metrics(trace), seed=seed)
+
+        sweep()
+        calls = []
+        scan, stats = metrics._scan, metrics._stats
+        monkeypatch.setattr(metrics, "_scan", lambda *a, **kw: calls.append(a) or scan(*a, **kw))
+        monkeypatch.setattr(metrics, "_stats", lambda *a: calls.append(a) or stats(*a))
+        sweep()
+        assert not calls
+        # the spies do see a cold session
+        cold = load_bundled(NAMES[0])
+        aggregate(session_metrics(simulate_session(cold, seed=1)), seed=1)
+        assert calls
+
+
+def warm_trace():
+    """A visual-search session replayed from plan entries that are scored already."""
+    for _ in range(2):
+        trace = simulate_session(
+            SCENARIOS["dynamic_mobile_body_fixed"], strategy=Strategy.BODY_FIXED, seed=3
+        )
+        session_metrics(trace)
+    assert all(t._plan is not None for t in trace.trials)
+    return trace
+
+
+class TestEditedTracesScoreAsTheScan:
+    """A trace edited after the run takes no score its edits would change."""
+
+    def check(self, trace):
+        assert outcome(session_metrics, trace) == scanned(trace)
+
+    def test_unedited(self):
+        trace = warm_trace()
+        self.check(trace)
+        assert outcome(session_metrics, trace)[0] == "ok"
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_a_middle_segment_replaced_in_place(self, shift):
+        trace = warm_trace()
+        for t in trace.trials:
+            k = len(t.segments) // 2
+            seg = t.segments[k]
+            want = metrics._wanted(t.trial.category, t.trial.country)
+            # equal by value (shift 0), or a long look at the wanted cell
+            target = seg.target if not shift else want
+            t.segments[k] = GazeSegment(seg.t0, seg.t1 + shift, target)
+        self.check(trace)
+
+    def test_the_last_dwell_shortened_below_fixation_min(self):
+        trace = warm_trace()
+        t = trace.trials[1]
+        last = t.segments[-1]
+        t.segments[-1] = GazeSegment(last.t0, last.t0 + 0.5 * t.params.fixation_min, last.target)
+        self.check(trace)
+        assert outcome(session_metrics, trace)[0] == "raised"
+
+    def test_the_last_dwell_moved_or_retargeted(self):
+        for edit in (
+            lambda last: GazeSegment(last.t0 - 0.01, last.t1, last.target),
+            lambda last: GazeSegment(last.t0, last.t1, PanelGaze(last.target.category)),
+        ):
+            trace = warm_trace()
+            for t in trace.trials:
+                t.segments[-1] = edit(t.segments[-1])
+            self.check(trace)
+
+    def test_a_segment_inserted_before_the_last(self):
+        trace = warm_trace()
+        for t in trace.trials:
+            last = t.segments[-1]
+            other = next(c for c in ("sports", "food") if c != last.target.category)
+            t.segments.insert(-1, GazeSegment(last.t0, last.t0, PanelGaze(other)))
+        self.check(trace)
+
+    def test_the_correct_open_dropped(self):
+        trace = warm_trace()
+        for t in trace.trials:
+            t.opens = [o for o in t.opens if not o.correct]
+        self.check(trace)
+
+    def test_a_wrong_open_added(self):
+        trace = warm_trace()
+        t = trace.trials[0]
+        o = t.opens[-1]
+        t.opens.append(OpenEvent(o.t, o.category, o.country, o.row, o.col, False))
+        self.check(trace)
+        assert session_metrics(trace)[0].errors == 1
+
+    def test_the_trial_reassigned(self):
+        trace = warm_trace()
+        trials = [t.trial for t in trace.trials]
+        for t, other in zip(trace.trials, trials[1:] + trials[:1]):
+            t.trial = other
+        self.check(trace)
+
+    @pytest.mark.parametrize("fixation_min", [0.1, 0.15 - 1e-9, 0.3])
+    def test_the_params_reassigned(self, fixation_min):
+        trace = warm_trace()
+        for t in trace.trials:
+            t.params = replace(t.params, fixation_min=fixation_min)
+        self.check(trace)
+
+    @pytest.mark.parametrize(
+        "attr, value", [("strategy", Strategy.HEAD_FIXED), ("context", "dynamic_stationary")]
+    )
+    def test_the_session_reassigned(self, attr, value):
+        trace = warm_trace()
+        setattr(trace, attr, value)
+        self.check(trace)
+        want = getattr(value, "value", value)  # a Strategy's row holds its value
+        assert {getattr(r, attr) for r in session_metrics(trace)} == {want}
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda trace: [replace(t) for t in trace.trials],
+            lambda trace: pickle.loads(pickle.dumps(trace)).trials,
+            lambda trace: copy.deepcopy(trace.trials),
+        ],
+        ids=["replace", "pickle", "deepcopy"],  # a pickle and a copy carry _plan along
+    )
+    def test_a_rebuilt_trace_scores_as_the_scan(self, rebuild):
+        trace = warm_trace()
+        trace.trials = rebuild(trace)
+        self.check(trace)
+
+
+ROW_TEMPLATE = TrialMetrics(
+    "static_stationary", "body_fixed", 0, "sports", "Japan", 1.0, 0, 0, True, None
+)
+
+
+class TestAggregateMemo:
+    def test_equal_rows_keep_their_own_zero(self):
+        plus, minus = [[replace(ROW_TEMPLATE, navigation_time_s=zero)] for zero in (0.0, -0.0)]
+        assert plus == minus  # equal by value: a value key would merge them
+        for first, second in ((plus, minus), (minus, plus)):
+            for r in (first, second):
+                got = aggregate(r, seed=7)
+                assert repr(got) == repr(oracle_aggregate(r, seed=7))
+                assert math.copysign(1.0, got.nav_time_median_s) == math.copysign(
+                    1.0, r[0].navigation_time_s
+                )
+
+    def test_a_hit_takes_the_callers_seed(self):
+        rows = session_metrics(warm_trace())
+        for seed in (1, 2, 1):
+            assert aggregate(rows, seed=seed) == oracle_aggregate(rows, seed=seed)
+
+    def test_rows_that_can_change_are_not_kept(self):
+        row = SimpleNamespace(
+            context="static_stationary",
+            strategy="body_fixed",
+            navigation_time_s=1.0,
+            gaze_switches=0,
+            errors=0,
+            relevant=True,
+        )
+        assert aggregate([row], seed=1).nav_time_mean_s == 1.0
+        row.navigation_time_s = 2.0
+        assert aggregate([row], seed=1).nav_time_mean_s == 2.0
+
+    def test_no_exception_is_kept(self):
+        mixed = [ROW_TEMPLATE, replace(ROW_TEMPLATE, strategy="head_fixed")]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="single session"):
+                aggregate(mixed, seed=1)
 
 
 # -- GazeSegment keeps the frozen dataclass's value semantics ------------------
