@@ -6,40 +6,45 @@ sample stream derived from it, and document open events.  A trace depends
 only on (scenario, strategy, agent params, seed); two runs with identical
 inputs produce bit-identical traces.
 
-A session runs in phases on one simulator, _Simulator: per trial an idle
+A session is one walk on one simulator, _Simulator.run: per trial an idle
 approach to the scripted focus, the question, and the search
-(search_and_open), then a settle tail.  Panels are placed by one path:
-each session places by placement.session_placement(strategy, scenario),
-the one map from a strategy to its direct placement function
+(search_and_open), then a settle tail, with the cursor, facing and gaze
+direction in the walk's locals.  Panels are placed by one path: each
+session places by placement.session_placement(strategy, scenario), the one
+map from a strategy to its direct placement function
 (environment-referenced through the session's own
 EnvironmentReferencedPlacer, which holds the last pose on degenerate
-frames; world-fixed as the body-fixed layout at t = 0).  Gaze segments are
-laid down by one emitter, _Timeline.
+frames; world-fixed as the body-fixed layout at t = 0), built on the
+session's first scene query.  The walk lays the idle and settle segments
+and each confirming dwell itself; plan entries are laid on a _Timeline.
 
 Only the agent's RNG depends on the seed, and a seed sweep runs many
 sessions on one Scenario object.  So the sessions share a session plan
-(_SessionPlan, derived state of the scenario; see Scenario._derived) of
-whole scripted steps, each pure in (scenario, strategy, scripted time):
-each idle or settle look at the scripted focus (its focus and head turn),
-and each trial from its question start: the question phase (its
-segments), the scene and the scan route's sort keys where the search
-starts, and the searches by drawn route (their segments and opens up
-to the fixation).  A step that misses computes its scene state, panel
-placement and focus afresh; only trial entries keep a scene.  Plan use is
-decided once per session: simulate_session runs the session on the plan,
-reading and filling it, and a first step off the script (a scene query at
-a time that is not scripted, a settle tail before the scene has settled
-among them, a question phase that does not start at its question start,
-or a degenerate placement) abandons that run and reruns the session from
-t = 0 with no plan, computing every value by the same code and storing
-nothing.  So a warm scripted session replays each step with one lookup and
-does only its per-seed work: the RNG draws, the jittered confirming dwell,
-and each idle turn's length, cut at the question start from the cursor
-that the jitter moved.  An off-script session's trace and warnings are by
-construction those of a run with no plan, whether the plan was cold or
-warm.  A trial trace laid on the plan points at its plan entries, so
-metrics.session_metrics scores each search entry once and hands the row
-to the warm trials it provably holds for.
+(_SessionPlan, derived state of the scenario; see Scenario._derived), a
+graph of whole scripted steps, each pure in (scenario, strategy, scripted
+time).  Its nodes are trial entries, laid from the question start and
+keyed by trial index and facing: the question phase (its segments), the
+scene and the scan route's sort keys where the search starts.  Its edges
+are a node's searches by drawn route and confusion flags (their segments
+and opens up to the fixation).  The first walk of an edge links it to what
+follows: the idle look at the next question's lead (its focus and head
+turn) with the next trial entry, or the settle tail's look.  A step that
+misses computes its scene state, panel placement and focus afresh; only
+trial entries keep a scene.  Plan use is decided once per session:
+simulate_session walks the session on the plan, reading and filling it,
+and a first step off the script (an idle phase that starts past the
+question's lead, a question phase that does not start at its question
+start, a settle tail before the scene has settled, a scene query at a time
+that is not scripted, or a degenerate placement) abandons that walk and
+reruns the session from t = 0 with no plan, computing every value by the
+same code and storing nothing.  So a warm scripted trial is its draws, one
+edge lookup, at most three new segments (the idle turn, cut at the
+question start from the cursor that the jitter moved, the idle hold and
+the jittered confirming dwell) and its TrialTrace.  An off-script
+session's trace and warnings are by construction those of a run with no
+plan, whether the plan was cold or warm.  A trial trace laid on the plan
+points at its plan entries, so metrics.session_metrics scores each search
+entry once and hands the row to the warm trials it provably holds for.
 
 Behavioral model
 ----------------
@@ -254,6 +259,7 @@ _set_open_t, _set_open_category, _set_open_country = (
 _set_open_row, _set_open_col, _set_open_correct = (
     OpenEvent.row.__set__, OpenEvent.col.__set__, OpenEvent.correct.__set__
 )
+_open_time = attrgetter("t")
 
 
 # -- scripted focus ----------------------------------------------------------
@@ -316,12 +322,18 @@ class TrialTrace:
 
     # A trace laid on the session plan: (its question entry's segments, its
     # search entry), whose score slot metrics.session_metrics reads and
-    # fills.  It is not a field, so eq, repr, fields() and replace() ignore it.
+    # fills.  It is not a field, so eq, repr, fields() and replace() ignore
+    # it, and a pickle or copy leaves it out.
     _plan = None
 
     def __init__(self, trial, t_complete, t_open, segments, opens, params):
         self.trial, self.t_complete, self.t_open = trial, t_complete, t_open
         self.segments, self.opens, self.params = segments, opens, params
+
+    def __getstate__(self):
+        state = vars(self).copy()
+        state.pop("_plan", None)
+        return state
 
 
 @record
@@ -437,8 +449,8 @@ def _stable_seed(*parts: object) -> int:
 # the idle approach sees the scene just before the question starts.
 IDLE_LEAD_S = 1e-6
 
-# Plan keys of the gaze direction every session starts with and of the
-# settle tail's look; every other key is built from plan times.
+# Plan key of the gaze direction every session starts with, and the scene
+# key of the settle tail; every other key is built from plan times.
 _START = "start"
 _TAIL = "tail"
 
@@ -448,54 +460,61 @@ class _SessionPlan:
 
     Only the agent's RNG depends on the seed; every other value a session
     computes on its script is pure in (scenario, strategy, scripted time),
-    so the plan keeps its whole scripted steps, filled lazily as sessions
-    first ask for them.  A step that misses computes its scene state, panel
-    placement and focus afresh; the plan stores no scene but the one a
-    trial entry holds for its searches.  Its keys are plan times and
-    symbolic steps, never object identities or seed-dependent floats:
+    so the plan keeps whole scripted steps as a graph that sessions walk,
+    filled lazily as they first take each step.  A step that misses
+    computes its scene state, panel placement and focus afresh; the plan
+    stores no scene but the one a trial entry holds for its searches.  Its
+    keys are plan times and symbolic steps, never object identities or
+    seed-dependent floats:
 
-      * a plan time is a scripted query time: 0.0 and, for each trial, the
-        instant IDLE_LEAD_S before its window, its question start and its
-        question complete.  _TAIL names the settle tail, which starts once
-        the scene has stopped (past rest, the last waypoint time of any
-        trajectory, state_at(t) has the poses of state_at(rest) bit for
-        bit) and the last question has started (settled);
+      * a plan time is a scripted query time: 0.0 and, for each trial, its
+        lead (the instant IDLE_LEAD_S before its window), its question
+        start and its question complete.  _TAIL names the settle tail's
+        scene, which starts once the scene has stopped (past rest, the last
+        waypoint time of any trajectory, state_at(t) has the poses of
+        state_at(rest) bit for bit) and the last question has started
+        (settled);
       * a gaze direction is named by the point it was turned to: a look by
-        its aim (plan time or _TAIL, presenting), a panel seen from a plan
-        time by (time, panel id), the start direction by _START;
-      * looks[strategy]: (plan time or _TAIL, presenting, facing) ->
-        (focus, turn), an idle or settle look at the scripted focus from
-        the gaze direction named facing; turn is _turn's (degrees, end
-        direction), or None when the gaze point is at the head;
-      * trials[(strategy, scan_policy, yaw_rate_deg_s, fixation_min,
-        per_cell_scan_time, known_grid)]: (trial index, facing) -> a trial
-        entry laid from its question start (_Simulator._question): the
-        question phase with the gaze after it; the scene and the seed-free
-        scan route keys (_scan_keys) at its end, where the search starts;
-        and the searches by (route, confusion flags), each the segments up
-        to the fixation, the wrong opens, the fixation time, the end facing
-        and gaze direction, the wanted document and the correct open, plus
-        a score slot: the trial's metrics, which metrics.session_metrics
-        computes once from the entry and hands to every trace laid on it
-        that it proves they hold for.  The agent parameters that shape the
-        entry pick the table.
+        its aim (plan time, presenting), a panel seen from a plan time by
+        (time, panel id), the start direction by _START;
+      * nodes: trials[(strategy, scan_policy, yaw_rate_deg_s, fixation_min,
+        per_cell_scan_time, known_grid)] maps (trial index, facing at the
+        question start) to a trial entry laid from its question start
+        (_Simulator._question): the question phase with the gaze after it;
+        the scene and the seed-free scan route keys (_scan_keys) at its
+        end, where the search starts; and its edges.  The agent parameters
+        that shape the entries pick the table;
+      * edges: a trial entry's searches by (route, confusion flags)
+        (_search), each the segments up to the fixation, the wrong opens,
+        the fixation time, the end facing and gaze direction, the wanted
+        document and the correct open; a score slot, the trial's metrics,
+        which metrics.session_metrics computes once from the entry and
+        hands to every trace laid on it that it proves they hold for; and
+        a link;
+      * links: the first walk of an edge stores what follows it: the idle
+        look at the next question's lead (its focus and the length of its
+        turn) with the next trial entry, or, after the last trial, the
+        settle tail's look.  starts[shape] holds the link from the session
+        start to trial 0.
 
-    Plan use is decided once per session: a session reads and fills the
-    tables until its first step off the script, which is a scene query at
-    a time that is not a plan time (where a cursor that overran its
-    scripted time lands; a settle tail before settled queries at its own
-    start, which is later than every plan time), a question phase whose
-    cursor is not its question start (a search that ran late: the phase's
-    segments would start at the session's own cursor), or a degenerate
-    environment-referenced placement (hold-last depends on the session's
-    own history there).  That step raises _OffScript, and simulate_session
-    reruns the whole session with no tables, so nothing off the script is
-    stored.  A look or trial entry is stored only after its scene queries
-    passed, so a hit, which skips them, is on the script too.  So the plan
-    stays bounded by the scripted times however many seeds run, and a session
-    gives the same trace and warnings whether the plan was cold or warm.  The
-    plan holds no reference to its scenario; callers pass it.  It is derived
-    state of the scenario (see Scenario._derived).
+    Plan use is decided once per session: a session walks and fills the
+    plan until its first step off the script, which is an idle phase whose
+    cursor is past the question's lead (a search that ran into it), a
+    question phase whose cursor is not its question start, a settle tail
+    before settled, a scene query at a time that is not a plan time, or a
+    degenerate environment-referenced placement (hold-last depends on the
+    session's own history there).  That step raises _OffScript, and
+    simulate_session reruns the whole session with no plan, so nothing off
+    the script is stored.  Each such step is off the script in a run with
+    no plan too, except in rare cases (a search that ends exactly at the
+    next question start, a cursor that lands on a plan time), where the
+    rerun is still the run with no plan.  An entry or link is stored only
+    after its scene queries passed, so a walk along it, which skips them,
+    is on the script too.  So the plan stays bounded by the scripted times
+    however many seeds run, and a session gives the same trace and
+    warnings whether the plan was cold or warm.  The plan holds no
+    reference to its scenario; callers pass it.  It is derived state of
+    the scenario (see Scenario._derived).
     """
 
     def __init__(self, scenario: Scenario):
@@ -508,28 +527,12 @@ class _SessionPlan:
             [traj.waypoints[-1].time for traj in scenario.trajectories.values()], default=0.0
         )
         self.settled = max([self.rest, *(trial.question_start for trial in scenario.trials)])
-        self.looks: dict[Strategy, dict[tuple, tuple]] = {strategy: {} for strategy in Strategy}
         self.trials: dict[tuple, dict[tuple, tuple]] = {}
+        self.starts: dict[tuple, list] = {}
         self.panel_by_category = {
             scenario.panels[pid].content.topic: pid for pid in scenario.panels
         }
         self.category_of = {pid: c for c, pid in self.panel_by_category.items()}
-
-
-def _planned(table: dict | None, key, compute, *args):
-    """table[key], computed as compute(*args) and stored on a miss.
-
-    With no table (a session rerun off the plan) it returns compute(*args)
-    and stores nothing, by the same call.  Callers pass the function and
-    its arguments, not a closure over them, so a hit builds no function
-    object and computes nothing.  No stored value is None.
-    """
-    if table is None:
-        return compute(*args)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = compute(*args)
-    return value
 
 
 def _turn(gaze_dir: Vec3, head: Vec3, point: Vec3) -> tuple[float, Vec3] | None:
@@ -549,22 +552,14 @@ _FORWARD = Vec3(0.0, 0.0, -1.0)
 class _Timeline:
     """Gaze segments laid end to end from a cursor, plus the gaze direction.
 
-    The gaze starts at 0.0 facing forward (-z); facing is the plan key of
-    the gaze direction.
+    A plan entry is laid on one, from the walk's cursor, facing (the plan
+    key of the gaze direction) and gaze direction.
     """
 
-    def __init__(self, yaw_rate_deg_s: float):
+    def __init__(self, yaw_rate_deg_s: float, cursor: float, facing, gaze_dir: Vec3):
         self.segments: list[GazeSegment] = []
-        self.cursor = 0.0
-        self.gaze_dir = _FORWARD
-        self.facing = _START
+        self.cursor, self.facing, self.gaze_dir = cursor, facing, gaze_dir
         self.yaw_rate_deg_s = yaw_rate_deg_s
-
-    def branch(self) -> _Timeline:
-        """An empty timeline from this one's cursor and gaze; a plan entry is laid on one."""
-        line = _Timeline(self.yaw_rate_deg_s)
-        line.cursor, line.facing, line.gaze_dir = self.cursor, self.facing, self.gaze_dir
-        return line
 
     def until(self, t1: float, target: GazeTarget) -> None:
         """Hold target from the cursor to t1 (nothing unless t1 is later)."""
@@ -578,17 +573,12 @@ class _Timeline:
             self.segments.append(GazeSegment(self.cursor, self.cursor + duration, target))
             self.cursor += duration
 
-    def travel(self, head: Vec3, point: Vec3, key, deadline: float | None = None) -> None:
-        """Turn the gaze from head toward point, gazing at nothing meanwhile.
-
-        The turn takes the geodesic angle at yaw_rate_deg_s, cut short at
-        deadline; the gaze direction ends on point either way.  key is the
-        plan key of (head, point).
-        """
-        self.turn(_turn(self.gaze_dir, head, point), key, deadline)
-
     def turn(self, turn: tuple[float, Vec3] | None, key, deadline: float | None = None) -> None:
-        """Take turn, a _turn result, toward the point named key (see travel)."""
+        """Take turn, a _turn result, toward the point named key, gazing at nothing meanwhile.
+
+        The turn takes its angle at yaw_rate_deg_s, cut short at deadline;
+        the gaze direction ends on the point either way.
+        """
         if turn is None:
             return
         degrees, self.gaze_dir = turn
@@ -607,29 +597,21 @@ class _OffScript(Exception):
 
 class _Simulator:
     def __init__(
-        self,
-        scenario: Scenario,
-        params: AgentParams,
-        strategy: Strategy,
-        seed: int,
-        on_plan: bool = True,
+        self, scenario: Scenario, params: AgentParams, strategy: Strategy, seed: int, on_plan=True
     ):
-        self.scn = scenario
-        self.params = params
-        self.strategy = strategy
-        self.seed = seed
+        self.scn, self.params, self.strategy, self.seed = scenario, params, strategy, seed
         self.rng = random.Random(_stable_seed(seed, scenario.name, strategy.value))
         self.plan = plan = scenario._derived(_SessionPlan)
-        # The session's plan tables; with none, every value is computed.
-        self.looks = self.trials = None
+        # The session's node table and start link; with none, every value is computed.
+        self.trials = self.start = None
         if on_plan:
-            self.looks = plan.looks[strategy]
             shape = (strategy, params.scan_policy, params.yaw_rate_deg_s, params.fixation_min)
             shape += (params.per_cell_scan_time, params.known_grid)
             self.trials = plan.trials.setdefault(shape, {})
-        self.place, self.warnings = session_placement(strategy, scenario)
-        self.line = _Timeline(params.yaw_rate_deg_s)
-        self.opens: list[OpenEvent] = []
+            self.start = plan.starts.setdefault(shape, [None])
+        # placed from the first scene query (_scene_at), which a warm session never makes
+        self.place, self.warnings = None, []
+        self.segments, self.opens = [], []  # the session's, which search_and_open extends
         self.panel_by_category = plan.panel_by_category
 
     def _scene_at(self, t: float, at) -> tuple[SceneState, dict[str, Pose]]:
@@ -637,15 +619,16 @@ class _Simulator:
 
         The state is scn.state_at(t), placed by the session's own placer;
         nothing here is stored.  On the plan, a step off the script raises
-        _OffScript: a time that is not a plan time (run keys a settle tail
-        that starts before settled by its time, so it is one), or a
-        degenerate placement.  The environment-referenced placer holds the
-        last pose there, or raises DegenerateIntermediary with nothing to
-        hold, so its result depends on the session's history, and a look or
-        search entry computed from it would carry that history to other
-        sessions.  Elsewhere the placement is pure in the state.
+        _OffScript: a time that is not a plan time, or a degenerate
+        placement.  The environment-referenced placer holds the last pose
+        there, or raises DegenerateIntermediary with nothing to hold, so its
+        result depends on the session's history, and an entry or link
+        computed from it would carry that history to other sessions.
+        Elsewhere the placement is pure in the state.
         """
-        if self.looks is None:
+        if self.place is None:
+            self.place, self.warnings = session_placement(self.strategy, self.scn)
+        if self.trials is None:
             state = self.scn.state_at(t)
             return state, self.place(state)
         if at is not _TAIL and at not in self.plan.times:
@@ -660,67 +643,102 @@ class _Simulator:
             raise _OffScript
         return state, poses
 
-    # -- phases ---------------------------------------------------------
-
     def run(self) -> SessionTrace:
-        scn = self.scn
-        line = self.line
-        segments = line.segments
-        trial_traces: list[TrialTrace] = []
+        """Walk the session: per trial the idle look, question and search, then the settle tail.
+
+        The cursor, facing and gaze direction live here.  The walk comes to
+        each trial from an edge (the session start for trial 0): on the
+        plan, a linked edge hands over the idle look and the trial entry,
+        so a warm trial lays its idle turn and hold, the entry's question
+        segments and, in search_and_open, its draws, one edge lookup and
+        the confirming dwell.  An unlinked edge (the first walk, or a run
+        with no plan) computes the look and looks the entry up by (trial
+        index, facing), building it on a miss; on the plan both are stored.
+        """
+        scn, params, trials = self.scn, self.params, self.trials
+        on = trials is not None
+        yaw_rate = params.yaw_rate_deg_s
+        segments, opens, traces = self.segments, self.opens, []
+        cursor, facing, gaze_dir = 0.0, _START, _FORWARD
+        edge = self.start if on else [None]  # what the walk comes from; its last item links
         for trial in scn.trials:
             t0 = trial.question_start
-            seg_start = len(segments)
-            self._idle_phase(t0)
+            if on and cursor > t0 - IDLE_LEAD_S:
+                raise _OffScript  # the idle look would aim from the session's own cursor
+            seg_start, node = len(segments), None
+            if cursor < t0:  # the idle phase: a turn to the scripted focus, held until t0
+                link = edge[-1]
+                if link is None:
+                    # at or after the cursor, so answered whatever the cursor was
+                    t = max(cursor, t0 - IDLE_LEAD_S)
+                    focus, turn = self._aim(t, t, cursor, gaze_dir)
+                    turn_s = None
+                    if turn is not None:
+                        degrees, gaze_dir = turn
+                        facing, turn_s = (t, False), degrees / yaw_rate
+                else:
+                    focus, turn_s, node = link
+                if turn_s is not None:
+                    dt = min(turn_s, t0 - cursor)  # the turn is cut at the question start
+                    if dt > 1e-12:
+                        segments.append(GazeSegment(cursor, cursor + dt, _NO_GAZE))
+                        cursor += dt
+                if t0 > cursor + 1e-12:
+                    segments.append(GazeSegment(cursor, t0, focus))
+                    cursor = t0
+            if on and cursor != t0:
+                raise _OffScript  # its segments would start at the session's own cursor
             # segments tile the session with positive lengths, so their ends
             # never decrease, and a question laid from t0 starts the slice
-            first = len(segments) if line.cursor == t0 else None
-            entry = self._question_phase(trial)
-            search = search_and_open(self, trial, entry)
+            first = len(segments) if cursor == t0 else None
+            if node is None:
+                key = trial.index, facing
+                node = trials.get(key) if on else None
+                if node is None:
+                    node = self._question(trial, cursor, facing, gaze_dir)
+                    if on:
+                        trials[key] = node
+                if on:
+                    edge[-1] = focus, turn_s, node
+            segments += node[0]
+            edge = search_and_open(self, trial, node)
+            facing, gaze_dir, opened = edge[3], edge[4], edge[6]
+            cursor = segments[-1].t1
             if first is None:
                 first = bisect_right(segments, t0, seg_start, key=_segment_end)
+            # opens come in time order, none past the cursor: the trial's are those from t0 on
+            k = bisect_left(opens, t0, key=_open_time)
             trace = TrialTrace(
-                trial,
-                trial.question_complete,
-                search[6].t,  # the correct open
-                segments[first:],
-                [o for o in self.opens if t0 <= o.t <= line.cursor],
-                self.params,
+                trial, trial.question_complete, opened.t, segments[first:], opens[k:], params
             )
-            if self.trials is not None:
-                trace._plan = entry[0], search
-            trial_traces.append(trace)
+            if on:
+                trace._plan = node[0], edge
+            traces.append(trace)
         # settle tail so the final fixation has somewhere to live
-        t = line.cursor
-        line.dwell(2.0, self._look(t, _TAIL if t >= self.plan.settled else t, t))
+        if on and cursor < self.plan.settled:
+            raise _OffScript  # its scene would be the session's own time
+        link = edge[-1]
+        if link is None:
+            focus, turn = self._aim(cursor, _TAIL, cursor, gaze_dir)
+            link = focus, None if turn is None else turn[0] / yaw_rate
+            if on:
+                edge[-1] = link
+        focus, turn_s = link
+        if turn_s is not None and turn_s > 1e-12:
+            segments.append(GazeSegment(cursor, cursor + turn_s, _NO_GAZE))
+            cursor += turn_s
+        segments.append(GazeSegment(cursor, cursor + 2.0, focus))
         return SessionTrace(
-            scenario_name=scn.name,
-            context=scn.context,
-            strategy=self.strategy,
-            params=self.params,
-            seed=self.seed,
-            trials=trial_traces,
-            segments=segments,
-            warnings=list(self.warnings),
-            duration=line.cursor,
+            scn.name, scn.context, self.strategy, params, self.seed,
+            traces, segments, list(self.warnings), cursor + 2.0
         )
 
-    def _look(self, t: float, at, answered_at: float, deadline: float | None = None):
-        """Turn toward the scripted focus at t (plan key at); returns the focus.
+    def _aim(self, t: float, at, answered_at: float | None, gaze_dir: Vec3):
+        """(focus, turn) of a look at the scripted focus at t (scene key at) from gaze_dir.
 
-        An idle or settle look: answered_at is at or before t, so the focus
-        is the one outside questions.  A look entry replays the focus and
-        the turn; the turn's length is cut at deadline from the live cursor
-        either way.
-        """
-        aim = (at, False)
-        focus, turn = _planned(self.looks, (*aim, self.line.facing), self._aim, t, at, answered_at)
-        self.line.turn(turn, aim, deadline)
-        return focus
-
-    def _aim(self, t: float, at, answered_at: float | None):
-        """(focus, turn) of a look at the scripted focus at t from the current gaze.
-
-        answered_at None presents the question.
+        answered_at None presents the question.  An idle or settle look has
+        answered_at at or before t, so its focus is the one outside
+        questions; a turn is _turn's (degrees, end direction), or None.
         """
         state, _ = self._scene_at(t, at)  # placed here too: hold-last reads every placement
         focus = focus_target(state, self.scn, t, answered_at=answered_at)
@@ -729,28 +747,10 @@ class _Simulator:
             point = state.pose_of(screen.id).position
         else:
             point = state.pose_of(focus.entity_id).position + Vec3(0.0, GAZE_HEIGHT_M, 0.0)
-        return focus, _turn(self.line.gaze_dir, state.pose_of(USER_HEAD).position, point)
+        return focus, _turn(gaze_dir, state.pose_of(USER_HEAD).position, point)
 
-    def _idle_phase(self, until: float) -> None:
-        line = self.line
-        if until <= line.cursor:
-            return
-        t = max(line.cursor, until - IDLE_LEAD_S)
-        # at or after the cursor, so answered whatever the cursor was
-        line.until(until, self._look(t, t, line.cursor, deadline=until))
-
-    def _question_phase(self, trial: Trial) -> tuple:
-        """Lay the question phase, from the question start on the plan; returns its trial entry."""
-        line = self.line
-        if self.trials is not None and line.cursor != trial.question_start:
-            raise _OffScript  # its segments would start at the session's own cursor
-        entry = _planned(self.trials, (trial.index, line.facing), self._question, trial)
-        segments, line.cursor, line.facing, line.gaze_dir, _, _, _ = entry
-        line.segments += segments
-        return entry
-
-    def _question(self, trial: Trial) -> tuple:
-        """The trial entry: the question phase from the session's gaze, and the search's start.
+    def _question(self, trial: Trial, cursor: float, facing, gaze_dir: Vec3) -> tuple:
+        """The trial entry: the question phase from the walk's gaze, and the search's start.
 
         Returns (segments, cursor, facing, gaze direction, scene, scan
         keys, searches): the question phase laid on a timeline of its own
@@ -761,8 +761,8 @@ class _Simulator:
         fills by (route, confusion flags).
         """
         t, done = trial.question_start, trial.question_complete
-        line = self.line.branch()
-        focus, turn = self._aim(t, t, None)
+        line = _Timeline(self.params.yaw_rate_deg_s, cursor, facing, gaze_dir)
+        focus, turn = self._aim(t, t, None, gaze_dir)
         line.turn(turn, (t, True), done)
         line.until(done, focus)
         at = line.cursor
@@ -776,16 +776,16 @@ class _Simulator:
         return tuple(line.segments), at, line.facing, line.gaze_dir, scene, keys, {}
 
 
-def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> list:
+def search_and_open(sim: _Simulator, trial: Trial, node: tuple) -> list:
     """Post-question navigation for one trial of a session.
 
     Finds the category panel, then the country document, and opens it:
-    lays the segments onto the session's timeline from its cursor, records
-    the open events, and returns the search's plan entry (_search), which
-    holds the correct open.  The cursor is where the trial's question
-    phase ended, and entry is that trial's entry (_Simulator._question),
-    which holds the scene and the scan keys there; the agent never touches
-    a document before the question's full presentation.
+    appends the segments to the session's, from where the trial's question
+    phase ended, records the open events, and returns the search's plan
+    entry (_search), which holds the correct open.  node is the trial's
+    entry (_Simulator._question), which holds the scene and the scan keys
+    there; the agent never touches a document before the question's full
+    presentation.
 
     The RNG draws come first, in one order: the route's, then one
     confusion flag per rejected panel (random_seeded only), then the
@@ -796,8 +796,8 @@ def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> list:
     is scored: the jitter only lengthens the confirming dwell, which moves
     no metric (see metrics.session_metrics).
     """
-    line, params, rng = sim.line, sim.params, sim.rng
-    _, _, _, _, scene, keys, searches = entry
+    params, rng = sim.params, sim.rng
+    keys, searches = node[5], node[6]
     target_pid = sim.panel_by_category[trial.category]
     route = (target_pid,) if keys is None else _scan_route(keys, target_pid, params, rng)
     # per rejected panel: whether the agent confuses it and opens its same-lettered cell
@@ -805,41 +805,41 @@ def search_and_open(sim: _Simulator, trial: Trial, entry: tuple) -> list:
     if params.scan_policy == "random_seeded":
         for k in range(len(confused)):
             confused[k] = rng.random() < params.confusion_prob
-    flags = tuple(confused)
-    search = _planned(searches, (route, flags), _search, sim, trial, route, confused, scene)
-    segments, wrong, line.cursor, line.facing, line.gaze_dir, wanted, opened, _ = search
-    line.segments += segments
+    key = route, tuple(confused)
+    search = searches.get(key)
+    if search is None:
+        search = searches[key] = _search(sim, trial, route, confused, node)
+    segments, wrong, t_fix, _, _, wanted, opened, _, _ = search
+    sim.segments += segments
     sim.opens += wrong
     jitter = rng.uniform(0.0, params.dwell_jitter_s) if params.dwell_jitter_s > 0 else 0.0
-    line.dwell(params.fixation_min + jitter, wanted)
+    # fixation_min is at least 0.001 s (its row's kind), so the dwell is never empty
+    sim.segments.append(GazeSegment(t_fix, t_fix + (params.fixation_min + jitter), wanted))
     sim.opens.append(opened)
     return search
 
 
 def _search(
-    sim: _Simulator,
-    trial: Trial,
-    route: tuple[str, ...],
-    confused: list[bool],
-    scene: tuple[SceneState, dict[str, Pose]],
+    sim: _Simulator, trial: Trial, route: tuple[str, ...], confused: list[bool], node: tuple
 ) -> list:
-    """A search from the session's gaze up to the fixation on the wanted cell.
+    """A search from the end of node's question phase up to the fixation on the wanted cell.
 
     Returns its plan entry, [segments from the cursor, wrong opens,
     fixation time, end facing, end gaze direction, wanted document, correct
-    open, score slot], laid on a timeline of its own; the open fires after
-    fixation_min of confirming dwell, which search_and_open lays.  The
-    score slot is None until metrics.session_metrics first scores a trial
-    laid on the entry.  scene is the state and panel poses at the cursor.
+    open, score slot, link], laid on a timeline of its own from the
+    cursor, facing, gaze direction and scene the trial entry node holds;
+    the open fires after fixation_min of confirming dwell, which
+    search_and_open lays.  The score slot is None until
+    metrics.session_metrics first scores a trial laid on the entry, and
+    the link until the walk first goes on from it (_Simulator.run).
     """
     params, opens = sim.params, []
-    line = sim.line.branch()
-    at = line.cursor
-    state, panels = scene
+    _, at, facing, gaze_dir, (state, panels), _, _ = node
+    line = _Timeline(params.yaw_rate_deg_s, at, facing, gaze_dir)
     head = state.pose_of(USER_HEAD).position
     cat_of = sim.plan.category_of
     for pid, wrong in zip(route, confused):
-        line.travel(head, panels[pid].position, (at, pid))
+        line.turn(_turn(line.gaze_dir, head, panels[pid].position), (at, pid))
         # read the header, reject, move on
         line.dwell(params.fixation_min, PanelGaze(cat_of[pid]))
         if wrong:
@@ -849,7 +849,7 @@ def _search(
     # on the target panel: grid acquisition, then the cell
     target_pid, target_cat = route[-1], trial.category
     row, col = grid_cell(target_cat, trial.country)
-    line.travel(head, panels[target_pid].position, (at, target_pid))
+    line.turn(_turn(line.gaze_dir, head, panels[target_pid].position), (at, target_pid))
     line.dwell(params.per_cell_scan_time, PanelGaze(target_cat))
     if not params.known_grid:
         for idx in range(row * GRID_COLS + col):
@@ -864,6 +864,7 @@ def _search(
         line.gaze_dir,
         DocumentGaze(target_cat, row, col),
         OpenEvent(t_fix + params.fixation_min, target_cat, trial.country, row, col, True),
+        None,
         None,
     ]
 

@@ -414,7 +414,7 @@ def _plan_score(
     that trial is incomplete or its end rounds to t_fix (no trace laid on
     the entry then takes the row).
     """
-    segments, wrong, t_fix, _, _, wanted, opened, _ = search
+    segments, wrong, t_fix, _, _, wanted, opened, _, _ = search
     trial, params = trace.trial, trace.params
     prefix, end = question + segments, t_fix + params.fixation_min
     row = None

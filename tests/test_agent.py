@@ -8,6 +8,8 @@ import sys
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrlayout import agent
 from xrlayout.agent import (
@@ -446,14 +448,22 @@ def degenerate_walk_scenario(tail_only=False):
 
 
 def plan_tables(plan):
-    """Every table of a session plan: looks, trials, and each trial entry's searches."""
-    tables = [*plan.looks.values(), *plan.trials.values()]
+    """Every table of a session plan: its trial (node) tables and each trial entry's searches."""
+    tables = list(plan.trials.values())
     return tables + [entry[-1] for trials in plan.trials.values() for entry in trials.values()]
 
 
+def plan_links(plan):
+    """Every link the walk stored: each start's and each search entry's."""
+    holders = [*plan.starts.values()]
+    holders += [edge for table in plan_tables(plan)[len(plan.trials) :] for edge in table.values()]
+    return [holder[-1] for holder in holders if holder[-1] is not None]
+
+
 def plan_entries(scn):
-    """Entries in every table of a scenario's session plan."""
-    return sum(map(len, plan_tables(scn._cache[agent._SessionPlan])))
+    """Entries in every table of a scenario's session plan, and its links."""
+    plan = scn._cache[agent._SessionPlan]
+    return sum(map(len, plan_tables(plan))) + len(plan_links(plan))
 
 
 def edited_session(name, agent_block=(), user_waypoint=None):
@@ -576,16 +586,24 @@ class TestSceneTrack:
                 if seed == 4:
                     after_five = plan_entries(scn)
             assert plan_entries(scn) == after_five, name
-            # per strategy one look per idle aim and the tail's; one trial
-            # table per strategy (at the file's agent), one entry per trial,
-            # laid from the idle aim, and in it one search per route drawn
+            # one trial table per strategy (at the file's agent), one entry
+            # per trial, laid from the idle aim, and in it one search per
+            # route drawn; each search links one look, to the next trial's
+            # entry or the settle tail, and the start one look to trial 0's
             plan = scn._cache[agent._SessionPlan]
             trials = len(scn.trials)
-            assert all(len(looks) <= trials + 1 for looks in plan.looks.values())
             assert len(plan.trials) <= len(Strategy)
-            for entries in plan.trials.values():
+            for shape, entries in plan.trials.items():
                 assert sorted(index for index, _ in entries) == list(range(trials))
                 assert all(1 <= len(entry[-1]) <= 2 for entry in entries.values())
+                nodes = {index: entry for (index, _), entry in entries.items()}
+                assert plan.starts[shape][-1][2] is nodes[0]
+                for (index, _), entry in entries.items():
+                    for search in entry[-1].values():
+                        if index + 1 < trials:
+                            assert search[-1][2] is nodes[index + 1]
+                        else:
+                            assert len(search[-1]) == 2  # the tail's focus and turn
             assert_keys_are_plan_times(plan)
 
     def test_scene_at_rest_keeps_the_poses_of_rest(self):
@@ -741,14 +759,15 @@ class TestSceneTrack:
             held = dict(warm_poses)
             assert held[62.25]["panel_food"] == held[60.0]["panel_food"]
         # held poses are the session's own: the degenerate plan time left
-        # the plan, so no look or trial key names it or a later time, and
+        # the plan, so no trial key (its facing names the idle look's aim)
+        # names it or a later time, and
         # no trial entry's search starts there (at its question complete)
         plan = warm._cache[agent._SessionPlan]
         env_ref = Strategy.ENVIRONMENT_REFERENCED
         assert 62.25 in plan.times
         tables = [table for shape, table in plan.trials.items() if shape[0] is env_ref]
         trials = [key for table in tables for key in table]
-        named = {t for key in [*plan.looks[env_ref], *trials] for t in key_times(key)}
+        named = {t for key in trials for t in key_times(key)}
         named |= {warm.trials[index].question_complete for index, _ in trials}
         assert named and max(named) < 62.25
 
@@ -818,7 +837,7 @@ def replay_scenario(name):
 
 
 class TestStepReplay:
-    """A warm session replays whole scripted steps: looks, and trials with their search routes."""
+    """A warm session replays whole scripted steps: trial entries, their searches and links."""
 
     @pytest.mark.parametrize("name", [*bundled_scenario_names(), STEPS_OFF, LATE_QUESTION])
     def test_warm_replay_is_the_run_without_the_plan(self, name):
@@ -843,7 +862,7 @@ class TestStepReplay:
                     assert on.rng.getstate() == off.rng.getstate(), case
         assert bool(stepped_off) == (name in (STEPS_OFF, LATE_QUESTION))
         plan = warm._cache[agent._SessionPlan]
-        assert all(plan.looks.values()) and all(plan.trials.values())
+        assert all(start[-1] for start in plan.starts.values()) and all(plan.trials.values())
         assert all(entry[-1] for table in plan.trials.values() for entry in table.values())
         assert_keys_are_plan_times(plan)
 
@@ -882,8 +901,9 @@ class TestStepReplay:
         """A seed that draws a route no session drew yet lays it from its trial entry.
 
         The entry holds the scene and the scan keys where the search starts,
-        so the new route's search queries no scene, and the rest of the
-        session replays what the first seed stored.
+        so the new route's search queries no scene.  The walk goes on from
+        the new search with one look of its own, at the next question's lead
+        or the settle tail, and otherwise replays what the first seed stored.
         """
         scn = load_bundled("dynamic_stationary_body_fixed")
         strategy = Strategy.BODY_FIXED
@@ -898,19 +918,31 @@ class TestStepReplay:
 
         first = routes(1)
         other = next(s for s in range(2, 50) if sum(a != b for a, b in zip(routes(s), first)) == 1)
+        (moved,) = [k for k, (a, b) in enumerate(zip(routes(other), first)) if a != b]
         simulate_session(scn, strategy=strategy, seed=1)
         (trials,) = scn._cache[agent._SessionPlan].trials.values()
         assert [len(entry[-1]) for entry in trials.values()] == [1] * len(scn.trials)
-        asked = []
-        scene_at, state_at = agent._Simulator._scene_at, Scenario.state_at
-        monkeypatch.setattr(
-            agent._Simulator, "_scene_at", lambda *args: asked.append(args) or scene_at(*args)
+        asked, states, built = [], [], []
+        scene_at, state_at, question = (
+            agent._Simulator._scene_at,
+            Scenario.state_at,
+            agent._Simulator._question,
         )
         monkeypatch.setattr(
-            Scenario, "state_at", lambda self, t: asked.append(t) or state_at(self, t)
+            agent._Simulator, "_scene_at", lambda *args: asked.append(args[2]) or scene_at(*args)
+        )
+        monkeypatch.setattr(
+            Scenario, "state_at", lambda self, t: states.append(t) or state_at(self, t)
+        )
+        monkeypatch.setattr(
+            agent._Simulator, "_question", lambda *args: built.append(args) or question(*args)
         )
         on, trace = run(other, on_plan=True)  # on the plan: no _OffScript
-        assert not asked
+        if moved + 1 < len(scn.trials):
+            look = scn.trials[moved + 1].question_start - agent.IDLE_LEAD_S
+        else:
+            look = agent._TAIL
+        assert asked == [look] and len(states) == 1 and not built
         monkeypatch.undo()
         off, oracle = run(other, on_plan=False)
         assert trace == oracle
@@ -922,25 +954,27 @@ class TestStepReplay:
     def test_a_question_that_starts_late_steps_off_there(self, monkeypatch):
         warm = replay_scenario(LATE_QUESTION)
         late = warm.trials[1]
-        begun = []  # (trial, cursor) of every question phase begun
-        question_phase = agent._Simulator._question_phase
+        searched = []  # (trial, cursor after it) of every search
+        search = agent.search_and_open
 
-        def spy(self, trial):
-            begun.append((trial, self.line.cursor))
-            return question_phase(self, trial)
+        def spy(sim, trial, node):
+            found = search(sim, trial, node)
+            searched.append((trial, sim.segments[-1].t1))
+            return found
 
-        monkeypatch.setattr(agent._Simulator, "_question_phase", spy)
+        monkeypatch.setattr(agent, "search_and_open", spy)
         for seed in (1, 2, 3):
             for strategy in Strategy:
                 params = warm.agent._with_seed(seed)
                 on = agent._Simulator(warm, params, strategy, seed)
-                begun.clear()
+                searched.clear()
                 with pytest.raises(agent._OffScript) as stepped:
                     on.run()
-                # at trial 1's question phase, from a cursor inside its presentation
-                assert stepped.traceback[-1].name == "_question_phase"
-                trial, cursor = begun[-1]
-                assert trial is late, (strategy, seed)
+                # in the walk at trial 1, before its question phase: trial 0's
+                # search left the cursor inside trial 1's presentation
+                assert stepped.traceback[-1].name == "run"
+                assert [trial for trial, _ in searched] == [warm.trials[0]], (strategy, seed)
+                cursor = searched[-1][1]
                 assert late.question_start < cursor <= late.question_complete, (strategy, seed)
                 # simulate_session's rerun is the run without the plan
                 rerun = agent._Simulator(warm, params, strategy, seed, on_plan=False)
@@ -958,43 +992,89 @@ class TestStepReplay:
         assert starts == [warm.trials[0].question_start] * len(Strategy)
         assert_keys_are_plan_times(plan)
 
-    def test_the_question_key_names_the_facing(self):
-        """Two sessions reach one trial on the plan from different gaze directions.
+    def test_the_question_key_names_the_facing(self, monkeypatch):
+        """A trial is reached from the idle aim, or with no idle turn from the search's end.
+
+        An idle look turns the gaze to the scripted focus, unless the focus
+        is at the head.  Here the idle look at trial 3's lead of body-fixed
+        dynamic_mobile_env_ref is made one with no turn, so the question
+        starts facing the food panel that trial 2's search ended on, and its
+        head turn starts there.  A trial key without the facing would replay
+        one session's head turn in the other.
+        """
+        strategy, name = Strategy.BODY_FIXED, "dynamic_mobile_env_ref"
+        seeds = range(1, 6)
+
+        def trial_3_entries(warm):
+            for seed in seeds:
+                seeded = warm.agent._with_seed(seed)
+                on = agent._Simulator(warm, seeded, strategy, seed)
+                off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
+                assert on.run() == off.run(), seed  # on the plan: no _OffScript
+                assert on.rng.getstate() == off.rng.getstate()
+            plan = warm._cache[agent._SessionPlan]
+            assert_keys_are_plan_times(plan)
+            (trials,) = plan.trials.values()
+            return {facing: entry for (index, facing), entry in trials.items() if index == 3}
+
+        turned = load_bundled(name)
+        lead = turned.trials[3].question_start - agent.IDLE_LEAD_S
+        aim = agent._Simulator._aim
+
+        def no_turn_at_lead(self, t, at, answered_at, gaze_dir):
+            focus, turn = aim(self, t, at, answered_at, gaze_dir)
+            return focus, None if t == lead else turn
+
+        (idle,) = trial_3_entries(turned).items()
+        monkeypatch.setattr(agent._Simulator, "_aim", no_turn_at_lead)
+        (kept,) = trial_3_entries(load_bundled(name)).items()
+        assert idle[0] == (lead, False)
+        assert kept[0] == (62.25, "panel_food")  # trial 2's search, from its question complete
+        assert idle[1][0] != kept[1][0]  # the question phases' segments
+
+    def test_a_search_that_ends_at_the_next_question_start_steps_off(self):
+        """A rare step off the script that a run with no plan would stay on.
 
         Body-fixed dynamic_mobile_env_ref without jitter ties trial 2's
-        search between two routes.  Trial 3 is asked at the very end of the
-        longer one, so a seed that draws it skips the idle phase and starts
-        the question facing the food panel; a seed that draws the shorter
-        one starts it from the idle aim.  Both are one agent, so one trial
-        table; a trial key without the facing would replay one session's
-        head turn in the other.
+        search between two routes, and trial 3 is asked at the very end of
+        the longer one.  A seed that draws it reaches trial 3 with no idle
+        phase, which the walk leaves the plan for; its rerun is the run with
+        no plan all the same.  A seed that draws the shorter route stays on
+        the plan, so trial 3 is stored only as laid from the idle aim.
         """
         strategy, name, block = Strategy.BODY_FIXED, "dynamic_mobile_env_ref", {"dwell_jitter_s": 0.0}
         seeds = range(1, 6)
         probe = parse_scenario(edited_session(name, block))
         ends = {
-            agent._Simulator(probe, probe.agent._with_seed(seed), strategy, seed, on_plan=False)
+            seed: agent._Simulator(
+                probe, probe.agent._with_seed(seed), strategy, seed, on_plan=False
+            )
             .run()
             .trials[2]
             .segments[-1]
             .t1
             for seed in seeds
         }
-        assert len(ends) == 2, ends  # both routes drawn
-        start = max(ends)
+        assert len(set(ends.values())) == 2, ends  # both routes drawn
+        start = max(ends.values())
         warm = parse_scenario(moved_question(start, block, name, index=3))
         assert warm.trials[3].question_start == start
         for seed in seeds:
             seeded = warm.agent._with_seed(seed)
             on = agent._Simulator(warm, seeded, strategy, seed)
             off = agent._Simulator(warm, seeded, strategy, seed, on_plan=False)
-            assert on.run() == off.run(), seed  # on the plan: no _OffScript
-            assert on.rng.getstate() == off.rng.getstate()
+            oracle = off.run()
+            if ends[seed] == start:
+                with pytest.raises(agent._OffScript):
+                    on.run()
+            else:
+                assert on.run() == oracle, seed
+                assert on.rng.getstate() == off.rng.getstate()
+            assert simulate_session(warm, seeded, strategy=strategy) == oracle, seed
         plan = warm._cache[agent._SessionPlan]
         (trials,) = plan.trials.values()
-        facings = {facing for index, facing in trials if index == 3}
-        assert len(facings) == 2, facings
-        assert (62.25, "panel_food") in facings  # trial 2's search, from its question complete
+        facings = [facing for index, facing in trials if index == 3]
+        assert facings == [(start - agent.IDLE_LEAD_S, False)]
         assert_keys_are_plan_times(plan)
 
     def test_a_warm_session_builds_no_question_segment(self, monkeypatch):
@@ -1016,6 +1096,158 @@ class TestStepReplay:
                 assert len(built) <= 3 * len(warm.trials) + 2, (name, strategy, seed)
                 assert not [t0 for t0, _, _ in built for qs, qc in windows if qs <= t0 < qc]
                 assert trace.segments[-1] == segment(*built[-1])  # the spy saw the session
+
+
+# Each bundled session on one Scenario of its own, which keeps its plan
+# across the examples drawn below; the off-script cases likewise.
+WALK_WARM = {name: load_bundled(name) for name in bundled_scenario_names()}
+WALK_OFF = {case: off_script_scenario(case) for case in ["degenerate walk", *sorted(OFF_PLAN)]}
+
+
+@st.composite
+def walk_params(draw):
+    """AgentParams over every agent row's range; the seed and dwell jitter are drawn apart."""
+    return AgentParams(
+        fixation_min=draw(st.sampled_from([0.15, 0.001, 10.0]) | st.floats(0.001, 10.0)),
+        per_cell_scan_time=draw(st.sampled_from([0.2, 10.0]) | st.floats(1e-6, 10.0)),
+        scan_policy=draw(st.sampled_from(SCAN_POLICIES)),
+        known_grid=draw(st.booleans()),
+        yaw_rate_deg_s=draw(st.sampled_from([180.0, 10.0]) | st.floats(10.0, 1e4)),
+        tick_hz=draw(st.sampled_from([50.0, 10_000.0]) | st.floats(0.01, 10_000.0)),
+        confusion_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+    )
+
+
+JITTERS = st.sampled_from([0.02, 10.0]) | st.floats(1e-9, 10.0)
+SEEDS = st.lists(st.integers(0, 2**64), min_size=1, max_size=3, unique=True)
+
+
+def assert_walk_is_the_run_without_the_plan(scn, params, strategy):
+    """A session walked on scn's plan, warm for its own path, is its run with no plan.
+
+    simulate_session fills the plan with the session's path first; the
+    walk then replays it (or steps off and reruns as simulate_session does).
+    """
+    case = (scn.name, params, strategy)
+    simulate_session(scn, params, strategy=strategy)
+    on = agent._Simulator(scn, params, strategy, params.seed)
+    try:
+        trace = on.run()
+    except agent._OffScript:
+        on = agent._Simulator(scn, params, strategy, params.seed, on_plan=False)
+        trace = on.run()
+    off = agent._Simulator(scn, params, strategy, params.seed, on_plan=False)
+    oracle = off.run()
+    assert trace == oracle, case
+    assert trace.warnings == oracle.warnings, case
+    assert on.opens == off.opens, case
+    assert on.rng.getstate() == off.rng.getstate(), case
+    assert simulate_session(scn, params, strategy=strategy) == oracle, case
+
+
+def count_calls(monkeypatch, owner, names, calls=None):
+    """calls (a new list by default), to which each call of owner's names appends the name."""
+    calls = [] if calls is None else calls
+    for name in names:
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestWalk:
+    """A session walks the plan: a linked search hands over the next trial's look and entry."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(params=walk_params(), jitter=JITTERS, seeds=SEEDS)
+    def test_a_warm_walk_is_the_run_without_the_plan(self, params, jitter, seeds):
+        """Drawn agents, with and without dwell jitter on one plan shape, and drawn seeds."""
+        for scn in WALK_WARM.values():
+            for strategy in Strategy:
+                for seed in seeds:
+                    for j in (0.0, jitter):
+                        run = replace(params, dwell_jitter_s=j, seed=seed)
+                        assert_walk_is_the_run_without_the_plan(scn, run, strategy)
+
+    @pytest.mark.parametrize("case", sorted(WALK_OFF))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(policy=st.sampled_from(SCAN_POLICIES), jitter=JITTERS, seeds=SEEDS)
+    def test_off_script_walks_are_the_run_without_the_plan(self, case, policy, jitter, seeds):
+        """The off-script cases under their own agent, with drawn policy, jitter and seeds."""
+        scn = WALK_OFF[case]
+        for strategy in Strategy:
+            for seed in seeds:
+                for j in (0.0, jitter):
+                    run = replace(scn.agent, scan_policy=policy, dwell_jitter_s=j, seed=seed)
+                    assert_walk_is_the_run_without_the_plan(scn, run, strategy)
+
+    def test_a_warm_walk_builds_no_entry_and_three_segments_per_trial(self, monkeypatch):
+        """After seeds 1-20, seeds 21-40 lay every step from the plan's links.
+
+        No look is aimed, no trial entry or search built, no timeline laid;
+        per trial at most the idle turn, the idle hold and the confirming
+        dwell are new segments, then the settle tail's turn and dwell.
+        """
+        warm = {name: load_bundled(name) for name in bundled_scenario_names()}
+        for seed in range(1, 21):
+            for scn in warm.values():
+                for strategy in Strategy:
+                    simulate_session(scn, strategy=strategy, seed=seed)
+        calls = count_calls(monkeypatch, agent._Simulator, ["_aim", "_question"])
+        count_calls(monkeypatch, agent, ["_search"], calls)
+        count_calls(monkeypatch, agent._Timeline, ["__init__", "until", "dwell", "turn"], calls)
+        built = count_calls(monkeypatch, agent, ["GazeSegment"])
+        for seed in range(21, 41):
+            for name, scn in warm.items():
+                for strategy in Strategy:
+                    built.clear()
+                    simulate_session(scn, strategy=strategy, seed=seed)
+                    assert not calls, (name, strategy, seed, calls)
+                    assert len(built) <= 3 * len(scn.trials) + 2, (name, strategy, seed)
+        # the spies do see a cold session
+        simulate_session(load_bundled("dynamic_mobile_body_fixed"), seed=1)
+        assert set(calls) == {"_aim", "_question", "_search", "__init__", "until", "dwell", "turn"}
+
+    def test_an_idle_turn_is_cut_at_the_question_start(self):
+        """A search that ends just before the next lead leaves the idle turn no time to finish.
+
+        Trial 1 of dynamic_stationary_env_ref is asked 0.05 s after trial 0's
+        search ends (no jitter, so every seed ends there): the turn to the
+        partner is cut at the question start, which the question phase then
+        starts from, on the plan and off it.
+        """
+        block = {"dwell_jitter_s": 0.0}
+        probe = parse_scenario(edited_session("dynamic_stationary_env_ref", block))
+        end = simulate_session(probe, seed=1).trials[0].segments[-1].t1
+        warm = parse_scenario(moved_question(end + 0.05, block))
+        start = warm.trials[1].question_start
+        for seed in (1, 2, 3):
+            params = warm.agent._with_seed(seed)
+            on = agent._Simulator(warm, params, warm.strategy, seed)
+            trace = on.run()  # on the plan: no _OffScript
+            assert trace == agent._Simulator(warm, params, warm.strategy, seed, on_plan=False).run()
+            k = next(i for i, seg in enumerate(trace.segments) if seg.t1 > end)
+            turn, question = trace.segments[k], trace.segments[k + 1]
+            assert (turn.t0, turn.t1, turn.target) == (end, start, NoGaze())
+            assert question.t0 == start == trace.trials[1].segments[0].t0
+
+    def test_the_plan_stops_growing_over_a_second_pass(self):
+        """Nodes, edges and links after seeds 1-100 are all a second pass needs."""
+        warm = {name: load_bundled(name) for name in bundled_scenario_names()}
+
+        def sweep():
+            for seed in range(1, 101):
+                for scn in warm.values():
+                    for strategy in Strategy:
+                        simulate_session(scn, strategy=strategy, seed=seed)
+            return {name: plan_entries(scn) for name, scn in warm.items()}
+
+        first = sweep()
+        assert sweep() == first
 
 
 class TestOnePlacementPath:

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xrlayout import metrics
+from xrlayout import agent, metrics
 from xrlayout.agent import (
     AgentParams,
     DocumentGaze,
@@ -544,12 +544,35 @@ class TestEditedTracesScoreAsTheScan:
             lambda trace: pickle.loads(pickle.dumps(trace)).trials,
             lambda trace: copy.deepcopy(trace.trials),
         ],
-        ids=["replace", "pickle", "deepcopy"],  # a pickle and a copy carry _plan along
+        ids=["replace", "pickle", "deepcopy"],  # each leaves _plan out
     )
     def test_a_rebuilt_trace_scores_as_the_scan(self, rebuild):
         trace = warm_trace()
         trace.trials = rebuild(trace)
+        assert all(t._plan is None for t in trace.trials)
         self.check(trace)
+
+    def test_a_pickle_or_copy_leaves_the_plan_out(self, monkeypatch):
+        """Equal traces pickle to equal bytes, and a copy is scanned, not handed a plan score."""
+        scn = SCENARIOS["dynamic_mobile_body_fixed"]
+        params = scn.agent._with_seed(9)
+        for _ in range(2):
+            warm = simulate_session(scn, params, strategy=Strategy.BODY_FIXED)
+        cold = agent._Simulator(scn, params, Strategy.BODY_FIXED, 9, on_plan=False).run()
+        assert all(t._plan is not None for t in warm.trials)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        session_metrics(warm)  # the plan entries hold their scores now
+        scans = []
+        scan = metrics._scan
+        monkeypatch.setattr(metrics, "_scan", lambda *a, **kw: scans.append(a) or scan(*a, **kw))
+        for rebuild in (copy.copy, copy.deepcopy):
+            copied = [rebuild(t) for t in warm.trials]
+            assert copied == warm.trials
+            assert all(t._plan is None for t in copied)
+            scans.clear()
+            rows = session_metrics(replace(warm, trials=copied))
+            assert len(scans) == len(copied)
+            assert rows == session_metrics(warm)
 
 
 ROW_TEMPLATE = TrialMetrics(
