@@ -33,11 +33,11 @@ misses computes its scene state, panel placement and focus afresh; only
 trial entries keep a scene.  Plan use is decided once per session:
 simulate_session walks the session on the plan, reading and filling it,
 and a first step off the script (an idle phase that starts past the
-question's lead, a question phase that does not start at its question
-start, a settle tail before the scene has settled, a scene query at a time
-that is not scripted, or a degenerate placement) abandons that walk and
-reruns the session from t = 0 with no plan, computing every value by the
-same code and storing nothing.  So a warm scripted trial is its draws, one
+question's lead after a search, a question phase that does not start at
+its question start, a settle tail before the scene has settled, a scene
+query at a time that is not scripted, or a degenerate placement) abandons
+that walk and reruns the session from t = 0 with no plan, computing every
+value by the same code and storing nothing.  So a warm scripted trial is its draws, one
 edge lookup, at most three new segments (the idle turn, cut at the
 question start from the cursor that the jitter moved, the idle hold and
 the jittered confirming dwell) and its TrialTrace.  An off-script
@@ -494,12 +494,17 @@ class _SessionPlan:
       * links: the first walk of an edge stores what follows it: the idle
         look at the next question's lead (its focus and the length of its
         turn) with the next trial entry, or, after the last trial, the
-        settle tail's look.  starts[shape] holds the link from the session
-        start to trial 0.
+        settle tail's look.  That is pure in the direction the edge ends
+        facing, so a new edge takes the link of a sibling that ends facing
+        the same way (every route of a trial ends on its target panel).
+        starts[shape] holds the link from the session start to trial 0,
+        whose cursor is 0.0 in every session: (None, None, entry) when
+        trial 0 is asked at 0.0 and there is no idle phase.
 
     Plan use is decided once per session: a session walks and fills the
     plan until its first step off the script, which is an idle phase whose
-    cursor is past the question's lead (a search that ran into it), a
+    cursor is past the question's lead after a search (the jitter moves a
+    search's end, so its link would not hold for every session), a
     question phase whose cursor is not its question start, a settle tail
     before settled, a scene query at a time that is not a plan time, or a
     degenerate environment-referenced placement (hold-last depends on the
@@ -663,21 +668,21 @@ class _Simulator:
         edge = self.start if on else [None]  # what the walk comes from; its last item links
         for trial in scn.trials:
             t0 = trial.question_start
-            if on and cursor > t0 - IDLE_LEAD_S:
+            # a search's end moves with the jitter; the start's cursor is 0.0 in every session
+            if on and edge is not self.start and cursor > t0 - IDLE_LEAD_S:
                 raise _OffScript  # the idle look would aim from the session's own cursor
-            seg_start, node = len(segments), None
-            if cursor < t0:  # the idle phase: a turn to the scripted focus, held until t0
-                link = edge[-1]
-                if link is None:
-                    # at or after the cursor, so answered whatever the cursor was
-                    t = max(cursor, t0 - IDLE_LEAD_S)
-                    focus, turn = self._aim(t, t, cursor, gaze_dir)
-                    turn_s = None
-                    if turn is not None:
-                        degrees, gaze_dir = turn
-                        facing, turn_s = (t, False), degrees / yaw_rate
-                else:
-                    focus, turn_s, node = link
+            seg_start, link = len(segments), edge[-1]
+            focus = turn_s = node = None
+            if link is not None:
+                focus, turn_s, node = link
+            elif cursor < t0:  # the idle look: a turn to the scripted focus
+                # at or after the cursor, so answered whatever the cursor was
+                t = max(cursor, t0 - IDLE_LEAD_S)
+                focus, turn = self._aim(t, t, cursor, gaze_dir)
+                if turn is not None:
+                    degrees, gaze_dir = turn
+                    facing, turn_s = (t, False), degrees / yaw_rate
+            if cursor < t0:  # the idle phase: the look's turn and its hold until t0
                 if turn_s is not None:
                     dt = min(turn_s, t0 - cursor)  # the turn is cut at the question start
                     if dt > 1e-12:
@@ -830,8 +835,9 @@ def _search(
     cursor, facing, gaze direction and scene the trial entry node holds;
     the open fires after fixation_min of confirming dwell, which
     search_and_open lays.  The score slot is None until
-    metrics.session_metrics first scores a trial laid on the entry, and
-    the link until the walk first goes on from it (_Simulator.run).
+    metrics.session_metrics first scores a trial laid on the entry.  The
+    link is that of a sibling search that ends facing the same way, else
+    None until the walk first goes on from the entry (_Simulator.run).
     """
     params, opens = sim.params, []
     _, at, facing, gaze_dir, (state, panels), _, _ = node
@@ -856,6 +862,9 @@ def _search(
             r, c = divmod(idx, GRID_COLS)
             line.dwell(params.per_cell_scan_time, DocumentGaze(target_cat, r, c))
     t_fix = line.cursor
+    # What follows an edge is pure in the direction it ends facing, so a
+    # sibling search that ends facing the same way has its link already.
+    link = next((e[8] for e in node[6].values() if e[3] == line.facing and e[8]), None)
     return [
         tuple(line.segments),
         tuple(opens),
@@ -865,7 +874,7 @@ def _search(
         DocumentGaze(target_cat, row, col),
         OpenEvent(t_fix + params.fixation_min, target_cat, trial.country, row, col, True),
         None,
-        None,
+        link,
     ]
 
 

@@ -901,9 +901,10 @@ class TestStepReplay:
         """A seed that draws a route no session drew yet lays it from its trial entry.
 
         The entry holds the scene and the scan keys where the search starts,
-        so the new route's search queries no scene.  The walk goes on from
-        the new search with one look of its own, at the next question's lead
-        or the settle tail, and otherwise replays what the first seed stored.
+        so the new route's search queries no scene.  It ends facing the
+        trial's target panel as the first seed's route did, so it takes that
+        search's link, and the rest of the session replays what the first
+        seed stored.
         """
         scn = load_bundled("dynamic_stationary_body_fixed")
         strategy = Strategy.BODY_FIXED
@@ -918,7 +919,6 @@ class TestStepReplay:
 
         first = routes(1)
         other = next(s for s in range(2, 50) if sum(a != b for a, b in zip(routes(s), first)) == 1)
-        (moved,) = [k for k, (a, b) in enumerate(zip(routes(other), first)) if a != b]
         simulate_session(scn, strategy=strategy, seed=1)
         (trials,) = scn._cache[agent._SessionPlan].trials.values()
         assert [len(entry[-1]) for entry in trials.values()] == [1] * len(scn.trials)
@@ -938,11 +938,7 @@ class TestStepReplay:
             agent._Simulator, "_question", lambda *args: built.append(args) or question(*args)
         )
         on, trace = run(other, on_plan=True)  # on the plan: no _OffScript
-        if moved + 1 < len(scn.trials):
-            look = scn.trials[moved + 1].question_start - agent.IDLE_LEAD_S
-        else:
-            look = agent._TAIL
-        assert asked == [look] and len(states) == 1 and not built
+        assert not asked and not states and not built
         monkeypatch.undo()
         off, oracle = run(other, on_plan=False)
         assert trace == oracle
@@ -1234,6 +1230,28 @@ class TestWalk:
             turn, question = trace.segments[k], trace.segments[k + 1]
             assert (turn.t0, turn.t1, turn.target) == (end, start, NoGaze())
             assert question.t0 == start == trace.trials[1].segments[0].t0
+
+    def test_a_question_asked_at_the_session_start_stays_on_the_plan(self):
+        """Trial 0 asked at 0.0 has no idle phase; the start links its entry all the same.
+
+        The start's cursor is 0.0 in every session, so its link holds for
+        every seed: no look, and trial 0's entry keyed by the start facing.
+        """
+        warm = parse_scenario(moved_question(0.0, index=0))
+        assert warm.trials[0].question_start == 0.0
+        for strategy in Strategy:
+            for seed in (1, 2, 3, 1):  # cold, new seeds, then a seed again
+                params = warm.agent._with_seed(seed)
+                on = agent._Simulator(warm, params, strategy, seed)
+                off = agent._Simulator(warm, params, strategy, seed, on_plan=False)
+                trace = on.run()  # on the plan: no _OffScript
+                assert trace == off.run(), (strategy, seed)
+                assert on.rng.getstate() == off.rng.getstate()
+                assert trace.trials[0].segments[0].t0 == 0.0
+        plan = warm._cache[agent._SessionPlan]
+        for shape, (start,) in plan.starts.items():
+            assert start == (None, None, plan.trials[shape][0, agent._START])
+        assert_keys_are_plan_times(plan)
 
     def test_the_plan_stops_growing_over_a_second_pass(self):
         """Nodes, edges and links after seeds 1-100 are all a second pass needs."""

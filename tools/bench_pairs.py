@@ -3,19 +3,19 @@
 Run from the repository root:
 
     python tools/bench_pairs.py --parent REV --label NAME \\
-        --workload seed_sweep=10 --workload cli_batch=5 --seed S [--seconds 30]
+        --workload seed_sweep=10 --workload cli_batch=5 --seed S
 
-Each side (--parent, and --change, HEAD by default) is exported with
+Each side (the parent, --parent, and the change, HEAD) is exported with
 `git archive` into a directory of its own under a temporary directory, so
 each runs its own committed perfbench/ and src/ and nothing else: no
 working-tree edit, no build left over, no registration in the repository.
 For every workload, pair k runs `python3 perfbench/run.py --workload W
---seed S --seconds T` once on each side, unmodified, the parent first on
+--seed S --seconds 30` once on each side, unmodified, the parent first on
 even k and the change first on odd k.  Every pair must report failed = 0
 on both sides and the same output_digest on both, or nothing is written.
 With --traced, each side then runs once more with --trace 1 per workload.
 
-The block goes under key NAME of BENCH_<first workload>.json (or --out):
+The block goes under key NAME of BENCH_<first workload>.json:
 what, claim, command, parent, host and seed; per workload its pairs and
 their summary (median and inclusive quartiles per side, ratio of medians,
 change wins, the median gap against the parent's IQR, for every
@@ -41,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 DIGEST = re.compile(r"output_digest sha256:([0-9a-f]+)")
+SECONDS = 30  # per run
 
 
 def export(rev: str, dest: Path) -> None:
@@ -58,11 +59,11 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench/run.py run in tree: its metric values, digest, failed and attempted."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -95,13 +96,13 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
     return summary
 
 
-def measure(trees: dict, workload: str, n: int, seed: int, seconds: float, metrics) -> dict:
+def measure(trees: dict, workload: str, n: int, seed: int, metrics) -> dict:
     pairs = []
     for k in range(n):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"pair": k, "first": order[0]}
         for side in order:
-            pair[side] = run_bench(trees[side], workload, seed, seconds, trace=0)
+            pair[side] = run_bench(trees[side], workload, seed, trace=0)
         print(
             f"{workload} pair {k}: ops_per_s {pair['parent']['ops_per_s']:.6g} -> "
             f"{pair['change']['ops_per_s']:.6g}",
@@ -135,43 +136,41 @@ def claim(workload: str, summary: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="tools/bench_pairs.py", description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="the parent revision")
-    p.add_argument("--change", default="HEAD", help="the change revision (default HEAD)")
     p.add_argument(
-        "--workload", action="append", required=True, metavar="W[=PAIRS]",
-        help="a workload and its pair count (default --pairs); repeatable",
+        "--workload", action="append", required=True, metavar="W=PAIRS",
+        help="a workload and its pair count; repeatable",
     )
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--label", required=True, help="the block's key in the BENCH file")
     p.add_argument("--what", default="", help="what the change is (the block's 'what')")
     p.add_argument("--claim", help="the block's claim (default: the first workload's ops_per_s)")
     p.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
-    p.add_argument("--out", type=Path, help="the BENCH file (default BENCH_<first workload>.json)")
     args = p.parse_args(argv)
     plan = []
     for spec in args.workload:
         name, _, n = spec.partition("=")
-        plan.append((name, int(n) if n else args.pairs))
+        if not n:
+            p.error(f"--workload {spec}: give its pair count as W=PAIRS")
+        plan.append((name, int(n)))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    out = args.out or ROOT / f"BENCH_{plan[0][0]}.json"
+    out = ROOT / f"BENCH_{plan[0][0]}.json"
     revs = {
         side: subprocess.run(
             ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
             check=True, stdout=subprocess.PIPE, text=True,
         ).stdout.strip()
-        for side, rev in (("parent", args.parent), ("change", args.change))
+        for side, rev in (("parent", args.parent), ("change", "HEAD"))
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], trees[side])
         workloads = {
-            name: measure(trees, name, n, args.seed, args.seconds, metrics) for name, n in plan
+            name: measure(trees, name, n, args.seed, metrics) for name, n in plan
         }
         traced = {
             name: {
-                side: run_bench(trees[side], name, args.seed, args.seconds, trace=1)
+                side: run_bench(trees[side], name, args.seed, trace=1)
                 for side in SIDES
             }
             for name, _ in plan
@@ -180,12 +179,12 @@ def main(argv: list[str] | None = None) -> int:
     block = {
         "what": (
             f"{args.what} Interleaved parent/change pairs of unmodified perfbench/run.py "
-            f"({counts}), {args.seconds:g} s per run, order alternated per pair, each side "
+            f"({counts}), {SECONDS} s per run, order alternated per pair, each side "
             f"run from its own export of the committed tree (tools/bench_pairs.py)."
         ).strip(),
         "claim": args.claim or claim(plan[0][0], workloads[plan[0][0]]["summary"]),
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-        f"--seconds {args.seconds:g}",
+        f"--seconds {SECONDS}",
         "parent": revs["parent"],
         "host": f"{os.cpu_count()} CPUs ({platform.machine()}), Python "
         f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1",
