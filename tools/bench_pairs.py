@@ -15,13 +15,14 @@ even k and the change first on odd k.  Every pair must report failed = 0
 on both sides and the same output_digest on both, or nothing is written.
 With --traced, each side then runs once more with --trace 1 per workload.
 
-The block goes under key NAME of BENCH_<first workload>.json:
-what, claim, command, parent, host and seed; per workload its pairs and
-their summary (median and inclusive quartiles per side, ratio of medians,
-change wins, the median gap against the parent's IQR, for every
-end-to-end metric of BENCHMARK.json), output_digest_equal, output_digest
-and failed_total, the shape tests/test_bench_files.py recomputes; and
-with --traced the traced per-layer metrics per side.
+The block goes under key NAME of BENCH_<first workload>.json: what,
+claim (the first workload's ops_per_s), command, parent, host and seed;
+per workload its pairs and their summary (median and inclusive quartiles
+per side, ratio of medians, change wins, the median gap against the
+parent's IQR, for every end-to-end metric of BENCHMARK.json),
+output_digest_equal, output_digest and failed_total, the shape
+tests/test_bench_files.py recomputes; and with --traced the traced
+per-layer metrics per side.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--label", required=True, help="the block's key in the BENCH file")
     p.add_argument("--what", default="", help="what the change is (the block's 'what')")
-    p.add_argument("--claim", help="the block's claim (default: the first workload's ops_per_s)")
     p.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
     args = p.parse_args(argv)
     plan = []
@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             f"({counts}), {SECONDS} s per run, order alternated per pair, each side "
             f"run from its own export of the committed tree (tools/bench_pairs.py)."
         ).strip(),
-        "claim": args.claim or claim(plan[0][0], workloads[plan[0][0]]["summary"]),
+        "claim": claim(plan[0][0], workloads[plan[0][0]]["summary"]),
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
         f"--seconds {SECONDS}",
         "parent": revs["parent"],
