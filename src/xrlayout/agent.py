@@ -163,20 +163,9 @@ class IntermediaryGaze:
     entity_id: str
 
 
-# The targets a search steps through, and its open events, are built on
-# every step of every session, so they are slotted records with their own
-# __init__, as geometry.Vec3 and GazeSegment are.
-
-
 @record(frozen=True, slots=True)
 class PanelGaze:
     category: str
-
-    def __init__(self, category: str):
-        _set_panel_category(self, category)
-
-
-_set_panel_category = PanelGaze.category.__set__
 
 
 @record(frozen=True, slots=True)
@@ -184,18 +173,6 @@ class DocumentGaze:
     category: str
     row: int
     col: int
-
-    def __init__(self, category: str, row: int, col: int):
-        _set_doc_category(self, category)
-        _set_doc_row(self, row)
-        _set_doc_col(self, col)
-
-
-_set_doc_category, _set_doc_row, _set_doc_col = (
-    DocumentGaze.category.__set__,
-    DocumentGaze.row.__set__,
-    DocumentGaze.col.__set__,
-)
 
 
 GazeTarget = NoGaze | ScreenGaze | IntermediaryGaze | PanelGaze | DocumentGaze
@@ -244,21 +221,7 @@ class OpenEvent:
     col: int
     correct: bool
 
-    def __init__(self, t: float, category: str, country: str, row: int, col: int, correct: bool):
-        _set_open_t(self, t)
-        _set_open_category(self, category)
-        _set_open_country(self, country)
-        _set_open_row(self, row)
-        _set_open_col(self, col)
-        _set_open_correct(self, correct)
 
-
-_set_open_t, _set_open_category, _set_open_country = (
-    OpenEvent.t.__set__, OpenEvent.category.__set__, OpenEvent.country.__set__
-)
-_set_open_row, _set_open_col, _set_open_correct = (
-    OpenEvent.row.__set__, OpenEvent.col.__set__, OpenEvent.correct.__set__
-)
 _open_time = attrgetter("t")
 
 

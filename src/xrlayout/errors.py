@@ -66,6 +66,14 @@ def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
     or, when slotted, its slots' setters.  slots rebuilds the class with a
     slot per field and no __dict__; __reduce__ then rebuilds a record
     through __init__ from its fields, so unpickling runs its checks again.
+    A slotted class has no defaults: type() refuses a class attribute
+    that a slot shares its name with.
+
+    The constructor rule: a record takes this __init__ unless a warm seed
+    sweep or the frame path builds it per step or per session.  Only those
+    write their own, which is about four times faster: agent.GazeSegment,
+    TrialTrace, SessionTrace and metrics.SessionSummary in the sweep, and
+    geometry.Vec3, Rotation, Pose and frames.SceneState in the frame path.
     """
     if cls is None:
         return partial(record, frozen=frozen, slots=slots)
@@ -110,7 +118,8 @@ def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
         cls.__reduce__ = lambda self: (self.__class__, values(self))
     if "__init__" in cls.__dict__:
         return cls
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    # after the slots rebuild cls.__dict__ holds each slot's descriptor, not a default
+    defaults = {} if slots else {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     for name, default in defaults.items():
         if default.__class__ is _Factory:  # a factory leaves the class, as with dataclasses
             delattr(cls, name)

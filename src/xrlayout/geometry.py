@@ -23,12 +23,12 @@ here (size metadata, not a spatial transform of children).
 All types are immutable value objects and safe to share.  The value types
 built many times per step or per session are slotted records
 (errors.record with frozen=True, slots=True): Vec3, Rotation and Pose
-here, agent.GazeSegment, agent.PanelGaze, agent.DocumentGaze and
-agent.OpenEvent in every session, and metrics.TrialMetrics and
-metrics.SessionSummary in its scoring.  Each has a hand-written __init__
-that sets the slots through their descriptors' setters, since the frozen
-__setattr__ raises FrozenInstanceError for every name.  __reduce__
-rebuilds through __init__, so unpickling re-runs its checks.
+here, agent.GazeSegment in every session, and metrics.SessionSummary in
+its scoring.  Each has a hand-written __init__ that sets the slots through
+their descriptors' setters, since the frozen __setattr__ raises
+FrozenInstanceError for every name; errors.record states which records
+get one.  __reduce__ rebuilds through __init__, so unpickling re-runs its
+checks.
 Every Vec3 is checked finite when constructed, arithmetic results
 included, so a NaN or infinity never travels further than the operation
 that made it.  The hot operations are scalar kernels on plain floats:

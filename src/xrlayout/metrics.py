@@ -21,8 +21,8 @@ search entry, the first time a trial laid on it is scored: the same
 segments with a dwell of exactly fixation_min, ending at t_fix +
 fixation_min, and the search's opens, through trial_metrics like any
 trial.  It keeps the row in the entry's score slot (or that the entry is
-always scanned, when the canonical trial does not score or its end rounds
-to t_fix), and hands it to a trace only when everything trial_metrics
+always scanned, when the canonical trial does not score, as when its end
+rounds to t_fix), and hands it to a trace only when everything trial_metrics
 reads matches: the trial (by identity) and fixation_min; the session's
 context and strategy; the count of wrong opens; the question and search
 segments, the same objects in order; and one last segment on the wanted
@@ -196,11 +196,6 @@ def classify_relevance(trial: Trial, *, context: str) -> bool:
     raise ValueError(f"unknown context: {context!r}")
 
 
-# One TrialMetrics per trial and one SessionSummary per session of every
-# sweep, so both are slotted records with their own __init__, as
-# geometry.Vec3 is.
-
-
 @record(frozen=True, slots=True)
 class TrialMetrics:
     context: str
@@ -214,45 +209,9 @@ class TrialMetrics:
     relevant: bool
     near: bool | None
 
-    def __init__(
-        self,
-        context: str,
-        strategy: str,
-        trial_index: int,
-        category: str,
-        country: str,
-        navigation_time_s: float,
-        gaze_switches: int,
-        errors: int,
-        relevant: bool,
-        near: bool | None,
-    ):
-        _set_tm_context(self, context)
-        _set_tm_strategy(self, strategy)
-        _set_tm_trial_index(self, trial_index)
-        _set_tm_category(self, category)
-        _set_tm_country(self, country)
-        _set_tm_navigation_time_s(self, navigation_time_s)
-        _set_tm_gaze_switches(self, gaze_switches)
-        _set_tm_errors(self, errors)
-        _set_tm_relevant(self, relevant)
-        _set_tm_near(self, near)
 
-
-_set_tm_context, _set_tm_strategy, _set_tm_trial_index = (
-    TrialMetrics.context.__set__, TrialMetrics.strategy.__set__, TrialMetrics.trial_index.__set__
-)
-_set_tm_category, _set_tm_country, _set_tm_navigation_time_s = (
-    TrialMetrics.category.__set__,
-    TrialMetrics.country.__set__,
-    TrialMetrics.navigation_time_s.__set__,
-)
-_set_tm_gaze_switches, _set_tm_errors, _set_tm_relevant, _set_tm_near = (
-    TrialMetrics.gaze_switches.__set__,
-    TrialMetrics.errors.__set__,
-    TrialMetrics.relevant.__set__,
-    TrialMetrics.near.__set__,
-)
+# Every session of a sweep, warm ones included, builds one SessionSummary,
+# so it is a slotted record with its own __init__, as geometry.Vec3 is.
 
 
 @record(frozen=True, slots=True)
@@ -411,26 +370,27 @@ def _plan_score(
 
     (trial, fixation_min, question and search segments, canonical end,
     row): the row is trial_metrics of the canonical trial, or None when
-    that trial is incomplete or its end rounds to t_fix (no trace laid on
-    the entry then takes the row).
+    that trial is incomplete (no trace laid on the entry then takes the
+    row).  That covers an end that rounds to t_fix: the canonical last
+    run on the wanted document then lasts 0 s, and no earlier segment is
+    on that document (rejected panels have other categories, and the cell
+    scan stops before the wanted cell), so the trial is incomplete.
     """
     segments, wrong, t_fix, _, _, wanted, opened, _, _ = search
     trial, params = trace.trial, trace.params
     prefix, end = question + segments, t_fix + params.fixation_min
-    row = None
-    if end > t_fix:  # else the canonical window would leave out the pair at t_fix
-        canonical = TrialTrace(
-            trial,
-            trial.question_complete,
-            opened.t,
-            [*prefix, GazeSegment(t_fix, end, wanted)],
-            [*wrong, opened],
-            params,
-        )
-        try:
-            row = trial_metrics(canonical, context=context, strategy=strategy)
-        except IncompleteTrial:
-            pass
+    canonical = TrialTrace(
+        trial,
+        trial.question_complete,
+        opened.t,
+        [*prefix, GazeSegment(t_fix, end, wanted)],
+        [*wrong, opened],
+        params,
+    )
+    try:
+        row = trial_metrics(canonical, context=context, strategy=strategy)
+    except IncompleteTrial:
+        row = None
     return trial, params.fixation_min, prefix, end, row
 
 

@@ -415,6 +415,34 @@ class TestPlanScore:
         with pytest.raises(IncompleteTrial, match="no fixation >= 0.15s on sports/Japan"):
             session_metrics(exact)
 
+    def test_an_end_that_rounds_to_t_fix_keeps_no_row(self):
+        """Where t_fix + fixation_min == t_fix the canonical trial is incomplete.
+
+        Its last run on the wanted document lasts 0 s, and no segment
+        before it is on that document, so the entry keeps no row and every
+        trace laid on it is scanned: an exact dwell is incomplete there,
+        and a jittered one scores.
+        """
+        scn = shifted_static_room(2.0**45)  # floats are 2**-7 s apart there
+        traces = [
+            simulate_session(
+                scn,
+                replace(scn.agent, fixation_min=0.001, dwell_jitter_s=j),
+                strategy="body_fixed",
+                seed=1,
+            )
+            for j in (0.0, 0.02)
+        ]
+        for trace in traces:
+            assert outcome(session_metrics, trace) == scanned(trace)
+            context, strategy = trace.context, trace.strategy.value
+            for t in trace.trials:
+                search = t._plan[1]
+                _, _, _, end, row = metrics._plan_score(t, *t._plan, context, strategy)
+                assert end == search[2]  # t_fix
+                assert row is None
+        assert [outcome(session_metrics, trace)[0] for trace in traces] == ["raised", "ok"]
+
     def test_a_warm_pass_scans_and_sums_nothing(self, monkeypatch):
         """A second pass over seeds the plan holds reads every score and summary back."""
         warm = {name: load_bundled(name) for name in NAMES}

@@ -13,6 +13,7 @@ GazeSegment are also checked at edge values: signed zeros, subnormal,
 huge and infinite floats.
 """
 
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -48,7 +49,7 @@ from xrlayout.errors import Diagnostic, FrozenInstanceError, WarningEvent, field
 from xrlayout.frames import WORLD, FrameOfReference, SceneState
 from xrlayout.geometry import UP, Pose, Rotation, Vec3, yaw_rotation
 from xrlayout.metrics import SessionSummary, TrialMetrics
-from xrlayout.placement import LayoutEmission
+from xrlayout.placement import LayoutEmission, PlacementWarning
 from xrlayout.scenario import (
     AgentParams,
     EntitySpec,
@@ -230,6 +231,16 @@ def other_value(value):
     return replace(value, **{first: other_value(getattr(value, first))})
 
 
+def warns_out_of_band(cls):
+    """Expects the PlacementWarning where other_value leaves the comfort band.
+
+    On the Scenario sample it moves params.panel_distance from 1.2 m to 2.2 m.
+    """
+    if cls is Scenario:
+        return pytest.warns(PlacementWarning, match="panel_distance 2.2 m outside")
+    return contextlib.nullcontext()
+
+
 def unhashable(obj) -> bool:
     try:
         hash(obj)
@@ -299,17 +310,18 @@ class TestRecordsAgainstDataclassOracles:
     @RECORDS
     def test_equality_follows_every_field(self, cls):
         args = SAMPLE_ARGS[cls]
-        for i, value in enumerate(args):
-            changed = (*args[:i], other_value(value), *args[i + 1 :])
-            try:
-                ORACLES[cls](*changed)
-            except ValueError:  # the oracle's __post_init__ check
-                with pytest.raises(ValueError):
-                    cls(*changed)
-                continue
-            new = cls(*changed)
-            assert new != cls(*args), fields(cls)[i].name
-            assert repr(new) == repr(old_twin(new))
+        with warns_out_of_band(cls):
+            for i, value in enumerate(args):
+                changed = (*args[:i], other_value(value), *args[i + 1 :])
+                try:
+                    ORACLES[cls](*changed)
+                except ValueError:  # the oracle's __post_init__ check
+                    with pytest.raises(ValueError):
+                        cls(*changed)
+                    continue
+                new = cls(*changed)
+                assert new != cls(*args), fields(cls)[i].name
+                assert repr(new) == repr(old_twin(new))
 
     @RECORDS
     def test_assignment_and_deletion(self, cls):
@@ -364,18 +376,19 @@ class TestRecordsAgainstDataclassOracles:
         assert replace(obj) == obj and replace(obj) is not obj
         with pytest.raises(TypeError):
             replace(obj, unknown=1)
-        for name, value in kwargs.items():
-            new = other_value(value)
-            try:
-                want = cls(**{**kwargs, name: new})
-            except ValueError:  # replace runs the same checks
-                with pytest.raises(ValueError):
-                    replace(obj, **{name: new})
-                continue
-            changed = replace(obj, **{name: new})
-            assert type(changed) is cls
-            assert changed == want
-            assert repr(changed) == repr(want)
+        with warns_out_of_band(cls):
+            for name, value in kwargs.items():
+                new = other_value(value)
+                try:
+                    want = cls(**{**kwargs, name: new})
+                except ValueError:  # replace runs the same checks
+                    with pytest.raises(ValueError):
+                        replace(obj, **{name: new})
+                    continue
+                changed = replace(obj, **{name: new})
+                assert type(changed) is cls
+                assert changed == want
+                assert repr(changed) == repr(want)
 
     def test_a_partial_given_for_a_factory_field_is_kept(self):
         given, checked = functools.partial(dict, a=1), set()
