@@ -83,8 +83,8 @@ from .metrics import (
     aggregate,
     classify_relevance,
     error_events,
+    gaze_csv_chunks,
     gaze_switches,
-    gaze_to_csv,
     navigation_time,
     results_from_json,
     results_to_json,

@@ -119,12 +119,19 @@ fall.  Over seeds 1-100 the bundled sessions give 1, 2, 4, 8 or 16
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Mapping
+
+try:  # hashlib is heavy to load (it maps OpenSSL); the builtin sha256 module is lean
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import DegenerateIntermediary, WarningEvent, record
 from .frames import USER_BODY, USER_HEAD, SceneState
@@ -325,8 +332,8 @@ class SessionTrace:
         are ceil(duration * hz) ticks, at least one.  tick_hz=None uses the
         session's params rate; every rate must pass the tick_hz row's kind,
         as AgentParams.tick_hz does, else ValueError.  The CLI's gaze
-        export, metrics.gaze_to_csv, writes this stream run by run from the
-        same runs, without building the samples.
+        export, metrics.gaze_csv_chunks, writes this stream run by run from
+        the same runs, without building the samples.
         """
         grid, _, runs = self._tick_runs(tick_hz)
         times = grid.times
@@ -356,12 +363,13 @@ class SessionTrace:
 
 
 class _TickGrid:
-    """Tick times k * (1 / hz) of one rate, and their repr, grown on demand."""
+    """Tick times k * (1 / hz) of one rate, grown on demand, and their repr:
+    kept and grown with them on a shared grid, formatted afresh on a private one."""
 
-    def __init__(self, hz: float):
+    def __init__(self, hz: float, shared: bool):
         self.dt = 1.0 / hz
         self.times: list[float] = []
-        self.text: list[str] = []
+        self.text: list[str] | None = [] if shared else None
 
     def times_to(self, n: int) -> list[float]:
         """The grid's times, at least n of them."""
@@ -370,20 +378,22 @@ class _TickGrid:
             times.extend([k * dt for k in range(len(times), n)])
         return times
 
-    def text_to(self, n: int) -> list[str]:
-        """repr of the grid's times, at least n of them (times_to(n) ran first)."""
+    def text_of(self, a: int, b: int) -> list[str]:
+        """repr of the times of ticks a..b-1 (times_to(b) ran first)."""
         text = self.text
-        if len(text) < n:
-            text.extend(map(repr, self.times[len(text) : n]))
-        return text
+        if text is None:
+            return list(map(repr, self.times[a:b]))
+        if len(text) < b:
+            text.extend(map(repr, self.times[len(text) : b]))
+        return text[a:b]
 
 
 # Every session sampled at one rate shares that rate's grid, so a process
 # computes and formats each tick time once.  A process uses a rate or two
 # (the params rate, --tick-hz); beyond _TICK_GRID_RATES rates the oldest
 # grid is dropped, and a stream longer than _TICK_GRID_TICKS (about 12 MB
-# of times and text) gets a grid of its own, so neither many rates nor a
-# high one keeps memory after the export.
+# of times and text) gets a private grid, which keeps no text, so neither
+# many rates nor a high one keeps memory after the export.
 _TICK_GRIDS: dict[float, _TickGrid] = {}
 _TICK_GRID_RATES = 4
 _TICK_GRID_TICKS = 1 << 17
@@ -391,17 +401,17 @@ _TICK_GRID_TICKS = 1 << 17
 
 def _tick_grid(hz: float, n: int) -> _TickGrid:
     if n > _TICK_GRID_TICKS:
-        return _TickGrid(hz)
+        return _TickGrid(hz, shared=False)
     grid = _TICK_GRIDS.get(hz)
     if grid is None:
         if len(_TICK_GRIDS) >= _TICK_GRID_RATES:
             del _TICK_GRIDS[next(iter(_TICK_GRIDS))]
-        grid = _TICK_GRIDS[hz] = _TickGrid(hz)
+        grid = _TICK_GRIDS[hz] = _TickGrid(hz, shared=True)
     return grid
 
 
 def _stable_seed(*parts: object) -> int:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    digest = sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -19,13 +19,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .agent import simulate_session
 from .errors import MismatchedScenarios, ScenarioError, XRLayoutError
 from .metrics import (
     aggregate,
-    gaze_to_csv,
+    gaze_csv_chunks,
     results_from_json,
     results_to_json,
     session_metrics,
@@ -70,11 +71,24 @@ def _version_blob() -> str:
     )
 
 
-def _atomic_write(path: Path, content: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path as UTF-8 with LF line endings.
+
+    The chunks are streamed into <name>.tmp beside path, one at a time, so
+    no file is held whole; os.replace then puts it in place, so path holds
+    either its old content or all of the new.  On any failure (a write, the
+    replace, or the chunk source raising) the temp file is removed and the
+    error propagates.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(content.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_by_ref(ref: str):
@@ -132,7 +146,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     all_rows = []
     all_summaries = []
-    gaze_files = {}
+    gaze_traces = {}
     try:
         for ref in refs:
             scenario = _load_by_ref(ref)
@@ -140,7 +154,7 @@ def _cmd_run(args) -> int:
             all_rows.extend(rows)
             all_summaries.append(summary)
             if args.gaze:
-                gaze_files[f"gaze_{scenario.name}.csv"] = gaze_to_csv(trace, args.tick_hz)
+                gaze_traces[f"gaze_{scenario.name}.csv"] = trace
     except (OSError, UnicodeError) as exc:
         print(f"run: cannot read {ref}: {exc}", file=sys.stderr)
         return 2
@@ -161,17 +175,19 @@ def _cmd_run(args) -> int:
         "sessions": len(all_summaries),
     }
 
+    # Each file is its text chunks; a gaze file's are made as it is written.
     if args.format == "json":
-        files = {"results.json": results_to_json(all_summaries, all_rows, meta=meta)}
+        files = {"results.json": [results_to_json(all_summaries, all_rows, meta=meta)]}
     else:
         files = {
-            "summaries.csv": summaries_to_csv(all_summaries),
-            "trials.csv": trials_to_csv(all_rows),
+            "summaries.csv": [summaries_to_csv(all_summaries)],
+            "trials.csv": [trials_to_csv(all_rows)],
         }
-    files.update(sorted(gaze_files.items()))
+    for name, trace in sorted(gaze_traces.items()):
+        files[name] = gaze_csv_chunks(trace, args.tick_hz)
     try:
-        for name, content in files.items():
-            _atomic_write(out_dir / name, content)
+        for name, chunks in files.items():
+            _atomic_write(out_dir / name, chunks)
     except OSError as exc:
         print(f"run: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 2

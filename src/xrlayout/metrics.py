@@ -51,7 +51,7 @@ import math
 import sys
 from functools import cache
 from operator import attrgetter, is_, itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .agent import (
     AgentParams,
@@ -607,20 +607,40 @@ def trials_to_csv(rows: Sequence[TrialMetrics]) -> str:
     return _to_csv(TrialMetrics, rows)
 
 
-def gaze_to_csv(trace: SessionTrace, tick_hz: float | None = None) -> str:
-    """The session's tick stream (SessionTrace.tick_samples) as t,target rows.
+# Ticks per chunk of a gaze export: a few hundred kB of text, so a file's
+# writer holds at most one chunk whatever the session's length.
+_CSV_CHUNK_TICKS = 1 << 13
+
+
+def gaze_csv_chunks(trace: SessionTrace, tick_hz: float | None = None) -> Iterator[str]:
+    """The session's tick stream (SessionTrace.tick_samples) as t,target rows,
+    in chunks: the header, then the rows of _CSV_CHUNK_TICKS ticks at a time.
 
     One row per tick, f"{t!r},{target!r}", written a run at a time: the
-    ticks a segment holds share its target, so a run is one join over the
-    rate's formatted tick times (kept per process), with no sample built.
+    ticks a segment holds share its target, so a run's share of a chunk is
+    one join over the chunk's formatted tick times, with no sample built.
+    A stream of at most agent._TICK_GRID_TICKS ticks takes its times'
+    text from the rate's shared grid; a longer one formats each chunk's
+    afresh and keeps none.  The chunks joined are the file, whatever their
+    size; a target token with no commas would change only the row tail.
     """
     grid, n, runs = trace._tick_runs(tick_hz)
-    text = grid.text_to(n)
-    parts = ["t,target\n"]
+    yield "t,target\n"
+    parts: list[str] = []
+    lo = hi = 0
     for a, b, target in runs:
         tail = f",{target!r}\n"
-        parts.append(tail.join(text[a:b]) + tail)
-    return "".join(parts)
+        while a < b:
+            if a == hi:  # the chunk is full (or none began): hand it out, start the next
+                if parts:
+                    yield "".join(parts)
+                    parts = []
+                lo, hi = a, min(n, a + _CSV_CHUNK_TICKS)
+                text = grid.text_of(lo, hi)
+            end = min(b, hi)
+            parts.append(tail.join(text[a - lo : end - lo]) + tail)
+            a = end
+    yield "".join(parts)
 
 
 def summaries_to_csv(rows: Sequence[SessionSummary]) -> str:

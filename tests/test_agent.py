@@ -1,5 +1,6 @@
 """Synthetic gaze agent: determinism, navigation arithmetic, scan policies."""
 
+import hashlib
 import json
 import math
 import random
@@ -90,6 +91,19 @@ class TestDeterminism:
         assert a.segments == b.segments
         with pytest.raises(ValueError):
             simulate_session(scn, seed=3, strategy="sideways")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers() | st.integers(-(2**200), 2**200),
+        name=st.sampled_from(sorted(bundled_scenario_names())),
+        strategy=st.sampled_from(Strategy),
+    )
+    def test_the_seed_digest_is_hashlibs_sha256(self, seed, name, strategy):
+        # the builtin sha256 module gives every session the seed, so the same
+        # RNG stream, that hashlib's would
+        text = f"{seed}:{name}:{strategy.value}".encode()
+        want = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+        assert agent._stable_seed(seed, name, strategy.value) == want
 
 
 class TestTimelineShape:

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import xrlayout
-from xrlayout import __version__, scenario
+from xrlayout import __version__, cli, scenario
 from xrlayout.cli import build_parser, compare_results, main
-from xrlayout.errors import MismatchedScenarios, fields
+from xrlayout.errors import MismatchedScenarios, XRLayoutError, fields
 from xrlayout.metrics import (
     SessionSummary,
     TrialMetrics,
@@ -264,6 +265,50 @@ class TestIOErrors:
         assert stdout == ""
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err
 
+    def test_a_failed_replace_leaves_no_temp_file(self, capsys, tmp_path):
+        # the temp file (14,305 bytes of results) used to stay beside the directory
+        (tmp_path / "results.json").mkdir()
+        code, stdout, err = run_cli(
+            capsys, "run", "--all", "--format", "json", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"run: cannot write to {tmp_path}: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json"]
+
+    def test_a_chunk_source_that_raises_leaves_the_target_untouched(self, tmp_path):
+        target = tmp_path / "gaze.csv"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield "t,target\n"
+            yield "0.0,NoGaze()\n" * 1000
+            raise XRLayoutError("partway")
+
+        with pytest.raises(XRLayoutError):
+            cli._atomic_write(target, chunks())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gaze.csv"]
+        assert target.read_bytes() == b"old\n"
+
+    def test_an_error_while_simulating_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        calls = 0
+
+        def fails_third(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise XRLayoutError("intermediary below the floor")
+            return simulate(*args, **kwargs)
+
+        simulate = cli.simulate_session
+        monkeypatch.setattr(cli, "simulate_session", fails_third)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "run", "--all", "--gaze", "--format", "json", "--out", str(out)
+        )
+        assert (code, stdout, err) == (1, "", "run: intermediary below the floor\n")
+        assert not out.exists()
+
 
 # A JSON value of another type than the annotated one: no boolean is an int
 # and no integer a float.
@@ -476,3 +521,23 @@ class TestImportGraph:
         )
         assert done.stdout.splitlines()[-1] == "0 [] []"
         assert (tmp_path / "results.json").exists()
+
+    def test_a_full_run_loads_no_openssl(self, tmp_path):
+        """The seed's sha256 comes from the interpreter's builtin module (_sha2 on
+        3.12+, _sha256 before), so a run maps no OpenSSL through hashlib."""
+        lean = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
+        if not lean:
+            pytest.skip("this interpreter has no builtin sha256 module, so hashlib is the seed's")
+        script = (
+            "import sys\n"
+            "from xrlayout.cli import main\n"
+            f"code = main(['run', '--all', '--gaze', '--tick-hz', '50', '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted({'_hashlib', 'hashlib'} & set(sys.modules)))\n"
+        )
+        src = str(Path(xrlayout.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert len(list(tmp_path.glob("gaze_*.csv"))) == len(bundled_scenario_names())

@@ -1,20 +1,22 @@
 """The gaze export: tick streams written run by run equal the per-tick loop.
 
-SessionTrace.tick_samples and metrics.gaze_to_csv both sample segments at
-fixed ticks through one run helper.  The oracle below is the per-tick loop
-they replace, kept verbatim: tick k at k * (1 / hz) advances the segment
-while the tick is at or past the segment's end, and the last segment takes
-whatever ticks remain.
+SessionTrace.tick_samples and metrics.gaze_csv_chunks both sample segments
+at fixed ticks through one run helper.  The oracle below is the per-tick
+loop they replace, kept verbatim: tick k at k * (1 / hz) advances the
+segment while the tick is at or past the segment's end, and the last
+segment takes whatever ticks remain.  The export's chunks, joined, equal the
+oracle's file, and none is longer than _CSV_CHUNK_TICKS of its longest rows.
 """
 
 import functools
+import json
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xrlayout import agent, cli
+from xrlayout import agent, cli, metrics
 from xrlayout.agent import (
     AgentParams,
     DocumentGaze,
@@ -27,9 +29,15 @@ from xrlayout.agent import (
     simulate_session,
 )
 from xrlayout.errors import replace
-from xrlayout.metrics import gaze_to_csv
+from xrlayout.metrics import gaze_csv_chunks
 from xrlayout.placement import Strategy
-from xrlayout.scenario import MAX_TICK_HZ, bundled_scenario_names, load_bundled
+from xrlayout.scenario import (
+    MAX_TICK_HZ,
+    bundled_scenario_names,
+    load_bundled,
+    parse_scenario,
+    serialize_scenario,
+)
 
 NAMES = sorted(bundled_scenario_names())
 STRATEGIES = [None, *Strategy]
@@ -67,16 +75,40 @@ def oracle_csv(trace: SessionTrace, hz: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def export_text(trace: SessionTrace, hz: float | None = None) -> str:
+    return "".join(gaze_csv_chunks(trace, hz))
+
+
+def assert_export_matches_oracle(trace: SessionTrace, hz: float | None) -> None:
+    """The chunks join to the oracle's file, and none holds more than
+    _CSV_CHUNK_TICKS of its longest rows: the writer's memory is bounded."""
+    want = oracle_csv(trace, trace.params.tick_hz if hz is None else hz)
+    chunks = list(gaze_csv_chunks(trace, hz))
+    assert "".join(chunks) == want
+    longest = max(len(row) + 1 for row in want.splitlines())
+    assert max(map(len, chunks)) <= metrics._CSV_CHUNK_TICKS * longest
+
+
 def assert_matches_oracle(trace: SessionTrace, hz: float) -> None:
     expected = oracle_samples(trace, hz)
     got = trace.tick_samples(hz)
     assert [(s.t, s.target) for s in got] == expected
-    assert gaze_to_csv(trace, hz) == oracle_csv(trace, hz)
+    assert_export_matches_oracle(trace, hz)
 
 
 @functools.cache
 def bundled_trace(name: str, strategy: Strategy | None, seed: int) -> SessionTrace:
     return simulate_session(load_bundled(name), strategy=strategy, seed=seed)
+
+
+def shifted_scenario(shift_s: float):
+    """static_stationary_env_ref with every question (its start and word
+    schedule) shift_s later: a valid file with a long idle span."""
+    doc = json.loads(serialize_scenario(load_bundled("static_stationary_env_ref")))
+    for trial in doc["trials"]:
+        trial["question_start_s"] += shift_s
+        trial["word_schedule_s"] = [t + shift_s for t in trial["word_schedule_s"]]
+    return parse_scenario(json.dumps(doc))
 
 
 def synthetic_trace(segments: list[GazeSegment], duration: float, hz: float = 50.0):
@@ -150,13 +182,37 @@ class TestRunsEqualThePerTickLoop:
     @pytest.mark.parametrize("duration", [0.0, 0.01, 1.0])
     def test_single_tick_sessions(self, duration):
         trace = synthetic_trace([GazeSegment(0.0, duration, ScreenGaze())], duration)
-        assert gaze_to_csv(trace, 1) == "t,target\n0.0,ScreenGaze()\n"
+        assert export_text(trace, 1) == "t,target\n0.0,ScreenGaze()\n"
         assert_matches_oracle(trace, 1)
 
     def test_none_is_the_params_rate(self):
         trace = bundled_trace("static_stationary_env_ref", None, 7)
         hz = trace.params.tick_hz
-        assert gaze_to_csv(trace) == gaze_to_csv(trace, None) == oracle_csv(trace, hz)
+        assert export_text(trace) == export_text(trace, None) == oracle_csv(trace, hz)
+
+
+class TestChunkedExport:
+    @pytest.mark.parametrize("hz", [None, 20, 50])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bundled_sessions(self, name, hz):
+        assert_export_matches_oracle(bundled_trace(name, None, 42), hz)
+
+    def test_a_session_longer_than_the_shared_grid(self):
+        trace = simulate_session(shifted_scenario(5000.0), seed=42)
+        assert math.ceil(trace.duration * 50) > agent._TICK_GRID_TICKS
+        assert_export_matches_oracle(trace, 50)
+
+    def test_a_run_longer_than_a_chunk(self):
+        # one segment over 2.5 chunks, between two short ones
+        t_long = 2.5 * metrics._CSV_CHUNK_TICKS / 50
+        segments = [
+            GazeSegment(0.0, 0.1, ScreenGaze()),
+            GazeSegment(0.1, t_long, DocumentGaze("sports", 2, 5)),
+            GazeSegment(t_long, t_long + 0.1, NoGaze()),
+        ]
+        trace = synthetic_trace(segments, t_long + 0.1)
+        assert len(list(gaze_csv_chunks(trace, 50))) == 1 + 3  # the header, then 3 chunks
+        assert_matches_oracle(trace, 50)
 
 
 class TestTickRateRule:
@@ -180,12 +236,21 @@ class TestTickRateRule:
         assert 39.5 in agent._TICK_GRIDS
 
     def test_long_streams_keep_no_grid(self, monkeypatch):
-        # the bound stands in for about 12 MB; 100 ticks show the rule
+        # the bounds stand in for about 12 MB and a chunk; 100 and 16 ticks show the rules
         monkeypatch.setattr(agent, "_TICK_GRID_TICKS", 100)
+        monkeypatch.setattr(metrics, "_CSV_CHUNK_TICKS", 16)
+        grids = []
+
+        def spy(hz, n, tick_grid=agent._tick_grid):
+            grids.append(tick_grid(hz, n))
+            return grids[-1]
+
+        monkeypatch.setattr(agent, "_tick_grid", spy)
         trace = synthetic_trace([GazeSegment(0.0, 2.0, ScreenGaze())], 2.0)
         agent._TICK_GRIDS.pop(60.5, None)
         assert_matches_oracle(trace, 60.5)  # 121 ticks
         assert 60.5 not in agent._TICK_GRIDS
+        assert grids and all(grid.text is None for grid in grids)  # formatted chunk by chunk
         assert_matches_oracle(trace, 40.5)  # 81 ticks
         assert 40.5 in agent._TICK_GRIDS
 

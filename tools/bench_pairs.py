@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python tools/bench_pairs.py --parent REV --label NAME \\
-        --workload seed_sweep=10 --workload cli_batch=5 --seed S
+        --workload seed_sweep=10 --workload cli_batch=5 --seed S [--claim METRIC]
 
 Each side (the parent, --parent, and the change, HEAD) is exported with
 `git archive` into a directory of its own under a temporary directory, so
@@ -11,13 +11,18 @@ each runs its own committed perfbench/ and src/ and nothing else: no
 working-tree edit, no build left over, no registration in the repository.
 For every workload, pair k runs `python3 perfbench/run.py --workload W
 --seed S --seconds 30` once on each side, unmodified, the parent first on
-even k and the change first on odd k.  Every pair must report failed = 0
-on both sides and the same output_digest on both, or nothing is written.
-With --traced, each side then runs once more with --trace 1 per workload.
+even k and the change first on odd k, both sides under PYTHONHASHSEED=k:
+a side's hash layout is then the same as its pair partner's and varies
+across pairs, so it cannot read as a change.  Every pair must report
+failed = 0 on both sides and the same output_digest on both, or nothing
+is written.  With --traced, each side then runs once more with --trace 1
+(PYTHONHASHSEED=0) per workload.
 
 The block goes under key NAME of BENCH_<first workload>.json: what,
-claim (the first workload's ops_per_s), command, parent, host and seed;
-per workload its pairs and their summary (median and inclusive quartiles
+claim (the first workload's --claim metric, ops_per_s by default, any
+end-to-end metric of BENCHMARK.json), command, parent, host and seed;
+per workload its pairs (each with its hashseed) and their summary
+(median and inclusive quartiles
 per side, ratio of medians, change wins, the median gap against the
 parent's IQR, for every end-to-end metric of BENCHMARK.json),
 output_digest_equal, output_digest and failed_total, the shape
@@ -43,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 DIGEST = re.compile(r"output_digest sha256:([0-9a-f]+)")
 SECONDS = 30  # per run
+# How a claim prints a metric's values, by the metric's BENCHMARK.json unit.
+UNIT_FORMATS = {"1/s": "{:,.0f}", "MB": "{:.2f} MB", "s": "{:.4f} s", "ms": "{:.3f} ms"}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -60,14 +67,16 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench/run.py run in tree: its metric values, digest, failed and attempted."""
+def run_bench(tree: Path, workload: str, seed: int, trace: int, hashseed: int) -> dict:
+    """One perfbench/run.py run in tree under PYTHONHASHSEED=hashseed: its metric
+    values, digest, failed and attempted."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONHASHSEED"] = str(hashseed)
     out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
@@ -97,16 +106,16 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
     return summary
 
 
-def measure(trees: dict, workload: str, n: int, seed: int, metrics) -> dict:
+def measure(trees: dict, workload: str, n: int, seed: int, metrics, shown: str) -> dict:
     pairs = []
     for k in range(n):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"pair": k, "first": order[0]}
+        pair = {"pair": k, "first": order[0], "hashseed": k}
         for side in order:
-            pair[side] = run_bench(trees[side], workload, seed, trace=0)
+            pair[side] = run_bench(trees[side], workload, seed, trace=0, hashseed=k)
         print(
-            f"{workload} pair {k}: ops_per_s {pair['parent']['ops_per_s']:.6g} -> "
-            f"{pair['change']['ops_per_s']:.6g}",
+            f"{workload} pair {k}: {shown} {pair['parent'][shown]:.6g} -> "
+            f"{pair['change'][shown]:.6g}",
             flush=True,
         )
         for side in SIDES:
@@ -124,13 +133,14 @@ def measure(trees: dict, workload: str, n: int, seed: int, metrics) -> dict:
     }
 
 
-def claim(workload: str, summary: dict) -> str:
-    s = summary["ops_per_s"]
+def claim(workload: str, summary: dict, metric: str, unit: str) -> str:
+    s = summary[metric]
+    fmt = UNIT_FORMATS[unit].format
     gap, iqr = s["median_gap_vs_parent_iqr"]
     return (
-        f"{workload} ops_per_s: median {s['parent']['median']:,.0f} -> "
-        f"{s['change']['median']:,.0f} ({s['ratio_of_medians']:.2f}x), change wins "
-        f"{s['change_wins']} pairs, median gap {gap:,.0f} vs parent IQR {iqr:,.0f}"
+        f"{workload} {metric}: median {fmt(s['parent']['median'])} -> "
+        f"{fmt(s['change']['median'])} ({s['ratio_of_medians']:.2f}x), change wins "
+        f"{s['change_wins']} pairs, median gap {fmt(gap)} vs parent IQR {fmt(iqr)}"
     )
 
 
@@ -145,6 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--label", required=True, help="the block's key in the BENCH file")
     p.add_argument("--what", default="", help="what the change is (the block's 'what')")
     p.add_argument("--traced", action="store_true", help="add one --trace 1 run per side")
+    p.add_argument(
+        "--claim", default="ops_per_s", metavar="METRIC",
+        help="the end-to-end metric the claim line states (default: ops_per_s)",
+    )
     args = p.parse_args(argv)
     plan = []
     for spec in args.workload:
@@ -153,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
             p.error(f"--workload {spec}: give its pair count as W=PAIRS")
         plan.append((name, int(n)))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    units = {m["name"]: m["unit"] for m in metrics}
+    if args.claim not in units:
+        p.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json ({', '.join(units)})")
     out = ROOT / f"BENCH_{plan[0][0]}.json"
     revs = {
         side: subprocess.run(
@@ -166,11 +183,11 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             export(revs[side], trees[side])
         workloads = {
-            name: measure(trees, name, n, args.seed, metrics) for name, n in plan
+            name: measure(trees, name, n, args.seed, metrics, args.claim) for name, n in plan
         }
         traced = {
             name: {
-                side: run_bench(trees[side], name, args.seed, trace=1)
+                side: run_bench(trees[side], name, args.seed, trace=1, hashseed=0)
                 for side in SIDES
             }
             for name, _ in plan
@@ -182,7 +199,9 @@ def main(argv: list[str] | None = None) -> int:
             f"({counts}), {SECONDS} s per run, order alternated per pair, each side "
             f"run from its own export of the committed tree (tools/bench_pairs.py)."
         ).strip(),
-        "claim": claim(plan[0][0], workloads[plan[0][0]]["summary"]),
+        "claim": claim(
+            plan[0][0], workloads[plan[0][0]]["summary"], args.claim, units[args.claim]
+        ),
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
         f"--seconds {SECONDS}",
         "parent": revs["parent"],
