@@ -34,9 +34,9 @@ from xrlayout.placement import Strategy
 from xrlayout.scenario import (
     MAX_TICK_HZ,
     bundled_scenario_names,
+    bundled_scenario_text,
     load_bundled,
     parse_scenario,
-    serialize_scenario,
 )
 
 NAMES = sorted(bundled_scenario_names())
@@ -101,13 +101,12 @@ def bundled_trace(name: str, strategy: Strategy | None, seed: int) -> SessionTra
     return simulate_session(load_bundled(name), strategy=strategy, seed=seed)
 
 
-def shifted_scenario(shift_s: float):
-    """static_stationary_env_ref with every question (its start and word
-    schedule) shift_s later: a valid file with a long idle span."""
-    doc = json.loads(serialize_scenario(load_bundled("static_stationary_env_ref")))
+def shifted_static_room(shift):
+    """static_stationary_env_ref with every question moved shift seconds later."""
+    doc = json.loads(bundled_scenario_text("static_stationary_env_ref"))
     for trial in doc["trials"]:
-        trial["question_start_s"] += shift_s
-        trial["word_schedule_s"] = [t + shift_s for t in trial["word_schedule_s"]]
+        trial["question_start_s"] += shift
+        trial["word_schedule_s"] = [t + shift for t in trial["word_schedule_s"]]
     return parse_scenario(json.dumps(doc))
 
 
@@ -198,7 +197,7 @@ class TestChunkedExport:
         assert_export_matches_oracle(bundled_trace(name, None, 42), hz)
 
     def test_a_session_longer_than_the_shared_grid(self):
-        trace = simulate_session(shifted_scenario(5000.0), seed=42)
+        trace = simulate_session(shifted_static_room(5000.0), seed=42)
         assert math.ceil(trace.duration * 50) > agent._TICK_GRID_TICKS
         assert_export_matches_oracle(trace, 50)
 
