@@ -91,14 +91,14 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _load_by_ref(ref: str):
-    """Scenario by bundled name or filesystem path."""
-    if ref in bundled_scenario_names():
+def _load_by_ref(ref: str, bundled: list[str]):
+    """Scenario by bundled name (one of bundled, the listing) or filesystem path."""
+    if ref in bundled:
         return load_bundled(ref)
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(
-            f"neither a bundled scenario nor a file; bundled: {', '.join(bundled_scenario_names())}"
+            f"neither a bundled scenario nor a file; bundled: {', '.join(bundled)}"
         )
     return load_scenario(path)
 
@@ -140,7 +140,8 @@ def _cmd_run(args) -> int:
     if bool(args.scenario) == bool(args.all):
         print("run: exactly one of --scenario or --all is required", file=sys.stderr)
         return 2
-    refs = sorted(bundled_scenario_names()) if args.all else [args.scenario]
+    bundled = bundled_scenario_names()
+    refs = bundled if args.all else [args.scenario]
     strategy = STRATEGY_FLAGS[args.strategy] if args.strategy else None
 
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
@@ -149,7 +150,7 @@ def _cmd_run(args) -> int:
     gaze_traces = {}
     try:
         for ref in refs:
-            scenario = _load_by_ref(ref)
+            scenario = _load_by_ref(ref, bundled)
             trace, rows, summary = _run_one(scenario, strategy, args.seed)
             all_rows.extend(rows)
             all_summaries.append(summary)

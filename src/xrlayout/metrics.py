@@ -44,7 +44,6 @@ produce.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -575,6 +574,8 @@ def _row(cls, values: object, where: str):
 
 def _to_csv(cls, rows) -> str:
     """A header of cls's field names, then one row of cells per row."""
+    import csv  # here, so a run that writes no CSV table loads no csv module
+
     names = [f.name for f in fields(cls)]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -586,6 +587,8 @@ def _to_csv(cls, rows) -> str:
 
 def _from_csv(cls, text: str) -> list:
     """The rows _to_csv(cls, ...) wrote; on any other text, ValueError naming its line."""
+    import csv
+
     parsers = {f.name: _PARSERS[f.type] for f in fields(cls)}
     names = list(parsers)
     reader = csv.reader(io.StringIO(text))

@@ -29,7 +29,9 @@ design-space key rule and domains, checked at their keys.  The panel block
 (_PANEL) is also designspace.validate_object's rule for objects built in code.
 Ids are schema checks too: the entities and panels lists each reject a
 repeated id, and an entity an id reserved for a frame of reference, at
-the id's own path.
+the id's own path.  So is every other rule that reads one row (a known
+country, the word schedule, waypoint order, the bearing range); the
+invariant stage keeps the rules across rows, and a question's last word.
 
 Parsing is total: any input yields either a Scenario or a list of
 Diagnostic records (syntax problems carry line/column, schema problems a
@@ -618,7 +620,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     ScenarioInvariantError carrying all diagnostics found at the failing
     stage; never lets malformed input escape as an unrelated exception.
     """
-    scn, diags = scan_scenario(text)
+    return _checked(*scan_scenario(text), source)
+
+
+def _checked(scn: Scenario | None, diags: list[Diagnostic], source: str) -> Scenario:
+    """scn, or the ScenarioError of the stage that found diags."""
     if diags:
         kind = diags[0].kind
         cls = {
@@ -646,14 +652,16 @@ def scan_scenario(text: str) -> tuple[Scenario | None, list[Diagnostic]]:
         ]
     except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
         return None, [Diagnostic("syntax", str(exc), line=1, col=1)]
+    return _scan_document(doc)
+
+
+def _scan_document(doc: object) -> tuple[Scenario | None, list[Diagnostic]]:
+    """scan_scenario of decoded JSON: the schema stage, then, if it passed, the invariants."""
     diags: list[Diagnostic] = []
     scn = _SCENARIO.read(doc, "", diags)
-    if scn is None:
-        return None, diags
-    _check_invariants(scn, diags)
-    if diags:
-        return None, diags
-    return scn, diags
+    if scn is not None:
+        _check_invariants(scn, diags)
+    return (None, diags) if diags else (scn, diags)
 
 
 # -- the schema table ------------------------------------------------------
@@ -681,15 +689,11 @@ class _Row(NamedTuple):
 
 
 class _Invalid(Exception):
-    """Raised by a builder with (attr, expected, got) for values that do not fit together."""
+    """Raised by a builder with (file key, expected, got) for values that do not fit together."""
 
 
 def _fail(diags: list[Diagnostic], path: str, expected: str, got: object) -> None:
     diags.append(Diagnostic("schema", f"expected {expected}, got {_describe(got)}", path=path))
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path and key else path or key
 
 
 def _describe(v: object) -> str:
@@ -779,9 +783,8 @@ class _Block(_Kind):
         try:
             return self.build(**values)
         except _Invalid as exc:
-            attr, expected, got = exc.args
-            key = next((row.key for row in self.rows if (row.attr or row.key) == attr), "")
-            _fail(diags, _join(path, key), expected, got)
+            key, expected, got = exc.args
+            _fail(diags, f"{path}.{key}" if path else key, expected, got)
             return None
 
     def write(self, obj) -> object:
@@ -926,7 +929,14 @@ def _trial(question_start: float, question_words: tuple, word_schedule=None, **v
         )
     elif word_schedule[0] != question_start:
         expected = f"first entry equal to question_start_s {question_start!r}"
-        raise _Invalid("word_schedule", expected, word_schedule[0])
+        raise _Invalid("word_schedule_s", expected, word_schedule[0])
+    elif len(word_schedule) != len(question_words):
+        expected = f"{len(question_words)} entries, one per question word"
+        raise _Invalid("word_schedule_s", expected, list(word_schedule))
+    presentation = word_schedule[-1] - word_schedule[0]
+    if presentation >= values["repeat_interval"]:
+        expected = f"number above the presentation's {presentation!r} s"
+        raise _Invalid("repeat_interval_s", expected, values["repeat_interval"])
     return dict(values, question_words=question_words, word_schedule=word_schedule)
 
 
@@ -973,11 +983,13 @@ PARAMS_ROWS = (
     _Row("panel_aspect_ratio", _POSITIVE, attr="params.aspect_ratio"),
 )
 
+_BEARING = _number((lambda v: -180.0 < v <= 180.0, "bearing in (-180, 180]"))
+
 _PLACEMENT = _Block(
     _Row("strategy", _STRATEGY, _REQUIRED),
     *PARAMS_ROWS,
     _Row("panel_scale", _POSITIVE_VEC3, attr="params.panel_scale"),
-    _Row("body_bearings_deg", _MapOf(_NUM), _REQUIRED, attr="body_bearings"),
+    _Row("body_bearings_deg", _MapOf(_BEARING), _REQUIRED, attr="body_bearings"),
     _Row("intermediaries", _MapOf(_Kind((_is_str, "entity id string"))), _REQUIRED),
     build=dict,
 )
@@ -1005,10 +1017,18 @@ _WAYPOINTS = _ListOf(
     (bool, "non-empty waypoint list"),
 )
 
+
+def _trajectory(waypoints: tuple, **values) -> Trajectory:
+    """The Trajectory of waypoints at strictly increasing times."""
+    if not _strictly_increasing([w.time for w in waypoints]):
+        raise _Invalid("waypoints", "waypoints at strictly increasing times", list(waypoints))
+    return Trajectory(waypoints, **values)
+
+
 _TRAJECTORY = _Block(
     _Row("interpolation", _one_of(("linear", "hold"))),
     _Row("waypoints", _WAYPOINTS, _REQUIRED),
-    build=Trajectory,
+    build=_trajectory,
 )
 
 _LEVEL = _Kind(_INTEGER, (lambda v: v >= 0, "integer >= 0"))
@@ -1039,17 +1059,19 @@ _WORDS = _Kind(
 _SCHEDULE = _Kind(
     _LIST,
     (lambda v: v and all(map(_finite_number, v)), "non-empty list of finite numbers"),
+    (_strictly_increasing, "strictly increasing times"),
     convert=lambda v: tuple(map(float, v)),
     dump=list,
 )
 
 _TRIAL = _Block(
     _Row("category", _one_of(CATEGORIES), _REQUIRED),
-    _Row("country", _STR, _REQUIRED),
+    _Row("country", _Kind((_is_str, "string"), (_COUNTRY_INDEX.__contains__, "known country")),
+         _REQUIRED),
     _Row("question_words", _WORDS, _REQUIRED),
     _Row("question_start_s", _NUM, _REQUIRED, attr="question_start"),
     _Row("word_schedule_s", _SCHEDULE, attr="word_schedule"),
-    _Row("repeat_interval_s", _POSITIVE, attr="repeat_interval"),
+    _Row("repeat_interval_s", _POSITIVE, DEFAULT_REPEAT_INTERVAL_S, attr="repeat_interval"),
     _Row("near", _BOOL),
     build=_trial,
 )
@@ -1087,6 +1109,8 @@ _SCENARIO = _Block(
 
 
 def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
+    """The rules across rows of a scenario the schema table built, and a question's last word."""
+
     def bad(message: str, path: str = "") -> None:
         diags.append(Diagnostic("invariant", message, path=path))
 
@@ -1119,11 +1143,6 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
     for pid in scn.panels:
         if pid not in scn.body_bearings:
             bad(f"panel {pid!r} missing a body bearing", "placement.body_bearings_deg")
-        elif not -180.0 < scn.body_bearings[pid] <= 180.0:
-            bad(
-                f"panel {pid!r} bearing {scn.body_bearings[pid]} outside (-180, 180]",
-                "placement.body_bearings_deg",
-            )
         if pid not in scn.intermediaries:
             bad(f"panel {pid!r} missing an intermediary", "placement.intermediaries")
     for pid in scn.body_bearings:
@@ -1145,15 +1164,9 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
                 "placement.intermediaries",
             )
 
-    for eid, traj in scn.trajectories.items():
+    for eid in scn.trajectories:
         if eid not in entity_by_id:
             bad(f"trajectory for unknown entity {eid!r}", f"trajectories.{eid}")
-        times = [w.time for w in traj.waypoints]
-        if not _strictly_increasing(times):
-            bad(
-                f"waypoint times must be strictly increasing, got {times}",
-                f"trajectories.{eid}",
-            )
 
     # Trial set shape.
     expected_trials = 3 if scn.user_state == "stationary" else 6
@@ -1167,19 +1180,11 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
     for trial in scn.trials:
         path = f"trials[{trial.index}]"
         per_category.setdefault(trial.category, []).append(trial)
-        if trial.country not in _COUNTRY_INDEX:
-            bad(f"unknown country {trial.country!r}", path)
-        if trial.question_words and trial.question_words[-1] != trial.country:
+        if trial.question_words[-1] != trial.country:
             bad(
                 f"question must end with the country, got {trial.question_words[-1]!r}",
                 path,
             )
-        if len(trial.word_schedule) != len(trial.question_words):
-            bad("word schedule length must match question words", path)
-        if not _strictly_increasing(trial.word_schedule):
-            bad("word schedule must be strictly increasing", path)
-        if trial.presentation_duration >= trial.repeat_interval:
-            bad("presentation longer than its repeat interval", path)
         if scn.user_state == "stationary" and trial.near is not None:
             bad("stationary trials take no near flag", path)
         if scn.user_state == "mobile" and trial.near is None:
@@ -1196,9 +1201,7 @@ def _check_invariants(scn: Scenario, diags: list[Diagnostic]) -> None:
         cats = sorted(t.category for t in scn.trials)
         if cats != sorted(CATEGORIES):
             bad(f"stationary sessions cover each category once, found {cats}", "trials")
-    starts = [t.question_start for t in scn.trials]
-    if not _strictly_increasing(starts):
-        bad("trials must be ordered by strictly increasing question start", "trials")
+    # Each schedule increases (a row rule), so this also orders the question starts.
     for a, b in zip(scn.trials, scn.trials[1:]):
         if a.question_complete >= b.question_start:
             bad(
@@ -1260,9 +1263,10 @@ def _fmt_dists(dists: Mapping[str, float]) -> str:
 # context, "<context>_env_ref.scn", and each context is bundled as two named
 # sessions: the file itself and "<context>_body_fixed", the same document
 # renamed and switched to the body-fixed strategy.  Each session is parsed
-# from its own text, so each builds its own derived state.  The agent's RNG
-# stream is seeded from the session name, so the two sessions stay
-# independent.
+# on its own, so each builds its own derived state; a derived one from its
+# decoded document, whose keys come in its canonical text's order, as the
+# files are canonical text.  The agent's RNG stream is seeded from the
+# session name, so the two sessions stay independent.
 
 _ENV_REF = "_env_ref"
 _BODY_FIXED = "_body_fixed"
@@ -1284,14 +1288,22 @@ def bundled_scenario_text(name: str) -> str:
     if not name.endswith(_BODY_FIXED):
         root = resources.files(__package__) / "fixtures"
         return (root / f"{name}.scn").read_text(encoding="utf-8")
+    return _canonical_text(_body_fixed_document(name))
+
+
+def _body_fixed_document(name: str) -> dict:
+    """The document of "<context>_body_fixed": its context's, renamed and switched."""
     doc = json.loads(bundled_scenario_text(name.removesuffix(_BODY_FIXED) + _ENV_REF))
     doc["name"] = name
     doc["placement"]["strategy"] = Strategy.BODY_FIXED.value
-    return _canonical_text(doc)
+    return doc
 
 
 def load_bundled(name: str) -> Scenario:
-    return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
+    """parse_scenario of bundled_scenario_text(name); a derived session skips its text."""
+    if not name.endswith(_BODY_FIXED):
+        return parse_scenario(bundled_scenario_text(name), source=f"{name}.scn")
+    return _checked(*_scan_document(_body_fixed_document(name)), f"{name}.scn")
 
 
 def load_scenario(path) -> Scenario:

@@ -1245,6 +1245,40 @@ class TestWalk:
             assert (turn.t0, turn.t1, turn.target) == (end, start, NoGaze())
             assert question.t0 == start == trace.trials[1].segments[0].t0
 
+    def test_an_idle_turn_that_ends_just_short_of_the_question_steps_off(self):
+        """An idle turn that ends within 1e-12 s of the question start lays no hold.
+
+        Trial 1 of static_stationary_env_ref is asked 5e-13 s after seed 1's
+        idle turn ends, so seed 1 reaches the question phase from its own
+        cursor, short of the start, and steps off the plan there.  Seeds 2
+        and 3 end trial 0's search earlier on the same route (only the
+        dwell jitter differs), hold until the start, and lay the question
+        from it.  Had seed 1 stored its question phase, the linked edge
+        would hand it to them, laid from seed 1's cursor.
+        """
+        name = "static_stationary_env_ref"
+        probe = load_bundled(name)
+        params = probe.agent._with_seed(1)
+        first = agent._Simulator(probe, params, probe.strategy, 1, on_plan=False).run()
+        end = first.trials[0].segments[-1].t1
+        (turn,) = [seg for seg in first.segments if seg.t0 == end]
+        warm = parse_scenario(moved_question(turn.t1 + 5e-13, name=name))
+        start = warm.trials[1].question_start
+        assert 0.0 < start - turn.t1 < 1e-12
+        for seed in (1, 2, 3):
+            params = warm.agent._with_seed(seed)
+            on = agent._Simulator(warm, params, warm.strategy, seed)
+            oracle = agent._Simulator(warm, params, warm.strategy, seed, on_plan=False).run()
+            if seed == 1:
+                with pytest.raises(agent._OffScript) as stepped:
+                    on.run()
+                assert stepped.traceback[-1].name == "run"
+                assert oracle.trials[1].segments[0].t0 == turn.t1  # no hold
+            else:
+                assert on.run() == oracle, seed  # on the plan: no _OffScript
+                assert oracle.trials[1].segments[0].t0 == start
+            assert simulate_session(warm, params) == oracle, seed
+
     def test_a_question_asked_at_the_session_start_stays_on_the_plan(self):
         """Trial 0 asked at 0.0 has no idle phase; the start links its entry all the same.
 

@@ -4,8 +4,9 @@ A BENCH file records interleaved parent/change pairs of perfbench/run.py
 (one block at the file's top level, and one more under each named key).
 Every pair must have checked the same outputs on both sides, with no
 failed op, and each summary (medians, inclusive quartiles, win counts,
-ratios, the median gap against the parent's IQR) must follow from the
-pairs, so a hand-edited number cannot stand.
+ratios, the median gap against the parent's IQR, and where a block has
+one, the verdict against the metric's bound) must follow from the pairs,
+so a hand-edited number cannot stand.
 
 The benchmark's tracer also pins names of the package: every function it
 wraps and every class whose constructions it counts must still exist, or
@@ -14,6 +15,7 @@ the traced run stops before it measures anything.
 
 import ast
 import importlib
+import importlib.util
 import json
 import math
 import statistics
@@ -43,6 +45,21 @@ CASES = [
 
 def close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def expected_verdict(summary: dict) -> str:
+    """The verdict of a summary against its bound (a fraction of the parent's median)."""
+    p, c = summary["parent"], summary["change"]
+    sign = 1.0 if summary["better"] == "lower" else -1.0
+    worse_by = sign * (c["median"] - p["median"])  # positive when the change is worse
+    allowed = summary["bound"] * abs(p["median"])
+    if p["q3"] - p["q1"] > allowed:
+        return "unresolved"
+    if worse_by > allowed:
+        return "worse past bound"
+    if -worse_by > p["q3"] - p["q1"]:
+        return "better"
+    return "within bound"
 
 
 def test_there_are_bench_blocks():
@@ -87,6 +104,31 @@ def test_summaries_follow_from_the_pairs(block):
             gap, iqr = summary["median_gap_vs_parent_iqr"]
             assert close(gap, abs(change["median"] - parent["median"])), metric
             assert close(iqr, parent["q3"] - parent["q1"]), metric
+            if "verdict" in summary:
+                assert summary["verdict"] == expected_verdict(summary), metric
+
+
+def test_bench_pairs_writes_each_verdict():
+    """tools/bench_pairs.py's summary on pairs made to fall in each verdict."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def summary(parent, change, better="higher"):
+        pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+        return tool.summarize(pairs, "m", better, 0.25)
+
+    steady = [100.0, 101.0, 99.0, 100.0, 100.5]
+    cases = {
+        "better": summary(steady, [120.0, 121.0, 119.0, 120.0, 120.5]),
+        "within bound": summary(steady, [90.0, 91.0, 89.0, 90.0, 90.5]),
+        "worse past bound": summary(steady, [70.0, 71.0, 69.0, 70.0, 70.5]),
+        "unresolved": summary([50.0, 150.0, 100.0, 60.0, 140.0], steady),
+        "worse past bound, lower better": summary(steady, [130.0] * 5, better="lower"),
+    }
+    for name, got in cases.items():
+        assert got["bound"] == 0.25
+        assert got["verdict"] == expected_verdict(got) == name.split(",")[0], name
 
 
 def tracer_table(name: str) -> tuple:

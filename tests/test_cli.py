@@ -143,6 +143,21 @@ class TestRun:
         keys = [(s["context"], s["strategy"]) for s in doc["summaries"]]
         assert keys == sorted(keys)
 
+    def test_all_lists_the_bundled_sessions_once(self, capsys, tmp_path, monkeypatch):
+        """The listing reads the fixtures directory; --all resolves every name from one."""
+        listings = []
+
+        def counted():
+            listings.append(1)
+            return bundled_scenario_names()
+
+        monkeypatch.setattr(cli, "bundled_scenario_names", counted)
+        monkeypatch.setattr(scenario, "bundled_scenario_names", counted)
+        code, out, _ = run_cli(capsys, "run", "--all", "--format", "json", "--out", str(tmp_path))
+        assert code == 0
+        assert "8 sessions, 36 trials" in out
+        assert len(listings) == 1
+
     def test_strategy_override(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "run", "--scenario", "static_stationary_env_ref",
@@ -501,17 +516,19 @@ class TestImportGraph:
 
     def test_a_full_run_loads_no_statistics_or_code_generation_modules(self, tmp_path):
         """A mean and a median need no statistics module, nor the fractions and
-        decimal modules it brings, in a CLI process; and the package's records
-        need no dataclasses, nor the inspect, ast, dis and tokenize modules it
-        brings.  On Python 3.12+ importlib.resources, which reads the bundled
-        fixtures, imports those four itself, so the run must add none beyond it."""
+        decimal modules it brings, in a CLI process; a JSON run writes no CSV
+        table, so it needs no csv module (the gaze files are joined text); and
+        the package's records need no dataclasses, nor the inspect, ast, dis
+        and tokenize modules it brings.  On Python 3.12+ importlib.resources,
+        which reads the bundled fixtures, imports those four itself, so the
+        run must add none beyond it."""
         script = (
             "import sys\n"
             "import importlib.resources\n"
             "stdlib = set(sys.modules)\n"
             "from xrlayout.cli import main\n"
             f"code = main(['run', '--all', '--format', 'json', '--gaze', '--out', {str(tmp_path)!r}])\n"
-            "print(code, sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)),\n"
+            "print(code, sorted({'statistics', 'fractions', 'decimal', 'csv'} & set(sys.modules)),\n"
             "      sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - stdlib)))\n"
         )
         src = str(Path(xrlayout.__file__).parent.parent)

@@ -27,6 +27,7 @@ INF = float("inf")
 BIG = 10**400  # an integer beyond the float range
 SOURCE = "mutant.scn"
 SS_PANELS = json.loads(bundled_scenario_text(SS))["panels"]
+DM_TRIALS = json.loads(bundled_scenario_text(DM))["trials"]
 
 
 def mutate(name: str, where: tuple | None, value: object) -> str:
@@ -214,8 +215,12 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at placement.body_bearings_deg.panel_food: expected finite number, got float nan',
     ]),
     (SS, ('placement', 'body_bearings_deg', 'panel_food'), 270.0, [
-        "mutant.scn:1:1: invariant at placement.body_bearings_deg: panel 'panel_food' bearing 270.0 outside (-180, 180]",
+        'mutant.scn:1:1: schema at placement.body_bearings_deg.panel_food: expected bearing in (-180, 180], got float 270.0',
     ]),
+    (SS, ('placement', 'body_bearings_deg', 'panel_food'), -180.0, [
+        'mutant.scn:1:1: schema at placement.body_bearings_deg.panel_food: expected bearing in (-180, 180], got float -180.0',
+    ]),
+    (SS, ('placement', 'body_bearings_deg', 'panel_sports'), 180.0, []),
     (DM, ('placement', 'body_bearings_deg', 'panel_food'), DELETE, [
         "mutant.scn:1:1: invariant at placement.body_bearings_deg: panel 'panel_food' missing a body bearing",
     ]),
@@ -411,7 +416,7 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at trajectories.user.waypoints[1]: expected [time, [x,y,z], yaw_deg] with finite numbers, got list',
     ]),
     (DM, ('trajectories', 'user', 'waypoints', 1, 0), 0.0, [
-        'mutant.scn:1:1: invariant at trajectories.user: waypoint times must be strictly increasing, got [0.0, 0.0, 9.0, 43.0, 50.0, 93.0, 100.0]',
+        'mutant.scn:1:1: schema at trajectories.user.waypoints: expected waypoints at strictly increasing times, got list',
     ]),
     (DM, ('trajectories', 'ghost'), {'waypoints': [[0.0, [0.0, 0.0, 0.0], 0.0]]}, [
         "mutant.scn:1:1: invariant at trajectories.ghost: trajectory for unknown entity 'ghost'",
@@ -497,6 +502,9 @@ MUTATIONS = [
     (DM, ('trials',), [], [
         'mutant.scn:1:1: invariant at trials: mobile sessions have exactly 6 trials, found 0',
     ]),
+    (DM, ('trials',), [DM_TRIALS[0], DM_TRIALS[2], DM_TRIALS[1], *DM_TRIALS[3:]], [
+        'mutant.scn:1:1: invariant at trials[1]: trial 1 presentation overlaps trial 2',
+    ]),
     (DM, ('trials', 1), 'question', [
         "mutant.scn:1:1: schema at trials[1]: expected object, got str 'question'",
     ]),
@@ -513,8 +521,7 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at trials[1].country: expected string, got int 5',
     ]),
     (DM, ('trials', 1, 'country'), 'Atlantis', [
-        "mutant.scn:1:1: invariant at trials[1]: unknown country 'Atlantis'",
-        "mutant.scn:1:1: invariant at trials[1]: question must end with the country, got 'Chile'",
+        "mutant.scn:1:1: schema at trials[1].country: expected known country, got str 'Atlantis'",
     ]),
     (DM, ('trials', 1, 'question_words'), DELETE, [
         'mutant.scn:1:1: schema at trials[1].question_words: expected list, got nothing',
@@ -553,10 +560,10 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at trials[1].word_schedule_s: expected non-empty list of finite numbers, got list',
     ]),
     (DM, ('trials', 1, 'word_schedule_s'), [35.0, 35.45, 35.9, 36.35, 36.8], [
-        'mutant.scn:1:1: invariant at trials[1]: word schedule length must match question words',
+        'mutant.scn:1:1: schema at trials[1].word_schedule_s: expected 6 entries, one per question word, got list',
     ]),
     (DM, ('trials', 1, 'word_schedule_s'), [35.0, 35.45, 35.45, 36.35, 36.8, 37.25], [
-        'mutant.scn:1:1: invariant at trials[1]: word schedule must be strictly increasing',
+        'mutant.scn:1:1: schema at trials[1].word_schedule_s: expected strictly increasing times, got list',
     ]),
     (DM, ('trials', 1, 'word_schedule_s'), DELETE, []),
     (DM, ('trials', 1, 'repeat_interval_s'), 0, [
@@ -566,7 +573,10 @@ MUTATIONS = [
         'mutant.scn:1:1: schema at trials[1].repeat_interval_s: expected positive number, got float -30.0',
     ]),
     (DM, ('trials', 1, 'repeat_interval_s'), 2.0, [
-        'mutant.scn:1:1: invariant at trials[1]: presentation longer than its repeat interval',
+        "mutant.scn:1:1: schema at trials[1].repeat_interval_s: expected number above the presentation's 2.25 s, got float 2.0",
+    ]),
+    (DM, ('trials', 1, 'repeat_interval_s'), 2.25, [
+        "mutant.scn:1:1: schema at trials[1].repeat_interval_s: expected number above the presentation's 2.25 s, got float 2.25",
     ]),
     (DM, ('trials', 1, 'repeat_interval_s'), DELETE, []),
     (DM, ('trials', 1, 'near'), 'yes', [
@@ -783,3 +793,16 @@ ACCEPTANCE_CHANGES = [
 def test_acceptance_change(case):
     name, where, value, expected = case
     assert rendered(mutate(name, where, value)) == expected
+
+
+def test_a_steady_schedule_ends_before_its_question_repeats():
+    """Without word_schedule_s the words come 0.45 s apart; the repeat rule holds all the same."""
+    doc = json.loads(bundled_scenario_text(DM))
+    del doc['trials'][1]['word_schedule_s']
+    doc['trials'][1]['repeat_interval_s'] = 2.25  # six words take 5 x 0.45 s
+    assert rendered(json.dumps(doc)) == [
+        "mutant.scn:1:1: schema at trials[1].repeat_interval_s: expected number above the "
+        "presentation's 2.25 s, got float 2.25",
+    ]
+    doc['trials'][1]['repeat_interval_s'] = 2.3
+    assert rendered(json.dumps(doc)) == []

@@ -139,6 +139,16 @@ class TestParsing:
             assert scn.name == name
             assert len(scn.trials) == (6 if scn.user_state == "mobile" else 3)
 
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_a_bundled_session_is_the_parse_of_its_text(self, name):
+        """A body-fixed session is parsed from its decoded document, not from printed text;
+        the two agree, down to the order of every map's keys (seen in repr)."""
+        text = bundled_scenario_text(name)
+        scn = load_bundled(name)
+        assert scn == parse_scenario(text)
+        assert repr(scn) == repr(parse_scenario(text))
+        assert serialize_scenario(scn) == text
+
     def test_syntax_error_carries_line_and_column(self):
         with pytest.raises(ScenarioSyntaxError) as exc_info:
             parse_scenario('{"schema": 1,\n  "name": }', source="broken.scn")
@@ -312,7 +322,7 @@ class TestBundledSessions:
             assert serialize_scenario(parse_scenario(text)) == text
 
     def test_each_session_builds_its_replay_table_once(self, monkeypatch):
-        """Each session is parsed from its own text, and a parse builds the table it replays by."""
+        """Each session is parsed on its own, and a parse builds the table it replays by."""
         built = []
         prebuild = Scenario._prebuild
 

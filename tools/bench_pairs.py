@@ -24,10 +24,10 @@ end-to-end metric of BENCHMARK.json), command, parent, host and seed;
 per workload its pairs (each with its hashseed) and their summary
 (median and inclusive quartiles
 per side, ratio of medians, change wins, the median gap against the
-parent's IQR, for every end-to-end metric of BENCHMARK.json),
-output_digest_equal, output_digest and failed_total, the shape
-tests/test_bench_files.py recomputes; and with --traced the traced
-per-layer metrics per side.
+parent's IQR, and the metric's bound and verdict (see verdict), for every
+end-to-end metric of BENCHMARK.json), output_digest_equal, output_digest
+and failed_total, the shape tests/test_bench_files.py recomputes; and
+with --traced the traced per-layer metrics per side.
 """
 
 from __future__ import annotations
@@ -88,7 +88,26 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int, hashseed: int) -
     return values
 
 
-def summarize(pairs: list[dict], metric: str, better: str) -> dict:
+def verdict(summary: dict) -> str:
+    """A metric's verdict against its bound, a fraction of the parent's median.
+
+    "unresolved" when the parent's IQR exceeds the bound, so the runs spread
+    too widely to tell; else "worse past bound" when the change's median is
+    worse than the parent's by more than the bound; "better" when it is
+    better by more than the parent's IQR; else "within bound".
+    """
+    parent, change = summary["parent"]["median"], summary["change"]["median"]
+    gap, iqr = summary["median_gap_vs_parent_iqr"]
+    allowed = summary["bound"] * abs(parent)
+    worse = change < parent if summary["better"] == "higher" else change > parent
+    if iqr > allowed:
+        return "unresolved"
+    if worse and gap > allowed:
+        return "worse past bound"
+    return "better" if not worse and gap > iqr else "within bound"
+
+
+def summarize(pairs: list[dict], metric: str, better: str, bound: float) -> dict:
     sides = {s: [p[s][metric] for p in pairs] for s in SIDES}
     summary: dict = {"better": better}
     for side, values in sides.items():
@@ -103,6 +122,8 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
         abs(change["median"] - parent["median"]),
         parent["q3"] - parent["q1"],
     ]
+    summary["bound"] = bound
+    summary["verdict"] = verdict(summary)
     return summary
 
 
@@ -126,7 +147,9 @@ def measure(trees: dict, workload: str, n: int, seed: int, metrics, shown: str) 
         pairs.append(pair)
     return {
         "pairs": pairs,
-        "summary": {m["name"]: summarize(pairs, m["name"], m["better"]) for m in metrics},
+        "summary": {
+            m["name"]: summarize(pairs, m["name"], m["better"], m["bound"]) for m in metrics
+        },
         "output_digest_equal": True,
         "output_digest": sorted({p["change"]["output_digest"] for p in pairs}),
         "failed_total": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
